@@ -12,8 +12,8 @@ Library layout:
 """
 
 from .bath import BathModel, preset_bath
-from .corrections import (CorrectionReport, NoGoDiagnostics, eta_operators,
-                          evaluate_corrections, nogo_diagnostics)
+from .corrections import (CorrectionReport, NoGoDiagnostics, correction_residuals,
+                          eta_operators, evaluate_corrections, nogo_diagnostics)
 from .design import (DesignProblem, DesignSolution, ProbeResult,
                      feasibility_probe, jacobian_check, solve)
 from .oracle import (DecompositionError, PropagationResult, SweepResult,
@@ -36,7 +36,7 @@ __all__ = [
     "FourierCoefficients", "NTrajectory", "NoGoDiagnostics", "NumericPolicy",
     "ProbeResult", "PropagationResult", "PulseShape", "SweepResult",
     "DEFAULT_POLICY", "active_policy", "amplitude_from_axis_angle",
-    "axis_angle_exponential", "constant_rotation_pulse",
+    "axis_angle_exponential", "constant_rotation_pulse", "correction_residuals",
     "dephasing_identity_defect", "eta_operators", "eval_amplitude",
     "evaluate_corrections", "f_generator", "feasibility_probe", "fourier_pulse",
     "integrate_axis_angle", "integrate_deviation", "jacobian_check",

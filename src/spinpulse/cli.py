@@ -11,8 +11,9 @@ Exit codes
 
 The numeric policy can be overridden per run through the environment
 variable ``SPINPULSE_NUMERIC_POLICY`` (see :mod:`spinpulse.policy`); the
-effective policy is part of the run manifest, whose digest is embedded in
-every output so identical manifests give byte-identical files.
+effective policy and every option that can change the output are part of the
+run manifest, whose digest is embedded in every output so identical manifests
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from .fileio import (InvariantError, SchemaError, csv_document, fmt,
                      format_report, format_solution, make_manifest, parse_bath,
                      parse_problem, parse_pulse)
 from .oracle import magnus_consistency
-from .policy import active_policy
+from .policy import ENV_VAR, active_policy
 from .sampling import pi_close_ntrajectory, random_ntrajectory
-from .trajectory import amplitude_from_axis_angle, integrate_axis_angle, n_trajectory
+from .trajectory import (MIN_STEPS, amplitude_from_axis_angle, integrate_axis_angle,
+                         n_trajectory)
 
 SLOPE_BANDS = {
     "uncorrected": (0.85, 1.15),
@@ -57,6 +59,16 @@ def _read(path: str) -> str:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
+def _options(args, *names) -> dict:
+    """The named command-line options, for the run manifest."""
+    return {name: getattr(args, name) for name in names}
+
+
+def _check_steps(option: str, steps: int | None, minimum: int):
+    if steps is not None and steps < minimum:
+        raise SchemaError(f"{option} must be at least {minimum}")
+
+
 def _parse_sweep(spec: str) -> np.ndarray:
     try:
         lo, hi, pts = spec.split(":")
@@ -75,7 +87,9 @@ def _parse_sweep(spec: str) -> np.ndarray:
 def cmd_convert(args) -> int:
     text = _read(args.pulse_file)
     shape = parse_pulse(text)
-    manifest = make_manifest("convert", {"pulse": text}, seed=args.seed)
+    _check_steps("--grid", args.grid, MIN_STEPS)
+    manifest = make_manifest("convert", {"pulse": text}, seed=args.seed,
+                             options=_options(args, "to", "grid"))
     traj = integrate_axis_angle(shape, args.grid)
     ntraj = n_trajectory(traj)
     amps = amplitude_from_axis_angle(traj)
@@ -97,7 +111,9 @@ def cmd_corrections(args) -> int:
     policy = active_policy()
     text = _read(args.pulse_file)
     shape = parse_pulse(text)
-    manifest = make_manifest("corrections", {"pulse": text}, seed=args.seed)
+    _check_steps("--grid", args.grid, MIN_STEPS)
+    manifest = make_manifest("corrections", {"pulse": text}, seed=args.seed,
+                             options=_options(args, "tau_s", "grid", "threshold", "targets"))
     tau_s = args.tau_s if args.tau_s is not None else shape.tau_s
     if not 0.0 <= tau_s <= shape.tau_p:
         raise InvariantError("tau_s override outside [0, tau_p]")
@@ -122,8 +138,11 @@ def cmd_verify(args) -> int:
     bath_text = _read(args.bath_file)
     shape = parse_pulse(pulse_text)
     bath = parse_bath(bath_text)
+    # the oracle integrates the pulse frame on a grid twice as fine
+    _check_steps("--steps", args.steps, MIN_STEPS // 2)
     manifest = make_manifest("verify", {"pulse": pulse_text, "bath": bath_text},
-                             seed=args.seed)
+                             seed=args.seed,
+                             options=_options(args, "sweep", "regime", "band", "steps"))
     taus = _parse_sweep(args.sweep)
     sweep = magnus_consistency(shape, bath, taus, steps=args.steps)
     slope, stderr = sweep.slopes["uf_defect"]
@@ -153,7 +172,8 @@ def cmd_verify(args) -> int:
 def cmd_solve(args) -> int:
     text = _read(args.problem_file)
     problem = parse_problem(text)
-    manifest = make_manifest("solve", {"problem": text}, seed=args.seed)
+    manifest = make_manifest("solve", {"problem": text}, seed=args.seed,
+                             options=_options(args, "restarts", "probe"))
     end_split = not isinstance(problem.tau_s, str) and float(problem.tau_s) >= 1.0
     if args.probe or end_split or residual_is_pi_regime(problem):
         probe = feasibility_probe(problem, budget=args.restarts or 16, seed=args.seed)
@@ -186,7 +206,9 @@ def cmd_nogo(args) -> int:
         raise SchemaError(f"unknown check {args.check!r}; choose from {NOGO_CHECKS}")
     if args.samples < 1:
         raise SchemaError("samples must be at least 1")
-    manifest = make_manifest(f"nogo-{args.check}", {}, seed=args.seed)
+    _check_steps("--grid", args.grid, MIN_STEPS)
+    manifest = make_manifest(f"nogo-{args.check}", {}, seed=args.seed,
+                             options=_options(args, "check", "samples", "grid"))
     rng = np.random.default_rng(args.seed)
     rows = []
     gaps = []
@@ -269,10 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_policy():
+    try:
+        active_policy()
+    except ValueError as exc:
+        raise SchemaError(f"{ENV_VAR}: {exc}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_policy()
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

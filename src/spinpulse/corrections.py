@@ -12,6 +12,15 @@ condition and the sign is fixed for least-squares use:
 Normalized forms divide by tau_p (r1) and tau_p^2 (r2a, r2b).  The residuals
 feed both the operator-level correction terms (see :func:`eta_operators`) and
 the two no-go diagnostics.
+
+Quadrature is composite Simpson on the (possibly non-uniform) trajectory grid:
+each interval integrates the quadratic through three neighbouring nodes
+(Cartwright's formulas, see :func:`_simpson_intervals`).  Full integrals are
+sums of the interval integrals and the inner integral of r2b is their running
+sum, matching ``scipy.integrate.simpson`` and ``cumulative_simpson`` up to
+rounding.  The halved-grid error estimate ``quad_err`` exists only in the
+reports of :func:`evaluate_corrections`; the design loop calls
+:func:`correction_residuals`, which skips it.
 """
 
 from __future__ import annotations
@@ -19,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .bath import BathModel
 from .policy import NumericPolicy, active_policy
 from .su2 import pauli_dot, spectral_norm
 from .trajectory import NTrajectory
+
+RESIDUAL_TARGETS = ("r1", "r2a", "r2b")
 
 
 @dataclass(frozen=True)
@@ -51,19 +61,27 @@ class CorrectionReport:
         scales = np.array([self.tau_p, self.tau_p ** 2, self.tau_p ** 2])
         return self.norms / scales
 
-    def normalized_vector(self, targets=("r1", "r2a", "r2b")) -> np.ndarray:
+    def normalized_vector(self, targets=RESIDUAL_TARGETS) -> np.ndarray:
         """Stacked dimensionless residual components for the requested targets."""
-        parts = []
-        for t in targets:
-            if t == "r1":
-                parts.append(self.r1 / self.tau_p)
-            elif t == "r2a":
-                parts.append(self.r2a / self.tau_p ** 2)
-            elif t == "r2b":
-                parts.append(self.r2b / self.tau_p ** 2)
-            else:
-                raise ValueError(f"unknown residual target {t!r}")
-        return np.concatenate(parts)
+        return normalized_residual_vector((self.r1, self.r2a, self.r2b),
+                                          self.tau_p, targets)
+
+
+def normalized_residual_vector(residuals, tau_p: float,
+                               targets=RESIDUAL_TARGETS) -> np.ndarray:
+    """Stack (r1/tp, r2a/tp^2, r2b/tp^2) components of the requested targets."""
+    r1, r2a, r2b = residuals
+    parts = []
+    for t in targets:
+        if t == "r1":
+            parts.append(r1 / tau_p)
+        elif t == "r2a":
+            parts.append(r2a / tau_p ** 2)
+        elif t == "r2b":
+            parts.append(r2b / tau_p ** 2)
+        else:
+            raise ValueError(f"unknown residual target {t!r}")
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -74,15 +92,45 @@ class NoGoDiagnostics:
                          # meaningful on the pi manifold
 
 
-def _residuals_on(grid: np.ndarray, nhat: np.ndarray, tau_s: float):
+def _simpson_intervals(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Simpson integrals of ``values`` (n, k) over the n - 1 intervals of ``grid``.
+
+    Interval j integrates the quadratic through three neighbouring nodes
+    exactly (Cartwright 2017, eq. 8): forward on (t_j, t_j+1, t_j+2) for even j,
+    backward on (t_j+1, t_j, t_j-1) for odd j and for the last interval, so the
+    intervals pair up on the triplets (t_0, t_1, t_2), (t_2, t_3, t_4), ...
+    The weights depend on the grid spacing alone.
+    """
+    if len(grid) < 3:
+        raise ValueError("Simpson quadrature needs at least 3 nodes")
+    h = np.diff(grid)
+    j = np.arange(len(h))
+    back = (j % 2 == 1) | (j == len(h) - 1)
+    step = 1 - 2 * back                      # +1 forward, -1 backward
+    near = j + 1 - back                      # middle node of the triplet
+    a, b = h, h[j + step]                    # own width, neighbour's width
+    a_ab = a / (a + b)
+    aa_abb = a_ab * a / b
+    w_own = a / 6.0 * (3.0 - a_ab)
+    w_near = a / 6.0 * (3.0 + aa_abb + a_ab)
+    w_far = a / 6.0 * -aa_abb
+    return (w_own[:, None] * values[j + back] + w_near[:, None] * values[near]
+            + w_far[:, None] * values[near + step])
+
+
+def correction_residuals(grid: np.ndarray, nhat: np.ndarray, tau_s: float):
+    """The vector residuals (r1, r2a, r2b) of n(t) sampled on ``grid``."""
     tau_p = grid[-1]
-    dt = (grid - tau_s)[:, None]
+    if not 0.0 <= tau_s <= tau_p:
+        raise ValueError("tau_s must lie in [0, tau_p]")
     n0, n1 = nhat[0], nhat[-1]
-    r1 = simpson(nhat, x=grid, axis=0) - ((tau_p - tau_s) * n1 + tau_s * n0)
-    r2a = 2.0 * simpson(dt * nhat, x=grid, axis=0) - ((tau_p - tau_s) ** 2 * n1 - tau_s ** 2 * n0)
-    inner = cumulative_simpson(nhat, x=grid, axis=0, initial=0.0)
-    cross = np.cross(nhat, inner)
-    r2b = simpson(cross, x=grid, axis=0) - tau_s * (tau_p - tau_s) * np.cross(n1, n0)
+    moments = _simpson_intervals(grid, np.hstack([nhat, (grid - tau_s)[:, None] * nhat]))
+    r1 = moments[:, :3].sum(axis=0) - ((tau_p - tau_s) * n1 + tau_s * n0)
+    r2a = 2.0 * moments[:, 3:].sum(axis=0) - ((tau_p - tau_s) ** 2 * n1 - tau_s ** 2 * n0)
+    inner = np.zeros_like(nhat)
+    np.cumsum(moments[:, :3], axis=0, out=inner[1:])
+    cross = _simpson_intervals(grid, np.cross(nhat, inner))
+    r2b = cross.sum(axis=0) - tau_s * (tau_p - tau_s) * np.cross(n1, n0)
     return r1, r2a, r2b
 
 
@@ -93,14 +141,12 @@ def evaluate_corrections(ntraj: NTrajectory, tau_s: float,
     if ntraj.n_nodes < 16:
         raise ValueError("need at least 16 trajectory nodes")
     tau_p = ntraj.tau_p
-    if not 0.0 <= tau_s <= tau_p:
-        raise ValueError("tau_s must lie in [0, tau_p]")
 
-    r1, r2a, r2b = _residuals_on(ntraj.grid, ntraj.nhat, tau_s)
+    r1, r2a, r2b = correction_residuals(ntraj.grid, ntraj.nhat, tau_s)
     half = np.arange(0, ntraj.n_nodes, 2)
     if half[-1] != ntraj.n_nodes - 1:      # the half grid must keep the endpoint
         half = np.append(half, ntraj.n_nodes - 1)
-    r1_h, r2a_h, r2b_h = _residuals_on(ntraj.grid[half], ntraj.nhat[half], tau_s)
+    r1_h, r2a_h, r2b_h = correction_residuals(ntraj.grid[half], ntraj.nhat[half], tau_s)
     quad_err = np.array([np.linalg.norm(r1 - r1_h), np.linalg.norm(r2a - r2a_h),
                          np.linalg.norm(r2b - r2b_h)])
 
@@ -153,8 +199,9 @@ def nogo_diagnostics(ntraj: NTrajectory, tau_s: float,
     if not 0.0 <= tau_s <= tau_p:
         raise ValueError("tau_s must lie in [0, tau_p]")
     cos_alpha = ntraj.nhat @ ntraj.nhat[0]
-    tsp_gap = tau_p - float(simpson(cos_alpha, x=ntraj.grid))
-    dt = ntraj.grid - tau_s
-    pi2_gap = (tau_p - tau_s) ** 2 + tau_s ** 2 + 2.0 * float(simpson(dt * cos_alpha, x=ntraj.grid))
+    moments = _simpson_intervals(
+        ntraj.grid, np.column_stack([cos_alpha, (ntraj.grid - tau_s) * cos_alpha])).sum(axis=0)
+    tsp_gap = tau_p - float(moments[0])
+    pi2_gap = (tau_p - tau_s) ** 2 + tau_s ** 2 + 2.0 * float(moments[1])
     is_pi = bool(np.linalg.norm(ntraj.nhat[0] + ntraj.nhat[-1]) < policy.pi_condition_atol)
     return NoGoDiagnostics(tsp_gap=tsp_gap, pi2_gap=pi2_gap, is_pi_pulse=is_pi)

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import null_space
 
-from .corrections import CorrectionReport, evaluate_corrections, nogo_diagnostics
+from .corrections import (RESIDUAL_TARGETS, CorrectionReport, correction_residuals,
+                          evaluate_corrections, nogo_diagnostics, normalized_residual_vector)
 from .policy import NumericPolicy, active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import axis_angle_exponential
-from .trajectory import NTrajectory, integrate_axis_angle, n_trajectory
+from .trajectory import MIN_STEPS, NTrajectory, integrate_axis_angle, n_trajectory
 
 ROTATION_WEIGHT = 100.0
 FREE = "free"
@@ -53,9 +54,11 @@ class DesignProblem:
             raise ValueError("fourier order must be at least 1")
         if not self.components or any(c not in COMPONENTS for c in self.components):
             raise ValueError("components must be a nonempty subset of x, y, z")
-        bad = [t for t in self.targets if t not in ("r1", "r2a", "r2b")]
+        bad = [t for t in self.targets if t not in RESIDUAL_TARGETS]
         if bad:
             raise ValueError(f"unknown residual targets {bad}")
+        if self.grid_steps < MIN_STEPS:
+            raise ValueError(f"grid must have at least {MIN_STEPS} steps")
         if isinstance(self.tau_s, str):
             if self.tau_s != FREE:
                 raise ValueError("tau_s must be a number or 'free'")
@@ -298,8 +301,8 @@ class _ResidualFunction:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         ntraj, traj, shape = self.ntrajectory(z)
-        report = evaluate_corrections(ntraj, shape.tau_s, policy=self.policy)
-        parts = [report.normalized_vector(self.problem.targets)]
+        residuals = correction_residuals(ntraj.grid, ntraj.nhat, shape.tau_s)
+        parts = [normalized_residual_vector(residuals, ntraj.tau_p, self.problem.targets)]
         if traj is not None:
             parts.append(ROTATION_WEIGHT * _rotation_residual(traj, self.problem.theta))
         if self.problem.amplitude_bound is not None:
@@ -318,15 +321,14 @@ class _ResidualFunction:
 
 def finite_difference_jacobian(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian with per-coordinate relative steps."""
-    f0 = fun(x)
-    jac = np.empty((len(f0), len(x)))
+    columns = []
     for i in range(len(x)):
         h = step * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        jac[:, i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return jac
+        columns.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return np.stack(columns, axis=1)
 
 
 def _levenberg_marquardt(fun, x0: np.ndarray, max_iter: int = 80,

@@ -401,12 +401,14 @@ class RunManifest:
     input_digests: dict
     seed: int
     policy: NumericPolicy
+    options: dict           # every command-line option that can change the output
 
     def canonical(self) -> str:
         payload = {
             "command": self.command,
             "inputs": dict(sorted(self.input_digests.items())),
             "seed": self.seed,
+            "options": self.options,
             "policy": self.policy.as_dict(),
             "version": __version__,
         }
@@ -421,7 +423,9 @@ def digest_text(text: str) -> str:
 
 
 def make_manifest(command: str, input_texts: dict, seed: int = 0,
-                  policy: NumericPolicy | None = None) -> RunManifest:
+                  policy: NumericPolicy | None = None,
+                  options: dict | None = None) -> RunManifest:
     policy = policy or active_policy()
     digests = {name: digest_text(text) for name, text in input_texts.items()}
-    return RunManifest(command=command, input_digests=digests, seed=seed, policy=policy)
+    return RunManifest(command=command, input_digests=digests, seed=seed, policy=policy,
+                       options=dict(options or {}))

@@ -3,11 +3,13 @@
 The active policy can be overridden through the environment variable
 ``SPINPULSE_NUMERIC_POLICY`` set to a comma-separated ``name=value`` list,
 e.g. ``SPINPULSE_NUMERIC_POLICY="unitary_atol=1e-9,ode_steps_default=2048"``.
+Every value must be finite and positive, and integer fields take integers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -47,12 +49,12 @@ class NumericPolicy:
 
 DEFAULT_POLICY = NumericPolicy()
 
-_ENV_VAR = "SPINPULSE_NUMERIC_POLICY"
+ENV_VAR = "SPINPULSE_NUMERIC_POLICY"
 
 
 def active_policy() -> NumericPolicy:
     """Default policy with any environment overrides applied."""
-    raw = os.environ.get(_ENV_VAR, "").strip()
+    raw = os.environ.get(ENV_VAR, "").strip()
     if not raw:
         return DEFAULT_POLICY
     overrides = {}
@@ -65,5 +67,13 @@ def active_policy() -> NumericPolicy:
         if name not in fields:
             raise ValueError(f"unknown numeric-policy field {name!r}")
         caster = int if fields[name] in ("int", int) else float
-        overrides[name] = caster(value)
+        try:
+            number = caster(value)
+        except ValueError:
+            raise ValueError(f"numeric-policy field {name!r} needs a {caster.__name__} "
+                             f"value, got {value.strip()!r}") from None
+        if not (math.isfinite(number) and number > 0):
+            raise ValueError(f"numeric-policy field {name!r} must be finite and "
+                             f"positive, got {value.strip()!r}")
+        overrides[name] = number
     return dataclasses.replace(DEFAULT_POLICY, **overrides)

@@ -30,6 +30,7 @@ from .pulses import SPLINE_ORDER, PulseShape
 from .su2 import PAULI, rotate_vectors
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+MIN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -271,8 +272,8 @@ def integrate_axis_angle(shape: PulseShape, steps: int | None = None,
     policy = policy or active_policy()
     if steps is None:
         steps = policy.ode_steps_default
-    if steps < 64:
-        raise ValueError("at least 64 integration steps are required")
+    if steps < MIN_STEPS:
+        raise ValueError(f"at least {MIN_STEPS} integration steps are required")
     grid, i_s = _build_grid(shape, steps)
     h_left, h_mid, h_right = _generator_table(shape, grid)
 
@@ -358,9 +359,3 @@ def n_trajectory(traj: AxisAngleTrajectory) -> NTrajectory:
     norms = np.linalg.norm(nhat, axis=1, keepdims=True)
     return NTrajectory(grid=traj.grid.copy(), nhat=nhat / norms)
 
-
-def trajectory_shape(traj: AxisAngleTrajectory, theta: float) -> PulseShape:
-    """Package a trajectory as an axis-angle-sampled pulse shape."""
-    return PulseShape(traj.tau_p, traj.tau_s, theta, "axis_angle_samples",
-                      sample_times=traj.grid.copy(), sample_axes=traj.axis.copy(),
-                      sample_angles=traj.angle.copy())

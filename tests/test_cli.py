@@ -105,6 +105,16 @@ class TestCorrections:
         code = main(["corrections", str(workdir / "pi.pulse"), "--threshold", "10.0"])
         assert code == 0
 
+    def test_grid_changes_the_manifest_digest(self, workdir):
+        digests = []
+        for grid in ("256", "1024"):
+            out = workdir / f"report-{grid}.txt"
+            main(["corrections", str(workdir / "pi.pulse"), "--grid", grid,
+                  "--out", str(out)])
+            fields = dict(line.split(" = ") for line in out.read_text().strip().splitlines())
+            digests.append(fields["manifest_sha256"])
+        assert digests[0] != digests[1]
+
 
 class TestSolveAndVerify:
     def test_solve_writes_reverifiable_solution(self, workdir):
@@ -156,6 +166,28 @@ class TestNogo:
 
     def test_zero_samples(self):
         assert main(["nogo", "ts-eq-tp", "--samples", "0"]) == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["corrections", "{pulse}", "--grid", "8"],
+        ["nogo", "ts-eq-tp", "--grid", "8", "--samples", "2"],
+        ["convert", "{pulse}", "--grid", "8"],
+        ["verify", "{pulse}", "{bath}", "--steps", "2"],
+    ], ids=["corrections-grid", "nogo-grid", "convert-grid", "verify-steps"])
+    def test_too_coarse_grid_exits_2(self, workdir, capsys, argv):
+        argv = [a.format(pulse=workdir / "pi.pulse", bath=workdir / "dyn.bath")
+                for a in argv]
+        assert main(argv) == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "bogus=1", "unitary_atol=nan", "unitary_atol=-1e-10", "ode_steps_default=2.5",
+    ], ids=["unknown-field", "nan", "negative", "non-integer"])
+    def test_bad_numeric_policy_exits_2(self, workdir, monkeypatch, capsys, override):
+        monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", override)
+        assert main(["corrections", str(workdir / "pi.pulse")]) == 2
+        assert "SPINPULSE_NUMERIC_POLICY" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson, simpson
 
 from spinpulse.bath import BathModel, preset_bath
-from spinpulse.corrections import (eta_operators, evaluate_corrections,
-                                   first_order_norm_identity, nogo_diagnostics)
+from spinpulse.corrections import (_simpson_intervals, correction_residuals, eta_operators,
+                                   evaluate_corrections, first_order_norm_identity,
+                                   nogo_diagnostics, normalized_residual_vector)
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.su2 import spectral_norm
 from spinpulse.trajectory import NTrajectory, integrate_axis_angle, n_trajectory
@@ -217,3 +220,66 @@ def test_nogo_positivity_large_ensemble(rng):
         pi2_min = min(pi2_min, diag_pi.pi2_gap)
     assert tsp_min >= -1e-9
     assert pi2_min >= -1e-9
+
+
+class TestSimpsonIntervals:
+    """The per-interval primitive against scipy's composite rules."""
+
+    @pytest.mark.parametrize("nodes", [3, 4, 17, 18, 513, 514, 1025])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_matches_scipy(self, nodes, uniform, rng):
+        t = np.linspace(0.0, 1.3, nodes)
+        if not uniform:
+            # jitter interior nodes by up to 40% of a step
+            t[1:-1] += rng.uniform(-0.4, 0.4, nodes - 2) * (t[1] - t[0])
+        values = np.column_stack([np.sin(3.0 * t), np.exp(t), rng.normal(size=nodes)])
+        intervals = _simpson_intervals(t, values)
+        assert intervals.shape == (nodes - 1, 3)
+        np.testing.assert_allclose(intervals.sum(axis=0), simpson(values, x=t, axis=0),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            np.concatenate([[np.zeros(3)], np.cumsum(intervals, axis=0)]),
+            cumulative_simpson(values, x=t, axis=0, initial=0.0), rtol=0, atol=1e-13)
+
+    def test_exact_for_quadratics(self, rng):
+        t = np.sort(np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 30)]))
+        values = (1.0 - 2.0 * t + 3.0 * t ** 2)[:, None]
+        exact = t[1:] - t[:-1] - (t[1:] ** 2 - t[:-1] ** 2) + (t[1:] ** 3 - t[:-1] ** 3)
+        np.testing.assert_allclose(_simpson_intervals(t, values)[:, 0], exact,
+                                   rtol=1e-10, atol=1e-14)
+
+
+def _rotation(q):
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+_fractions = st.floats(0.0, 1.0)
+_quaternions = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 0.1)
+
+
+class TestResidualSymmetries:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, frac=_fractions, q=_quaternions)
+    def test_residuals_follow_a_global_rotation(self, seed, frac, q):
+        ntraj = _random_smooth_ntrajectory(np.random.default_rng(seed))
+        rot = _rotation(q)
+        tau_s = frac * ntraj.tau_p
+        plain = correction_residuals(ntraj.grid, ntraj.nhat, tau_s)
+        rotated = correction_residuals(ntraj.grid, ntraj.nhat @ rot.T, tau_s)
+        for r, r_rot in zip(plain, rotated):
+            np.testing.assert_allclose(r_rot, rot @ r, rtol=0, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, frac=_fractions, tau_p=st.floats(1e-3, 1e3))
+    def test_normalized_residuals_ignore_tau_p(self, seed, frac, tau_p):
+        ntraj = _random_smooth_ntrajectory(np.random.default_rng(seed))
+        unit = correction_residuals(ntraj.grid, ntraj.nhat, frac)
+        scaled = correction_residuals(tau_p * ntraj.grid, ntraj.nhat, frac * tau_p)
+        np.testing.assert_allclose(normalized_residual_vector(scaled, tau_p * ntraj.tau_p),
+                                   normalized_residual_vector(unit, ntraj.tau_p),
+                                   rtol=0, atol=1e-13)

@@ -74,7 +74,43 @@ class TestSolve:
         assert sol.report.r2b_valid
 
 
+class TestResidualFunction:
+    """The design loop's residual is the verification report's, bit for bit."""
+
+    @pytest.mark.parametrize("problem", [
+        DesignProblem(theta=np.pi, tau_s=0.5, fourier_order=3, components=("y",),
+                      targets=("r1", "r2b"), endpoint_derivatives=1),
+        DesignProblem(theta=np.pi, tau_s="free", fourier_order=1,
+                      components=("x", "y"), targets=("r1", "r2a", "r2b"),
+                      symmetric=False, grid_steps=256),
+    ], ids=["fixed-axis", "general-axis-free-tau-s"])
+    def test_matches_evaluate_corrections(self, problem):
+        residual = _ResidualFunction(problem, active_policy())
+        z = residual.param.random_start(np.random.default_rng(4))
+        ntraj, _, shape = residual.ntrajectory(z)
+        expected = evaluate_corrections(ntraj, shape.tau_s).normalized_vector(problem.targets)
+        got = residual(z)
+        assert np.array_equal(got[:len(expected)], expected)
+        if problem.fixed_axis:
+            assert len(got) == len(expected)
+
+    def test_grid_below_the_integrator_minimum_rejected(self):
+        with pytest.raises(ValueError):
+            DesignProblem(theta=np.pi, grid_steps=8)
+
+
 class TestJacobian:
+    def test_one_residual_pair_per_column(self):
+        calls = []
+
+        def linear(x):
+            calls.append(x.copy())
+            return np.array([x[0] + 2.0 * x[1], 3.0 * x[0]])
+
+        jac = finite_difference_jacobian(linear, np.array([0.5, -1.0]))
+        assert len(calls) == 4
+        np.testing.assert_allclose(jac, [[1.0, 2.0], [3.0, 0.0]], atol=1e-9)
+
     def test_exact_for_quadratic_residuals(self):
         a = np.array([[2.0, 1.0], [0.5, -1.0], [1.0, 3.0]])
 

@@ -140,9 +140,11 @@ def test_numeric_policy_env_override(monkeypatch):
     monkeypatch.delenv("SPINPULSE_NUMERIC_POLICY")
     m_clean = make_manifest("x", {}, seed=0, policy=None)
     assert m_default.digest() != m_clean.digest()
-    monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", "no_such_field=1")
-    with pytest.raises(ValueError):
-        active_policy()
+    for bad in ("no_such_field=1", "unitary_atol=nan", "unitary_atol=inf",
+                "unitary_atol=0", "joint_dim_cap=3.5"):
+        monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", bad)
+        with pytest.raises(ValueError):
+            active_policy()
 
 
 def test_bath_dynamics_flag():
