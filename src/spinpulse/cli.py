@@ -174,14 +174,16 @@ def cmd_solve(args) -> int:
     problem = parse_problem(text)
     manifest = make_manifest("solve", {"problem": text}, seed=args.seed,
                              options=_options(args, "restarts", "probe"))
+    _check_steps("--restarts", args.restarts, 1)
     end_split = not isinstance(problem.tau_s, str) and float(problem.tau_s) >= 1.0
     if args.probe or end_split or residual_is_pi_regime(problem):
-        probe = feasibility_probe(problem, budget=args.restarts or 16, seed=args.seed)
+        budget = args.restarts if args.restarts is not None else 16
+        probe = feasibility_probe(problem, budget=budget, seed=args.seed)
         sol = probe.solution
         extra_note = (f"probe regime={probe.regime} objective={fmt(probe.best_objective)}"
                       f" gap={fmt(probe.gap)} bound={fmt(probe.gap_bound)}")
     else:
-        if args.restarts:
+        if args.restarts is not None:
             from dataclasses import replace
             problem = replace(problem, restarts=args.restarts)
         sol = solve(problem, seed=args.seed)

@@ -24,7 +24,8 @@ from .policy import NumericPolicy, active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import axis_angle_exponential
-from .trajectory import MIN_STEPS, NTrajectory, integrate_axis_angle, n_trajectory
+from .trajectory import (MIN_STEPS, NTrajectory, _quaternion_parts,
+                         integrate_axis_angle, n_trajectory)
 
 ROTATION_WEIGHT = 100.0
 FREE = "free"
@@ -59,6 +60,8 @@ class DesignProblem:
             raise ValueError(f"unknown residual targets {bad}")
         if self.grid_steps < MIN_STEPS:
             raise ValueError(f"grid must have at least {MIN_STEPS} steps")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
         if isinstance(self.tau_s, str):
             if self.tau_s != FREE:
                 raise ValueError("tau_s must be a number or 'free'")
@@ -273,11 +276,8 @@ def _rotation_residual(traj, theta: float) -> np.ndarray:
     """Quaternion components of P_theta^dag W(tp) W(0)^dag relative to identity."""
     w_tot = traj.unitaries[-1] @ traj.unitaries[0].conj().T
     m = axis_angle_exponential(np.array([0.0, 1.0, 0.0]), -theta).conj().T @ w_tot
-    c = 0.5 * np.real(m[0, 0] + m[1, 1])
-    sx = -0.5 * np.imag(m[0, 1] + m[1, 0])
-    sy = 0.5 * np.real(m[1, 0] - m[0, 1])
-    sz = -0.5 * np.imag(m[0, 0] - m[1, 1])
-    return np.array([sx, sy, sz, 1.0 - c])
+    c, s = _quaternion_parts(m)
+    return np.append(s, 1.0 - c)
 
 
 class _ResidualFunction:
@@ -430,9 +430,9 @@ def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0,
                             grid_steps=min(problem.grid_steps, 256))
     sol = solve(probe_problem, seed=seed, policy=policy, allow_underdetermined=True)
     shape = sol.shape
+    ntraj = n_trajectory(integrate_axis_angle(shape, 2 * problem.grid_steps, policy=policy))
     if residual_is_pi_regime(problem):
-        traj = integrate_axis_angle(shape, 2 * problem.grid_steps, policy=policy)
-        closed = pi_close_ntrajectory(n_trajectory(traj))
+        closed = pi_close_ntrajectory(ntraj)
         report = evaluate_corrections(closed, shape.tau_s, policy=policy)
         diag = nogo_diagnostics(closed, shape.tau_s, policy=policy)
         objective = float(np.sum(report.normalized_vector(problem.targets) ** 2))
@@ -441,14 +441,12 @@ def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0,
                            gap=diag.pi2_gap, gap_bound=bound,
                            is_pi_pulse=diag.is_pi_pulse, budget=budget, solution=sol)
     if not isinstance(problem.tau_s, str) and float(problem.tau_s) >= 1.0:
-        diag = nogo_diagnostics(
-            evaluate_report_ntraj(sol, problem, policy), shape.tau_p, policy=policy)
+        diag = nogo_diagnostics(ntraj, shape.tau_p, policy=policy)
         bound = (diag.tsp_gap / shape.tau_p) ** 2
         return ProbeResult(regime="end-split", best_objective=sol.objective,
                            gap=diag.tsp_gap, gap_bound=bound,
                            is_pi_pulse=diag.is_pi_pulse, budget=budget, solution=sol)
-    diag = nogo_diagnostics(
-        evaluate_report_ntraj(sol, problem, policy), shape.tau_s, policy=policy)
+    diag = nogo_diagnostics(ntraj, shape.tau_s, policy=policy)
     return ProbeResult(regime="open", best_objective=sol.objective, gap=diag.pi2_gap,
                        gap_bound=float("nan"), is_pi_pulse=diag.is_pi_pulse,
                        budget=budget, solution=sol)
@@ -457,8 +455,3 @@ def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0,
 def residual_is_pi_regime(problem: DesignProblem) -> bool:
     return abs(problem.theta - np.pi) < 1e-12 and "r2a" in problem.targets
 
-
-def evaluate_report_ntraj(sol: DesignSolution, problem: DesignProblem,
-                          policy: NumericPolicy) -> NTrajectory:
-    traj = integrate_axis_angle(sol.shape, 2 * problem.grid_steps, policy=policy)
-    return n_trajectory(traj)

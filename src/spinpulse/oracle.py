@@ -12,7 +12,11 @@ residual correction unitary U_F:
     midpoint exponentials and :func:`reconstruct_uf` inverts the decomposition
     algebraically;
   * :func:`integrate_deviation` integrates the exact deviation generator
-    F(t) = W(t)^dag [e^{iH dt} H0 e^{-iH dt} - H0] W(t) directly.
+    F(t) = W(t)^dag [e^{iH dt} H0 e^{-iH dt} - H0] W(t) directly, by
+    classical RK4 on a grid that pins tau_s and the segment boundaries.  The
+    frames W come from the trajectory integrator on the bisected grid, and
+    the amplitude at each RK4 stage follows the integrator's own stage rule,
+    so there is one frame path, one stage rule and one formula for F.
 
 The second route keeps full relative accuracy as tau_p -> 0 (the deviation
 generator stays O(lambda) while the pulse amplitude grows as 1/tau_p), so
@@ -34,8 +38,9 @@ from .policy import NumericPolicy, active_policy
 from .pulses import PulseShape
 from .su2 import (IDENTITY_2, PAULI, SIGMA_Z, axis_angle_exponential,
                   expm_hermitian, matrix_exponential, pauli_dot, spectral_norm)
-from .trajectory import (AxisAngleTrajectory, _rk4_step_matrices, _scan_steps,
-                         frame_at, integrate_axis_angle, n_trajectory)
+from .trajectory import (AxisAngleTrajectory, _build_grid, _frames_on_grid,
+                         _rk4_step_matrices, _scan_steps, _stage_amplitudes,
+                         n_trajectory)
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,6 @@ def propagate_joint(shape: PulseShape, bath: BathModel, steps: int | None = None
         steps = policy.joint_steps_default
     if steps < 256:
         raise ValueError("at least 256 slices are required")
-    if 2 * bath.dim_b > policy.joint_dim_cap:
-        raise ValueError("joint dimension exceeds the configured cap")
     u_full = _slice_propagate(shape, bath, steps)
     u_half = _slice_propagate(shape, bath, steps // 2)
     estimate = spectral_norm(u_full - u_half) / 3.0
@@ -129,12 +132,6 @@ def reconstruct_uf(u_p: np.ndarray, traj: AxisAngleTrajectory, bath: BathModel) 
 # deviation-generator route
 
 
-def _pulse_frames(shape: PulseShape, steps: int, policy: NumericPolicy):
-    """Trajectory on a grid fine enough to supply midpoint frames for RK4."""
-    traj = integrate_axis_angle(shape, 2 * steps, policy=policy)
-    return traj
-
-
 def _batched_kron_qubit(mats: np.ndarray, dim_b: int) -> np.ndarray:
     """kron(m, I_b) for a batch of 2x2 matrices."""
     n = mats.shape[0]
@@ -143,70 +140,44 @@ def _batched_kron_qubit(mats: np.ndarray, dim_b: int) -> np.ndarray:
     return out.reshape(n, 2 * dim_b, 2 * dim_b)
 
 
-def _deviation_table(shape: PulseShape, bath: BathModel, traj: AxisAngleTrajectory):
-    """F(t) at every trajectory node (batched over the grid)."""
+def _deviation_table(bath: BathModel, t: np.ndarray, tau_s: float,
+                     w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """F at times t from the frames w (n, 2, 2) and amplitudes v (n, 3) there."""
     h = static_hamiltonian(bath)
     evals, evecs = np.linalg.eigh(h)
-    v = shape.amplitude(traj.grid)
     h0_joint = _batched_kron_qubit(np.einsum("nj,jab->nab", v, PAULI), bath.dim_b)
-    phase = np.exp(1.0j * np.outer(traj.grid - traj.tau_s, evals))
+    phase = np.exp(1.0j * np.outer(t - tau_s, evals))
     rot = (evecs[None, :, :] * phase[:, None, :]) @ evecs.conj().T
     rot_dag = rot.conj().transpose(0, 2, 1)
     tilde = rot @ h0_joint @ rot_dag
-    w = _batched_kron_qubit(traj.unitaries, bath.dim_b)
-    f = w.conj().transpose(0, 2, 1) @ (tilde - h0_joint) @ w
+    w_joint = _batched_kron_qubit(w, bath.dim_b)
+    f = w_joint.conj().transpose(0, 2, 1) @ (tilde - h0_joint) @ w_joint
     return 0.5 * (f + f.conj().transpose(0, 2, 1))
-
-
-def _heun_step_matrix(f0: np.ndarray, f1: np.ndarray, h: float) -> np.ndarray:
-    """Second-order transfer matrix for one interval without a midpoint sample."""
-    eye = np.eye(f0.shape[-1], dtype=complex)
-    return eye + 0.5 * h * (f0 + f1) + 0.5 * h * h * (f1 @ f0)
 
 
 def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int | None = None,
                         policy: NumericPolicy | None = None):
     """(U_F, trajectory) by RK4 integration of i U' = F(t) U over [0, tau_p].
 
-    The trajectory grid is twice as fine as the integration grid so interval
-    midpoints supply the RK4 stages; around inserted nodes (an off-grid tau_s
-    or segment boundaries) the pairing falls back to second-order steps on the
-    few uncentered intervals.
+    The coarse grid pins tau_s and the segment boundaries; bisecting it gives
+    the trajectory grid, whose frames supply F at the start, midpoint and end
+    of every coarse step.  The amplitude at those stages follows the same
+    rule as the frame integrator (``_stage_amplitudes``), so every step is a
+    true RK4 step wherever tau_s and the breakpoints fall.
     """
     policy = policy or active_policy()
     if steps is None:
         steps = policy.joint_steps_default
-    traj = _pulse_frames(shape, steps, policy)
-    f = -1.0j * _deviation_table(shape, bath, traj)
-    grid = traj.grid
-    n = traj.n_nodes
-    tol = 1e-9 * traj.tau_p
-    starts = []
-    j = 0
-    aligned = True
-    while j < n - 1:
-        if j + 2 <= n - 1 and abs(grid[j + 1] - 0.5 * (grid[j] + grid[j + 2])) < tol:
-            starts.append(j)
-            j += 2
-        else:
-            starts.append(-(j + 1))       # negative marks a single-interval step
-            aligned = False
-            j += 1
-    if aligned:
-        ends = np.array(starts + [n - 1])
-        mats = _rk4_step_matrices(f[ends[:-1]], f[ends[:-1] + 1], f[ends[1:]],
-                                  grid[ends[1:]] - grid[ends[:-1]])
-    else:
-        mats = np.empty((len(starts), 2 * bath.dim_b, 2 * bath.dim_b), dtype=complex)
-        for k, tag in enumerate(starts):
-            if tag >= 0:
-                block = _rk4_step_matrices(f[tag][None], f[tag + 1][None],
-                                           f[tag + 2][None],
-                                           np.array([grid[tag + 2] - grid[tag]]))
-                mats[k] = block[0]
-            else:
-                j0 = -tag - 1
-                mats[k] = _heun_step_matrix(f[j0], f[j0 + 1], grid[j0 + 1] - grid[j0])
+    coarse = _build_grid(shape, steps)
+    fine = np.empty(2 * len(coarse) - 1)
+    fine[::2] = coarse
+    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    traj = _frames_on_grid(shape, fine, policy)
+    stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
+                 _stage_amplitudes(shape, coarse))
+    f = [-1.0j * _deviation_table(bath, fine[sl], traj.tau_s, traj.unitaries[sl], v)
+         for sl, v in stages]
+    mats = _rk4_step_matrices(*f, np.diff(coarse))
     u = np.eye(2 * bath.dim_b, dtype=complex)
     frames = _scan_steps(u, mats, policy.projection_interval, _project_unitary)
     return _project_unitary(frames[-1]), traj
@@ -218,17 +189,10 @@ def f_generator(shape: PulseShape, bath: BathModel, t: float,
     policy = policy or active_policy()
     if not 0.0 <= t <= shape.tau_p:
         raise ValueError("time outside [0, tau_p]")
-    w = frame_at(shape, t, steps=steps, policy=policy)
-    h = static_hamiltonian(bath)
-    evals, evecs = np.linalg.eigh(h)
-    eye_b = np.eye(bath.dim_b)
-    h0_joint = np.kron(pauli_dot(shape.amplitude(t)), eye_b)
-    phase = np.exp(1.0j * evals * (t - shape.tau_s))
-    rot = (evecs * phase) @ evecs.conj().T
-    tilde = rot @ h0_joint @ rot.conj().T
-    w_joint = np.kron(w, eye_b)
-    f = w_joint.conj().T @ (tilde - h0_joint) @ w_joint
-    return 0.5 * (f + f.conj().T)
+    traj = _frames_on_grid(shape, _build_grid(shape, steps, pins=(t,)), policy)
+    j = int(np.argmin(np.abs(traj.grid - t)))
+    return _deviation_table(bath, traj.grid[j:j + 1], traj.tau_s,
+                            traj.unitaries[j:j + 1], shape.amplitude(t)[None])[0]
 
 
 # ----------------------------------------------------------------------

@@ -19,15 +19,11 @@ class NumericPolicy:
     # linear-algebra validation
     hermitian_rtol: float = 1e-12
     unitary_atol: float = 1e-10
-    orthogonal_atol: float = 1e-12
     unit_vector_atol: float = 1e-9
     # matrix logarithm of unitaries (principal branch)
     logm_branch_margin: float = 1e-6
-    logm_roundtrip_atol: float = 1e-9
-    antihermitian_atol: float = 1e-10
     # ODE integration of the pulse frame
     ode_steps_default: int = 1024
-    ode_unitary_defect: float = 1e-8
     projection_interval: int = 64
     axis_floor: float = 1e-7
     # quadrature and report flags
@@ -41,7 +37,6 @@ class NumericPolicy:
     residual_threshold: float = 1e-6
     # joint-space propagation
     joint_steps_default: int = 1024
-    joint_dim_cap: int = 32
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

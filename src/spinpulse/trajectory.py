@@ -13,6 +13,13 @@ Conventions (not forced by the underlying equations, adopted here):
     rotation axis v(t)/|v(t)| (falling back to the previous node), keeping the
     reconstructed amplitude continuous.
 
+Every frame is integrated by one path: classical RK4 on a grid whose nodes
+include tau_s, the amplitude breakpoints and any extra pinned times.  A pinned
+time moves the nearest node if it lies within a quarter step and that node is
+not pinned already, and is inserted otherwise, so pinned times never displace
+each other.  The exact oracle integrates on the same grids with the same
+stage rule.
+
 The trajectory of n(t) = D_a(-psi) z is the geometric object all correction
 functionals are written in.
 """
@@ -90,43 +97,50 @@ class NTrajectory:
 # grid construction and the frame ODE
 
 
-def _build_grid(shape: PulseShape, steps: int) -> tuple[np.ndarray, int]:
-    """Uniform grid containing the splitting instant and any amplitude breakpoints.
+def _build_grid(shape: PulseShape, steps: int, pins=()) -> np.ndarray:
+    """Uniform grid with tau_s, the amplitude breakpoints and ``pins`` as nodes.
 
-    A special time lands on the grid either by moving the nearest interior
-    node (when closer than a quarter step, keeping spacing well conditioned)
-    or by insertion.
+    A pinned time lands on the grid by moving the nearest node when that node
+    is closer than a quarter step (keeping spacing well conditioned) and not
+    pinned itself, else by insertion; the end points count as pinned.
     """
     grid = np.linspace(0.0, shape.tau_p, steps + 1)
+    pinned = np.zeros(len(grid), dtype=bool)
+    pinned[[0, -1]] = True
     h = shape.tau_p / steps
-    for t in (shape.tau_s, *shape.breakpoints()):
+    for t in (shape.tau_s, *shape.breakpoints(), *pins):
         j = int(np.argmin(np.abs(grid - t)))
         dist = abs(grid[j] - t)
         if dist <= 1e-12 * shape.tau_p:
-            continue
-        if 0 < j < len(grid) - 1 and dist <= 0.25 * h:
+            pinned[j] = True
+        elif not pinned[j] and dist <= 0.25 * h:
             grid[j] = t
+            pinned[j] = True
         else:
-            grid = np.sort(np.append(grid, t))
-    i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
-    return grid, i_s
+            k = int(np.searchsorted(grid, t))
+            grid = np.insert(grid, k, t)
+            pinned = np.insert(pinned, k, True)
+    return grid
 
 
-def _generator_table(shape: PulseShape, grid: np.ndarray):
-    """-i sigma . v at interval endpoints and midpoints.
+def _stage_amplitudes(shape: PulseShape, grid: np.ndarray):
+    """v(t) at the start, midpoint and end of every grid interval.
 
     Piecewise-constant shapes use the midpoint value for all three stage
     evaluations of an interval so that integration never samples across a
     segment boundary.
     """
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    v_mid = shape.amplitude(mids)
-    h_mid = -1.0j * np.tensordot(v_mid, PAULI, axes=(1, 0))
+    v_mid = shape.amplitude(0.5 * (grid[:-1] + grid[1:]))
     if shape.representation == "piecewise_constant":
-        return h_mid, h_mid, h_mid
+        return v_mid, v_mid, v_mid
     v_node = shape.amplitude(grid)
-    h_node = -1.0j * np.tensordot(v_node, PAULI, axes=(1, 0))
-    return h_node[:-1], h_mid, h_node[1:]
+    return v_node[:-1], v_mid, v_node[1:]
+
+
+def _generator_table(shape: PulseShape, grid: np.ndarray):
+    """-i sigma . v at the three RK4 stages of every interval."""
+    return tuple(-1.0j * np.tensordot(v, PAULI, axes=(1, 0))
+                 for v in _stage_amplitudes(shape, grid))
 
 
 def _project_su2(w: np.ndarray) -> np.ndarray:
@@ -261,6 +275,29 @@ def _unwrap_frames(v_nodes, c, svec, i_s, axis0, floor):
     return 2.0 * phi, axis
 
 
+def _frames_on_grid(shape: PulseShape, grid: np.ndarray,
+                    policy: NumericPolicy) -> AxisAngleTrajectory:
+    """Frames on a grid that has tau_s as a node, decomposed into (axis, angle)."""
+    i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
+    h_left, h_mid, h_right = _generator_table(shape, grid)
+    eye = np.eye(2, dtype=complex)
+    n = len(grid)
+    frames = np.empty((n, 2, 2), dtype=complex)
+    frames[i_s] = eye
+    frames[i_s + 1:] = _rk4_sweep(eye, grid, h_left, h_mid, h_right, i_s, n - 1, +1,
+                                  policy.projection_interval)
+    frames[:i_s] = _rk4_sweep(eye, grid, h_left, h_mid, h_right, i_s, 0, -1,
+                              policy.projection_interval)[::-1]
+
+    c, svec = _quaternion_parts(frames)
+    v_nodes = shape.amplitude(grid)
+    v_scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
+    axis0 = _bootstrap_axis(v_nodes[i_s], v_scale, svec, i_s, policy.axis_floor)
+    psi, axis = _unwrap_frames(v_nodes, c, svec, i_s, axis0, policy.axis_floor)
+    return AxisAngleTrajectory(grid=grid, axis=axis, angle=psi,
+                               tau_s=float(grid[i_s]), unitaries=frames)
+
+
 def integrate_axis_angle(shape: PulseShape, steps: int | None = None,
                          policy: NumericPolicy | None = None) -> AxisAngleTrajectory:
     """Solve the frame equation from identity at tau_s in both directions.
@@ -274,54 +311,7 @@ def integrate_axis_angle(shape: PulseShape, steps: int | None = None,
         steps = policy.ode_steps_default
     if steps < MIN_STEPS:
         raise ValueError(f"at least {MIN_STEPS} integration steps are required")
-    grid, i_s = _build_grid(shape, steps)
-    h_left, h_mid, h_right = _generator_table(shape, grid)
-
-    eye = np.eye(2, dtype=complex)
-    n = len(grid)
-    frames = np.empty((n, 2, 2), dtype=complex)
-    frames[i_s] = eye
-    fwd = _rk4_sweep(eye, grid, h_left, h_mid, h_right, i_s, n - 1, +1,
-                     policy.projection_interval)
-    for k, w in enumerate(fwd):
-        frames[i_s + 1 + k] = w
-    bwd = _rk4_sweep(eye, grid, h_left, h_mid, h_right, i_s, 0, -1,
-                     policy.projection_interval)
-    for k, w in enumerate(bwd):
-        frames[i_s - 1 - k] = w
-
-    c, svec = _quaternion_parts(frames)
-    v_nodes = shape.amplitude(grid)
-    v_scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
-    axis0 = _bootstrap_axis(v_nodes[i_s], v_scale, svec, i_s, policy.axis_floor)
-    psi, axis = _unwrap_frames(v_nodes, c, svec, i_s, axis0, policy.axis_floor)
-    return AxisAngleTrajectory(grid=grid, axis=axis, angle=psi,
-                               tau_s=float(grid[i_s]), unitaries=frames)
-
-
-def frame_at(shape: PulseShape, t: float, steps: int = 512,
-             policy: NumericPolicy | None = None) -> np.ndarray:
-    """The 2x2 frame W(t) alone, integrated straight from tau_s."""
-    policy = policy or active_policy()
-    if not 0.0 <= t <= shape.tau_p:
-        raise ValueError("time outside [0, tau_p]")
-    if abs(t - shape.tau_s) < 1e-15 * shape.tau_p:
-        return np.eye(2, dtype=complex)
-    lo, hi = sorted((t, shape.tau_s))
-    m = max(16, int(np.ceil(steps * (hi - lo) / shape.tau_p)))
-    grid = np.linspace(lo, hi, m + 1)
-    for b in shape.breakpoints():
-        if lo < b < hi and np.min(np.abs(grid - b)) > 1e-12 * shape.tau_p:
-            grid = np.sort(np.append(grid, b))
-    h_left, h_mid, h_right = _generator_table(shape, grid)
-    eye = np.eye(2, dtype=complex)
-    if t > shape.tau_s:
-        out = _rk4_sweep(eye, grid, h_left, h_mid, h_right, 0, len(grid) - 1, +1,
-                         policy.projection_interval)
-    else:
-        out = _rk4_sweep(eye, grid, h_left, h_mid, h_right, len(grid) - 1, 0, -1,
-                         policy.projection_interval)
-    return out[-1]
+    return _frames_on_grid(shape, _build_grid(shape, steps), policy)
 
 
 # ----------------------------------------------------------------------

@@ -181,6 +181,17 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert "must be at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("restarts", ["-1", "0"])
+    def test_restarts_below_one_exits_2(self, workdir, capsys, restarts):
+        assert main(["solve", str(workdir / "s.problem"), "--restarts", restarts]) == 2
+        assert "--restarts must be at least 1" in capsys.readouterr().err
+
+    def test_problem_file_without_restarts_exits_3(self, workdir, capsys):
+        prob = workdir / "none.problem"
+        prob.write_text(PROBLEM_S.replace("restarts = 8", "restarts = 0"))
+        assert main(["solve", str(prob)]) == 3
+        assert "restarts must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [
         "bogus=1", "unitary_atol=nan", "unitary_atol=-1e-10", "ode_steps_default=2.5",
     ], ids=["unknown-field", "nan", "negative", "non-integer"])

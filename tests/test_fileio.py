@@ -141,7 +141,7 @@ def test_numeric_policy_env_override(monkeypatch):
     m_clean = make_manifest("x", {}, seed=0, policy=None)
     assert m_default.digest() != m_clean.digest()
     for bad in ("no_such_field=1", "unitary_atol=nan", "unitary_atol=inf",
-                "unitary_atol=0", "joint_dim_cap=3.5"):
+                "unitary_atol=0", "joint_steps_default=3.5"):
         monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", bad)
         with pytest.raises(ValueError):
             active_policy()

@@ -4,7 +4,7 @@ import pytest
 from spinpulse import oracle
 from spinpulse.bath import BathModel, preset_bath
 from spinpulse.corrections import eta_operators, evaluate_corrections
-from spinpulse.pulses import constant_rotation_pulse, fourier_pulse
+from spinpulse.pulses import PulseShape, constant_rotation_pulse, fourier_pulse
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.su2 import (SIGMA_Z, expm_hermitian, matrix_log_unitary,
                            pauli_dot, spectral_norm)
@@ -70,6 +70,17 @@ class TestReconstructUF:
         uf_generator, _ = oracle.integrate_deviation(shape, dynamic_bath, steps=1024)
         assert spectral_norm(uf_sliced - uf_generator) < 1e-7
 
+    def test_piecewise_pulse_with_off_grid_boundaries(self, dynamic_bath):
+        """Stages never sample across a boundary, so the routes agree closely."""
+        rng = np.random.default_rng(5)
+        shape = PulseShape(1.0, 0.4321, np.pi, "piecewise_constant",
+                           boundaries=np.array([0.0, 0.1234, 0.377, 0.6181, 0.8093, 1.0]),
+                           values=rng.uniform(-3.0, 3.0, (5, 3)))
+        uf_generator, traj = oracle.integrate_deviation(shape, dynamic_bath, steps=1024)
+        u_p = oracle.propagate_joint(shape, dynamic_bath, steps=4096).unitary
+        uf_sliced = oracle.reconstruct_uf(u_p, traj, dynamic_bath)
+        assert spectral_norm(uf_sliced - uf_generator) < 1e-10
+
     def test_first_order_norm_matches_residual(self, dynamic_bath):
         """||U_F - I|| tracks lambda ||A|| |r1| for short pulses."""
         shape = constant_rotation_pulse(0.01, np.pi)
@@ -85,6 +96,15 @@ class TestReconstructUF:
         u_f = oracle.reconstruct_uf(u_p, traj, dynamic_bath)
         for u in (u_p, u_f):
             assert spectral_norm(u.conj().T @ u - np.eye(4)) < 1e-9
+
+
+class TestDeviationOrder:
+    def test_rk4_order_with_off_grid_splitting_instant(self, rng, dynamic_bath):
+        shape = random_fourier_shape(rng, order=4, tau_s=0.3337)
+        u = [oracle.integrate_deviation(shape, dynamic_bath, steps=n)[0]
+             for n in (512, 1024, 2048)]
+        order = np.log2(spectral_norm(u[0] - u[1]) / spectral_norm(u[1] - u[2]))
+        assert order >= 3.8
 
 
 class TestDeviationGenerator:

@@ -5,8 +5,8 @@ from scipy.interpolate import make_interp_spline
 from spinpulse import su2
 from spinpulse.pulses import PulseShape, constant_rotation_pulse, fourier_pulse
 from spinpulse.sampling import random_fourier_shape
-from spinpulse.trajectory import (amplitude_from_axis_angle, frame_at,
-                                  integrate_axis_angle, n_trajectory)
+from spinpulse.trajectory import (amplitude_from_axis_angle, integrate_axis_angle,
+                                  n_trajectory)
 
 
 def closed_form_frames(traj):
@@ -181,9 +181,13 @@ class TestFrameProperties:
             u = m @ u
         assert np.linalg.norm(w_backward.conj().T - u) < 1e-9
 
-    def test_frame_at_matches_grid_frames(self, rng):
-        shape = random_fourier_shape(rng, order=2)
+    def test_pinned_times_never_displace_each_other(self):
+        """A breakpoint within a quarter step of tau_s is inserted beside it."""
+        boundary = 0.5 + 0.1 / 1024
+        shape = PulseShape(1.0, 0.5, np.pi, "piecewise_constant",
+                           boundaries=np.array([0.0, boundary, 1.0]),
+                           values=np.array([[0.0, -np.pi / 2, 0.0], [0.0, -np.pi / 2, 0.0]]))
         traj = integrate_axis_angle(shape, 1024)
-        for j in (0, 317, 1024):
-            w = frame_at(shape, traj.grid[j], steps=1024)
-            assert np.linalg.norm(w - traj.unitaries[j]) < 1e-9
+        assert traj.tau_s == shape.tau_s
+        assert shape.tau_s in traj.grid and boundary in traj.grid
+        assert np.array_equal(traj.unitaries[traj.grid == shape.tau_s][0], np.eye(2))
