@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`spinpulse.su2` -- exact 2x2 unitary / 3x3 rotation algebra
+* :mod:`spinpulse.su2` -- SU(2) frames as unit quaternions, their 2x2 form
 * :mod:`spinpulse.pulses` -- pulse shapes and amplitude evaluation
 * :mod:`spinpulse.trajectory` -- frame integration and conversions
 * :mod:`spinpulse.corrections` -- correction residuals and no-go gaps
@@ -21,9 +21,8 @@ from .oracle import (DecompositionError, PropagationResult, SweepResult,
                      magnus_consistency, propagate_joint, reconstruct_uf)
 from .policy import DEFAULT_POLICY, NumericPolicy, active_policy
 from .pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
-                     eval_amplitude, fourier_pulse)
-from .su2 import (BranchAmbiguityError, axis_angle_exponential,
-                  matrix_log_unitary, pauli_conjugate, rotation_matrix)
+                     fourier_pulse)
+from .su2 import axis_angle_exponential
 from .trajectory import (AxisAngleTrajectory, NTrajectory,
                          amplitude_from_axis_angle, integrate_axis_angle,
                          n_trajectory)
@@ -31,16 +30,14 @@ from .trajectory import (AxisAngleTrajectory, NTrajectory,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisAngleTrajectory", "BathModel", "BranchAmbiguityError",
-    "CorrectionReport", "DecompositionError", "DesignProblem", "DesignSolution",
-    "FourierCoefficients", "NTrajectory", "NoGoDiagnostics", "NumericPolicy",
-    "ProbeResult", "PropagationResult", "PulseShape", "SweepResult",
-    "DEFAULT_POLICY", "active_policy", "amplitude_from_axis_angle",
-    "axis_angle_exponential", "constant_rotation_pulse", "correction_residuals",
-    "dephasing_identity_defect", "eta_operators", "eval_amplitude",
+    "AxisAngleTrajectory", "BathModel", "CorrectionReport", "DecompositionError",
+    "DesignProblem", "DesignSolution", "FourierCoefficients", "NTrajectory",
+    "NoGoDiagnostics", "NumericPolicy", "ProbeResult", "PropagationResult",
+    "PulseShape", "SweepResult", "DEFAULT_POLICY", "active_policy",
+    "amplitude_from_axis_angle", "axis_angle_exponential", "constant_rotation_pulse",
+    "correction_residuals", "dephasing_identity_defect", "eta_operators",
     "evaluate_corrections", "f_generator", "feasibility_probe", "fourier_pulse",
     "integrate_axis_angle", "integrate_deviation", "jacobian_check",
-    "magnus_consistency", "matrix_log_unitary", "n_trajectory",
-    "nogo_diagnostics", "pauli_conjugate", "preset_bath", "propagate_joint",
-    "reconstruct_uf", "rotation_matrix", "solve",
+    "magnus_consistency", "n_trajectory", "nogo_diagnostics", "preset_bath",
+    "propagate_joint", "reconstruct_uf", "solve",
 ]

@@ -23,9 +23,8 @@ from .corrections import (RESIDUAL_TARGETS, CorrectionReport, correction_residua
 from .policy import NumericPolicy, active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
-from .su2 import axis_angle_exponential
-from .trajectory import (MIN_STEPS, NTrajectory, _quaternion_parts,
-                         integrate_axis_angle, n_trajectory)
+from .su2 import quaternion_product
+from .trajectory import MIN_STEPS, NTrajectory, integrate_axis_angle, n_trajectory
 
 ROTATION_WEIGHT = 100.0
 FREE = "free"
@@ -274,10 +273,11 @@ def _fixed_axis_ntrajectory(shape: PulseShape, comp: int, steps: int) -> NTrajec
 
 def _rotation_residual(traj, theta: float) -> np.ndarray:
     """Quaternion components of P_theta^dag W(tp) W(0)^dag relative to identity."""
-    w_tot = traj.unitaries[-1] @ traj.unitaries[0].conj().T
-    m = axis_angle_exponential(np.array([0.0, 1.0, 0.0]), -theta).conj().T @ w_tot
-    c, s = _quaternion_parts(m)
-    return np.append(s, 1.0 - c)
+    conj = np.array([1.0, -1.0, -1.0, -1.0])
+    q_theta = np.array([np.cos(0.5 * theta), 0.0, -np.sin(0.5 * theta), 0.0])
+    q = quaternion_product(conj * q_theta,
+                           quaternion_product(traj.quaternions[-1], conj * traj.quaternions[0]))
+    return np.append(q[1:], 1.0 - q[0])
 
 
 class _ResidualFunction:

@@ -39,8 +39,7 @@ from .pulses import PulseShape
 from .su2 import (IDENTITY_2, PAULI, SIGMA_Z, axis_angle_exponential,
                   expm_hermitian, matrix_exponential, pauli_dot, spectral_norm)
 from .trajectory import (AxisAngleTrajectory, _build_grid, _frames_on_grid,
-                         _rk4_step_matrices, _scan_steps, _stage_amplitudes,
-                         n_trajectory)
+                         _rk4_step_matrices, _stage_amplitudes, n_trajectory)
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,14 @@ def reconstruct_uf(u_p: np.ndarray, traj: AxisAngleTrajectory, bath: BathModel) 
 # deviation-generator route
 
 
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """M_n ... M_1 by pairwise batched products, later factors on the left."""
+    while len(mats) > 1:
+        even = len(mats) // 2 * 2
+        mats = np.concatenate([mats[1:even:2] @ mats[0:even:2], mats[even:]])
+    return mats[0]
+
+
 def _batched_kron_qubit(mats: np.ndarray, dim_b: int) -> np.ndarray:
     """kron(m, I_b) for a batch of 2x2 matrices."""
     n = mats.shape[0]
@@ -163,7 +170,9 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int | None = 
     the trajectory grid, whose frames supply F at the start, midpoint and end
     of every coarse step.  The amplitude at those stages follows the same
     rule as the frame integrator (``_stage_amplitudes``), so every step is a
-    true RK4 step wherever tau_s and the breakpoints fall.
+    true RK4 step wherever tau_s and the breakpoints fall.  Only the final
+    product of the step matrices is needed; it is taken pairwise and
+    projected onto the unitaries once.
     """
     policy = policy or active_policy()
     if steps is None:
@@ -173,14 +182,13 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int | None = 
     fine[::2] = coarse
     fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
     traj = _frames_on_grid(shape, fine, policy)
+    frames = traj.unitaries
     stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
                  _stage_amplitudes(shape, coarse))
-    f = [-1.0j * _deviation_table(bath, fine[sl], traj.tau_s, traj.unitaries[sl], v)
+    f = [-1.0j * _deviation_table(bath, fine[sl], traj.tau_s, frames[sl], v)
          for sl, v in stages]
     mats = _rk4_step_matrices(*f, np.diff(coarse))
-    u = np.eye(2 * bath.dim_b, dtype=complex)
-    frames = _scan_steps(u, mats, policy.projection_interval, _project_unitary)
-    return _project_unitary(frames[-1]), traj
+    return _project_unitary(_ordered_product(mats)), traj
 
 
 def f_generator(shape: PulseShape, bath: BathModel, t: float,

@@ -20,11 +20,8 @@ class NumericPolicy:
     hermitian_rtol: float = 1e-12
     unitary_atol: float = 1e-10
     unit_vector_atol: float = 1e-9
-    # matrix logarithm of unitaries (principal branch)
-    logm_branch_margin: float = 1e-6
     # ODE integration of the pulse frame
     ode_steps_default: int = 1024
-    projection_interval: int = 64
     axis_floor: float = 1e-7
     # quadrature and report flags
     quad_unconverged_rel: float = 1e-3

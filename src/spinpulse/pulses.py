@@ -187,11 +187,6 @@ def _amplitude_from_frame(ax_spl, ps_spl, t: np.ndarray) -> np.ndarray:
     return 0.5 * v
 
 
-def eval_amplitude(shape: PulseShape, t) -> np.ndarray:
-    """Functional alias for :meth:`PulseShape.amplitude`."""
-    return shape.amplitude(t)
-
-
 def fourier_pulse(tau_p: float, tau_s: float, theta: float,
                   cos_coeffs: dict | None = None,
                   sin_coeffs: dict | None = None,

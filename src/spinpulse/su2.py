@@ -1,9 +1,15 @@
-"""Exact 2x2 unitary and 3x3 rotation algebra used by every other module."""
+"""SU(2) algebra used by every other module.
+
+A frame W = c I - i s . sigma is stored as the unit quaternion q = (c, s) in a
+trailing axis of length 4; products of frames are Hamilton products of their
+quaternions, and :func:`quaternion_matrix` gives the 2x2 form where a matrix
+is needed (the joint qubit (x) bath space of the oracle).
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import expm
 
 from .policy import NumericPolicy, active_policy
 
@@ -11,15 +17,12 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
-
-
-class BranchAmbiguityError(ValueError):
-    """Raised when a unitary has an eigenvalue too close to the log branch cut."""
 
 
 def pauli_dot(vec) -> np.ndarray:
@@ -49,22 +52,25 @@ def axis_angle_exponential(axis, angle: float, policy: NumericPolicy | None = No
     return np.cos(half) * IDENTITY_2 - 1.0j * np.sin(half) * pauli_dot(axis)
 
 
-def rotation_matrix(axis, angle: float, policy: NumericPolicy | None = None) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis.
+def quaternion_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product p q over leading axes: the quaternion of W_p W_q."""
+    p0, p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    q0, q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+                     p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+                     p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+                     p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0], axis=-1)
 
-    Conjugation-consistent with :func:`axis_angle_exponential`: applying the
-    returned matrix to a vector m equals conjugating m . sigma by the
-    corresponding 2x2 unitary.
-    """
-    policy = policy or active_policy()
-    axis = _check_unit_axis(axis, policy)
-    c, s = np.cos(angle), np.sin(angle)
-    k = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return c * np.eye(3) + s * k + (1.0 - c) * np.outer(axis, axis)
+
+def quaternion_matrix(q: np.ndarray) -> np.ndarray:
+    """2x2 matrices c I - i s . sigma of quaternions q = (c, s) over leading axes."""
+    c, sx, sy, sz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(c.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c - 1.0j * sz
+    out[..., 0, 1] = -sy - 1.0j * sx
+    out[..., 1, 0] = sy - 1.0j * sx
+    out[..., 1, 1] = c + 1.0j * sz
+    return out
 
 
 def rotate_vectors(axis, angle, vectors) -> np.ndarray:
@@ -83,28 +89,6 @@ def rotate_vectors(axis, angle, vectors) -> np.ndarray:
     return vec * c + cross * s + axis * dot * (1.0 - c)
 
 
-def is_unitary(u: np.ndarray, atol: float) -> bool:
-    u = np.asarray(u)
-    return bool(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) <= atol)
-
-
-def pauli_conjugate(u: np.ndarray, policy: NumericPolicy | None = None) -> np.ndarray:
-    """3x3 rotation R_jk = (1/2) Re tr(sigma_j U sigma_k U^dag) of a 2x2 unitary."""
-    policy = policy or active_policy()
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if not is_unitary(u, policy.unitary_atol):
-        raise ValueError("matrix is not unitary within tolerance")
-    udag = u.conj().T
-    r = np.empty((3, 3))
-    for k in range(3):
-        conj = u @ PAULI[k] @ udag
-        for j in range(3):
-            r[j, k] = 0.5 * np.real(np.trace(PAULI[j] @ conj))
-    return r
-
-
 def expm_hermitian(h: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
     """exp(scale * h) for Hermitian h via eigendecomposition."""
     w, v = np.linalg.eigh(h)
@@ -114,25 +98,3 @@ def expm_hermitian(h: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """General small-matrix exponential (Pade scaling-and-squaring)."""
     return expm(np.asarray(m, dtype=complex))
-
-
-def matrix_log_unitary(u: np.ndarray, policy: NumericPolicy | None = None) -> np.ndarray:
-    """Principal anti-Hermitian logarithm of a unitary, eigenphases in (-pi, pi].
-
-    Raises :class:`BranchAmbiguityError` if an eigenvalue sits within the
-    configured angular margin of the branch cut at -1.
-    """
-    policy = policy or active_policy()
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, policy.unitary_atol):
-        raise ValueError("matrix is not unitary within tolerance")
-    # Unitary matrices are normal, so the complex Schur form is diagonal and
-    # the Schur vectors give an orthonormal eigenbasis even for degenerate
-    # eigenvalues (np.linalg.eig does not guarantee that).
-    t, z = schur(u, output="complex")
-    phases = np.angle(np.diag(t))
-    if np.any(np.pi - np.abs(phases) < policy.logm_branch_margin):
-        raise BranchAmbiguityError(
-            "eigenvalue within branch margin of -1; logarithm branch is ambiguous")
-    gen = (z * (1.0j * phases)) @ z.conj().T
-    return 0.5 * (gen - gen.conj().T)

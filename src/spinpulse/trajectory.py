@@ -1,10 +1,12 @@
 """Integrated rotation frames of a pulse and the unit-vector trajectory they carry.
 
-A pulse amplitude v(t) generates a 2x2 frame W(t) through i dW/dt = (sigma . v) W
+A pulse amplitude v(t) generates a frame W(t) through i dW/dt = (sigma . v) W
 with W(tau_s) = I, integrated forward to tau_p and backward to 0, so the frame
 is the accumulated rotation taken from the splitting instant in both time
-orderings.  The frame is decomposed as W = cos(psi/2) I - i sin(psi/2) (a . sigma)
-with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a unit axis a(t).
+orderings.  The frame's only stored state is the unit quaternion q = (c, s)
+with W = c I - i s . sigma; it is decomposed as c = cos(psi/2),
+s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
+unit axis a(t).
 
 Conventions (not forced by the underlying equations, adopted here):
   * psi(tau_s) = 0 and the axis gauge is chosen so that psi initially grows
@@ -18,7 +20,12 @@ include tau_s, the amplitude breakpoints and any extra pinned times.  A pinned
 time moves the nearest node if it lies within a quarter step and that node is
 not pinned already, and is inserted otherwise, so pinned times never displace
 each other.  The exact oracle integrates on the same grids with the same
-stage rule.
+stage rule.  Each RK4 step is a quaternion, because the generator
+-i sigma . v is the pure quaternion (0, v); the frames on each side of tau_s
+are prefix products of the steps, taken in log2(n) vectorised levels, and
+every node is normalised once, after the products.  The (axis, angle)
+decomposition is vectorised as well: axis signs are a cumulative product of
+signs of consecutive dot products, and the angle is arctan2 plus np.unwrap.
 
 The trajectory of n(t) = D_a(-psi) z is the geometric object all correction
 functionals are written in.
@@ -26,7 +33,6 @@ functionals are written in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +40,7 @@ from scipy.interpolate import make_interp_spline
 
 from .policy import NumericPolicy, active_policy
 from .pulses import SPLINE_ORDER, PulseShape
-from .su2 import PAULI, rotate_vectors
+from .su2 import IDENTITY_Q, quaternion_matrix, quaternion_product, rotate_vectors
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 MIN_STEPS = 64
@@ -48,7 +54,7 @@ class AxisAngleTrajectory:
     axis: np.ndarray       # (n, 3)
     angle: np.ndarray      # (n,) unwrapped, radians
     tau_s: float
-    unitaries: np.ndarray  # (n, 2, 2) ODE solution the frame was extracted from
+    quaternions: np.ndarray  # (n, 4) unit (c, s) of the integrated W = c I - i s . sigma
 
     def __post_init__(self):
         policy = active_policy()
@@ -67,6 +73,11 @@ class AxisAngleTrajectory:
     @property
     def n_nodes(self) -> int:
         return len(self.grid)
+
+    @property
+    def unitaries(self) -> np.ndarray:
+        """(n, 2, 2) frames built from the quaternions."""
+        return quaternion_matrix(self.quaternions)
 
 
 @dataclass(frozen=True)
@@ -137,22 +148,8 @@ def _stage_amplitudes(shape: PulseShape, grid: np.ndarray):
     return v_node[:-1], v_mid, v_node[1:]
 
 
-def _generator_table(shape: PulseShape, grid: np.ndarray):
-    """-i sigma . v at the three RK4 stages of every interval."""
-    return tuple(-1.0j * np.tensordot(v, PAULI, axes=(1, 0))
-                 for v in _stage_amplitudes(shape, grid))
-
-
-def _project_su2(w: np.ndarray) -> np.ndarray:
-    """Polar projection onto U(2), then det normalization onto SU(2)."""
-    u, _, vh = np.linalg.svd(w)
-    p = u @ vh
-    det = np.linalg.det(p)
-    return p * np.exp(-0.5j * np.angle(det))
-
-
-def _rk4_step_matrices(g1, g2, g3, h) -> np.ndarray:
-    """Per-step RK4 transfer matrices for the linear ODE W' = G(t) W.
+def _rk4_polynomial(g1, g2, g3, h, mul, one):
+    """Per-step RK4 transfer elements for the linear ODE W' = G(t) W.
 
     With stage generators (g1, g2, g3) at the step start, midpoint and end,
     one classical RK4 step is W -> M W with
@@ -160,59 +157,47 @@ def _rk4_step_matrices(g1, g2, g3, h) -> np.ndarray:
         M = I + (h/6)(g1 + 4 g2 + g3) + (h^2/6)(g2 g1 + g2^2 + g3 g2)
               + (h^3/12)(g2^2 g1 + g3 g2^2) + (h^4/24) g3 g2^2 g1,
 
-    built here for all steps at once (batched matmuls).
+    built for all steps at once from the algebra's batched product ``mul``
+    and unit ``one``.
     """
-    h = np.asarray(h)[:, None, None]
-    g2g1 = g2 @ g1
-    g2sq = g2 @ g2
-    g3g2 = g3 @ g2
-    g2sq_g1 = g2sq @ g1
-    eye = np.eye(g1.shape[-1], dtype=complex)
-    return (eye
+    h = np.reshape(h, (-1,) + (1,) * (np.ndim(g1) - 1))
+    g2g1 = mul(g2, g1)
+    g2sq = mul(g2, g2)
+    g3g2 = mul(g3, g2)
+    g2sq_g1 = mul(g2sq, g1)
+    return (one
             + (h / 6.0) * (g1 + 4.0 * g2 + g3)
             + (h ** 2 / 6.0) * (g2g1 + g2sq + g3g2)
-            + (h ** 3 / 12.0) * (g2sq_g1 + g3 @ g2sq)
-            + (h ** 4 / 24.0) * (g3 @ g2sq_g1))
+            + (h ** 3 / 12.0) * (g2sq_g1 + mul(g3, g2sq))
+            + (h ** 4 / 24.0) * mul(g3, g2sq_g1))
 
 
-def _scan_steps(w0: np.ndarray, matrices: np.ndarray, interval: int, project):
-    """Sequential product w_k = M_k ... M_1 w0 with periodic re-projection."""
-    out = np.empty_like(matrices)
-    w = w0
-    for k in range(len(matrices)):
-        w = matrices[k] @ w
-        if (k + 1) % interval == 0:
-            w = project(w)
-        out[k] = w
-    return out
+def _rk4_step_matrices(g1, g2, g3, h) -> np.ndarray:
+    """RK4 transfer matrices from generator matrices (batched matmuls)."""
+    return _rk4_polynomial(g1, g2, g3, h, np.matmul, np.eye(g1.shape[-1], dtype=complex))
 
 
-def _rk4_sweep(w0: np.ndarray, grid: np.ndarray, h_left, h_mid, h_right,
-               start: int, stop: int, direction: int, interval: int):
-    """Fixed-step RK4 for W' = G(t) W along grid indices.
+def _rk4_step_quaternions(v1, v2, v3, h) -> np.ndarray:
+    """RK4 transfer quaternions for i W' = (sigma . v) W.
 
-    ``direction`` +1 integrates intervals start..stop-1 forward, -1 integrates
-    start..stop+1 backward.  Re-projects onto SU(2) every ``interval`` steps.
-    Returns the frames at the visited nodes (excluding the start node).
+    The generator -i sigma . v is the pure quaternion (0, v), so the step
+    polynomial never leaves the quaternion algebra.
     """
-    dt = np.diff(grid)
-    if direction > 0:
-        sl = slice(start, stop)
-        mats = _rk4_step_matrices(h_left[sl], h_mid[sl], h_right[sl], dt[sl])
-    else:
-        sl = slice(stop, start)
-        mats = _rk4_step_matrices(h_right[sl][::-1], h_mid[sl][::-1],
-                                  h_left[sl][::-1], -dt[sl][::-1])
-    return _scan_steps(w0, mats, interval, _project_su2)
+    g1, g2, g3 = (np.pad(v, ((0, 0), (1, 0))) for v in (v1, v2, v3))
+    return _rk4_polynomial(g1, g2, g3, h, quaternion_product, IDENTITY_Q)
 
 
-def _quaternion_parts(w: np.ndarray):
-    """(c, s) with W = c I - i s . sigma, vectorized over leading axes."""
-    c = 0.5 * np.real(w[..., 0, 0] + w[..., 1, 1])
-    sx = -0.5 * np.imag(w[..., 0, 1] + w[..., 1, 0])
-    sy = 0.5 * np.real(w[..., 1, 0] - w[..., 0, 1])
-    sz = -0.5 * np.imag(w[..., 0, 0] - w[..., 1, 1])
-    return c, np.stack([sx, sy, sz], axis=-1)
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """Inclusive products q_k ... q_1 along axis -2 (later steps on the left).
+
+    A scan of log2(n) levels, each one batched Hamilton product.
+    """
+    out = steps.copy()
+    d = 1
+    while d < out.shape[-2]:
+        out[..., d:, :] = quaternion_product(out[..., d:, :], out[..., :-d, :])
+        d *= 2
+    return out
 
 
 def _bootstrap_axis(v_s: np.ndarray, v_scale: float, svec: np.ndarray,
@@ -222,80 +207,100 @@ def _bootstrap_axis(v_s: np.ndarray, v_scale: float, svec: np.ndarray,
         return v_s / np.linalg.norm(v_s)
     mags = np.linalg.norm(svec, axis=1)
     order = np.argsort(np.abs(np.arange(len(mags)) - i_s))
-    for j in order:
-        if mags[j] > floor:
-            sign = 1.0 if j > i_s else -1.0
-            return sign * svec[j] / mags[j]
-    return Z_AXIS.copy()
+    hits = order[mags[order] > floor]
+    if len(hits) == 0:
+        return Z_AXIS.copy()
+    j = hits[0]
+    return (1.0 if j > i_s else -1.0) * svec[j] / mags[j]
+
+
+def _unit_rows(x: np.ndarray):
+    """Rows scaled to unit length (zero rows stay zero), and their norms."""
+    norms = np.linalg.norm(x, axis=1)
+    return x / np.where(norms > 0.0, norms, 1.0)[:, None], norms
+
+
+def _unwrap_sweep(c, svec, v, axis0, floor, v_floor):
+    """(psi, axis) along one sweep away from tau_s, which is its first node.
+
+    The previous node's axis fixes the sign of s, and with it the 2 pi branch
+    of the angle.  The axis line is s/|s| where |s| exceeds ``floor`` and s
+    stays within ~75 degrees of the previous line; elsewhere (a full turn) it
+    continues along v(t), or keeps the previous line where v vanishes.  That
+    choice at a node depends on the line before it, so it is iterated to its
+    fixed point; the first pass reaches it unless a resolvable s turns away
+    from the previous line.  Signs are a cumulative product of signs of
+    consecutive dot products.
+    """
+    s_hat, mag = _unit_rows(svec)
+    v_hat, v_norm = _unit_rows(v)
+    fallback = v_norm > v_floor
+    index = np.arange(len(c))
+    resolvable = mag > floor
+    resolvable[0] = False
+    resolved = resolvable
+    while True:
+        line = np.where(resolved[:, None], s_hat, v_hat)
+        line[0] = axis0
+        keep = ~resolved & ~fallback
+        keep[0] = False
+        line = line[np.maximum.accumulate(np.where(keep, 0, index))]
+        w = np.sum(svec[1:] * line[:-1], axis=1)
+        regular = resolvable & np.concatenate([[False], np.abs(w) > 0.25 * mag[1:]])
+        if np.array_equal(regular, resolved):
+            break
+        resolved = regular
+    turn = np.ones(len(c))
+    turn[1:] = np.where(np.sum(line[1:] * line[:-1], axis=1) >= 0.0, 1.0, -1.0)
+    sign = np.cumprod(turn)
+    branch = np.zeros(len(c))
+    branch[1:] = np.arctan2(sign[:-1] * np.where(w >= 0.0, 1.0, -1.0) * mag[1:], c[1:])
+    return 2.0 * np.unwrap(branch), sign[:, None] * line
 
 
 def _unwrap_frames(v_nodes, c, svec, i_s, axis0, floor):
-    """Continuous half-angle and axis along both sweeps away from tau_s."""
-    n = len(c)
-    phi = np.zeros(n)
-    axis = np.zeros((n, 3))
-    axis[i_s] = axis0
-    v_scale = max(float(np.max(np.linalg.norm(v_nodes, axis=1))), 1e-300)
-    mags = np.linalg.norm(svec, axis=1).tolist()
-    c_list = c.tolist()
-    s_list = svec.tolist()
-    v_list = v_nodes.tolist()
-    v_floor = 1e-9 * v_scale
-    two_pi = 2.0 * np.pi
-    for direction in (1, -1):
-        ax, ay, az = float(axis0[0]), float(axis0[1]), float(axis0[2])
-        phi_prev = 0.0
-        rng = range(i_s + 1, n) if direction > 0 else range(i_s - 1, -1, -1)
-        for j in rng:
-            # the reference axis fixes only the sign and the 2 pi branch; the
-            # magnitude |s| is exact, so the recovered angle is too
-            sx, sy, sz = s_list[j]
-            w = sx * ax + sy * ay + sz * az
-            mag = mags[j]
-            sign = 1.0 if w >= 0 else -1.0
-            raw = math.atan2(sign * mag, c_list[j])
-            phi_j = raw + two_pi * round((phi_prev - raw) / two_pi)
-            if mag > floor and abs(w) > 0.25 * mag:
-                inv = sign / mag
-                ax, ay, az = sx * inv, sy * inv, sz * inv
-            else:
-                # frame at a multiple of a full turn: continue the axis from
-                # the instantaneous rotation axis, falling back to the last one
-                vx, vy, vz = v_list[j]
-                v_norm = math.sqrt(vx * vx + vy * vy + vz * vz)
-                if v_norm > v_floor:
-                    flip = 1.0 if (vx * ax + vy * ay + vz * az) >= 0 else -1.0
-                    inv = flip / v_norm
-                    ax, ay, az = vx * inv, vy * inv, vz * inv
-            axis[j, 0] = ax
-            axis[j, 1] = ay
-            axis[j, 2] = az
-            phi[j] = phi_j
-            phi_prev = phi_j
-    return 2.0 * phi, axis
+    """Continuous angle and axis along both sweeps away from tau_s."""
+    v_floor = 1e-9 * max(float(np.max(np.linalg.norm(v_nodes, axis=1))), 1e-300)
+    psi = np.zeros(len(c))
+    axis = np.empty((len(c), 3))
+    for sweep in (np.arange(i_s, len(c)), np.arange(i_s, -1, -1)):
+        psi[sweep], axis[sweep] = _unwrap_sweep(c[sweep], svec[sweep], v_nodes[sweep],
+                                                axis0, floor, v_floor)
+    return psi, axis
+
+
+def _frame_quaternions(shape: PulseShape, grid: np.ndarray, i_s: int) -> np.ndarray:
+    """Unit frame quaternions at every node, identity at node ``i_s`` (tau_s)."""
+    v1, v2, v3 = _stage_amplitudes(shape, grid)
+    h = np.diff(grid)
+    # steps in sweep order, forward from tau_s and then backward from it; a
+    # backward step runs from its interval's end to its start
+    ahead = len(h) - i_s
+    idx = np.r_[i_s:len(h), i_s - 1:-1:-1]
+    back = (idx < i_s)[:, None]
+    steps = _rk4_step_quaternions(np.where(back, v3[idx], v1[idx]), v2[idx],
+                                  np.where(back, v1[idx], v3[idx]),
+                                  np.where(back[:, 0], -h[idx], h[idx]))
+    sweeps = np.tile(IDENTITY_Q, (2, max(ahead, i_s), 1))
+    sweeps[0, :ahead] = steps[:ahead]
+    sweeps[1, :i_s] = steps[ahead:]
+    sweeps = _prefix_products(sweeps)
+    q = np.concatenate([sweeps[1, :i_s][::-1], IDENTITY_Q[None], sweeps[0, :ahead]])
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
 def _frames_on_grid(shape: PulseShape, grid: np.ndarray,
                     policy: NumericPolicy) -> AxisAngleTrajectory:
     """Frames on a grid that has tau_s as a node, decomposed into (axis, angle)."""
     i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
-    h_left, h_mid, h_right = _generator_table(shape, grid)
-    eye = np.eye(2, dtype=complex)
-    n = len(grid)
-    frames = np.empty((n, 2, 2), dtype=complex)
-    frames[i_s] = eye
-    frames[i_s + 1:] = _rk4_sweep(eye, grid, h_left, h_mid, h_right, i_s, n - 1, +1,
-                                  policy.projection_interval)
-    frames[:i_s] = _rk4_sweep(eye, grid, h_left, h_mid, h_right, i_s, 0, -1,
-                              policy.projection_interval)[::-1]
-
-    c, svec = _quaternion_parts(frames)
+    q = _frame_quaternions(shape, grid, i_s)
+    c, svec = q[:, 0], q[:, 1:]
     v_nodes = shape.amplitude(grid)
     v_scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
     axis0 = _bootstrap_axis(v_nodes[i_s], v_scale, svec, i_s, policy.axis_floor)
     psi, axis = _unwrap_frames(v_nodes, c, svec, i_s, axis0, policy.axis_floor)
     return AxisAngleTrajectory(grid=grid, axis=axis, angle=psi,
-                               tau_s=float(grid[i_s]), unitaries=frames)
+                               tau_s=float(grid[i_s]), quaternions=q)
 
 
 def integrate_axis_angle(shape: PulseShape, steps: int | None = None,
@@ -318,12 +323,6 @@ def integrate_axis_angle(shape: PulseShape, steps: int | None = None,
 # conversions
 
 
-def frame_quaternions(traj: AxisAngleTrajectory):
-    """(c, s) components of the closed-form frame at every node."""
-    half = 0.5 * traj.angle
-    return np.cos(half), np.sin(half)[:, None] * traj.axis
-
-
 def amplitude_from_axis_angle(traj: AxisAngleTrajectory) -> np.ndarray:
     """Recover v(t) at the trajectory nodes from the sampled frame.
 
@@ -334,7 +333,7 @@ def amplitude_from_axis_angle(traj: AxisAngleTrajectory) -> np.ndarray:
     """
     if traj.n_nodes < 16:
         raise ValueError("trajectory grid too coarse for stable differentiation")
-    c, s = frame_quaternions(traj)
+    c, s = traj.quaternions[:, 0], traj.quaternions[:, 1:]
     k = min(SPLINE_ORDER, traj.n_nodes - 1)
     c_spl = make_interp_spline(traj.grid, c, k=k)
     s_spl = make_interp_spline(traj.grid, s, k=k, axis=0)

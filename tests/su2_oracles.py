@@ -1,0 +1,81 @@
+"""Reference SU(2) algebra that only the tests use: 3x3 rotations and logarithms.
+
+These are independent oracles for the library's quaternion frames: the
+Rodrigues matrix, the adjoint representation of a 2x2 unitary and the
+principal logarithm of a unitary of any dimension.
+"""
+
+import numpy as np
+from scipy.linalg import schur
+
+from spinpulse.policy import NumericPolicy, active_policy
+from spinpulse.su2 import PAULI, _check_unit_axis
+
+BRANCH_MARGIN = 1e-6
+
+
+class BranchAmbiguityError(ValueError):
+    """Raised when a unitary has an eigenvalue too close to the log branch cut."""
+
+
+def rotation_matrix(axis, angle: float, policy: NumericPolicy | None = None) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit axis.
+
+    Conjugation-consistent with :func:`spinpulse.su2.axis_angle_exponential`:
+    applying the returned matrix to a vector m equals conjugating m . sigma by
+    the corresponding 2x2 unitary.
+    """
+    policy = policy or active_policy()
+    axis = _check_unit_axis(axis, policy)
+    c, s = np.cos(angle), np.sin(angle)
+    k = np.array([
+        [0.0, -axis[2], axis[1]],
+        [axis[2], 0.0, -axis[0]],
+        [-axis[1], axis[0], 0.0],
+    ])
+    return c * np.eye(3) + s * k + (1.0 - c) * np.outer(axis, axis)
+
+
+def is_unitary(u: np.ndarray, atol: float) -> bool:
+    u = np.asarray(u)
+    return bool(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) <= atol)
+
+
+def pauli_conjugate(u: np.ndarray, policy: NumericPolicy | None = None) -> np.ndarray:
+    """3x3 rotation R_jk = (1/2) Re tr(sigma_j U sigma_k U^dag) of a 2x2 unitary."""
+    policy = policy or active_policy()
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    if not is_unitary(u, policy.unitary_atol):
+        raise ValueError("matrix is not unitary within tolerance")
+    udag = u.conj().T
+    r = np.empty((3, 3))
+    for k in range(3):
+        conj = u @ PAULI[k] @ udag
+        for j in range(3):
+            r[j, k] = 0.5 * np.real(np.trace(PAULI[j] @ conj))
+    return r
+
+
+def matrix_log_unitary(u: np.ndarray, branch_margin: float = BRANCH_MARGIN,
+                       policy: NumericPolicy | None = None) -> np.ndarray:
+    """Principal anti-Hermitian logarithm of a unitary, eigenphases in (-pi, pi].
+
+    Raises :class:`BranchAmbiguityError` if an eigenvalue sits within
+    ``branch_margin`` radians of the branch cut at -1.
+    """
+    policy = policy or active_policy()
+    u = np.asarray(u, dtype=complex)
+    if not is_unitary(u, policy.unitary_atol):
+        raise ValueError("matrix is not unitary within tolerance")
+    # Unitary matrices are normal, so the complex Schur form is diagonal and
+    # the Schur vectors give an orthonormal eigenbasis even for degenerate
+    # eigenvalues (np.linalg.eig does not guarantee that).
+    t, z = schur(u, output="complex")
+    phases = np.angle(np.diag(t))
+    if np.any(np.pi - np.abs(phases) < branch_margin):
+        raise BranchAmbiguityError(
+            "eigenvalue within branch margin of -1; logarithm branch is ambiguous")
+    gen = (z * (1.0j * phases)) @ z.conj().T
+    return 0.5 * (gen - gen.conj().T)

@@ -283,3 +283,21 @@ class TestResidualSymmetries:
         np.testing.assert_allclose(normalized_residual_vector(scaled, tau_p * ntraj.tau_p),
                                    normalized_residual_vector(unit, ntraj.tau_p),
                                    rtol=0, atol=1e-13)
+
+
+class TestGapProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, frac=_fractions)
+    def test_gaps_nonnegative_on_random_smooth_paths(self, seed, frac):
+        """tsp_gap at tau_s = tau_p and pi2_gap on a pi-closed path stay >= 0,
+        on direct sphere paths and on the pulse paths that ``nogo`` samples."""
+        from spinpulse.policy import active_policy
+        from spinpulse.sampling import pi_close_ntrajectory, random_ntrajectory
+        rng = np.random.default_rng(seed)
+        tolerance = active_policy().nogo_tolerance
+        sphere = _random_smooth_ntrajectory(rng)
+        pulse, pulse_tau_s = random_ntrajectory(rng, steps=256)
+        for ntraj, tau_s in ((sphere, frac * sphere.tau_p), (pulse, pulse_tau_s)):
+            assert nogo_diagnostics(ntraj, ntraj.tau_p).tsp_gap >= -tolerance
+            closed = pi_close_ntrajectory(ntraj)
+            assert nogo_diagnostics(closed, tau_s).pi2_gap >= -tolerance

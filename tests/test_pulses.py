@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from spinpulse.pulses import (FourierCoefficients, PulseShape,
-                              constant_rotation_pulse, eval_amplitude,
-                              fourier_pulse)
+                              constant_rotation_pulse, fourier_pulse)
 
 
 def test_constant_fourier_term():
@@ -86,4 +85,4 @@ def test_rescaled_keeps_dimensionless_profile():
 def test_constant_rotation_pulse_mean():
     shape = constant_rotation_pulse(2.0, np.pi)
     assert np.allclose(shape.amplitude(0.7), [0.0, -np.pi / 4.0, 0.0])
-    assert eval_amplitude(shape, 0.7)[1] == pytest.approx(-np.pi / 4.0)
+    assert shape.amplitude(0.7)[1] == pytest.approx(-np.pi / 4.0)

@@ -1,17 +1,61 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
 from spinpulse import su2
 from spinpulse.pulses import PulseShape, constant_rotation_pulse, fourier_pulse
 from spinpulse.sampling import random_fourier_shape
-from spinpulse.trajectory import (amplitude_from_axis_angle, integrate_axis_angle,
-                                  n_trajectory)
+from spinpulse.trajectory import (_bootstrap_axis, _build_grid, _frame_quaternions,
+                                  _prefix_products, _rk4_step_matrices,
+                                  _rk4_step_quaternions, _stage_amplitudes,
+                                  _unwrap_frames, amplitude_from_axis_angle,
+                                  integrate_axis_angle, n_trajectory)
+from su2_oracles import pauli_conjugate
 
 
 def closed_form_frames(traj):
     return np.array([su2.axis_angle_exponential(a, p)
                      for a, p in zip(traj.axis, traj.angle)])
+
+
+def generator_matrices(*amplitudes):
+    """-i sigma . v for each (n, 3) amplitude array."""
+    return tuple(-1.0j * np.tensordot(v, su2.PAULI, axes=(1, 0)) for v in amplitudes)
+
+
+def unwrap_frames_loop(v_nodes, c, svec, i_s, axis0, floor):
+    """Node-by-node reference for ``_unwrap_frames``.
+
+    Also returns the nodes where |s| exceeds the floor and the axis still
+    came from a fallback, because s turned away from the previous axis.
+    """
+    n = len(c)
+    phi = np.zeros(n)
+    axis = np.zeros((n, 3))
+    axis[i_s] = axis0
+    turned = np.zeros(n, dtype=bool)
+    v_floor = 1e-9 * max(float(np.max(np.linalg.norm(v_nodes, axis=1))), 1e-300)
+    mags = np.linalg.norm(svec, axis=1)
+    for direction in (1, -1):
+        ax = np.array(axis0, dtype=float)
+        phi_prev = 0.0
+        for j in (range(i_s + 1, n) if direction > 0 else range(i_s - 1, -1, -1)):
+            w = svec[j] @ ax
+            sign = 1.0 if w >= 0 else -1.0
+            raw = np.arctan2(sign * mags[j], c[j])
+            phi[j] = raw + 2 * np.pi * round((phi_prev - raw) / (2 * np.pi))
+            if mags[j] > floor and abs(w) > 0.25 * mags[j]:
+                ax = sign * svec[j] / mags[j]
+            else:
+                turned[j] = mags[j] > floor
+                v_norm = np.linalg.norm(v_nodes[j])
+                if v_norm > v_floor:
+                    ax = (1.0 if v_nodes[j] @ ax >= 0 else -1.0) * v_nodes[j] / v_norm
+            axis[j] = ax
+            phi_prev = phi[j]
+    return 2.0 * phi, axis, turned
 
 
 class TestIntegrateAxisAngle:
@@ -61,6 +105,54 @@ class TestIntegrateAxisAngle:
         assert np.abs(np.diff(traj.angle)).max() < np.pi
         assert np.abs(traj.axis - [0.0, 1.0, 0.0]).max() < 1e-7
 
+    def test_unwrap_fallbacks_at_full_turns(self):
+        """A full turn on a node continues the axis from v(t); one held at
+        zero amplitude keeps the previous axis."""
+        on_node = fourier_pulse(1.0, 0.0, np.pi, {"y": [-2 * np.pi]})
+        turn = [0.0, -np.pi / 0.3, 0.0]
+        turn_rest_turn = PulseShape(1.0, 0.0, 0.0, "piecewise_constant",
+                                    boundaries=np.array([0.0, 0.3, 0.7, 1.0]),
+                                    values=np.array([turn, [0.0, 0.0, 0.0], turn]))
+        for shape in (on_node, turn_rest_turn):
+            traj = integrate_axis_angle(shape, 512)
+            assert np.abs(np.sin(0.5 * traj.angle[1:])).min() < 1e-7   # frame = -I on a node
+            assert np.abs(np.diff(traj.angle)).max() < np.pi
+            assert np.abs(np.diff(traj.axis, axis=0)).max() < 1e-9
+            assert np.abs(traj.axis - [0.0, -1.0, 0.0]).max() < 1e-9
+            assert traj.angle[-1] == pytest.approx(4 * np.pi, abs=1e-6)
+
+    def test_unwrap_matches_node_by_node_loop(self, rng):
+        """The vectorised unwrap reproduces the loop, fallbacks included, on
+        smooth pulses and on piecewise pulses of whole and near-whole turns."""
+        shapes = [random_fourier_shape(rng, order=4, scale=s) for s in (1.0, 4.0)]
+        for k in range(24):
+            segments = int(rng.integers(2, 6))
+            bounds = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.05, 0.95, segments - 1)]))
+            axes = rng.normal(size=(segments, 3))
+            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+            turns = rng.integers(1, 3, segments) * (1.0 + (k % 2) * rng.normal(scale=1e-4,
+                                                                              size=segments))
+            values = axes * (np.pi * turns / np.diff(bounds))[:, None]
+            if k % 4 == 0:
+                values[rng.integers(segments)] = 0.0
+            shapes.append(PulseShape(1.0, float(rng.choice([0.0, 1.0, rng.uniform()])), 0.0,
+                                     "piecewise_constant", boundaries=bounds, values=values))
+        any_turned = False
+        for shape in shapes:
+            grid = _build_grid(shape, int(rng.choice([128, 256])))
+            i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
+            q = _frame_quaternions(shape, grid, i_s)
+            v_nodes = shape.amplitude(grid)
+            scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
+            axis0 = _bootstrap_axis(v_nodes[i_s], scale, q[:, 1:], i_s, 1e-7)
+            psi, axis = _unwrap_frames(v_nodes, q[:, 0], q[:, 1:], i_s, axis0, 1e-7)
+            psi_ref, axis_ref, turned = unwrap_frames_loop(v_nodes, q[:, 0], q[:, 1:],
+                                                           i_s, axis0, 1e-7)
+            assert np.abs(psi - psi_ref).max() <= 1e-12
+            assert np.abs(axis - axis_ref).max() <= 1e-12
+            any_turned |= bool(turned.any())
+        assert any_turned
+
     def test_convergence_order_is_rk4(self):
         shape = fourier_pulse(1.0, 0.5, np.pi, {"y": [1.0, 0.3]}, {"x": [0.4]})
         reference = integrate_axis_angle(shape, 8192).unitaries[-1]
@@ -107,11 +199,21 @@ class TestAmplitudeRoundTrip:
         scale = np.max(np.linalg.norm(v_direct, axis=1))
         assert np.abs(v_round - v_direct).max() < 1e-6 * scale
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 5))
+    def test_round_trip_on_random_smooth_pulses(self, seed, order):
+        """amplitude -> frame -> amplitude recovers v(t) on the frame grid."""
+        shape = random_fourier_shape(np.random.default_rng(seed), order=order)
+        traj = integrate_axis_angle(shape, 1024)
+        direct = shape.amplitude(traj.grid)
+        scale = max(float(np.max(np.linalg.norm(direct, axis=1))), 1e-300)
+        assert np.abs(amplitude_from_axis_angle(traj) - direct).max() <= 1e-6 * scale
+
     def test_grid_too_coarse_rejected(self, pi_pulse):
         traj = integrate_axis_angle(pi_pulse, 256)
         from dataclasses import replace
         small = replace(traj, grid=traj.grid[:8], axis=traj.axis[:8],
-                        angle=traj.angle[:8], unitaries=traj.unitaries[:8])
+                        angle=traj.angle[:8], quaternions=traj.quaternions[:8])
         with pytest.raises(ValueError):
             amplitude_from_axis_angle(small)
 
@@ -142,7 +244,7 @@ class TestNTrajectory:
         # cross-check against the conjugation route at a few nodes
         for j in (0, 40, 128):
             u = su2.axis_angle_exponential([0.0, 1.0, 0.0], grid_psi[j])
-            r = su2.pauli_conjugate(u)
+            r = pauli_conjugate(u)
             assert np.abs(ntraj.nhat[j] - r.T @ [0.0, 0.0, 1.0]).max() < 1e-8
 
     def test_zero_angle(self):
@@ -167,19 +269,35 @@ class TestFrameProperties:
 
     def test_backward_branch_adjoint_identity(self, rng):
         """The backward frame's adjoint is the plain forward propagator to tau_s."""
-        from spinpulse.trajectory import _generator_table, _rk4_step_matrices
         shape = random_fourier_shape(rng, order=3, tau_s=0.7)
         traj = integrate_axis_angle(shape, 2048)
         j = int(np.argmin(np.abs(traj.grid - 0.2)))
         w_backward = traj.unitaries[j]
         # forward-ordered integration from grid[j] up to tau_s
         grid = np.linspace(traj.grid[j], shape.tau_s, 513)
-        g1, g2, g3 = _generator_table(shape, grid)
+        g1, g2, g3 = generator_matrices(*_stage_amplitudes(shape, grid))
         mats = _rk4_step_matrices(g1, g2, g3, np.diff(grid))
         u = np.eye(2, dtype=complex)
         for m in mats:
             u = m @ u
         assert np.linalg.norm(w_backward.conj().T - u) < 1e-9
+
+    def test_quaternion_rk4_step_matches_matrix_step(self, rng):
+        """The step quaternion is the 2x2 RK4 transfer matrix, both sweep directions."""
+        grid = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 255)]))
+        v1, v2, v3 = (rng.normal(scale=5.0, size=(len(grid) - 1, 3)) for _ in range(3))
+        for h in (np.diff(grid), -np.diff(grid)):
+            mats = _rk4_step_matrices(*generator_matrices(v1, v2, v3), h)
+            quats = _rk4_step_quaternions(v1, v2, v3, h)
+            assert np.abs(su2.quaternion_matrix(quats) - mats).max() <= 1e-14
+
+    def test_prefix_products_match_sequential_products(self, rng):
+        steps = rng.normal(size=(300, 4))
+        steps /= np.linalg.norm(steps, axis=1, keepdims=True)
+        expected = [steps[0]]
+        for q in steps[1:]:
+            expected.append(su2.quaternion_product(q, expected[-1]))
+        assert np.abs(_prefix_products(steps) - np.array(expected)).max() <= 1e-13
 
     def test_pinned_times_never_displace_each_other(self):
         """A breakpoint within a quarter step of tau_s is inserted beside it."""
