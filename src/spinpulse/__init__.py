@@ -23,21 +23,20 @@ from .policy import DEFAULT_POLICY, NumericPolicy, active_policy
 from .pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                      fourier_pulse)
 from .su2 import axis_angle_exponential
-from .trajectory import (AxisAngleTrajectory, NTrajectory,
-                         amplitude_from_axis_angle, integrate_axis_angle,
-                         n_trajectory)
+from .trajectory import (FrameTrajectory, NTrajectory, amplitude_from_axis_angle,
+                         axis_angle, integrate_axis_angle, n_trajectory)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisAngleTrajectory", "BathModel", "CorrectionReport", "DecompositionError",
-    "DesignProblem", "DesignSolution", "FourierCoefficients", "NTrajectory",
+    "BathModel", "CorrectionReport", "DecompositionError", "DesignProblem",
+    "DesignSolution", "FourierCoefficients", "FrameTrajectory", "NTrajectory",
     "NoGoDiagnostics", "NumericPolicy", "ProbeResult", "PropagationResult",
     "PulseShape", "SweepResult", "DEFAULT_POLICY", "active_policy",
-    "amplitude_from_axis_angle", "axis_angle_exponential", "constant_rotation_pulse",
-    "correction_residuals", "dephasing_identity_defect", "eta_operators",
-    "evaluate_corrections", "f_generator", "feasibility_probe", "fourier_pulse",
-    "integrate_axis_angle", "integrate_deviation", "jacobian_check",
+    "amplitude_from_axis_angle", "axis_angle", "axis_angle_exponential",
+    "constant_rotation_pulse", "correction_residuals", "dephasing_identity_defect",
+    "eta_operators", "evaluate_corrections", "f_generator", "feasibility_probe",
+    "fourier_pulse", "integrate_axis_angle", "integrate_deviation", "jacobian_check",
     "magnus_consistency", "n_trajectory", "nogo_diagnostics", "preset_bath",
     "propagate_joint", "reconstruct_uf", "solve",
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corrections import evaluate_corrections, nogo_diagnostics
+from .corrections import RESIDUAL_TARGETS, evaluate_corrections, nogo_diagnostics
 from .design import feasibility_probe, residual_is_pi_regime, solve
 from .fileio import (InvariantError, SchemaError, csv_document, fmt,
                      format_report, format_solution, make_manifest, parse_bath,
@@ -33,8 +33,8 @@ from .fileio import (InvariantError, SchemaError, csv_document, fmt,
 from .oracle import magnus_consistency
 from .policy import ENV_VAR, active_policy
 from .sampling import pi_close_ntrajectory, random_ntrajectory
-from .trajectory import (MIN_STEPS, amplitude_from_axis_angle, integrate_axis_angle,
-                         n_trajectory)
+from .trajectory import (MIN_STEPS, amplitude_from_axis_angle, axis_angle,
+                         integrate_axis_angle, n_trajectory)
 
 SLOPE_BANDS = {
     "uncorrected": (0.85, 1.15),
@@ -80,6 +80,16 @@ def _parse_sweep(spec: str) -> np.ndarray:
     return np.geomspace(lo, hi, pts)
 
 
+def _parse_band(spec: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(x) for x in spec.split(":"))
+    except ValueError:
+        raise SchemaError(f"bad band {spec!r}; expected lo:hi") from None
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise SchemaError("band needs finite lo < hi")
+    return lo, hi
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -91,10 +101,10 @@ def cmd_convert(args) -> int:
     manifest = make_manifest("convert", {"pulse": text}, seed=args.seed,
                              options=_options(args, "to", "grid"))
     traj = integrate_axis_angle(shape, args.grid)
-    ntraj = n_trajectory(traj)
     amps = amplitude_from_axis_angle(traj)
     if args.to == "trajectory":
-        rows = np.column_stack([traj.grid, traj.axis, traj.angle, ntraj.nhat])
+        axis, psi = axis_angle(shape, traj)
+        rows = np.column_stack([traj.grid, axis, psi, n_trajectory(traj).nhat])
         doc = csv_document("t,ax,ay,az,psi,nx,ny,nz", rows, manifest.digest())
     else:
         rows = np.column_stack([traj.grid, amps])
@@ -112,6 +122,10 @@ def cmd_corrections(args) -> int:
     text = _read(args.pulse_file)
     shape = parse_pulse(text)
     _check_steps("--grid", args.grid, MIN_STEPS)
+    targets = tuple(args.targets.split(","))
+    unknown = [t for t in targets if t not in RESIDUAL_TARGETS]
+    if unknown:
+        raise SchemaError(f"unknown residual target {unknown[0]!r}")
     manifest = make_manifest("corrections", {"pulse": text}, seed=args.seed,
                              options=_options(args, "tau_s", "grid", "threshold", "targets"))
     tau_s = args.tau_s if args.tau_s is not None else shape.tau_s
@@ -122,14 +136,9 @@ def cmd_corrections(args) -> int:
     report = evaluate_corrections(ntraj, tau_s, policy=policy)
     diag = nogo_diagnostics(ntraj, tau_s, policy=policy)
     threshold = args.threshold if args.threshold is not None else policy.residual_threshold
-    targets = tuple(args.targets.split(","))
     doc = format_report(report, diag, manifest.digest(), threshold, targets)
     _write_output(doc, args.out)
-    index = {"r1": 0, "r2a": 1, "r2b": 2}
-    try:
-        requested = [report.normalized[index[t]] for t in targets]
-    except KeyError as exc:
-        raise SchemaError(f"unknown residual target {exc.args[0]!r}") from None
+    requested = [report.normalized[RESIDUAL_TARGETS.index(t)] for t in targets]
     return 0 if all(r <= threshold for r in requested) else 1
 
 
@@ -140,6 +149,7 @@ def cmd_verify(args) -> int:
     bath = parse_bath(bath_text)
     # the oracle integrates the pulse frame on a grid twice as fine
     _check_steps("--steps", args.steps, MIN_STEPS // 2)
+    lo, hi = _parse_band(args.band) if args.band else SLOPE_BANDS[args.regime]
     manifest = make_manifest("verify", {"pulse": pulse_text, "bath": bath_text},
                              seed=args.seed,
                              options=_options(args, "sweep", "regime", "band", "steps"))
@@ -151,10 +161,6 @@ def cmd_verify(args) -> int:
     if floor < 1e-13 or not (np.isfinite(slope) and np.isfinite(mag_slope)):
         print("degenerate slope fit: defects at the machine floor", file=sys.stderr)
         return 4
-    if args.band:
-        lo, hi = (float(x) for x in args.band.split(":"))
-    else:
-        lo, hi = SLOPE_BANDS[args.regime]
     rows = [(e.tau_p, e.defect, e.uf_defect, e.magnus_defect) for e in sweep.entries]
     trailer = [
         f"uf_slope={fmt(slope)} stderr={fmt(stderr)} band={fmt(lo)}:{fmt(hi)}",

@@ -74,7 +74,6 @@ class _Record:
 
     def __init__(self, fields: dict[str, tuple[str, int]]):
         self.fields = fields
-        self.used: set[str] = set()
 
     def has(self, key: str) -> bool:
         return key in self.fields
@@ -82,7 +81,6 @@ class _Record:
     def raw(self, key: str) -> str:
         if key not in self.fields:
             raise SchemaError(f"missing required key {key!r}")
-        self.used.add(key)
         return self.fields[key][0]
 
     def line(self, key: str) -> int:

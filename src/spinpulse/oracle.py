@@ -38,7 +38,7 @@ from .policy import NumericPolicy, active_policy
 from .pulses import PulseShape
 from .su2 import (IDENTITY_2, PAULI, SIGMA_Z, axis_angle_exponential,
                   expm_hermitian, matrix_exponential, pauli_dot, spectral_norm)
-from .trajectory import (AxisAngleTrajectory, _build_grid, _frames_on_grid,
+from .trajectory import (FrameTrajectory, _build_grid, _frames_on_grid,
                          _rk4_step_matrices, _stage_amplitudes, n_trajectory)
 
 
@@ -115,7 +115,7 @@ def propagate_joint(shape: PulseShape, bath: BathModel, steps: int | None = None
     return PropagationResult(unitary=_project_unitary(u_full), step_error=float(estimate))
 
 
-def reconstruct_uf(u_p: np.ndarray, traj: AxisAngleTrajectory, bath: BathModel) -> np.ndarray:
+def reconstruct_uf(u_p: np.ndarray, traj: FrameTrajectory, bath: BathModel) -> np.ndarray:
     """Invert the decomposition: U_F = e^{ip(tp)} e^{i(tp-ts)H} U_p e^{i ts H} e^{-ip(0)}."""
     eye_b = np.eye(bath.dim_b)
     h = static_hamiltonian(bath)
@@ -181,7 +181,7 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int | None = 
     fine = np.empty(2 * len(coarse) - 1)
     fine[::2] = coarse
     fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
-    traj = _frames_on_grid(shape, fine, policy)
+    traj = _frames_on_grid(shape, fine)
     frames = traj.unitaries
     stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
                  _stage_amplitudes(shape, coarse))
@@ -192,12 +192,11 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int | None = 
 
 
 def f_generator(shape: PulseShape, bath: BathModel, t: float,
-                steps: int = 512, policy: NumericPolicy | None = None) -> np.ndarray:
+                steps: int = 512) -> np.ndarray:
     """The deviation generator F(t) at a single instant."""
-    policy = policy or active_policy()
     if not 0.0 <= t <= shape.tau_p:
         raise ValueError("time outside [0, tau_p]")
-    traj = _frames_on_grid(shape, _build_grid(shape, steps, pins=(t,)), policy)
+    traj = _frames_on_grid(shape, _build_grid(shape, steps, pins=(t,)))
     j = int(np.argmin(np.abs(traj.grid - t)))
     return _deviation_table(bath, traj.grid[j:j + 1], traj.tau_s,
                             traj.unitaries[j:j + 1], shape.amplitude(t)[None])[0]

@@ -11,8 +11,9 @@ Three representations are supported:
     increasing and covering [0, tau_p] exactly.
 
 ``axis_angle_samples``
-    A sampled rotation frame (t_j, axis_j, angle_j); the amplitude is
-    recovered from spline derivatives of the frame.
+    A sampled rotation frame (t_j, axis_j, angle_j).  The axis and the angle
+    are splined separately, keeping whole turns between samples, and the
+    amplitude is :func:`frame_amplitude` of the frame q they give.
 """
 
 from __future__ import annotations
@@ -107,14 +108,24 @@ class PulseShape:
 
     # ------------------------------------------------------------------
 
-    def _frame_splines(self):
-        """Quintic splines of the sampled frame (cached)."""
+    def _sampled_frame(self, t: np.ndarray):
+        """q = (cos psi/2, sin psi/2 a) and dq/dt at t from cached quintic splines.
+
+        The angle is splined itself; a spline of q loses whole turns between samples.
+        """
         if "frame" not in self._splines:
             k = min(SPLINE_ORDER, len(self.sample_times) - 1)
             ax_spl = make_interp_spline(self.sample_times, self.sample_axes, k=k, axis=0)
             ps_spl = make_interp_spline(self.sample_times, self.sample_angles, k=k)
             self._splines["frame"] = (ax_spl, ps_spl)
-        return self._splines["frame"]
+        ax_spl, ps_spl = self._splines["frame"]
+        a = ax_spl(t)
+        norms = np.linalg.norm(a, axis=1, keepdims=True)
+        a, da = a / norms, ax_spl.derivative()(t) / norms
+        half, dhalf = 0.5 * ps_spl(t), 0.5 * ps_spl.derivative()(t)
+        c, s = np.cos(half), np.sin(half)
+        return (np.column_stack([c, s[:, None] * a]),
+                np.column_stack([-s * dhalf, (c * dhalf)[:, None] * a + s[:, None] * da]))
 
     def amplitude(self, t) -> np.ndarray:
         """v(t) for scalar or array t inside [0, tau_p]; shape (..., 3)."""
@@ -130,7 +141,7 @@ class PulseShape:
             idx = np.clip(idx, 0, len(self.values) - 1)
             out = self.values[idx]
         else:
-            out = _amplitude_from_frame(*self._frame_splines(), t)
+            out = frame_amplitude(*self._sampled_frame(t))
         if not np.all(np.isfinite(out)):
             raise ValueError("pulse amplitude is not finite")
         return out[0] if scalar else out
@@ -170,21 +181,15 @@ class PulseShape:
                           sample_angles=self.sample_angles.copy())
 
 
-def _amplitude_from_frame(ax_spl, ps_spl, t: np.ndarray) -> np.ndarray:
-    """Amplitude from a spline-interpolated frame:
+def frame_amplitude(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """v(t) of a frame q = (c, s) and its time derivative: (c s' - c' s - s' x s) / |q|^2.
 
-    2 v = psi' a + a' sin(psi) - (1 - cos(psi)) (a' x a).
+    This is 2 v = psi' a + a' sin(psi) - (1 - cos(psi)) (a' x a) in quaternion
+    form, which never degenerates at full turns; dividing by |q|^2 removes the
+    norm that an interpolated q picks up between unit samples.
     """
-    a = ax_spl(t)
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    a = a / norms
-    da = ax_spl.derivative()(t) / norms
-    psi = ps_spl(t)
-    dpsi = ps_spl.derivative()(t)
-    sin_psi = np.sin(psi)[:, None]
-    cos_psi = np.cos(psi)[:, None]
-    v = dpsi[:, None] * a + da * sin_psi - (1.0 - cos_psi) * np.cross(da, a)
-    return 0.5 * v
+    c, s, dc, ds = q[:, :1], q[:, 1:], dq[:, :1], dq[:, 1:]
+    return (c * ds - dc * s - np.cross(ds, s)) / np.sum(q * q, axis=1, keepdims=True)
 
 
 def fourier_pulse(tau_p: float, tau_s: float, theta: float,

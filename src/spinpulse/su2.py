@@ -73,22 +73,6 @@ def quaternion_matrix(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotate_vectors(axis, angle, vectors) -> np.ndarray:
-    """Rodrigues rotation applied to rows of ``vectors``; axis/angle may be arrays.
-
-    Vectorized form used on whole trajectories: ``axis`` of shape (n, 3),
-    ``angle`` of shape (n,), ``vectors`` of shape (n, 3) or (3,).
-    """
-    axis = np.atleast_2d(np.asarray(axis, dtype=float))
-    angle = np.atleast_1d(np.asarray(angle, dtype=float))
-    vec = np.broadcast_to(np.asarray(vectors, dtype=float), axis.shape)
-    c = np.cos(angle)[:, None]
-    s = np.sin(angle)[:, None]
-    cross = np.cross(axis, vec)
-    dot = np.sum(axis * vec, axis=1)[:, None]
-    return vec * c + cross * s + axis * dot * (1.0 - c)
-
-
 def expm_hermitian(h: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
     """exp(scale * h) for Hermitian h via eigendecomposition."""
     w, v = np.linalg.eigh(h)

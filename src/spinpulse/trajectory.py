@@ -3,17 +3,11 @@
 A pulse amplitude v(t) generates a frame W(t) through i dW/dt = (sigma . v) W
 with W(tau_s) = I, integrated forward to tau_p and backward to 0, so the frame
 is the accumulated rotation taken from the splitting instant in both time
-orderings.  The frame's only stored state is the unit quaternion q = (c, s)
-with W = c I - i s . sigma; it is decomposed as c = cos(psi/2),
-s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
-unit axis a(t).
-
-Conventions (not forced by the underlying equations, adopted here):
-  * psi(tau_s) = 0 and the axis gauge is chosen so that psi initially grows
-    along +v just after tau_s;
-  * where sin(psi/2) vanishes the axis is continued from the instantaneous
-    rotation axis v(t)/|v(t)| (falling back to the previous node), keeping the
-    reconstructed amplitude continuous.
+orderings.  The frame's only state is the unit quaternion q = (c, s) with
+W = c I - i s . sigma.  Everything downstream reads q alone: n(t), the frame's
+image of the z axis, is a quadratic form in q, so the correction residuals
+and no-go gaps depend on nothing else; the recovered amplitude differentiates
+q; and the exact oracle builds its frames from q.
 
 Every frame is integrated by one path: classical RK4 on a grid whose nodes
 include tau_s, the amplitude breakpoints and any extra pinned times.  A pinned
@@ -23,12 +17,18 @@ each other.  The exact oracle integrates on the same grids with the same
 stage rule.  Each RK4 step is a quaternion, because the generator
 -i sigma . v is the pure quaternion (0, v); the frames on each side of tau_s
 are prefix products of the steps, taken in log2(n) vectorised levels, and
-every node is normalised once, after the products.  The (axis, angle)
-decomposition is vectorised as well: axis signs are a cumulative product of
-signs of consecutive dot products, and the angle is arctan2 plus np.unwrap.
+every node is normalised once, after the products.
 
-The trajectory of n(t) = D_a(-psi) z is the geometric object all correction
-functionals are written in.
+For output only, :func:`axis_angle` decomposes the frame as c = cos(psi/2),
+s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
+unit axis a(t), under conventions that the equations do not force:
+  * the axis gauge is chosen so that psi initially grows along +v just after
+    tau_s;
+  * where sin(psi/2) vanishes, or s turns away from the previous axis, the
+    axis is continued from the instantaneous rotation axis v(t)/|v(t)|
+    (falling back to the previous node's axis).
+The frame rebuilt from (axis, angle) therefore equals q only at nodes where
+the axis is +-s/|s|; at a fallback node it can differ.
 """
 
 from __future__ import annotations
@@ -39,20 +39,18 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from .policy import NumericPolicy, active_policy
-from .pulses import SPLINE_ORDER, PulseShape
-from .su2 import IDENTITY_Q, quaternion_matrix, quaternion_product, rotate_vectors
+from .pulses import SPLINE_ORDER, PulseShape, frame_amplitude
+from .su2 import IDENTITY_Q, quaternion_matrix, quaternion_product
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 MIN_STEPS = 64
 
 
 @dataclass(frozen=True)
-class AxisAngleTrajectory:
-    """Sampled rotation frame: strictly increasing grid, unit axes, continuous angle."""
+class FrameTrajectory:
+    """Sampled rotation frame: strictly increasing grid, unit quaternions q = (c, s)."""
 
-    grid: np.ndarray       # (n,)
-    axis: np.ndarray       # (n, 3)
-    angle: np.ndarray      # (n,) unwrapped, radians
+    grid: np.ndarray         # (n,)
     tau_s: float
     quaternions: np.ndarray  # (n, 4) unit (c, s) of the integrated W = c I - i s . sigma
 
@@ -60,11 +58,12 @@ class AxisAngleTrajectory:
         policy = active_policy()
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("trajectory grid must be strictly increasing")
-        norms = np.linalg.norm(self.axis, axis=1)
-        if np.any(np.abs(norms - 1.0) > policy.unit_vector_atol):
-            raise ValueError("trajectory axes must be unit vectors")
-        if np.any(np.abs(np.diff(self.angle)) >= np.pi):
-            raise ValueError("angle steps must stay below pi on the resolved grid")
+        q = self.quaternions
+        if np.any(np.abs(np.linalg.norm(q, axis=1) - 1.0) > policy.unit_vector_atol):
+            raise ValueError("trajectory frames must be unit quaternions")
+        # q_k . q_k+1 is the cosine of half the rotation between the two frames
+        if np.any(np.sum(q[1:] * q[:-1], axis=1) <= 0.0):
+            raise ValueError("frame steps must turn by less than pi on the resolved grid")
 
     @property
     def tau_p(self) -> float:
@@ -82,7 +81,7 @@ class AxisAngleTrajectory:
 
 @dataclass(frozen=True)
 class NTrajectory:
-    """Unit vectors n(t) = D_a(-psi) z sampled on the trajectory grid."""
+    """Unit vectors n(t), the frame's image of the z axis, on the trajectory grid."""
 
     grid: np.ndarray   # (n,)
     nhat: np.ndarray   # (n, 3)
@@ -200,6 +199,77 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frame_quaternions(shape: PulseShape, grid: np.ndarray, i_s: int) -> np.ndarray:
+    """Unit frame quaternions at every node, identity at node ``i_s`` (tau_s)."""
+    v1, v2, v3 = _stage_amplitudes(shape, grid)
+    h = np.diff(grid)
+    # steps in sweep order, forward from tau_s and then backward from it; a
+    # backward step runs from its interval's end to its start
+    ahead = len(h) - i_s
+    idx = np.r_[i_s:len(h), i_s - 1:-1:-1]
+    back = (idx < i_s)[:, None]
+    steps = _rk4_step_quaternions(np.where(back, v3[idx], v1[idx]), v2[idx],
+                                  np.where(back, v1[idx], v3[idx]),
+                                  np.where(back[:, 0], -h[idx], h[idx]))
+    sweeps = np.tile(IDENTITY_Q, (2, max(ahead, i_s), 1))
+    sweeps[0, :ahead] = steps[:ahead]
+    sweeps[1, :i_s] = steps[ahead:]
+    sweeps = _prefix_products(sweeps)
+    q = np.concatenate([sweeps[1, :i_s][::-1], IDENTITY_Q[None], sweeps[0, :ahead]])
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def _frames_on_grid(shape: PulseShape, grid: np.ndarray) -> FrameTrajectory:
+    """Frames on a grid that has tau_s as a node."""
+    i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
+    return FrameTrajectory(grid=grid, tau_s=float(grid[i_s]),
+                           quaternions=_frame_quaternions(shape, grid, i_s))
+
+
+def integrate_axis_angle(shape: PulseShape, steps: int | None = None,
+                         policy: NumericPolicy | None = None) -> FrameTrajectory:
+    """Solve the frame equation from identity at tau_s in both directions.
+
+    Returns the frame quaternions, all that residuals, gaps, amplitudes and
+    the oracle read.  Their (axis, angle) form is :func:`axis_angle`, whose
+    rebuilt frame matches q only where the axis is +-s/|s|.
+    """
+    policy = policy or active_policy()
+    if steps is None:
+        steps = policy.ode_steps_default
+    if steps < MIN_STEPS:
+        raise ValueError(f"at least {MIN_STEPS} integration steps are required")
+    return _frames_on_grid(shape, _build_grid(shape, steps))
+
+
+# ----------------------------------------------------------------------
+# conversions
+
+
+def amplitude_from_axis_angle(traj: FrameTrajectory) -> np.ndarray:
+    """Recover v(t) at the trajectory nodes from the sampled frame quaternions."""
+    if traj.n_nodes < 16:
+        raise ValueError("trajectory grid too coarse for stable differentiation")
+    spline = make_interp_spline(traj.grid, traj.quaternions, k=SPLINE_ORDER, axis=0)
+    return frame_amplitude(spline(traj.grid), spline.derivative()(traj.grid))
+
+
+def n_trajectory(traj: FrameTrajectory) -> NTrajectory:
+    """n(t) = 1/2 tr(sigma W^dag sigma_z W), the frame's image of the z axis.
+
+    For q = (c, s) it is the quadratic form
+    (2 (sx sz - c sy), 2 (sy sz + c sx), 1 - 2 (sx^2 + sy^2)).
+    """
+    c, sx, sy, sz = traj.quaternions.T
+    nhat = np.stack([2.0 * (sx * sz - c * sy), 2.0 * (sy * sz + c * sx),
+                     1.0 - 2.0 * (sx * sx + sy * sy)], axis=1)
+    return NTrajectory(grid=traj.grid.copy(), nhat=nhat)
+
+
+# ----------------------------------------------------------------------
+# (axis, angle) decomposition, for output only
+
+
 def _bootstrap_axis(v_s: np.ndarray, v_scale: float, svec: np.ndarray,
                     i_s: int, floor: float):
     """Initial axis gauge: +v(tau_s) direction, else nearest resolvable frame."""
@@ -269,82 +339,20 @@ def _unwrap_frames(v_nodes, c, svec, i_s, axis0, floor):
     return psi, axis
 
 
-def _frame_quaternions(shape: PulseShape, grid: np.ndarray, i_s: int) -> np.ndarray:
-    """Unit frame quaternions at every node, identity at node ``i_s`` (tau_s)."""
-    v1, v2, v3 = _stage_amplitudes(shape, grid)
-    h = np.diff(grid)
-    # steps in sweep order, forward from tau_s and then backward from it; a
-    # backward step runs from its interval's end to its start
-    ahead = len(h) - i_s
-    idx = np.r_[i_s:len(h), i_s - 1:-1:-1]
-    back = (idx < i_s)[:, None]
-    steps = _rk4_step_quaternions(np.where(back, v3[idx], v1[idx]), v2[idx],
-                                  np.where(back, v1[idx], v3[idx]),
-                                  np.where(back[:, 0], -h[idx], h[idx]))
-    sweeps = np.tile(IDENTITY_Q, (2, max(ahead, i_s), 1))
-    sweeps[0, :ahead] = steps[:ahead]
-    sweeps[1, :i_s] = steps[ahead:]
-    sweeps = _prefix_products(sweeps)
-    q = np.concatenate([sweeps[1, :i_s][::-1], IDENTITY_Q[None], sweeps[0, :ahead]])
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
+def axis_angle(shape: PulseShape, traj: FrameTrajectory):
+    """(axis (n, 3), psi (n,)) of the frame, with the conventions of the module docstring.
 
-
-def _frames_on_grid(shape: PulseShape, grid: np.ndarray,
-                    policy: NumericPolicy) -> AxisAngleTrajectory:
-    """Frames on a grid that has tau_s as a node, decomposed into (axis, angle)."""
-    i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
-    q = _frame_quaternions(shape, grid, i_s)
-    c, svec = q[:, 0], q[:, 1:]
-    v_nodes = shape.amplitude(grid)
+    ``shape`` supplies v(t) for the axis gauge at tau_s and for the
+    full-turn fallbacks.  Raises ValueError if an angle step reaches pi,
+    which means the grid does not resolve the frame.
+    """
+    floor = active_policy().axis_floor
+    c, svec = traj.quaternions[:, 0], traj.quaternions[:, 1:]
+    i_s = int(np.argmin(np.abs(traj.grid - traj.tau_s)))
+    v_nodes = shape.amplitude(traj.grid)
     v_scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
-    axis0 = _bootstrap_axis(v_nodes[i_s], v_scale, svec, i_s, policy.axis_floor)
-    psi, axis = _unwrap_frames(v_nodes, c, svec, i_s, axis0, policy.axis_floor)
-    return AxisAngleTrajectory(grid=grid, axis=axis, angle=psi,
-                               tau_s=float(grid[i_s]), quaternions=q)
-
-
-def integrate_axis_angle(shape: PulseShape, steps: int | None = None,
-                         policy: NumericPolicy | None = None) -> AxisAngleTrajectory:
-    """Solve the frame equation from identity at tau_s in both directions.
-
-    Returns the sampled (axis, angle) decomposition with the conventions in
-    the module docstring; the closed-form frame rebuilt from (axis, angle)
-    matches the integrated unitary at every node.
-    """
-    policy = policy or active_policy()
-    if steps is None:
-        steps = policy.ode_steps_default
-    if steps < MIN_STEPS:
-        raise ValueError(f"at least {MIN_STEPS} integration steps are required")
-    return _frames_on_grid(shape, _build_grid(shape, steps), policy)
-
-
-# ----------------------------------------------------------------------
-# conversions
-
-
-def amplitude_from_axis_angle(traj: AxisAngleTrajectory) -> np.ndarray:
-    """Recover v(t) at the trajectory nodes from the sampled frame.
-
-    Differentiates the (smooth) frame quaternion with quintic splines and
-    evaluates v = c s' - c' s - s' x s, the quaternion form of
-    2v = psi' a + a' sin(psi) - (1 - cos(psi)) (a' x a); the two agree
-    identically but the quaternion never degenerates at full turns.
-    """
-    if traj.n_nodes < 16:
-        raise ValueError("trajectory grid too coarse for stable differentiation")
-    c, s = traj.quaternions[:, 0], traj.quaternions[:, 1:]
-    k = min(SPLINE_ORDER, traj.n_nodes - 1)
-    c_spl = make_interp_spline(traj.grid, c, k=k)
-    s_spl = make_interp_spline(traj.grid, s, k=k, axis=0)
-    dc = c_spl.derivative()(traj.grid)
-    ds = s_spl.derivative()(traj.grid)
-    return c[:, None] * ds - dc[:, None] * s - np.cross(ds, s)
-
-
-def n_trajectory(traj: AxisAngleTrajectory) -> NTrajectory:
-    """n(t): the frame's image of the z axis, rotated by -psi about the axis."""
-    nhat = rotate_vectors(traj.axis, -traj.angle, Z_AXIS)
-    norms = np.linalg.norm(nhat, axis=1, keepdims=True)
-    return NTrajectory(grid=traj.grid.copy(), nhat=nhat / norms)
-
+    axis0 = _bootstrap_axis(v_nodes[i_s], v_scale, svec, i_s, floor)
+    psi, axis = _unwrap_frames(v_nodes, c, svec, i_s, axis0, floor)
+    if np.any(np.abs(np.diff(psi)) >= np.pi):
+        raise ValueError("angle steps must stay below pi on the resolved grid")
+    return axis, psi

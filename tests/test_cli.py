@@ -101,6 +101,14 @@ class TestCorrections:
                          "tau_p = 1.0\ntau_s = 1.0\ntheta = 0\nfourier_order = 0\n")
         assert main(["corrections", str(quiet), "--targets", "r1,r2a,r2b"]) == 0
 
+    def test_unknown_target_exits_2_before_writing(self, workdir, capsys):
+        out = workdir / "report.txt"
+        code = main(["corrections", str(workdir / "pi.pulse"), "--targets", "r1,bogus",
+                     "--out", str(out)])
+        assert code == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threshold_override(self, workdir):
         code = main(["corrections", str(workdir / "pi.pulse"), "--threshold", "10.0"])
         assert code == 0
@@ -148,6 +156,16 @@ class TestSolveAndVerify:
     def test_bad_sweep_spec(self, workdir):
         assert main(["verify", str(workdir / "pi.pulse"), str(workdir / "dyn.bath"),
                      "--sweep", "nope"]) == 2
+
+    @pytest.mark.parametrize("band", ["abc", "5", "1:2:3", "nan:3", "1:inf", "2:1", "2:2"],
+                             ids=["word", "one-number", "three-numbers", "nan", "inf",
+                                  "reversed", "empty"])
+    def test_bad_band_exits_2_before_the_sweep(self, workdir, capsys, band):
+        out = workdir / "sweep.csv"
+        assert main(["verify", str(workdir / "pi.pulse"), str(workdir / "dyn.bath"),
+                     "--band", band, "--out", str(out)]) == 2
+        assert "band" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNogo:

@@ -10,7 +10,7 @@ from spinpulse.corrections import (_simpson_intervals, correction_residuals, eta
                                    nogo_diagnostics, normalized_residual_vector)
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.su2 import spectral_norm
-from spinpulse.trajectory import NTrajectory, integrate_axis_angle, n_trajectory
+from spinpulse.trajectory import NTrajectory, axis_angle, integrate_axis_angle, n_trajectory
 
 
 def constant_axis_ntrajectory(tau_p=1.0, nodes=2049, turns=1.0):
@@ -61,7 +61,7 @@ class TestResiduals:
         traj = integrate_axis_angle(shape, 1024)
         ntraj = n_trajectory(traj)
         report = evaluate_corrections(ntraj, shape.tau_s)
-        t, psi = traj.grid, traj.angle
+        t, psi = traj.grid, axis_angle(shape, traj)[1]
         tau_p, tau_s = shape.tau_p, shape.tau_s
         dt = t - tau_s
         sin_i = simpson(np.sin(psi), x=t)

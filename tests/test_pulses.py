@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinpulse.fileio import parse_pulse
 from spinpulse.pulses import (FourierCoefficients, PulseShape,
                               constant_rotation_pulse, fourier_pulse)
 
@@ -38,6 +39,36 @@ def test_axis_angle_samples_amplitude_matches_finite_differences():
     mid = 0.4 * tau_p
     fd = (np.pi * (mid + h) / tau_p - np.pi * (mid - h) / tau_p) / (2 * h) / 2
     assert abs(shape.amplitude(mid)[1] - fd) < 1e-8
+
+
+@pytest.mark.parametrize("turns", [0.5, 1.0, 2.0])
+def test_two_sample_file_keeps_whole_turns(turns):
+    # samples 0 and 2 pi turns of psi about y: the frame q is the same at 2 and
+    # 4 pi, so only the splined angle knows how far the pulse turns
+    psi_end = 2.0 * np.pi * turns
+    shape = parse_pulse("schema_version = 1\nkind = pulse\n"
+                        "representation = axis_angle_samples\n"
+                        "tau_p = 1\ntau_s = 0.5\ntheta = 3.14\n"
+                        f"sample.0 = 0 0 1 0 0\nsample.1 = 1 0 1 0 {psi_end!r}\n")
+    v = shape.amplitude(np.linspace(0.0, 1.0, 101))
+    assert np.abs(v - [0.0, psi_end / 2, 0.0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("psi", [lambda t: 6 * np.pi * t,
+                                 lambda t: 5 * np.pi * t + 7 * np.pi * t ** 2])
+def test_sparse_fixed_axis_samples_are_exact(psi):
+    # a fixed axis and psi of degree <= 5 are reproduced at any sample density,
+    # even with psi steps of pi and more between samples
+    tau_p = 1.0
+    axis = np.array([1.0, -2.0, 2.0]) / 3.0
+    times = np.linspace(0.0, tau_p, 4)
+    shape = PulseShape(tau_p, 0.5, np.pi, "axis_angle_samples",
+                       sample_times=times, sample_axes=np.tile(axis, (len(times), 1)),
+                       sample_angles=psi(times))
+    t = np.linspace(0.0, tau_p, 201)
+    h = 1e-6
+    dpsi = (psi(t + h) - psi(t - h)) / (2 * h)
+    assert np.abs(shape.amplitude(t) - 0.5 * dpsi[:, None] * axis).max() < 1e-7
 
 
 def test_time_range_error():

@@ -10,14 +10,14 @@ from spinpulse.sampling import random_fourier_shape
 from spinpulse.trajectory import (_bootstrap_axis, _build_grid, _frame_quaternions,
                                   _prefix_products, _rk4_step_matrices,
                                   _rk4_step_quaternions, _stage_amplitudes,
-                                  _unwrap_frames, amplitude_from_axis_angle,
+                                  _unwrap_frames, amplitude_from_axis_angle, axis_angle,
                                   integrate_axis_angle, n_trajectory)
 from su2_oracles import pauli_conjugate
 
 
-def closed_form_frames(traj):
+def closed_form_frames(shape, traj):
     return np.array([su2.axis_angle_exponential(a, p)
-                     for a, p in zip(traj.axis, traj.angle)])
+                     for a, p in zip(*axis_angle(shape, traj))])
 
 
 def generator_matrices(*amplitudes):
@@ -63,16 +63,17 @@ class TestIntegrateAxisAngle:
         tau_p = 2.0
         shape = fourier_pulse(tau_p, tau_p / 2, np.pi, {"y": [np.pi / (2 * tau_p)]})
         traj = integrate_axis_angle(shape, 256)
-        assert np.abs(traj.axis - [0.0, 1.0, 0.0]).max() < 1e-9
+        axis, psi = axis_angle(shape, traj)
+        assert np.abs(axis - [0.0, 1.0, 0.0]).max() < 1e-9
         expected = np.pi * (traj.grid - tau_p / 2) / tau_p
-        assert np.abs(traj.angle - expected).max() < 1e-9
-        assert traj.angle[np.argmin(np.abs(traj.grid - traj.tau_s))] == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(psi - expected).max() < 1e-9
+        assert psi[np.argmin(np.abs(traj.grid - traj.tau_s))] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_pulse(self):
         shape = fourier_pulse(1.0, 0.3, 0.0, {"y": [0.0]})
-        traj = integrate_axis_angle(shape, 128)
-        assert np.abs(traj.angle).max() < 1e-12
-        assert np.allclose(traj.axis, [0.0, 0.0, 1.0])
+        axis, psi = axis_angle(shape, integrate_axis_angle(shape, 128))
+        assert np.abs(psi).max() < 1e-12
+        assert np.allclose(axis, [0.0, 0.0, 1.0])
 
     def test_two_segment_product_oracle(self):
         """End frame equals the closed-form product of the segment exponentials."""
@@ -89,7 +90,7 @@ class TestIntegrateAxisAngle:
     def test_frames_match_closed_form(self, rng):
         shape = random_fourier_shape(rng, order=3)
         traj = integrate_axis_angle(shape, 512)
-        defect = np.linalg.norm(closed_form_frames(traj) - traj.unitaries, axis=(1, 2))
+        defect = np.linalg.norm(closed_form_frames(shape, traj) - traj.unitaries, axis=(1, 2))
         assert defect.max() < 1e-8
 
     def test_minimum_steps_enforced(self, pi_pulse):
@@ -100,10 +101,10 @@ class TestIntegrateAxisAngle:
         """A 3 pi sweep passes psi = 2 pi without axis or angle glitches."""
         tau_p = 1.0
         shape = fourier_pulse(tau_p, 0.0, np.pi, {"y": [3 * np.pi / (2 * tau_p)]})
-        traj = integrate_axis_angle(shape, 512)
-        assert traj.angle[-1] == pytest.approx(3 * np.pi, abs=1e-9)
-        assert np.abs(np.diff(traj.angle)).max() < np.pi
-        assert np.abs(traj.axis - [0.0, 1.0, 0.0]).max() < 1e-7
+        axis, psi = axis_angle(shape, integrate_axis_angle(shape, 512))
+        assert psi[-1] == pytest.approx(3 * np.pi, abs=1e-9)
+        assert np.abs(np.diff(psi)).max() < np.pi
+        assert np.abs(axis - [0.0, 1.0, 0.0]).max() < 1e-7
 
     def test_unwrap_fallbacks_at_full_turns(self):
         """A full turn on a node continues the axis from v(t); one held at
@@ -114,12 +115,12 @@ class TestIntegrateAxisAngle:
                                     boundaries=np.array([0.0, 0.3, 0.7, 1.0]),
                                     values=np.array([turn, [0.0, 0.0, 0.0], turn]))
         for shape in (on_node, turn_rest_turn):
-            traj = integrate_axis_angle(shape, 512)
-            assert np.abs(np.sin(0.5 * traj.angle[1:])).min() < 1e-7   # frame = -I on a node
-            assert np.abs(np.diff(traj.angle)).max() < np.pi
-            assert np.abs(np.diff(traj.axis, axis=0)).max() < 1e-9
-            assert np.abs(traj.axis - [0.0, -1.0, 0.0]).max() < 1e-9
-            assert traj.angle[-1] == pytest.approx(4 * np.pi, abs=1e-6)
+            axis, psi = axis_angle(shape, integrate_axis_angle(shape, 512))
+            assert np.abs(np.sin(0.5 * psi[1:])).min() < 1e-7   # frame = -I on a node
+            assert np.abs(np.diff(psi)).max() < np.pi
+            assert np.abs(np.diff(axis, axis=0)).max() < 1e-9
+            assert np.abs(axis - [0.0, -1.0, 0.0]).max() < 1e-9
+            assert psi[-1] == pytest.approx(4 * np.pi, abs=1e-6)
 
     def test_unwrap_matches_node_by_node_loop(self, rng):
         """The vectorised unwrap reproduces the loop, fallbacks included, on
@@ -212,8 +213,7 @@ class TestAmplitudeRoundTrip:
     def test_grid_too_coarse_rejected(self, pi_pulse):
         traj = integrate_axis_angle(pi_pulse, 256)
         from dataclasses import replace
-        small = replace(traj, grid=traj.grid[:8], axis=traj.axis[:8],
-                        angle=traj.angle[:8], quaternions=traj.quaternions[:8])
+        small = replace(traj, grid=traj.grid[:8], quaternions=traj.quaternions[:8])
         with pytest.raises(ValueError):
             amplitude_from_axis_angle(small)
 
@@ -222,8 +222,9 @@ class TestAmplitudeRoundTrip:
         shape = random_fourier_shape(rng, order=4)
         traj = integrate_axis_angle(shape, 1024)
         v = amplitude_from_axis_angle(traj)
-        dpsi = make_interp_spline(traj.grid, traj.angle, k=5).derivative()(traj.grid)
-        err = np.abs(np.sum(v * traj.axis, axis=1) - dpsi / 2.0)
+        axis, psi = axis_angle(shape, traj)
+        dpsi = make_interp_spline(traj.grid, psi, k=5).derivative()(traj.grid)
+        err = np.abs(np.sum(v * axis, axis=1) - dpsi / 2.0)
         assert err.max() <= 1e-8 * np.abs(dpsi).max()
 
 
@@ -255,6 +256,23 @@ class TestNTrajectory:
     def test_pi_pulse_endpoint_flip(self, pi_pulse):
         ntraj = n_trajectory(integrate_axis_angle(pi_pulse, 512))
         assert np.linalg.norm(ntraj.nhat[0] + ntraj.nhat[-1]) < 1e-9
+
+    def test_n_is_the_frame_image_of_z(self):
+        """n = 1/2 tr(sigma W^dag sigma_z W) at every node of strong, coarsely
+        resolved pulses, including nodes where the (axis, angle) form falls
+        back to v(t) and does not rebuild the frame."""
+        cases = [(198, 2, 5.54, 64)]
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            cases.append((int(rng.integers(2 ** 31)), int(rng.integers(1, 6)),
+                          float(rng.uniform(0.5, 6.0)), int(rng.choice([64, 256, 1024]))))
+        for seed, order, scale, steps in cases:
+            shape = random_fourier_shape(np.random.default_rng(seed), order=order, scale=scale)
+            traj = integrate_axis_angle(shape, steps)
+            w = traj.unitaries
+            image = 0.5 * np.einsum("iab,nbc,cd,nda->ni", su2.PAULI,
+                                    w.conj().transpose(0, 2, 1), su2.SIGMA_Z, w).real
+            assert np.abs(n_trajectory(traj).nhat - image).max() <= 1e-14
 
 
 class TestFrameProperties:
@@ -298,6 +316,17 @@ class TestFrameProperties:
         for q in steps[1:]:
             expected.append(su2.quaternion_product(q, expected[-1]))
         assert np.abs(_prefix_products(steps) - np.array(expected)).max() <= 1e-13
+
+    def test_frame_guard(self, pi_pulse):
+        """Frames must be unit quaternions, each step turning by less than pi."""
+        from dataclasses import replace
+        traj = integrate_axis_angle(pi_pulse, 256)
+        flipped = traj.quaternions.copy()
+        flipped[100] *= -1.0
+        with pytest.raises(ValueError, match="less than pi"):
+            replace(traj, quaternions=flipped)
+        with pytest.raises(ValueError, match="unit quaternions"):
+            replace(traj, quaternions=1.01 * traj.quaternions)
 
     def test_pinned_times_never_displace_each_other(self):
         """A breakpoint within a quarter step of tau_s is inserted beside it."""
