@@ -6,7 +6,8 @@ Library layout:
 * :mod:`spinpulse.pulses` -- pulse shapes and amplitude evaluation
 * :mod:`spinpulse.trajectory` -- frame integration and conversions
 * :mod:`spinpulse.corrections` -- correction residuals and no-go gaps
-* :mod:`spinpulse.bath` / :mod:`spinpulse.oracle` -- exact joint-space checks
+* :mod:`spinpulse.bath` / :mod:`spinpulse.oracle` -- exact joint-space check of
+  the expansion order
 * :mod:`spinpulse.design` -- least-squares pulse design and probes
 * :mod:`spinpulse.fileio` / :mod:`spinpulse.cli` -- schemas and command line
 """
@@ -16,10 +17,9 @@ from .corrections import (CorrectionReport, NoGoDiagnostics, correction_residual
                           eta_operators, evaluate_corrections, nogo_diagnostics)
 from .design import (DesignProblem, DesignSolution, ProbeResult,
                      feasibility_probe, jacobian_check, solve)
-from .oracle import (DecompositionError, PropagationResult, SweepResult,
-                     dephasing_identity_defect, f_generator, integrate_deviation,
-                     magnus_consistency, propagate_joint, reconstruct_uf)
-from .policy import DEFAULT_POLICY, NumericPolicy, active_policy
+from .oracle import (DecompositionError, SweepResult, integrate_deviation,
+                     magnus_consistency)
+from .policy import NumericPolicy, active_policy
 from .pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                      fourier_pulse)
 from .su2 import axis_angle_exponential
@@ -31,12 +31,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BathModel", "CorrectionReport", "DecompositionError", "DesignProblem",
     "DesignSolution", "FourierCoefficients", "FrameTrajectory", "NTrajectory",
-    "NoGoDiagnostics", "NumericPolicy", "ProbeResult", "PropagationResult",
-    "PulseShape", "SweepResult", "DEFAULT_POLICY", "active_policy",
-    "amplitude_from_axis_angle", "axis_angle", "axis_angle_exponential",
-    "constant_rotation_pulse", "correction_residuals", "dephasing_identity_defect",
-    "eta_operators", "evaluate_corrections", "f_generator", "feasibility_probe",
-    "fourier_pulse", "integrate_axis_angle", "integrate_deviation", "jacobian_check",
-    "magnus_consistency", "n_trajectory", "nogo_diagnostics", "preset_bath",
-    "propagate_joint", "reconstruct_uf", "solve",
+    "NoGoDiagnostics", "NumericPolicy", "ProbeResult", "PulseShape", "SweepResult",
+    "active_policy", "amplitude_from_axis_angle", "axis_angle",
+    "axis_angle_exponential", "constant_rotation_pulse", "correction_residuals",
+    "eta_operators", "evaluate_corrections", "feasibility_probe", "fourier_pulse",
+    "integrate_axis_angle", "integrate_deviation", "jacobian_check",
+    "magnus_consistency", "n_trajectory", "nogo_diagnostics", "preset_bath", "solve",
 ]

@@ -52,11 +52,6 @@ class BathModel:
     def commutator(self) -> np.ndarray:
         return self.h_b @ self.a - self.a @ self.h_b
 
-    @property
-    def has_dynamics(self) -> bool:
-        """True when [H_b, A] != 0 (the bath moves the coupling operator)."""
-        return bool(np.linalg.norm(self.commutator) > 1e-12)
-
 
 def preset_bath(name: str, coupling: float = 0.1, omega_b: float = 1.0) -> BathModel:
     """Reference baths used throughout the test harness.

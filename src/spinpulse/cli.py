@@ -26,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .corrections import RESIDUAL_TARGETS, evaluate_corrections, nogo_diagnostics
-from .design import feasibility_probe, residual_is_pi_regime, solve
+from .design import IllPosedProblem, feasibility_probe, residual_is_pi_regime, solve
 from .fileio import (InvariantError, SchemaError, csv_document, fmt,
                      format_report, format_solution, make_manifest, parse_bath,
                      parse_problem, parse_pulse)
-from .oracle import magnus_consistency
+from .oracle import SWEEP_STEPS, magnus_consistency
 from .policy import ENV_VAR, active_policy
 from .sampling import pi_close_ntrajectory, random_ntrajectory
 from .trajectory import (MIN_STEPS, amplitude_from_axis_angle, axis_angle,
@@ -118,7 +118,6 @@ def cmd_convert(args) -> int:
 
 
 def cmd_corrections(args) -> int:
-    policy = active_policy()
     text = _read(args.pulse_file)
     shape = parse_pulse(text)
     _check_steps("--grid", args.grid, MIN_STEPS)
@@ -133,13 +132,12 @@ def cmd_corrections(args) -> int:
         raise InvariantError("tau_s override outside [0, tau_p]")
     traj = integrate_axis_angle(shape, args.grid)
     ntraj = n_trajectory(traj)
-    report = evaluate_corrections(ntraj, tau_s, policy=policy)
-    diag = nogo_diagnostics(ntraj, tau_s, policy=policy)
-    threshold = args.threshold if args.threshold is not None else policy.residual_threshold
-    doc = format_report(report, diag, manifest.digest(), threshold, targets)
+    report = evaluate_corrections(ntraj, tau_s)
+    diag = nogo_diagnostics(ntraj, tau_s)
+    doc = format_report(report, diag, manifest.digest(), args.threshold, targets)
     _write_output(doc, args.out)
     requested = [report.normalized[RESIDUAL_TARGETS.index(t)] for t in targets]
-    return 0 if all(r <= threshold for r in requested) else 1
+    return 0 if all(r <= args.threshold for r in requested) else 1
 
 
 def cmd_verify(args) -> int:
@@ -209,7 +207,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_nogo(args) -> int:
-    policy = active_policy()
     if args.check not in NOGO_CHECKS:
         raise SchemaError(f"unknown check {args.check!r}; choose from {NOGO_CHECKS}")
     if args.samples < 1:
@@ -224,10 +221,10 @@ def cmd_nogo(args) -> int:
         ntraj, tau_s = random_ntrajectory(rng, steps=args.grid)
         if args.check == "pi-second-order":
             ntraj = pi_close_ntrajectory(ntraj)
-            diag = nogo_diagnostics(ntraj, tau_s, policy=policy)
+            diag = nogo_diagnostics(ntraj, tau_s)
             gap = diag.pi2_gap
         else:
-            diag = nogo_diagnostics(ntraj, ntraj.tau_p, policy=policy)
+            diag = nogo_diagnostics(ntraj, ntraj.tau_p)
             gap = diag.tsp_gap
         gaps.append(gap)
         rows.append((i, tau_s, gap))
@@ -237,7 +234,7 @@ def cmd_nogo(args) -> int:
     doc = csv_document("sample,tau_s,gap", rows, manifest.digest(), trailer)
     _write_output(doc, args.out)
     print(f"min gap over {args.samples} samples = {fmt(min_gap)}", file=sys.stderr)
-    return 0 if min_gap >= -policy.nogo_tolerance else 1
+    return 0 if min_gap >= -active_policy().nogo_tolerance else 1
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pulse_file")
     p.add_argument("--tau-s", type=float, default=None)
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--targets", default="r1",
                    help="comma-separated residuals the exit code checks")
     p.add_argument("--seed", type=int, default=0)
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", default="1e-3:1e-1:6", help="tau_p sweep min:max:points")
     p.add_argument("--regime", choices=tuple(SLOPE_BANDS), default="uncorrected")
     p.add_argument("--band", default=None, help="override slope band lo:hi")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=SWEEP_STEPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -315,7 +312,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantError as exc:
+    except (InvariantError, IllPosedProblem) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel
-from .policy import NumericPolicy, active_policy
-from .su2 import pauli_dot, spectral_norm
+from .policy import active_policy
+from .su2 import pauli_dot
 from .trajectory import NTrajectory
 
 RESIDUAL_TARGETS = ("r1", "r2a", "r2b")
@@ -134,10 +134,8 @@ def correction_residuals(grid: np.ndarray, nhat: np.ndarray, tau_s: float):
     return r1, r2a, r2b
 
 
-def evaluate_corrections(ntraj: NTrajectory, tau_s: float,
-                         policy: NumericPolicy | None = None) -> CorrectionReport:
+def evaluate_corrections(ntraj: NTrajectory, tau_s: float) -> CorrectionReport:
     """Quadrature evaluation of the three residuals with a halved-grid error estimate."""
-    policy = policy or active_policy()
     if ntraj.n_nodes < 16:
         raise ValueError("need at least 16 trajectory nodes")
     tau_p = ntraj.tau_p
@@ -150,6 +148,7 @@ def evaluate_corrections(ntraj: NTrajectory, tau_s: float,
     quad_err = np.array([np.linalg.norm(r1 - r1_h), np.linalg.norm(r2a - r2a_h),
                          np.linalg.norm(r2b - r2b_h)])
 
+    policy = active_policy()
     norms = np.array([np.linalg.norm(r1), np.linalg.norm(r2a), np.linalg.norm(r2b)])
     floors = policy.quad_unconverged_floor * np.array([tau_p, tau_p ** 2, tau_p ** 2])
     unconverged = bool(np.any(quad_err > np.maximum(policy.quad_unconverged_rel * norms, floors)))
@@ -185,16 +184,8 @@ def eta_operators(report: CorrectionReport, bath: BathModel,
     return eta1, eta2a, eta2b
 
 
-def first_order_norm_identity(report: CorrectionReport, bath: BathModel) -> tuple[float, float]:
-    """(operator norm of the first-order term, lambda ||A|| |r1|) for equivalence checks."""
-    eta1 = bath.coupling * np.kron(pauli_dot(report.r1), bath.a)
-    return spectral_norm(eta1), abs(bath.coupling) * spectral_norm(bath.a) * float(np.linalg.norm(report.r1))
-
-
-def nogo_diagnostics(ntraj: NTrajectory, tau_s: float,
-                     policy: NumericPolicy | None = None) -> NoGoDiagnostics:
+def nogo_diagnostics(ntraj: NTrajectory, tau_s: float) -> NoGoDiagnostics:
     """The two impossibility gaps; both are nonnegative up to quadrature error."""
-    policy = policy or active_policy()
     tau_p = ntraj.tau_p
     if not 0.0 <= tau_s <= tau_p:
         raise ValueError("tau_s must lie in [0, tau_p]")
@@ -203,5 +194,6 @@ def nogo_diagnostics(ntraj: NTrajectory, tau_s: float,
         ntraj.grid, np.column_stack([cos_alpha, (ntraj.grid - tau_s) * cos_alpha])).sum(axis=0)
     tsp_gap = tau_p - float(moments[0])
     pi2_gap = (tau_p - tau_s) ** 2 + tau_s ** 2 + 2.0 * float(moments[1])
-    is_pi = bool(np.linalg.norm(ntraj.nhat[0] + ntraj.nhat[-1]) < policy.pi_condition_atol)
+    is_pi = bool(np.linalg.norm(ntraj.nhat[0] + ntraj.nhat[-1])
+                 < active_policy().pi_condition_atol)
     return NoGoDiagnostics(tsp_gap=tsp_gap, pi2_gap=pi2_gap, is_pi_pulse=is_pi)

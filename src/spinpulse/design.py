@@ -20,7 +20,7 @@ from scipy.linalg import null_space
 
 from .corrections import (RESIDUAL_TARGETS, CorrectionReport, correction_residuals,
                           evaluate_corrections, nogo_diagnostics, normalized_residual_vector)
-from .policy import NumericPolicy, active_policy
+from .policy import active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import quaternion_product
@@ -28,6 +28,10 @@ from .trajectory import MIN_STEPS, NTrajectory, integrate_axis_angle, n_trajecto
 
 ROTATION_WEIGHT = 100.0
 FREE = "free"
+
+
+class IllPosedProblem(ValueError):
+    """The constraints leave fewer free coefficients than the targets need."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,7 @@ class _Parameterization:
             return np.eye(self.n_coeff)
         ns = null_space(np.array(rows))
         if ns.size == 0:
-            raise ValueError("endpoint-derivative constraints leave no free coefficients")
+            raise IllPosedProblem("endpoint-derivative constraints leave no free coefficients")
         return ns
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
@@ -283,20 +287,17 @@ def _rotation_residual(traj, theta: float) -> np.ndarray:
 class _ResidualFunction:
     """z -> stacked normalized residual vector for a design problem."""
 
-    def __init__(self, problem: DesignProblem, policy: NumericPolicy,
-                 steps: int | None = None):
+    def __init__(self, problem: DesignProblem):
         self.problem = problem
-        self.policy = policy
         self.param = _Parameterization(problem)
-        self.steps = steps or problem.grid_steps
         self.fast_axis = problem.fixed_axis
         self.comp = COMPONENTS.index(problem.components[0]) if problem.fixed_axis else None
 
     def ntrajectory(self, z: np.ndarray):
         shape = self.param.build_shape(z)
         if self.fast_axis:
-            return _fixed_axis_ntrajectory(shape, self.comp, self.steps), None, shape
-        traj = integrate_axis_angle(shape, self.steps, policy=self.policy)
+            return _fixed_axis_ntrajectory(shape, self.comp, self.problem.grid_steps), None, shape
+        traj = integrate_axis_angle(shape, self.problem.grid_steps)
         return n_trajectory(traj), traj, shape
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -368,13 +369,11 @@ def _levenberg_marquardt(fun, x0: np.ndarray, max_iter: int = 80,
 
 
 def solve(problem: DesignProblem, seed: int = 0,
-          policy: NumericPolicy | None = None,
           allow_underdetermined: bool = False) -> DesignSolution:
     """Multi-start damped least squares; deterministic reduction by (objective, index)."""
-    policy = policy or active_policy()
-    residual = _ResidualFunction(problem, policy)
+    residual = _ResidualFunction(problem)
     if not allow_underdetermined and residual.param.n_free < problem.target_equation_count():
-        raise ValueError(
+        raise IllPosedProblem(
             f"{residual.param.n_free} free coefficients cannot honor "
             f"{problem.target_equation_count()} target equations")
     rng = np.random.default_rng(seed)
@@ -388,24 +387,22 @@ def solve(problem: DesignProblem, seed: int = 0,
 
     # verification pass on a doubled grid through the full frame machinery
     shape = residual.param.build_shape(z)
-    traj = integrate_axis_angle(shape, 2 * problem.grid_steps, policy=policy)
-    report = evaluate_corrections(n_trajectory(traj), shape.tau_s, policy=policy)
+    traj = integrate_axis_angle(shape, 2 * problem.grid_steps)
+    report = evaluate_corrections(n_trajectory(traj), shape.tau_s)
     rot_violation = float(np.linalg.norm(_rotation_residual(traj, problem.theta)))
-    converged = bool(cost <= policy.converged_objective and rot_violation < 1e-7)
+    converged = bool(cost <= active_policy().converged_objective and rot_violation < 1e-7)
     return DesignSolution(shape=shape, report=report, objective=cost,
                           converged=converged, restarts_used=problem.restarts,
                           best_restart=idx, rotation_violation=rot_violation)
 
 
 def jacobian_check(problem: DesignProblem, point: np.ndarray | None = None,
-                   step: float = 1e-5, seed: int = 0,
-                   policy: NumericPolicy | None = None):
+                   step: float = 1e-5, seed: int = 0):
     """Richardson comparison of the finite-difference Jacobian at steps h and h/2.
 
     Returns (max relative deviation, flagged); smooth ansaetze stay below 1e-4.
     """
-    policy = policy or active_policy()
-    residual = _ResidualFunction(problem, policy)
+    residual = _ResidualFunction(problem)
     if point is None:
         point = residual.param.random_start(np.random.default_rng(seed))
     point = np.asarray(point, dtype=float)
@@ -416,8 +413,7 @@ def jacobian_check(problem: DesignProblem, point: np.ndarray | None = None,
     return deviation, deviation > 1e-4
 
 
-def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0,
-                      policy: NumericPolicy | None = None) -> ProbeResult:
+def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0) -> ProbeResult:
     """Search a no-go (or open) regime and report the best objective found
     together with the analytic gap bound of the best candidate.
 
@@ -425,28 +421,27 @@ def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0,
     geodesically pi-closed copy of the best trajectory, where the bound
     objective >= (pi2_gap / tau_p^2)^2 is an exact inequality.
     """
-    policy = policy or active_policy()
     probe_problem = replace(problem, restarts=budget,
                             grid_steps=min(problem.grid_steps, 256))
-    sol = solve(probe_problem, seed=seed, policy=policy, allow_underdetermined=True)
+    sol = solve(probe_problem, seed=seed, allow_underdetermined=True)
     shape = sol.shape
-    ntraj = n_trajectory(integrate_axis_angle(shape, 2 * problem.grid_steps, policy=policy))
+    ntraj = n_trajectory(integrate_axis_angle(shape, 2 * problem.grid_steps))
     if residual_is_pi_regime(problem):
         closed = pi_close_ntrajectory(ntraj)
-        report = evaluate_corrections(closed, shape.tau_s, policy=policy)
-        diag = nogo_diagnostics(closed, shape.tau_s, policy=policy)
+        report = evaluate_corrections(closed, shape.tau_s)
+        diag = nogo_diagnostics(closed, shape.tau_s)
         objective = float(np.sum(report.normalized_vector(problem.targets) ** 2))
         bound = (diag.pi2_gap / shape.tau_p ** 2) ** 2
         return ProbeResult(regime="pi-second-order", best_objective=objective,
                            gap=diag.pi2_gap, gap_bound=bound,
                            is_pi_pulse=diag.is_pi_pulse, budget=budget, solution=sol)
     if not isinstance(problem.tau_s, str) and float(problem.tau_s) >= 1.0:
-        diag = nogo_diagnostics(ntraj, shape.tau_p, policy=policy)
+        diag = nogo_diagnostics(ntraj, shape.tau_p)
         bound = (diag.tsp_gap / shape.tau_p) ** 2
         return ProbeResult(regime="end-split", best_objective=sol.objective,
                            gap=diag.tsp_gap, gap_bound=bound,
                            is_pi_pulse=diag.is_pi_pulse, budget=budget, solution=sol)
-    diag = nogo_diagnostics(ntraj, shape.tau_s, policy=policy)
+    diag = nogo_diagnostics(ntraj, shape.tau_s)
     return ProbeResult(regime="open", best_objective=sol.objective, gap=diag.pi2_gap,
                        gap_bound=float("nan"), is_pi_pulse=diag.is_pi_pulse,
                        budget=budget, solution=sol)

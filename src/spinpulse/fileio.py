@@ -367,17 +367,6 @@ def format_report(report: CorrectionReport, diag: NoGoDiagnostics,
     return "\n".join(lines) + "\n"
 
 
-REPORT_CSV_HEADER = ("tau_p,tau_s,r1_normalized,r2a_normalized,r2b_normalized,"
-                     "tsp_gap,pi2_gap")
-
-
-def report_csv_row(report: CorrectionReport, diag: NoGoDiagnostics) -> tuple:
-    """One batch-scan row matching REPORT_CSV_HEADER."""
-    normalized = report.normalized
-    return (report.tau_p, report.tau_s, normalized[0], normalized[1],
-            normalized[2], diag.tsp_gap, diag.pi2_gap)
-
-
 def csv_document(header: str, rows, manifest_digest: str,
                  trailer: list[str] | None = None) -> str:
     lines = [f"# schema_version={SCHEMA_VERSION}",
@@ -421,9 +410,7 @@ def digest_text(text: str) -> str:
 
 
 def make_manifest(command: str, input_texts: dict, seed: int = 0,
-                  policy: NumericPolicy | None = None,
                   options: dict | None = None) -> RunManifest:
-    policy = policy or active_policy()
     digests = {name: digest_text(text) for name, text in input_texts.items()}
-    return RunManifest(command=command, input_digests=digests, seed=seed, policy=policy,
-                       options=dict(options or {}))
+    return RunManifest(command=command, input_digests=digests, seed=seed,
+                       policy=active_policy(), options=dict(options or {}))

@@ -5,25 +5,22 @@ far a real pulse is from the ideal decomposition
 
     U_p(tau_p, 0)  ~  exp(-i (tau_p - tau_s) H) P_theta exp(-i tau_s H),
 
-with P_theta = exp(i sigma_y theta / 2).  Two independent routes produce the
-residual correction unitary U_F:
+with P_theta = exp(i sigma_y theta / 2).  :func:`integrate_deviation`
+produces the residual correction unitary U_F by integrating the exact
+deviation generator F(t) = W(t)^dag [e^{iH dt} H0 e^{-iH dt} - H0] W(t)
+directly, by classical RK4 on a grid that pins tau_s and the segment
+boundaries.  The frames W come from the trajectory integrator on the bisected
+grid, and the amplitude at each RK4 stage follows the integrator's own stage
+rule, so there is one frame path, one stage rule and one formula for F.
 
-  * :func:`propagate_joint` slices the full time-dependent Hamiltonian with
-    midpoint exponentials and :func:`reconstruct_uf` inverts the decomposition
-    algebraically;
-  * :func:`integrate_deviation` integrates the exact deviation generator
-    F(t) = W(t)^dag [e^{iH dt} H0 e^{-iH dt} - H0] W(t) directly, by
-    classical RK4 on a grid that pins tau_s and the segment boundaries.  The
-    frames W come from the trajectory integrator on the bisected grid, and
-    the amplitude at each RK4 stage follows the integrator's own stage rule,
-    so there is one frame path, one stage rule and one formula for F.
-
-The second route keeps full relative accuracy as tau_p -> 0 (the deviation
+This route keeps full relative accuracy as tau_p -> 0 (the deviation
 generator stays O(lambda) while the pulse amplitude grows as 1/tau_p), so
-expansion-order sweeps use it; the two routes agree to the tolerance checked
-in the test suite and sweeps report the decomposition defect through the
-algebraic identity defect = ||W(tp) U_F W(0)^dag - P_theta|| which holds by
-unitary invariance of the spectral norm.
+expansion-order sweeps use it.  The test suite checks it against a second,
+independent route (time-sliced midpoint exponentials of the full Hamiltonian,
+with the decomposition inverted algebraically), which lives beside the tests
+because nothing else uses it.  Sweeps report the decomposition defect through
+the algebraic identity defect = ||W(tp) U_F W(0)^dag - P_theta||, which holds
+by unitary invariance of the spectral norm.
 """
 
 from __future__ import annotations
@@ -34,18 +31,15 @@ import numpy as np
 
 from .bath import BathModel
 from .corrections import CorrectionReport, eta_operators, evaluate_corrections
-from .policy import NumericPolicy, active_policy
 from .pulses import PulseShape
 from .su2 import (IDENTITY_2, PAULI, SIGMA_Z, axis_angle_exponential,
-                  expm_hermitian, matrix_exponential, pauli_dot, spectral_norm)
-from .trajectory import (FrameTrajectory, _build_grid, _frames_on_grid,
-                         _rk4_step_matrices, _stage_amplitudes, n_trajectory)
+                  expm_hermitian, spectral_norm)
+from .trajectory import (_build_grid, _frames_on_grid, _rk4_step_matrices,
+                         _stage_amplitudes, n_trajectory)
 
-
-@dataclass(frozen=True)
-class PropagationResult:
-    unitary: np.ndarray
-    step_error: float      # Richardson estimate from step halving
+# RK4 steps of an expansion-order sweep: keeps the integration floor below
+# the tau_p^3 defects
+SWEEP_STEPS = 2048
 
 
 @dataclass(frozen=True)
@@ -68,63 +62,14 @@ def ideal_pulse(theta: float) -> np.ndarray:
     return axis_angle_exponential(np.array([0.0, 1.0, 0.0]), -theta)
 
 
-def joint_hamiltonian(bath: BathModel, v: np.ndarray) -> np.ndarray:
-    """H_b + lambda A sigma_z + sigma . v on the qubit (x) bath space."""
-    eye_b = np.eye(bath.dim_b)
-    h = np.kron(IDENTITY_2, bath.h_b) + bath.coupling * np.kron(SIGMA_Z, bath.a)
-    return h + np.kron(pauli_dot(v), eye_b)
-
-
 def static_hamiltonian(bath: BathModel) -> np.ndarray:
-    return joint_hamiltonian(bath, np.zeros(3))
+    """H = H_b + lambda A sigma_z on the qubit (x) bath space."""
+    return np.kron(IDENTITY_2, bath.h_b) + bath.coupling * np.kron(SIGMA_Z, bath.a)
 
 
 def _project_unitary(u: np.ndarray) -> np.ndarray:
     w, _, vh = np.linalg.svd(u)
     return w @ vh
-
-
-def _slice_propagate(shape: PulseShape, bath: BathModel, steps: int) -> np.ndarray:
-    grid = np.linspace(0.0, shape.tau_p, steps + 1)
-    # segment boundaries must not fall inside a slice
-    for b in shape.breakpoints():
-        if np.min(np.abs(grid - b)) > 1e-12 * shape.tau_p:
-            grid = np.sort(np.append(grid, b))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    h_static = static_hamiltonian(bath)
-    eye_b = np.eye(bath.dim_b)
-    v_mid = shape.amplitude(mids)
-    u = np.eye(2 * bath.dim_b, dtype=complex)
-    for k in range(len(mids)):
-        h_tot = h_static + np.kron(pauli_dot(v_mid[k]), eye_b)
-        u = expm_hermitian(h_tot, scale=-1.0j * (grid[k + 1] - grid[k])) @ u
-    return u
-
-
-def propagate_joint(shape: PulseShape, bath: BathModel, steps: int | None = None,
-                    policy: NumericPolicy | None = None) -> PropagationResult:
-    """Time-sliced exact propagator over [0, tau_p] with midpoint exponentials."""
-    policy = policy or active_policy()
-    if steps is None:
-        steps = policy.joint_steps_default
-    if steps < 256:
-        raise ValueError("at least 256 slices are required")
-    u_full = _slice_propagate(shape, bath, steps)
-    u_half = _slice_propagate(shape, bath, steps // 2)
-    estimate = spectral_norm(u_full - u_half) / 3.0
-    return PropagationResult(unitary=_project_unitary(u_full), step_error=float(estimate))
-
-
-def reconstruct_uf(u_p: np.ndarray, traj: FrameTrajectory, bath: BathModel) -> np.ndarray:
-    """Invert the decomposition: U_F = e^{ip(tp)} e^{i(tp-ts)H} U_p e^{i ts H} e^{-ip(0)}."""
-    eye_b = np.eye(bath.dim_b)
-    h = static_hamiltonian(bath)
-    tau_p, tau_s = traj.tau_p, traj.tau_s
-    w_end = np.kron(traj.unitaries[-1], eye_b)
-    w_start = np.kron(traj.unitaries[0], eye_b)
-    left = w_end.conj().T @ expm_hermitian(h, scale=1.0j * (tau_p - tau_s))
-    right = expm_hermitian(h, scale=1.0j * tau_s) @ w_start
-    return _project_unitary(left @ u_p @ right)
 
 
 # ----------------------------------------------------------------------
@@ -162,8 +107,7 @@ def _deviation_table(bath: BathModel, t: np.ndarray, tau_s: float,
     return 0.5 * (f + f.conj().transpose(0, 2, 1))
 
 
-def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int | None = None,
-                        policy: NumericPolicy | None = None):
+def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     """(U_F, trajectory) by RK4 integration of i U' = F(t) U over [0, tau_p].
 
     The coarse grid pins tau_s and the segment boundaries; bisecting it gives
@@ -174,9 +118,6 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int | None = 
     product of the step matrices is needed; it is taken pairwise and
     projected onto the unitaries once.
     """
-    policy = policy or active_policy()
-    if steps is None:
-        steps = policy.joint_steps_default
     coarse = _build_grid(shape, steps)
     fine = np.empty(2 * len(coarse) - 1)
     fine[::2] = coarse
@@ -191,33 +132,21 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int | None = 
     return _project_unitary(_ordered_product(mats)), traj
 
 
-def f_generator(shape: PulseShape, bath: BathModel, t: float,
-                steps: int = 512) -> np.ndarray:
-    """The deviation generator F(t) at a single instant."""
-    if not 0.0 <= t <= shape.tau_p:
-        raise ValueError("time outside [0, tau_p]")
-    traj = _frames_on_grid(shape, _build_grid(shape, steps, pins=(t,)))
-    j = int(np.argmin(np.abs(traj.grid - t)))
-    return _deviation_table(bath, traj.grid[j:j + 1], traj.tau_s,
-                            traj.unitaries[j:j + 1], shape.amplitude(t)[None])[0]
-
-
 # ----------------------------------------------------------------------
 # decomposition defects and expansion-order sweeps
 
 
-def decomposition_defects(shape: PulseShape, bath: BathModel, steps: int | None = None,
-                          policy: NumericPolicy | None = None):
+def decomposition_defects(shape: PulseShape, bath: BathModel, steps: int):
     """(DecompositionError, CorrectionReport) for one pulse at its native tau_p."""
-    policy = policy or active_policy()
-    u_f, traj = integrate_deviation(shape, bath, steps=steps, policy=policy)
+    u_f, traj = integrate_deviation(shape, bath, steps=steps)
     ntraj = n_trajectory(traj)
-    report = evaluate_corrections(ntraj, traj.tau_s, policy=policy)
+    report = evaluate_corrections(ntraj, traj.tau_s)
     eta1, eta2a, eta2b = eta_operators(report, bath, ntraj, traj.tau_s)
     eye = np.eye(2 * bath.dim_b)
     eye_b = np.eye(bath.dim_b)
     uf_defect = spectral_norm(u_f - eye)
-    magnus_defect = spectral_norm(u_f - matrix_exponential(-1.0j * (eta1 + eta2a + eta2b)))
+    # each eta is Hermitian, so the Magnus exponential is a unitary one
+    magnus_defect = spectral_norm(u_f - expm_hermitian(eta1 + eta2a + eta2b))
     p_ideal = np.kron(ideal_pulse(shape.theta), eye_b)
     w_end = np.kron(traj.unitaries[-1], eye_b)
     w_start = np.kron(traj.unitaries[0], eye_b)
@@ -236,8 +165,7 @@ def fit_loglog_slope(x, y):
 
 
 def magnus_consistency(shape: PulseShape, bath: BathModel, tau_list,
-                       steps: int | None = None,
-                       policy: NumericPolicy | None = None) -> SweepResult:
+                       steps: int = SWEEP_STEPS) -> SweepResult:
     """Defects across a tau_p sweep of the same dimensionless pulse profile.
 
     Amplitudes scale as 1/tau_p so the accumulated rotation is fixed while the
@@ -246,12 +174,9 @@ def magnus_consistency(shape: PulseShape, bath: BathModel, tau_list,
     tau_list = sorted(float(t) for t in tau_list)
     if len(tau_list) < 4:
         raise ValueError("need at least 4 sweep points for a slope fit")
-    if steps is None:
-        steps = 2048   # keeps the integration floor below the tau_p^3 defects
     entries, reports = [], []
     for tau_p in tau_list:
-        err, report = decomposition_defects(shape.rescaled(tau_p), bath,
-                                            steps=steps, policy=policy)
+        err, report = decomposition_defects(shape.rescaled(tau_p), bath, steps=steps)
         entries.append(err)
         reports.append(report)
     taus = [e.tau_p for e in entries]
@@ -263,17 +188,3 @@ def magnus_consistency(shape: PulseShape, bath: BathModel, tau_list,
         else:
             slopes[field] = fit_loglog_slope(taus, values)
     return SweepResult(entries=entries, slopes=slopes, reports=reports)
-
-
-def dephasing_identity_defect(coupling: float, tau_p: float) -> float:
-    """Regression check of the pure-dephasing identity.
-
-    For H = lambda sigma_z the two-sided decomposition target with theta = pi
-    and tau_s = tau_p / 2 collapses to the bare ideal pulse:
-    exp(-i (tau_p/2) H) P_pi exp(-i (tau_p/2) H) = P_pi exactly, independent
-    of tau_p.  Returns the operator-norm deviation.
-    """
-    h = coupling * SIGMA_Z
-    half = expm_hermitian(h, scale=-0.5j * tau_p)
-    p_pi = ideal_pulse(np.pi)
-    return spectral_norm(half @ p_pi @ half - p_pi)

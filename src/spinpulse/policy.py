@@ -2,8 +2,10 @@
 
 The active policy can be overridden through the environment variable
 ``SPINPULSE_NUMERIC_POLICY`` set to a comma-separated ``name=value`` list,
-e.g. ``SPINPULSE_NUMERIC_POLICY="unitary_atol=1e-9,ode_steps_default=2048"``.
-Every value must be finite and positive, and integer fields take integers.
+e.g. ``SPINPULSE_NUMERIC_POLICY="unitary_atol=1e-9,nogo_tolerance=1e-8"``.
+Every field is a float, and every value must be finite and positive.  Step
+counts and the residual threshold are not tolerances: they are command-line
+flags (``--grid``, ``verify --steps``, ``corrections --threshold``).
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ class NumericPolicy:
     hermitian_rtol: float = 1e-12
     unitary_atol: float = 1e-10
     unit_vector_atol: float = 1e-9
-    # ODE integration of the pulse frame
-    ode_steps_default: int = 1024
+    # (axis, angle) output of the pulse frame
     axis_floor: float = 1e-7
     # quadrature and report flags
     quad_unconverged_rel: float = 1e-3
@@ -31,9 +32,6 @@ class NumericPolicy:
     nogo_tolerance: float = 1e-9
     # solver
     converged_objective: float = 1e-16
-    residual_threshold: float = 1e-6
-    # joint-space propagation
-    joint_steps_default: int = 1024
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -50,7 +48,7 @@ def active_policy() -> NumericPolicy:
     if not raw:
         return DEFAULT_POLICY
     overrides = {}
-    fields = {f.name: f.type for f in dataclasses.fields(NumericPolicy)}
+    fields = {f.name for f in dataclasses.fields(NumericPolicy)}
     for item in raw.split(","):
         if not item.strip():
             continue
@@ -58,12 +56,11 @@ def active_policy() -> NumericPolicy:
         name = name.strip()
         if name not in fields:
             raise ValueError(f"unknown numeric-policy field {name!r}")
-        caster = int if fields[name] in ("int", int) else float
         try:
-            number = caster(value)
+            number = float(value)
         except ValueError:
-            raise ValueError(f"numeric-policy field {name!r} needs a {caster.__name__} "
-                             f"value, got {value.strip()!r}") from None
+            raise ValueError(f"numeric-policy field {name!r} needs a number, "
+                             f"got {value.strip()!r}") from None
         if not (math.isfinite(number) and number > 0):
             raise ValueError(f"numeric-policy field {name!r} must be finite and "
                              f"positive, got {value.strip()!r}")

@@ -9,9 +9,8 @@ is needed (the joint qubit (x) bath space of the oracle).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
-from .policy import NumericPolicy, active_policy
+from .policy import active_policy
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -35,19 +34,18 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _check_unit_axis(axis, policy: NumericPolicy) -> np.ndarray:
+def _check_unit_axis(axis) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise ValueError("axis must be a 3-vector")
-    if abs(np.linalg.norm(axis) - 1.0) > policy.unit_vector_atol:
+    if abs(np.linalg.norm(axis) - 1.0) > active_policy().unit_vector_atol:
         raise ValueError(f"axis must be unit length, got |axis| = {np.linalg.norm(axis)}")
     return axis
 
 
-def axis_angle_exponential(axis, angle: float, policy: NumericPolicy | None = None) -> np.ndarray:
+def axis_angle_exponential(axis, angle: float) -> np.ndarray:
     """Closed-form 2x2 unitary cos(angle/2) I - i sin(angle/2) (axis . sigma)."""
-    policy = policy or active_policy()
-    axis = _check_unit_axis(axis, policy)
+    axis = _check_unit_axis(axis)
     half = 0.5 * angle
     return np.cos(half) * IDENTITY_2 - 1.0j * np.sin(half) * pauli_dot(axis)
 
@@ -77,8 +75,3 @@ def expm_hermitian(h: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
     """exp(scale * h) for Hermitian h via eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(scale * w)) @ v.conj().T
-
-
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """General small-matrix exponential (Pade scaling-and-squaring)."""
-    return expm(np.asarray(m, dtype=complex))

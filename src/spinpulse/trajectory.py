@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .policy import NumericPolicy, active_policy
+from .policy import active_policy
 from .pulses import SPLINE_ORDER, PulseShape, frame_amplitude
 from .su2 import IDENTITY_Q, quaternion_matrix, quaternion_product
 
@@ -226,17 +226,13 @@ def _frames_on_grid(shape: PulseShape, grid: np.ndarray) -> FrameTrajectory:
                            quaternions=_frame_quaternions(shape, grid, i_s))
 
 
-def integrate_axis_angle(shape: PulseShape, steps: int | None = None,
-                         policy: NumericPolicy | None = None) -> FrameTrajectory:
+def integrate_axis_angle(shape: PulseShape, steps: int) -> FrameTrajectory:
     """Solve the frame equation from identity at tau_s in both directions.
 
     Returns the frame quaternions, all that residuals, gaps, amplitudes and
     the oracle read.  Their (axis, angle) form is :func:`axis_angle`, whose
     rebuilt frame matches q only where the axis is +-s/|s|.
     """
-    policy = policy or active_policy()
-    if steps is None:
-        steps = policy.ode_steps_default
     if steps < MIN_STEPS:
         raise ValueError(f"at least {MIN_STEPS} integration steps are required")
     return _frames_on_grid(shape, _build_grid(shape, steps))

@@ -8,7 +8,7 @@ principal logarithm of a unitary of any dimension.
 import numpy as np
 from scipy.linalg import schur
 
-from spinpulse.policy import NumericPolicy, active_policy
+from spinpulse.policy import active_policy
 from spinpulse.su2 import PAULI, _check_unit_axis
 
 BRANCH_MARGIN = 1e-6
@@ -18,15 +18,14 @@ class BranchAmbiguityError(ValueError):
     """Raised when a unitary has an eigenvalue too close to the log branch cut."""
 
 
-def rotation_matrix(axis, angle: float, policy: NumericPolicy | None = None) -> np.ndarray:
+def rotation_matrix(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis.
 
     Conjugation-consistent with :func:`spinpulse.su2.axis_angle_exponential`:
     applying the returned matrix to a vector m equals conjugating m . sigma by
     the corresponding 2x2 unitary.
     """
-    policy = policy or active_policy()
-    axis = _check_unit_axis(axis, policy)
+    axis = _check_unit_axis(axis)
     c, s = np.cos(angle), np.sin(angle)
     k = np.array([
         [0.0, -axis[2], axis[1]],
@@ -41,13 +40,12 @@ def is_unitary(u: np.ndarray, atol: float) -> bool:
     return bool(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) <= atol)
 
 
-def pauli_conjugate(u: np.ndarray, policy: NumericPolicy | None = None) -> np.ndarray:
+def pauli_conjugate(u: np.ndarray) -> np.ndarray:
     """3x3 rotation R_jk = (1/2) Re tr(sigma_j U sigma_k U^dag) of a 2x2 unitary."""
-    policy = policy or active_policy()
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if not is_unitary(u, policy.unitary_atol):
+    if not is_unitary(u, active_policy().unitary_atol):
         raise ValueError("matrix is not unitary within tolerance")
     udag = u.conj().T
     r = np.empty((3, 3))
@@ -58,16 +56,14 @@ def pauli_conjugate(u: np.ndarray, policy: NumericPolicy | None = None) -> np.nd
     return r
 
 
-def matrix_log_unitary(u: np.ndarray, branch_margin: float = BRANCH_MARGIN,
-                       policy: NumericPolicy | None = None) -> np.ndarray:
+def matrix_log_unitary(u: np.ndarray, branch_margin: float = BRANCH_MARGIN) -> np.ndarray:
     """Principal anti-Hermitian logarithm of a unitary, eigenphases in (-pi, pi].
 
     Raises :class:`BranchAmbiguityError` if an eigenvalue sits within
     ``branch_margin`` radians of the branch cut at -1.
     """
-    policy = policy or active_policy()
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, policy.unitary_atol):
+    if not is_unitary(u, active_policy().unitary_atol):
         raise ValueError("matrix is not unitary within tolerance")
     # Unitary matrices are normal, so the complex Schur form is diagonal and
     # the Schur vectors give an orthonormal eigenbasis even for degenerate

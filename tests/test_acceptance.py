@@ -11,14 +11,14 @@ import pytest
 
 from spinpulse import oracle
 from spinpulse.bath import BathModel, preset_bath
-from spinpulse.corrections import (evaluate_corrections,
-                                   first_order_norm_identity, nogo_diagnostics)
+from spinpulse.corrections import evaluate_corrections, nogo_diagnostics
 from spinpulse.design import DesignProblem, feasibility_probe, solve
 from spinpulse.pulses import constant_rotation_pulse
 from spinpulse.sampling import (pi_close_ntrajectory, random_fourier_shape,
                                 random_ntrajectory)
 from spinpulse.trajectory import (NTrajectory, amplitude_from_axis_angle,
                                   integrate_axis_angle, n_trajectory)
+from joint_oracles import dephasing_identity_defect, first_order_norm_identity
 
 TAU_SWEEP = np.geomspace(1e-3, 1e-1, 6)
 
@@ -165,7 +165,7 @@ def test_criterion_5_no_go_corroboration():
 def test_criterion_6_dephasing_identity():
     with _Criterion(6, "pure-dephasing decomposition identity", 5.0):
         for tau_p in np.geomspace(1e-3, 1.0, 7):
-            assert oracle.dephasing_identity_defect(0.7, tau_p) <= 1e-8
+            assert dephasing_identity_defect(0.7, tau_p) <= 1e-8
         # physical route: for a pulse meeting the rotation requirement the
         # decomposition defect is exactly the deviation-from-identity defect
         bath = preset_bath("spin-dephasing", coupling=0.8)

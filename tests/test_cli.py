@@ -210,9 +210,28 @@ class TestUsageErrors:
         assert main(["solve", str(prob)]) == 3
         assert "restarts must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, flags, message", [
+        ("theta = 1.5707963267948966\ntau_s = free\nfourier_order = 1\n"
+         "components = x y\ntargets = r1 r2a r2b\nsymmetric = false\n", [],
+         "7 free coefficients cannot honor 9 target equations"),
+        ("theta = 3.14159265358979312\nfourier_order = 1\n"
+         "endpoint_zero_derivatives = 2\n", [],
+         "endpoint-derivative constraints leave no free coefficients"),
+        ("theta = 3.14159265358979312\nfourier_order = 1\n"
+         "endpoint_zero_derivatives = 2\n", ["--probe"],
+         "endpoint-derivative constraints leave no free coefficients"),
+    ], ids=["overdetermined", "no-free-coefficients", "no-free-coefficients-probe"])
+    def test_ill_posed_problem_exits_3(self, workdir, capsys, body, flags, message):
+        prob = workdir / "ill.problem"
+        prob.write_text("schema_version = 1\nkind = problem\n" + body)
+        out = workdir / "ill.pulse"
+        assert main(["solve", str(prob), *flags, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", [
-        "bogus=1", "unitary_atol=nan", "unitary_atol=-1e-10", "ode_steps_default=2.5",
-    ], ids=["unknown-field", "nan", "negative", "non-integer"])
+        "bogus=1", "unitary_atol=nan", "unitary_atol=-1e-10", "unitary_atol=abc",
+    ], ids=["unknown-field", "nan", "negative", "non-number"])
     def test_bad_numeric_policy_exits_2(self, workdir, monkeypatch, capsys, override):
         monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", override)
         assert main(["corrections", str(workdir / "pi.pulse")]) == 2

@@ -6,11 +6,12 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from spinpulse.bath import BathModel, preset_bath
 from spinpulse.corrections import (_simpson_intervals, correction_residuals, eta_operators,
-                                   evaluate_corrections, first_order_norm_identity,
-                                   nogo_diagnostics, normalized_residual_vector)
+                                   evaluate_corrections, nogo_diagnostics,
+                                   normalized_residual_vector)
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.su2 import spectral_norm
 from spinpulse.trajectory import NTrajectory, axis_angle, integrate_axis_angle, n_trajectory
+from joint_oracles import first_order_norm_identity
 
 
 def constant_axis_ntrajectory(tau_p=1.0, nodes=2049, turns=1.0):
@@ -94,16 +95,24 @@ class TestResiduals:
         assert rel.max() < 1e-6
         assert not r_coarse.unconverged
 
-    def test_double_integral_antisymmetric_under_time_reversal(self, rng):
-        shape = random_fourier_shape(rng, order=3)
-        ntraj = n_trajectory(integrate_axis_angle(shape, 1024))
-        tau_p, tau_s = ntraj.tau_p, shape.tau_s
-        fwd = evaluate_corrections(ntraj, tau_s)
-        reversed_traj = NTrajectory(grid=(tau_p - ntraj.grid)[::-1].copy(),
-                                    nhat=ntraj.nhat[::-1].copy())
-        bwd = evaluate_corrections(reversed_traj, tau_p - tau_s)
-        # exact antisymmetry up to the (direction-asymmetric) quadrature error
-        assert np.abs(fwd.r2b + bwd.r2b).max() < 1e-6 * tau_p ** 2
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 5),
+           scale=st.floats(0.5, 4.0), steps=st.sampled_from([256, 1024]),
+           tau_p=st.floats(1e-3, 1e3))
+    def test_double_integral_antisymmetric_under_time_reversal(self, seed, order, scale,
+                                                                steps, tau_p):
+        """Under t -> tp - t and ts -> tp - ts, r1 is even and r2a, r2b are odd."""
+        shape = random_fourier_shape(np.random.default_rng(seed), tau_p=tau_p,
+                                     order=order, scale=scale)
+        ntraj = n_trajectory(integrate_axis_angle(shape, steps))
+        tau_s = shape.tau_s
+        r1, r2a, r2b = correction_residuals(ntraj.grid, ntraj.nhat, tau_s)
+        b1, b2a, b2b = correction_residuals((tau_p - ntraj.grid)[::-1], ntraj.nhat[::-1],
+                                            tau_p - tau_s)
+        # exact up to the (direction-asymmetric) quadrature error
+        assert np.abs(r1 - b1).max() < 1e-6 * tau_p
+        assert np.abs(r2a + b2a).max() < 1e-6 * tau_p ** 2
+        assert np.abs(r2b + b2b).max() < 1e-6 * tau_p ** 2
 
 
 class TestEtaOperators:

@@ -34,7 +34,7 @@ class TestSolve:
 
     def test_resolve_from_found_point_is_stable(self, s_type_solution):
         problem, sol = s_type_solution
-        residual = _ResidualFunction(problem, active_policy())
+        residual = _ResidualFunction(problem)
         # rebuild the free coordinates of the found pulse
         coeffs = sol.shape.fourier.cos[1, 1:]
         z0 = residual.param.basis.T @ coeffs
@@ -85,7 +85,7 @@ class TestResidualFunction:
                       symmetric=False, grid_steps=256),
     ], ids=["fixed-axis", "general-axis-free-tau-s"])
     def test_matches_evaluate_corrections(self, problem):
-        residual = _ResidualFunction(problem, active_policy())
+        residual = _ResidualFunction(problem)
         z = residual.param.random_start(np.random.default_rng(4))
         ntraj, _, shape = residual.ntrajectory(z)
         expected = evaluate_corrections(ntraj, shape.tau_s).normalized_vector(problem.targets)

@@ -75,7 +75,7 @@ def test_bath_round_trip_and_presets():
     bath = parse_bath("schema_version = 1\nkind = bath\npreset = spin-dynamic\n"
                       "lambda = 0.25\nomega_b = 2.0\n")
     assert bath.coupling == 0.25
-    assert bath.has_dynamics
+    assert np.linalg.norm(bath.commutator) > 1e-12
     back = parse_bath(format_bath(bath))
     assert np.allclose(back.h_b, bath.h_b)
     assert np.allclose(back.a, bath.a)
@@ -114,34 +114,19 @@ def test_float_formatting_round_trips():
         assert float(fileio.fmt(v)) == v
 
 
-def test_report_csv_row_matches_header():
-    from spinpulse.corrections import evaluate_corrections, nogo_diagnostics
-    from spinpulse.trajectory import NTrajectory
-    t = np.linspace(0.0, 1.0, 257)
-    psi = np.pi * t
-    ntraj = NTrajectory(grid=t, nhat=np.stack(
-        [-np.sin(psi), np.zeros_like(t), np.cos(psi)], axis=1))
-    report = evaluate_corrections(ntraj, 0.5)
-    diag = nogo_diagnostics(ntraj, 0.5)
-    row = fileio.report_csv_row(report, diag)
-    assert len(row) == len(fileio.REPORT_CSV_HEADER.split(","))
-    doc = fileio.csv_document(fileio.REPORT_CSV_HEADER, [row], "deadbeef")
-    assert fileio.REPORT_CSV_HEADER in doc
-
-
 def test_numeric_policy_env_override(monkeypatch):
     from spinpulse.policy import active_policy
-    monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", "residual_threshold=1e-3,ode_steps_default=512")
+    monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", "nogo_tolerance=1e-3,axis_floor=512")
     policy = active_policy()
-    assert policy.residual_threshold == 1e-3
-    assert policy.ode_steps_default == 512
+    assert policy.nogo_tolerance == 1e-3
+    assert policy.axis_floor == 512
     # the manifest digest tracks the effective policy
-    m_default = make_manifest("x", {}, seed=0, policy=None)
+    m_default = make_manifest("x", {}, seed=0)
     monkeypatch.delenv("SPINPULSE_NUMERIC_POLICY")
-    m_clean = make_manifest("x", {}, seed=0, policy=None)
+    m_clean = make_manifest("x", {}, seed=0)
     assert m_default.digest() != m_clean.digest()
     for bad in ("no_such_field=1", "unitary_atol=nan", "unitary_atol=inf",
-                "unitary_atol=0", "joint_steps_default=3.5"):
+                "unitary_atol=0", "unitary_atol=abc"):
         monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", bad)
         with pytest.raises(ValueError):
             active_policy()
@@ -149,6 +134,6 @@ def test_numeric_policy_env_override(monkeypatch):
 
 def test_bath_dynamics_flag():
     from spinpulse.bath import preset_bath
-    assert preset_bath("spin-dynamic", 0.1).has_dynamics
-    assert not preset_bath("spin-ising", 0.1).has_dynamics
-    assert not preset_bath("spin-dephasing", 0.1).has_dynamics
+    assert np.linalg.norm(preset_bath("spin-dynamic", 0.1).commutator) > 1e-12
+    assert np.linalg.norm(preset_bath("spin-ising", 0.1).commutator) <= 1e-12
+    assert np.linalg.norm(preset_bath("spin-dephasing", 0.1).commutator) <= 1e-12

@@ -8,6 +8,8 @@ from spinpulse.pulses import PulseShape, constant_rotation_pulse, fourier_pulse
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.su2 import SIGMA_Z, expm_hermitian, pauli_dot, spectral_norm
 from spinpulse.trajectory import integrate_axis_angle, n_trajectory
+from joint_oracles import (dephasing_identity_defect, f_generator, propagate_joint,
+                           reconstruct_uf)
 from su2_oracles import matrix_log_unitary
 
 
@@ -15,7 +17,7 @@ class TestPropagateJoint:
     def test_zero_coupling_factorizes(self, rng):
         bath = preset_bath("spin-dynamic", coupling=0.0, omega_b=1.3)
         shape = random_fourier_shape(rng, order=2)
-        result = oracle.propagate_joint(shape, bath, steps=4096)
+        result = propagate_joint(shape, bath, steps=4096)
         traj = integrate_axis_angle(shape, 4096)
         w_tot = traj.unitaries[-1] @ traj.unitaries[0].conj().T
         free = expm_hermitian(bath.h_b, scale=-1.0j * shape.tau_p)
@@ -26,7 +28,7 @@ class TestPropagateJoint:
     def test_zero_amplitude_gives_static_evolution(self):
         bath = preset_bath("spin-dynamic", coupling=0.7, omega_b=1.0)
         shape = fourier_pulse(0.9, 0.4, 0.0, {"y": [0.0]})
-        result = oracle.propagate_joint(shape, bath, steps=512)
+        result = propagate_joint(shape, bath, steps=512)
         h = oracle.static_hamiltonian(bath)
         assert spectral_norm(result.unitary - expm_hermitian(h, scale=-1.0j * 0.9)) < 1e-10
 
@@ -41,7 +43,7 @@ class TestPropagateJoint:
     def test_step_floor(self, pi_pulse):
         bath = preset_bath("spin-dynamic", coupling=1.0)
         with pytest.raises(ValueError):
-            oracle.propagate_joint(pi_pulse, bath, steps=128)
+            propagate_joint(pi_pulse, bath, steps=128)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -49,7 +51,7 @@ class TestPropagateJoint:
 
     def test_richardson_estimate_reported(self, pi_pulse):
         bath = preset_bath("spin-dynamic", coupling=1.0)
-        result = oracle.propagate_joint(pi_pulse, bath, steps=512)
+        result = propagate_joint(pi_pulse, bath, steps=512)
         assert 0.0 <= result.step_error < 1e-4
 
 
@@ -58,15 +60,15 @@ class TestReconstructUF:
         bath = preset_bath("spin-dynamic", coupling=0.0)
         shape = random_fourier_shape(rng, order=2)
         traj = integrate_axis_angle(shape, 4096)
-        result = oracle.propagate_joint(shape, bath, steps=4096)
-        u_f = oracle.reconstruct_uf(result.unitary, traj, bath)
+        result = propagate_joint(shape, bath, steps=4096)
+        u_f = reconstruct_uf(result.unitary, traj, bath)
         assert spectral_norm(u_f - np.eye(4)) < max(1e-7, 10.0 * result.step_error)
 
     def test_two_routes_agree(self, pi_pulse, dynamic_bath):
         shape = pi_pulse.rescaled(0.05)
         traj = integrate_axis_angle(shape, 2048)
-        u_p = oracle.propagate_joint(shape, dynamic_bath, steps=4096).unitary
-        uf_sliced = oracle.reconstruct_uf(u_p, traj, dynamic_bath)
+        u_p = propagate_joint(shape, dynamic_bath, steps=4096).unitary
+        uf_sliced = reconstruct_uf(u_p, traj, dynamic_bath)
         uf_generator, _ = oracle.integrate_deviation(shape, dynamic_bath, steps=1024)
         assert spectral_norm(uf_sliced - uf_generator) < 1e-7
 
@@ -77,8 +79,8 @@ class TestReconstructUF:
                            boundaries=np.array([0.0, 0.1234, 0.377, 0.6181, 0.8093, 1.0]),
                            values=rng.uniform(-3.0, 3.0, (5, 3)))
         uf_generator, traj = oracle.integrate_deviation(shape, dynamic_bath, steps=1024)
-        u_p = oracle.propagate_joint(shape, dynamic_bath, steps=4096).unitary
-        uf_sliced = oracle.reconstruct_uf(u_p, traj, dynamic_bath)
+        u_p = propagate_joint(shape, dynamic_bath, steps=4096).unitary
+        uf_sliced = reconstruct_uf(u_p, traj, dynamic_bath)
         assert spectral_norm(uf_sliced - uf_generator) < 1e-10
 
     def test_first_order_norm_matches_residual(self, dynamic_bath):
@@ -91,9 +93,9 @@ class TestReconstructUF:
         assert measured == pytest.approx(expected, rel=0.05)
 
     def test_unitarity_of_everything(self, pi_pulse, dynamic_bath):
-        u_p = oracle.propagate_joint(pi_pulse, dynamic_bath, steps=512).unitary
+        u_p = propagate_joint(pi_pulse, dynamic_bath, steps=512).unitary
         traj = integrate_axis_angle(pi_pulse, 512)
-        u_f = oracle.reconstruct_uf(u_p, traj, dynamic_bath)
+        u_f = reconstruct_uf(u_p, traj, dynamic_bath)
         for u in (u_p, u_f):
             assert spectral_norm(u.conj().T @ u - np.eye(4)) < 1e-9
 
@@ -110,16 +112,16 @@ class TestDeviationOrder:
 class TestDeviationGenerator:
     def test_zero_coupling(self, pi_pulse):
         bath = preset_bath("spin-dynamic", coupling=0.0)
-        f = oracle.f_generator(pi_pulse, bath, 0.3)
+        f = f_generator(pi_pulse, bath, 0.3)
         assert spectral_norm(f) < 1e-15
 
     def test_vanishes_at_splitting_instant(self, pi_pulse, dynamic_bath):
-        f = oracle.f_generator(pi_pulse, dynamic_bath, pi_pulse.tau_s)
+        f = f_generator(pi_pulse, dynamic_bath, pi_pulse.tau_s)
         assert spectral_norm(f) < 1e-12
 
     def test_hermitian(self, rng, dynamic_bath):
         shape = random_fourier_shape(rng, order=2)
-        f = oracle.f_generator(shape, dynamic_bath, 0.8)
+        f = f_generator(shape, dynamic_bath, 0.8)
         assert spectral_norm(f - f.conj().T) < 1e-10
 
     def test_leading_series_term(self, dynamic_bath):
@@ -127,7 +129,7 @@ class TestDeviationGenerator:
         shape = constant_rotation_pulse(1.0, np.pi)
         dt = 1e-3 * shape.tau_p
         t = shape.tau_s + dt
-        f = oracle.f_generator(shape, dynamic_bath, t, steps=2048)
+        f = f_generator(shape, dynamic_bath, t, steps=2048)
         # dSz at t from the n-trajectory derivative
         traj = integrate_axis_angle(shape, 4096)
         ntraj = n_trajectory(traj)
@@ -161,7 +163,7 @@ class TestMagnusConsistency:
 
     def test_dephasing_identity_regression(self):
         for tau_p in np.geomspace(1e-3, 1.0, 7):
-            assert oracle.dephasing_identity_defect(0.7, tau_p) <= 1e-8
+            assert dephasing_identity_defect(0.7, tau_p) <= 1e-8
 
 
 def test_ideal_pulse_convention():
