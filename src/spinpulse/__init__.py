@@ -22,7 +22,6 @@ from .oracle import (DecompositionError, SweepResult, integrate_deviation,
 from .policy import NumericPolicy, active_policy
 from .pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                      fourier_pulse)
-from .su2 import axis_angle_exponential
 from .trajectory import (FrameTrajectory, NTrajectory, amplitude_from_axis_angle,
                          axis_angle, integrate_axis_angle, n_trajectory)
 
@@ -33,8 +32,8 @@ __all__ = [
     "DesignSolution", "FourierCoefficients", "FrameTrajectory", "NTrajectory",
     "NoGoDiagnostics", "NumericPolicy", "ProbeResult", "PulseShape", "SweepResult",
     "active_policy", "amplitude_from_axis_angle", "axis_angle",
-    "axis_angle_exponential", "constant_rotation_pulse", "correction_residuals",
-    "eta_operators", "evaluate_corrections", "feasibility_probe", "fourier_pulse",
+    "constant_rotation_pulse", "correction_residuals", "eta_operators",
+    "evaluate_corrections", "feasibility_probe", "fourier_pulse",
     "integrate_axis_angle", "integrate_deviation", "jacobian_check",
     "magnus_consistency", "n_trajectory", "nogo_diagnostics", "preset_bath", "solve",
 ]

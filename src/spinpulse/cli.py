@@ -6,7 +6,8 @@ Exit codes
 1   the computation ran but the check failed (residuals above threshold,
     slope outside the band, negative gap, non-converged solve)
 2   unparseable input (message carries line and column) or bad usage
-3   input parsed but violates a model invariant
+3   input parsed but violates a model invariant (any ``ValueError`` the
+    library raises after parsing)
 4   degenerate slope fit in ``verify``
 
 The numeric policy can be overridden per run through the environment
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .corrections import RESIDUAL_TARGETS, evaluate_corrections, nogo_diagnostics
-from .design import IllPosedProblem, feasibility_probe, residual_is_pi_regime, solve
+from .design import feasibility_probe, residual_is_pi_regime, solve
 from .fileio import (InvariantError, SchemaError, csv_document, fmt,
                      format_report, format_solution, make_manifest, parse_bath,
                      parse_problem, parse_pulse)
@@ -59,9 +60,10 @@ def _read(path: str) -> str:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _options(args, *names) -> dict:
-    """The named command-line options, for the run manifest."""
-    return {name: getattr(args, name) for name in names}
+def _options(args) -> dict:
+    """The run manifest's options: every parsed one but the seed, the output and the inputs."""
+    return {name: value for name, value in vars(args).items()
+            if name not in ("func", "command", "seed", "out") and not name.endswith("_file")}
 
 
 def _check_steps(option: str, steps: int | None, minimum: int):
@@ -99,7 +101,7 @@ def cmd_convert(args) -> int:
     shape = parse_pulse(text)
     _check_steps("--grid", args.grid, MIN_STEPS)
     manifest = make_manifest("convert", {"pulse": text}, seed=args.seed,
-                             options=_options(args, "to", "grid"))
+                             options=_options(args))
     traj = integrate_axis_angle(shape, args.grid)
     amps = amplitude_from_axis_angle(traj)
     if args.to == "trajectory":
@@ -126,7 +128,7 @@ def cmd_corrections(args) -> int:
     if unknown:
         raise SchemaError(f"unknown residual target {unknown[0]!r}")
     manifest = make_manifest("corrections", {"pulse": text}, seed=args.seed,
-                             options=_options(args, "tau_s", "grid", "threshold", "targets"))
+                             options=_options(args))
     tau_s = args.tau_s if args.tau_s is not None else shape.tau_s
     if not 0.0 <= tau_s <= shape.tau_p:
         raise InvariantError("tau_s override outside [0, tau_p]")
@@ -150,7 +152,7 @@ def cmd_verify(args) -> int:
     lo, hi = _parse_band(args.band) if args.band else SLOPE_BANDS[args.regime]
     manifest = make_manifest("verify", {"pulse": pulse_text, "bath": bath_text},
                              seed=args.seed,
-                             options=_options(args, "sweep", "regime", "band", "steps"))
+                             options=_options(args))
     taus = _parse_sweep(args.sweep)
     sweep = magnus_consistency(shape, bath, taus, steps=args.steps)
     slope, stderr = sweep.slopes["uf_defect"]
@@ -177,7 +179,7 @@ def cmd_solve(args) -> int:
     text = _read(args.problem_file)
     problem = parse_problem(text)
     manifest = make_manifest("solve", {"problem": text}, seed=args.seed,
-                             options=_options(args, "restarts", "probe"))
+                             options=_options(args))
     _check_steps("--restarts", args.restarts, 1)
     end_split = not isinstance(problem.tau_s, str) and float(problem.tau_s) >= 1.0
     if args.probe or end_split or residual_is_pi_regime(problem):
@@ -213,7 +215,7 @@ def cmd_nogo(args) -> int:
         raise SchemaError("samples must be at least 1")
     _check_steps("--grid", args.grid, MIN_STEPS)
     manifest = make_manifest(f"nogo-{args.check}", {}, seed=args.seed,
-                             options=_options(args, "check", "samples", "grid"))
+                             options=_options(args))
     rng = np.random.default_rng(args.seed)
     rows = []
     gaps = []
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantError, IllPosedProblem) as exc:
+    except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
 

@@ -1,10 +1,13 @@
 """Least-squares pulse design: solve for coefficients that zero the residuals.
 
-The design variables are Fourier (or piecewise) coefficients of the amplitude;
-the equations are the normalized correction residuals.  A single-component
-ansatz keeps the rotation axis fixed and pins the mean amplitude so the
-accumulated rotation hits the target angle exactly; multi-component ansaetze
-carry the total-rotation requirement as an extra weighted residual block.
+The design variables are Fourier or piecewise amplitude coefficients, one
+affine map of the free parameters (:class:`_Parameterization`); the equations
+are the normalized correction residuals.  A single-component ansatz keeps the
+rotation axis fixed and pins the mean amplitude so the accumulated rotation
+hits the target angle exactly; multi-component ansaetze carry the
+total-rotation requirement as an extra weighted residual block.  A solve is
+converged only if a re-check on the doubled grid also holds every targeted
+residual and the rotation below ``VERIFIED_BOUND``.
 
 Problems are posed at tau_p = 1 without loss of generality: the normalized
 residuals are invariant under joint rescaling of duration and amplitude, so a
@@ -23,10 +26,14 @@ from .corrections import (RESIDUAL_TARGETS, CorrectionReport, correction_residua
 from .policy import active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
-from .su2 import quaternion_product
-from .trajectory import MIN_STEPS, NTrajectory, integrate_axis_angle, n_trajectory
+from .su2 import ideal_pulse_quaternion, quaternion_product
+from .trajectory import (MIN_STEPS, NTrajectory, _build_grid, integrate_axis_angle,
+                         n_trajectory)
 
 ROTATION_WEIGHT = 100.0
+# a converged design verifies below this on the doubled grid: its rotation
+# violation and every targeted normalized residual
+VERIFIED_BOUND = 1e-7
 FREE = "free"
 
 
@@ -112,55 +119,56 @@ class ProbeResult:
 
 
 class _Parameterization:
-    """Packs free parameters into coefficient arrays honoring the constraints."""
+    """The affine map z -> c = offset + lift @ (basis @ z) of a design problem.
+
+    c holds one block per problem component, in the problem's order: a Fourier
+    block is a_0..a_K then b_1..b_K, a piecewise block its segment values.
+    ``lift`` places the free coefficients, ``offset`` pins a fixed axis's
+    rotation to -theta and ``basis`` spans the null space of the
+    endpoint-derivative rows.  A free tau_s is the last entry of z, as a
+    logit.  The amplitude is linear in z: dc/dz = lift @ basis is constant.
+    """
 
     def __init__(self, problem: DesignProblem):
         self.problem = problem
-        self.comp_idx = [COMPONENTS.index(c) for c in problem.components]
+        # a fixed axis pins the mean amplitude: a_0, or the last segment against
+        # the others, so that the accumulated angle sweeps exactly -theta
+        mean = -problem.theta / (2.0 * problem.tau_p) if problem.fixed_axis else 0.0
         if problem.ansatz == "fourier":
             k = problem.fourier_order
-            self.n_cos = k                      # a_1..a_K per component
-            self.n_sin = 0 if problem.symmetric else k
-        else:
-            self.n_cos = problem.segments - 1 if problem.fixed_axis else problem.segments
-            self.n_sin = 0
-        per_comp = self.n_cos + self.n_sin
-        if not problem.fixed_axis and problem.ansatz == "fourier":
-            per_comp += 1                        # a_0 free per component
-        self.n_coeff = per_comp * len(self.comp_idx)
-        self.free_tau_s = problem.tau_s == FREE
-        self.basis = self._constraint_nullspace()
-        self.n_free = self.basis.shape[1] + (1 if self.free_tau_s else 0)
-
-    def _constraint_nullspace(self) -> np.ndarray:
-        problem = self.problem
-        if problem.ansatz != "fourier" or problem.endpoint_derivatives < 1:
-            return np.eye(self.n_coeff)
-        k = problem.fourier_order
-        ks = np.arange(1, k + 1, dtype=float)
-        rows = []
-        per_comp = self.n_cos + self.n_sin + (0 if problem.fixed_axis else 1)
-        for ci in range(len(self.comp_idx)):
-            base = ci * per_comp + (0 if problem.fixed_axis else 1)
+            ks = np.arange(1, k + 1, dtype=float)
+            # d^m v/dt^m vanishes at both ends iff sum k^m a_k = 0 (m even)
+            # and sum k^m b_k = 0 (m odd)
+            rows = np.zeros((problem.endpoint_derivatives, 2 * k + 1))
             for m in range(1, problem.endpoint_derivatives + 1):
-                row = np.zeros(self.n_coeff)
-                if m % 2 == 0:
-                    row[base: base + k] = ks ** m          # cosine block
-                elif not problem.symmetric:
-                    row[base + self.n_cos: base + self.n_cos + k] = ks ** m
-                else:
-                    continue                                # sines absent: already zero
-                rows.append(row)
-        if not rows:
-            return np.eye(self.n_coeff)
-        ns = null_space(np.array(rows))
-        if ns.size == 0:
+                start = 1 if m % 2 == 0 else k + 1
+                rows[m - 1, start:start + k] = ks ** m
+            keep = np.r_[not problem.fixed_axis, np.ones(k, bool),
+                         np.full(k, not problem.symmetric)]
+            lift = np.eye(2 * k + 1)[:, keep]
+            offset = np.r_[mean, np.zeros(2 * k)]
+        else:
+            n_seg = problem.segments
+            rows = np.zeros((0, n_seg))
+            lift = np.eye(n_seg)
+            offset = np.r_[np.zeros(n_seg - 1), n_seg * mean]
+            if problem.fixed_axis:
+                lift = lift[:, :-1]
+                lift[-1] = -1.0
+        blocks = np.eye(len(problem.components))
+        self.lift = np.kron(blocks, lift)
+        self.offset = np.tile(offset, len(problem.components))
+        rows = np.kron(blocks, rows) @ self.lift
+        rows = rows[np.any(rows != 0.0, axis=1)]
+        self.basis = null_space(rows) if len(rows) else np.eye(self.lift.shape[1])
+        if self.basis.size == 0:
             raise IllPosedProblem("endpoint-derivative constraints leave no free coefficients")
-        return ns
+        self.free_tau_s = problem.tau_s == FREE
+        self.n_free = self.basis.shape[1] + (1 if self.free_tau_s else 0)
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
         problem = self.problem
-        coeffs = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, self.n_coeff) / problem.tau_p
+        coeffs = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, self.lift.shape[1]) / problem.tau_p
         z = self.basis.T @ coeffs
         if self.free_tau_s:
             frac = rng.uniform(0.15, 0.85)
@@ -168,87 +176,55 @@ class _Parameterization:
         return z
 
     def split(self, z: np.ndarray):
+        """(coefficient vector c, tau_s) of the free parameters z."""
         problem = self.problem
         if self.free_tau_s:
-            coeffs = self.basis @ z[:-1]
-            tau_s = problem.tau_p / (1.0 + np.exp(-z[-1]))
+            z, tau_s = z[:-1], problem.tau_p / (1.0 + np.exp(-z[-1]))
         else:
-            coeffs = self.basis @ z
             tau_s = float(problem.tau_s) * problem.tau_p
-        return coeffs, tau_s
+        return self.offset + self.lift @ (self.basis @ z), tau_s
 
     def build_shape(self, z: np.ndarray) -> PulseShape:
         problem = self.problem
         coeffs, tau_s = self.split(z)
+        blocks = coeffs.reshape(len(problem.components), -1)
+        rows = [COMPONENTS.index(c) for c in problem.components]
         if problem.ansatz == "fourier":
-            return self._fourier_shape(coeffs, tau_s)
-        return self._piecewise_shape(coeffs, tau_s)
-
-    def _fourier_shape(self, coeffs: np.ndarray, tau_s: float) -> PulseShape:
-        problem = self.problem
-        k = problem.fourier_order
-        fc = FourierCoefficients.zeros(k)
-        pos = 0
-        for i in self.comp_idx:
-            if not problem.fixed_axis:
-                fc.cos[i, 0] = coeffs[pos]
-                pos += 1
-            fc.cos[i, 1:] = coeffs[pos: pos + self.n_cos]
-            pos += self.n_cos
-            if self.n_sin:
-                fc.sin[i, :] = coeffs[pos: pos + self.n_sin]
-                pos += self.n_sin
-        if problem.fixed_axis:
-            # mean amplitude pinned: accumulated angle sweeps exactly -theta
-            fc.cos[self.comp_idx[0], 0] = -problem.theta / (2.0 * problem.tau_p)
-        return PulseShape(problem.tau_p, tau_s, problem.theta, "fourier", fourier=fc)
-
-    def _piecewise_shape(self, coeffs: np.ndarray, tau_s: float) -> PulseShape:
-        problem = self.problem
-        n_seg = problem.segments
-        bounds = np.linspace(0.0, problem.tau_p, n_seg + 1)
-        values = np.zeros((n_seg, 3))
-        pos = 0
-        width = problem.tau_p / n_seg
-        for i in self.comp_idx:
-            if problem.fixed_axis:
-                free = coeffs[pos: pos + n_seg - 1]
-                pos += n_seg - 1
-                last = (-problem.theta / 2.0 - float(np.sum(free)) * width) / width
-                values[:, i] = np.append(free, last)
-            else:
-                values[:, i] = coeffs[pos: pos + n_seg]
-                pos += n_seg
+            fc = FourierCoefficients.zeros(problem.fourier_order)
+            fc.cos[rows] = blocks[:, :problem.fourier_order + 1]
+            fc.sin[rows] = blocks[:, problem.fourier_order + 1:]
+            return PulseShape(problem.tau_p, tau_s, problem.theta, "fourier", fourier=fc)
+        values = np.zeros((problem.segments, 3))
+        values[:, rows] = blocks.T
         return PulseShape(problem.tau_p, tau_s, problem.theta, "piecewise_constant",
-                          boundaries=bounds, values=values)
+                          boundaries=np.linspace(0.0, problem.tau_p, problem.segments + 1),
+                          values=values)
 
 
 # ----------------------------------------------------------------------
 # residual evaluation
 
 
-def _fourier_angle(shape: PulseShape, comp: int, t: np.ndarray) -> np.ndarray:
-    """Exact accumulated angle 2 int_{tau_s}^t v dt of one Fourier component."""
-    c = shape.fourier.cos[comp]
-    s = shape.fourier.sin[comp]
-    omega = 2.0 * np.pi / shape.tau_p
+def _swept_angle(shape: PulseShape, comp: int, t: np.ndarray) -> np.ndarray:
+    """Exact accumulated angle 2 int_{tau_s}^t v dt of one Fourier or piecewise component."""
+    if shape.representation == "piecewise_constant":
+        cum = np.cumsum(shape.values[:, comp] * np.diff(shape.boundaries))
 
-    def antiderivative(x):
-        out = c[0] * x
-        for k in range(1, len(c)):
-            out = out + c[k] * np.sin(omega * k * x) / (omega * k)
-            out = out - s[k - 1] * np.cos(omega * k * x) / (omega * k)
-        return out
+        def antiderivative(x):
+            return np.interp(x, shape.boundaries, np.concatenate([[0.0], cum]))
+    else:
+        c = shape.fourier.cos[comp]
+        s = shape.fourier.sin[comp]
+        omega = 2.0 * np.pi / shape.tau_p
+
+        def antiderivative(x):
+            out = c[0] * x
+            for k in range(1, len(c)):
+                out = out + c[k] * np.sin(omega * k * x) / (omega * k)
+                out = out - s[k - 1] * np.cos(omega * k * x) / (omega * k)
+            return out
 
     return 2.0 * (antiderivative(t) - antiderivative(np.asarray(shape.tau_s)))
-
-
-def _piecewise_angle(shape: PulseShape, comp: int, t: np.ndarray) -> np.ndarray:
-    """Exact (piecewise-linear) accumulated angle of one piecewise component."""
-    widths = np.diff(shape.boundaries)
-    cum = np.concatenate([[0.0], np.cumsum(shape.values[:, comp] * widths)])
-    return 2.0 * (np.interp(t, shape.boundaries, cum)
-                  - np.interp(shape.tau_s, shape.boundaries, cum))
 
 
 def _fixed_axis_ntrajectory(shape: PulseShape, comp: int, steps: int) -> NTrajectory:
@@ -258,14 +234,8 @@ def _fixed_axis_ntrajectory(shape: PulseShape, comp: int, steps: int) -> NTrajec
     Fourier and piecewise amplitudes) and n(t) is an elementary rotation of z
     about the component axis; no frame ODE is needed.
     """
-    grid = np.linspace(0.0, shape.tau_p, steps + 1)
-    if shape.representation == "piecewise_constant":
-        for b in shape.boundaries[1:-1]:
-            if np.min(np.abs(grid - b)) > 1e-12 * shape.tau_p:
-                grid = np.sort(np.append(grid, b))
-        psi = _piecewise_angle(shape, comp, grid)
-    else:
-        psi = _fourier_angle(shape, comp, grid)
+    grid = _build_grid(shape, steps)
+    psi = _swept_angle(shape, comp, grid)
     if comp == 1:      # y axis: n = (-sin psi, 0, cos psi)
         nhat = np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=1)
     elif comp == 0:    # x axis: n = (0, sin psi, cos psi)
@@ -278,8 +248,7 @@ def _fixed_axis_ntrajectory(shape: PulseShape, comp: int, steps: int) -> NTrajec
 def _rotation_residual(traj, theta: float) -> np.ndarray:
     """Quaternion components of P_theta^dag W(tp) W(0)^dag relative to identity."""
     conj = np.array([1.0, -1.0, -1.0, -1.0])
-    q_theta = np.array([np.cos(0.5 * theta), 0.0, -np.sin(0.5 * theta), 0.0])
-    q = quaternion_product(conj * q_theta,
+    q = quaternion_product(conj * ideal_pulse_quaternion(theta),
                            quaternion_product(traj.quaternions[-1], conj * traj.quaternions[0]))
     return np.append(q[1:], 1.0 - q[0])
 
@@ -290,12 +259,11 @@ class _ResidualFunction:
     def __init__(self, problem: DesignProblem):
         self.problem = problem
         self.param = _Parameterization(problem)
-        self.fast_axis = problem.fixed_axis
         self.comp = COMPONENTS.index(problem.components[0]) if problem.fixed_axis else None
 
     def ntrajectory(self, z: np.ndarray):
         shape = self.param.build_shape(z)
-        if self.fast_axis:
+        if self.problem.fixed_axis:
             return _fixed_axis_ntrajectory(shape, self.comp, self.problem.grid_steps), None, shape
         traj = integrate_axis_angle(shape, self.problem.grid_steps)
         return n_trajectory(traj), traj, shape
@@ -390,7 +358,9 @@ def solve(problem: DesignProblem, seed: int = 0,
     traj = integrate_axis_angle(shape, 2 * problem.grid_steps)
     report = evaluate_corrections(n_trajectory(traj), shape.tau_s)
     rot_violation = float(np.linalg.norm(_rotation_residual(traj, problem.theta)))
-    converged = bool(cost <= active_policy().converged_objective and rot_violation < 1e-7)
+    verified = report.normalized[[RESIDUAL_TARGETS.index(t) for t in problem.targets]]
+    converged = bool(cost <= active_policy().converged_objective
+                     and rot_violation < VERIFIED_BOUND and np.all(verified < VERIFIED_BOUND))
     return DesignSolution(shape=shape, report=report, objective=cost,
                           converged=converged, restarts_used=problem.restarts,
                           best_restart=idx, rotation_violation=rot_violation)
@@ -430,21 +400,18 @@ def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0) -
         closed = pi_close_ntrajectory(ntraj)
         report = evaluate_corrections(closed, shape.tau_s)
         diag = nogo_diagnostics(closed, shape.tau_s)
+        regime, gap = "pi-second-order", diag.pi2_gap
         objective = float(np.sum(report.normalized_vector(problem.targets) ** 2))
-        bound = (diag.pi2_gap / shape.tau_p ** 2) ** 2
-        return ProbeResult(regime="pi-second-order", best_objective=objective,
-                           gap=diag.pi2_gap, gap_bound=bound,
-                           is_pi_pulse=diag.is_pi_pulse, budget=budget, solution=sol)
-    if not isinstance(problem.tau_s, str) and float(problem.tau_s) >= 1.0:
+        bound = (gap / shape.tau_p ** 2) ** 2
+    elif not isinstance(problem.tau_s, str) and float(problem.tau_s) >= 1.0:
         diag = nogo_diagnostics(ntraj, shape.tau_p)
-        bound = (diag.tsp_gap / shape.tau_p) ** 2
-        return ProbeResult(regime="end-split", best_objective=sol.objective,
-                           gap=diag.tsp_gap, gap_bound=bound,
-                           is_pi_pulse=diag.is_pi_pulse, budget=budget, solution=sol)
-    diag = nogo_diagnostics(ntraj, shape.tau_s)
-    return ProbeResult(regime="open", best_objective=sol.objective, gap=diag.pi2_gap,
-                       gap_bound=float("nan"), is_pi_pulse=diag.is_pi_pulse,
-                       budget=budget, solution=sol)
+        regime, gap, objective = "end-split", diag.tsp_gap, sol.objective
+        bound = (gap / shape.tau_p) ** 2
+    else:
+        diag = nogo_diagnostics(ntraj, shape.tau_s)
+        regime, gap, objective, bound = "open", diag.pi2_gap, sol.objective, float("nan")
+    return ProbeResult(regime=regime, best_objective=objective, gap=gap, gap_bound=bound,
+                       is_pi_pulse=diag.is_pi_pulse, budget=budget, solution=sol)
 
 
 def residual_is_pi_regime(problem: DesignProblem) -> bool:

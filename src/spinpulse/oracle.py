@@ -32,8 +32,8 @@ import numpy as np
 from .bath import BathModel
 from .corrections import CorrectionReport, eta_operators, evaluate_corrections
 from .pulses import PulseShape
-from .su2 import (IDENTITY_2, PAULI, SIGMA_Z, axis_angle_exponential,
-                  expm_hermitian, spectral_norm)
+from .su2 import (IDENTITY_2, PAULI, SIGMA_Z, expm_hermitian, ideal_pulse_quaternion,
+                  quaternion_matrix, spectral_norm)
 from .trajectory import (_build_grid, _frames_on_grid, _rk4_step_matrices,
                          _stage_amplitudes, n_trajectory)
 
@@ -59,7 +59,7 @@ class SweepResult:
 
 def ideal_pulse(theta: float) -> np.ndarray:
     """P_theta = exp(i sigma_y theta / 2)."""
-    return axis_angle_exponential(np.array([0.0, 1.0, 0.0]), -theta)
+    return quaternion_matrix(ideal_pulse_quaternion(theta))
 
 
 def static_hamiltonian(bath: BathModel) -> np.ndarray:

@@ -10,18 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policy import active_policy
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-
-X_HAT = np.array([1.0, 0.0, 0.0])
-Y_HAT = np.array([0.0, 1.0, 0.0])
-Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 def pauli_dot(vec) -> np.ndarray:
@@ -34,20 +28,9 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _check_unit_axis(axis) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
-    if abs(np.linalg.norm(axis) - 1.0) > active_policy().unit_vector_atol:
-        raise ValueError(f"axis must be unit length, got |axis| = {np.linalg.norm(axis)}")
-    return axis
-
-
-def axis_angle_exponential(axis, angle: float) -> np.ndarray:
-    """Closed-form 2x2 unitary cos(angle/2) I - i sin(angle/2) (axis . sigma)."""
-    axis = _check_unit_axis(axis)
-    half = 0.5 * angle
-    return np.cos(half) * IDENTITY_2 - 1.0j * np.sin(half) * pauli_dot(axis)
+def ideal_pulse_quaternion(theta: float) -> np.ndarray:
+    """Quaternion (cos(theta/2), 0, -sin(theta/2), 0) of P_theta = exp(i sigma_y theta / 2)."""
+    return np.array([np.cos(0.5 * theta), 0.0, -np.sin(0.5 * theta), 0.0])
 
 
 def quaternion_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:

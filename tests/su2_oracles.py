@@ -1,27 +1,49 @@
-"""Reference SU(2) algebra that only the tests use: 3x3 rotations and logarithms.
+"""Reference SU(2) algebra that only the tests use: exponentials, 3x3 rotations
+and logarithms.
 
 These are independent oracles for the library's quaternion frames: the
-Rodrigues matrix, the adjoint representation of a 2x2 unitary and the
-principal logarithm of a unitary of any dimension.
+closed-form 2x2 exponential about an axis, the Rodrigues matrix, the adjoint
+representation of a 2x2 unitary and the principal logarithm of a unitary of
+any dimension.
 """
 
 import numpy as np
 from scipy.linalg import schur
 
 from spinpulse.policy import active_policy
-from spinpulse.su2 import PAULI, _check_unit_axis
+from spinpulse.su2 import IDENTITY_2, PAULI, pauli_dot
 
 BRANCH_MARGIN = 1e-6
+
+X_HAT = np.array([1.0, 0.0, 0.0])
+Y_HAT = np.array([0.0, 1.0, 0.0])
+Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 class BranchAmbiguityError(ValueError):
     """Raised when a unitary has an eigenvalue too close to the log branch cut."""
 
 
+def _check_unit_axis(axis) -> np.ndarray:
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,):
+        raise ValueError("axis must be a 3-vector")
+    if abs(np.linalg.norm(axis) - 1.0) > active_policy().unit_vector_atol:
+        raise ValueError(f"axis must be unit length, got |axis| = {np.linalg.norm(axis)}")
+    return axis
+
+
+def axis_angle_exponential(axis, angle: float) -> np.ndarray:
+    """Closed-form 2x2 unitary cos(angle/2) I - i sin(angle/2) (axis . sigma)."""
+    axis = _check_unit_axis(axis)
+    half = 0.5 * angle
+    return np.cos(half) * IDENTITY_2 - 1.0j * np.sin(half) * pauli_dot(axis)
+
+
 def rotation_matrix(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis.
 
-    Conjugation-consistent with :func:`spinpulse.su2.axis_angle_exponential`:
+    Conjugation-consistent with :func:`axis_angle_exponential`:
     applying the returned matrix to a vector m equals conjugating m . sigma by
     the corresponding 2x2 unitary.
     """

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinpulse import cli
 from spinpulse.cli import main
 
 PI = "3.14159265358979312"
@@ -124,6 +125,26 @@ class TestCorrections:
         assert digests[0] != digests[1]
 
 
+class TestLibraryErrors:
+    @pytest.mark.parametrize("command", ["corrections", "convert"])
+    @pytest.mark.parametrize("coeffs, flags, message", [
+        ("coeff.y.a.0 = -3000\n", ["--grid", "64"],
+         "trajectory frames must be unit quaternions"),
+        ("coeff.y.a.0 = 1e308\ncoeff.y.a.1 = 1e308\n", [],
+         "pulse amplitude is not finite"),
+    ], ids=["under-resolved", "non-finite"])
+    def test_value_error_after_parsing_exits_3(self, tmp_path, capsys, command, coeffs,
+                                               flags, message):
+        pulse = tmp_path / "strong.pulse"
+        pulse.write_text("schema_version = 1\nkind = pulse\nrepresentation = fourier\n"
+                         f"tau_p = 1.0\ntau_s = 0.5\ntheta = {PI}\nfourier_order = 1\n"
+                         + coeffs)
+        out = tmp_path / "out.txt"
+        assert main([command, str(pulse), *flags, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSolveAndVerify:
     def test_solve_writes_reverifiable_solution(self, workdir):
         out = workdir / "solution.pulse"
@@ -238,7 +259,59 @@ class TestUsageErrors:
         assert "SPINPULSE_NUMERIC_POLICY" in capsys.readouterr().err
 
 
+class _ManifestMade(Exception):
+    pass
+
+
 class TestDeterminism:
+    # each command's base arguments, then every option its manifest records
+    # with the arguments that give that option a non-default value
+    RECORDED = {
+        "convert": (["convert", "{pulse}"], {
+            "to": ["--to", "amplitude"], "grid": ["--grid", "512"]}),
+        "corrections": (["corrections", "{pulse}"], {
+            "tau_s": ["--tau-s", "0.25"], "grid": ["--grid", "512"],
+            "threshold": ["--threshold", "1e-3"], "targets": ["--targets", "r1,r2a"]}),
+        "verify": (["verify", "{pulse}", "{bath}"], {
+            "sweep": ["--sweep", "1e-3:1e-1:5"], "regime": ["--regime", "first-order"],
+            "band": ["--band", "0.5:1.5"], "steps": ["--steps", "1024"]}),
+        "solve": (["solve", "{problem}"], {
+            "restarts": ["--restarts", "3"], "probe": ["--probe"]}),
+        "nogo": (["nogo", "ts-eq-tp"], {
+            "check": ["pi-second-order"], "samples": ["--samples", "7"],
+            "grid": ["--grid", "128"]}),
+    }
+
+    @staticmethod
+    def manifest(workdir, monkeypatch, argv):
+        """The run manifest a command makes, captured before any computation."""
+        made = []
+        original = cli.make_manifest
+
+        def capture(*args, **kwargs):
+            made.append(original(*args, **kwargs))
+            raise _ManifestMade
+
+        monkeypatch.setattr(cli, "make_manifest", capture)
+        paths = {"pulse": workdir / "pi.pulse", "bath": workdir / "dyn.bath",
+                 "problem": workdir / "s.problem"}
+        with pytest.raises(_ManifestMade):
+            main([a.format(**paths) for a in argv])
+        monkeypatch.setattr(cli, "make_manifest", original)
+        return made[0]
+
+    @pytest.mark.parametrize("command", list(RECORDED))
+    def test_every_recorded_option_changes_the_manifest_digest(self, workdir, monkeypatch,
+                                                               command):
+        base_argv, recorded = self.RECORDED[command]
+        base = self.manifest(workdir, monkeypatch, base_argv)
+        assert sorted(base.options) == sorted(recorded)
+        for name, extra in recorded.items():
+            argv = base_argv[:1] + extra + base_argv[2:] if name == "check" else base_argv + extra
+            changed = self.manifest(workdir, monkeypatch, argv)
+            assert changed.options[name] != base.options[name]
+            assert changed.digest() != base.digest(), name
+
     def test_identical_manifest_identical_bytes(self, workdir):
         out1, out2 = workdir / "a.csv", workdir / "b.csv"
         for out in (out1, out2):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
-from spinpulse.design import (DesignProblem, _levenberg_marquardt,
+from spinpulse.design import (VERIFIED_BOUND, DesignProblem, IllPosedProblem,
+                              _levenberg_marquardt, _Parameterization,
                               _ResidualFunction, feasibility_probe,
                               finite_difference_jacobian, jacobian_check, solve)
+from spinpulse.pulses import COMPONENTS
 from spinpulse.policy import active_policy
 from spinpulse.trajectory import integrate_axis_angle, n_trajectory
 from spinpulse.corrections import evaluate_corrections
@@ -173,14 +177,90 @@ class TestProbes:
         assert probe.best_objective >= 0.0
 
 
-def test_piecewise_first_order_design_converges():
+@pytest.fixture(scope="module")
+def piecewise_solution():
     problem = DesignProblem(theta=np.pi, tau_s=0.5, ansatz="piecewise",
                             segments=6, components=("y",), targets=("r1",),
                             grid_steps=256, restarts=4)
-    sol = solve(problem, seed=2)
+    return solve(problem, seed=2)
+
+
+def test_piecewise_first_order_design_converges(piecewise_solution):
+    sol = piecewise_solution
     assert sol.objective < 1e-16
     assert sol.shape.representation == "piecewise_constant"
     # the pinned final segment keeps the accumulated angle exact
     widths = np.diff(sol.shape.boundaries)
     total = 2.0 * float(np.sum(sol.shape.values[:, 1] * widths))
     assert total == pytest.approx(-np.pi, abs=1e-12)
+
+
+def test_converged_only_when_the_doubled_grid_verifies(piecewise_solution):
+    """The design-grid objective here is ~1e-24, but r1 re-verifies at ~1.8e-5."""
+    sol = piecewise_solution
+    assert not sol.converged or sol.report.normalized[0] < VERIFIED_BOUND
+
+
+def _shape_coefficients(shape) -> np.ndarray:
+    """(3, n) coefficient rows of a built shape: a_0..a_K, b_1..b_K or segment values."""
+    if shape.representation == "fourier":
+        return np.hstack([shape.fourier.cos, shape.fourier.sin])
+    return shape.values.T
+
+
+class TestAnsatzMap:
+    @settings(max_examples=60, deadline=None)
+    @given(ansatz=st.sampled_from(("fourier", "piecewise")),
+           components=st.sampled_from((("y",), ("x",), ("z",), ("x", "y"), ("y", "x"),
+                                       ("z", "x"), ("x", "y", "z"))),
+           symmetric=st.booleans(), derivatives=st.integers(0, 3),
+           order=st.integers(1, 4), segments=st.integers(2, 9),
+           tau_s=st.sampled_from((0.3, "free")), seed=st.integers(0, 2 ** 16))
+    @example(ansatz="fourier", components=("y", "x"), symmetric=False, derivatives=2,
+             order=3, segments=4, tau_s="free", seed=0)
+    @example(ansatz="piecewise", components=("y", "x"), symmetric=True, derivatives=0,
+             order=1, segments=5, tau_s=0.3, seed=1)
+    def test_built_shapes(self, ansatz, components, symmetric, derivatives, order,
+                          segments, tau_s, seed):
+        theta = 2.0
+        problem = DesignProblem(theta=theta, tau_s=tau_s, fourier_order=order,
+                                components=components, symmetric=symmetric,
+                                endpoint_derivatives=derivatives, ansatz=ansatz,
+                                segments=segments)
+        try:
+            param = _Parameterization(problem)
+        except IllPosedProblem:
+            assert ansatz == "fourier" and derivatives >= 1
+            return
+        rng = np.random.default_rng(seed)
+        points = [param.random_start(rng) for _ in range(2)]
+        shapes = [param.build_shape(z) for z in points]
+        active = [COMPONENTS.index(c) for c in components]
+        idle = [i for i in range(3) if i not in active]
+        ks = np.arange(1, order + 1, dtype=float)
+        for z, shape in zip(points, shapes):
+            coeffs = _shape_coefficients(shape)
+            assert not np.any(coeffs[idle])
+            # one block per component, in the problem's order
+            assert np.array_equal(coeffs[active],
+                                  param.split(z)[0].reshape(len(components), -1))
+            if ansatz == "fourier":
+                a, b = shape.fourier.cos[:, 1:], shape.fourier.sin
+                for m in range(1, derivatives + 1):
+                    block = a if m % 2 == 0 else b
+                    assert np.all(np.abs(block @ ks ** m)
+                                  <= 1e-12 * (1.0 + np.abs(block) @ ks ** m))
+            if problem.fixed_axis:
+                if ansatz == "fourier":
+                    swept = 2.0 * shape.fourier.cos[active[0], 0] * shape.tau_p
+                else:
+                    swept = 2.0 * np.sum(shape.values[:, active[0]]
+                                         * np.diff(shape.boundaries))
+                assert swept == pytest.approx(-theta, abs=1e-12)
+        # affine in z: a unit step moves the coefficients by the same amount anywhere
+        for i in range(param.basis.shape[1]):
+            step = np.zeros(len(points[0]))
+            step[i] = 1.0
+            moves = [_shape_coefficients(param.build_shape(z + step)) - _shape_coefficients(s)
+                     for z, s in zip(points, shapes)]
+            assert np.abs(moves[0] - moves[1]).max() <= 1e-12

@@ -3,11 +3,12 @@ import pytest
 from scipy.linalg import expm
 
 from spinpulse import su2
-from spinpulse.su2 import axis_angle_exponential, pauli_dot
-from su2_oracles import (BranchAmbiguityError, matrix_log_unitary, pauli_conjugate,
+from spinpulse.su2 import pauli_dot
+from su2_oracles import (X_HAT, Y_HAT, Z_HAT, BranchAmbiguityError,
+                         axis_angle_exponential, matrix_log_unitary, pauli_conjugate,
                          rotation_matrix)
 
-X, Y, Z = su2.X_HAT, su2.Y_HAT, su2.Z_HAT
+X, Y, Z = X_HAT, Y_HAT, Z_HAT
 
 
 def random_unit(rng):
