@@ -123,6 +123,8 @@ def cmd_corrections(args) -> int:
     text = _read(args.pulse_file)
     shape = parse_pulse(text)
     _check_steps("--grid", args.grid, MIN_STEPS)
+    if not (np.isfinite(args.threshold) and args.threshold >= 0.0):
+        raise SchemaError("--threshold must be finite and at least 0")
     targets = tuple(args.targets.split(","))
     unknown = [t for t in targets if t not in RESIDUAL_TARGETS]
     if unknown:

@@ -20,7 +20,8 @@ sums of the interval integrals and the inner integral of r2b is their running
 sum, matching ``scipy.integrate.simpson`` and ``cumulative_simpson`` up to
 rounding.  The halved-grid error estimate ``quad_err`` exists only in the
 reports of :func:`evaluate_corrections`; the design loop calls
-:func:`correction_residuals`, which skips it.
+:func:`correction_residuals`, which skips it and takes n(t) with leading
+lane axes, all on one grid and tau_s.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def normalized_residual_vector(residuals, tau_p: float,
             parts.append(r2b / tau_p ** 2)
         else:
             raise ValueError(f"unknown residual target {t!r}")
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class NoGoDiagnostics:
 
 
 def _simpson_intervals(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Simpson integrals of ``values`` (n, k) over the n - 1 intervals of ``grid``.
+    """Simpson integrals of ``values`` (..., n, k) over the n - 1 intervals of ``grid``.
 
     Interval j integrates the quadratic through three neighbouring nodes
     exactly (Cartwright 2017, eq. 8): forward on (t_j, t_j+1, t_j+2) for even j,
@@ -114,23 +115,29 @@ def _simpson_intervals(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     w_own = a / 6.0 * (3.0 - a_ab)
     w_near = a / 6.0 * (3.0 + aa_abb + a_ab)
     w_far = a / 6.0 * -aa_abb
-    return (w_own[:, None] * values[j + back] + w_near[:, None] * values[near]
-            + w_far[:, None] * values[near + step])
+    return (w_own[:, None] * values[..., j + back, :] + w_near[:, None] * values[..., near, :]
+            + w_far[:, None] * values[..., near + step, :])
 
 
 def correction_residuals(grid: np.ndarray, nhat: np.ndarray, tau_s: float):
-    """The vector residuals (r1, r2a, r2b) of n(t) sampled on ``grid``."""
+    """The vector residuals (r1, r2a, r2b) of n(t) sampled on ``grid``.
+
+    ``nhat`` is (..., n, 3); any leading axes are lanes that share the grid
+    and tau_s, and each residual is then (..., 3), every lane equal bit for
+    bit to its own unbatched call.
+    """
     tau_p = grid[-1]
     if not 0.0 <= tau_s <= tau_p:
         raise ValueError("tau_s must lie in [0, tau_p]")
-    n0, n1 = nhat[0], nhat[-1]
-    moments = _simpson_intervals(grid, np.hstack([nhat, (grid - tau_s)[:, None] * nhat]))
-    r1 = moments[:, :3].sum(axis=0) - ((tau_p - tau_s) * n1 + tau_s * n0)
-    r2a = 2.0 * moments[:, 3:].sum(axis=0) - ((tau_p - tau_s) ** 2 * n1 - tau_s ** 2 * n0)
+    n0, n1 = nhat[..., 0, :], nhat[..., -1, :]
+    moments = _simpson_intervals(
+        grid, np.concatenate([nhat, (grid - tau_s)[:, None] * nhat], axis=-1))
+    r1 = moments[..., :3].sum(axis=-2) - ((tau_p - tau_s) * n1 + tau_s * n0)
+    r2a = 2.0 * moments[..., 3:].sum(axis=-2) - ((tau_p - tau_s) ** 2 * n1 - tau_s ** 2 * n0)
     inner = np.zeros_like(nhat)
-    np.cumsum(moments[:, :3], axis=0, out=inner[1:])
+    np.cumsum(moments[..., :3], axis=-2, out=inner[..., 1:, :])
     cross = _simpson_intervals(grid, np.cross(nhat, inner))
-    r2b = cross.sum(axis=0) - tau_s * (tau_p - tau_s) * np.cross(n1, n0)
+    r2b = cross.sum(axis=-2) - tau_s * (tau_p - tau_s) * np.cross(n1, n0)
     return r1, r2a, r2b
 
 

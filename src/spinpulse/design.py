@@ -9,6 +9,10 @@ total-rotation requirement as an extra weighted residual block.  A solve is
 converged only if a re-check on the doubled grid also holds every targeted
 residual and the rotation below ``VERIFIED_BOUND``.
 
+The residual function takes a batch of points as lanes, and the
+central-difference Jacobian evaluates its whole 2P-point stencil in one
+call: points with equal tau_s share one grid and one batched frame pass.
+
 Problems are posed at tau_p = 1 without loss of generality: the normalized
 residuals are invariant under joint rescaling of duration and amplitude, so a
 solution rescales to any duration via ``PulseShape.rescaled``.
@@ -27,8 +31,8 @@ from .policy import active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import ideal_pulse_quaternion, quaternion_product
-from .trajectory import (MIN_STEPS, NTrajectory, _build_grid, integrate_axis_angle,
-                         n_trajectory)
+from .trajectory import (MIN_STEPS, _build_grid, _check_lanes, _lane_frames,
+                         integrate_axis_angle, n_trajectory)
 
 ROTATION_WEIGHT = 100.0
 # a converged design verifies below this on the doubled grid: its rotation
@@ -205,83 +209,111 @@ class _Parameterization:
 # residual evaluation
 
 
-def _swept_angle(shape: PulseShape, comp: int, t: np.ndarray) -> np.ndarray:
-    """Exact accumulated angle 2 int_{tau_s}^t v dt of one Fourier or piecewise component."""
-    if shape.representation == "piecewise_constant":
-        cum = np.cumsum(shape.values[:, comp] * np.diff(shape.boundaries))
+def _swept_angle(shapes, comp: int, t: np.ndarray) -> np.ndarray:
+    """Exact accumulated angle 2 int_{tau_s}^t v dt of one component, (m, len(t)).
+
+    The m Fourier or piecewise ``shapes`` are lanes that share tau_s.
+    """
+    if shapes[0].representation == "piecewise_constant":
+        cums = [np.concatenate([[0.0], np.cumsum(s.values[:, comp] * np.diff(s.boundaries))])
+                for s in shapes]
 
         def antiderivative(x):
-            return np.interp(x, shape.boundaries, np.concatenate([[0.0], cum]))
+            return np.stack([np.interp(x, s.boundaries, cum) for s, cum in zip(shapes, cums)])
     else:
-        c = shape.fourier.cos[comp]
-        s = shape.fourier.sin[comp]
-        omega = 2.0 * np.pi / shape.tau_p
+        c = np.stack([s.fourier.cos[comp] for s in shapes])
+        sn = np.stack([s.fourier.sin[comp] for s in shapes])
+        omega = 2.0 * np.pi / shapes[0].tau_p
 
         def antiderivative(x):
-            out = c[0] * x
-            for k in range(1, len(c)):
-                out = out + c[k] * np.sin(omega * k * x) / (omega * k)
-                out = out - s[k - 1] * np.cos(omega * k * x) / (omega * k)
+            out = c[:, :1] * x
+            for k in range(1, c.shape[1]):
+                out = out + c[:, k:k + 1] * np.sin(omega * k * x) / (omega * k)
+                out = out - sn[:, k - 1:k] * np.cos(omega * k * x) / (omega * k)
             return out
 
-    return 2.0 * (antiderivative(t) - antiderivative(np.asarray(shape.tau_s)))
+    return 2.0 * (antiderivative(t) - antiderivative(np.array([shapes[0].tau_s])))
 
 
-def _fixed_axis_ntrajectory(shape: PulseShape, comp: int, steps: int) -> NTrajectory:
-    """Closed-form n(t) for a single-component pulse.
+def _fixed_axis_nhat(shapes, comp: int, grid: np.ndarray) -> np.ndarray:
+    """Closed-form n(t) (m, n, 3) of single-component lanes sharing tau_s.
 
     The frame axis never moves, so psi(t) = 2 int_{tau_s}^t v dt (exact for
     Fourier and piecewise amplitudes) and n(t) is an elementary rotation of z
     about the component axis; no frame ODE is needed.
     """
-    grid = _build_grid(shape, steps)
-    psi = _swept_angle(shape, comp, grid)
+    psi = _swept_angle(shapes, comp, grid)
     if comp == 1:      # y axis: n = (-sin psi, 0, cos psi)
-        nhat = np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=1)
-    elif comp == 0:    # x axis: n = (0, sin psi, cos psi)
-        nhat = np.stack([np.zeros_like(psi), np.sin(psi), np.cos(psi)], axis=1)
-    else:              # z axis: n = z for all t
-        nhat = np.tile([0.0, 0.0, 1.0], (len(grid), 1))
-    return NTrajectory(grid=grid, nhat=nhat)
+        return np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
+    if comp == 0:      # x axis: n = (0, sin psi, cos psi)
+        return np.stack([np.zeros_like(psi), np.sin(psi), np.cos(psi)], axis=-1)
+    return np.tile([0.0, 0.0, 1.0], psi.shape + (1,))     # z axis: n = z for all t
 
 
-def _rotation_residual(traj, theta: float) -> np.ndarray:
-    """Quaternion components of P_theta^dag W(tp) W(0)^dag relative to identity."""
+def _rotation_residual(quaternions: np.ndarray, theta: float) -> np.ndarray:
+    """Quaternion components of P_theta^dag W(tp) W(0)^dag relative to identity.
+
+    ``quaternions`` is a frame (..., n, 4); the result is (..., 4).
+    """
     conj = np.array([1.0, -1.0, -1.0, -1.0])
     q = quaternion_product(conj * ideal_pulse_quaternion(theta),
-                           quaternion_product(traj.quaternions[-1], conj * traj.quaternions[0]))
-    return np.append(q[1:], 1.0 - q[0])
+                           quaternion_product(quaternions[..., -1, :],
+                                              conj * quaternions[..., 0, :]))
+    return np.concatenate([q[..., 1:], 1.0 - q[..., :1]], axis=-1)
 
 
 class _ResidualFunction:
-    """z -> stacked normalized residual vector for a design problem."""
+    """z -> stacked normalized residual vector for a design problem.
+
+    ``z`` is one point (P,) or a batch of lanes (m, P), giving (R,) or (m, R).
+    Lanes with equal tau_s share one grid and are evaluated as one batch, and
+    each lane equals its single-point call bit for bit.
+    """
 
     def __init__(self, problem: DesignProblem):
         self.problem = problem
         self.param = _Parameterization(problem)
         self.comp = COMPONENTS.index(problem.components[0]) if problem.fixed_axis else None
 
-    def ntrajectory(self, z: np.ndarray):
-        shape = self.param.build_shape(z)
+    def lanes(self, shapes):
+        """(grid, checked n(t) (m, n, 3), frames (m, n, 4) or None) of shapes sharing tau_s."""
+        grid = _build_grid(shapes[0], self.problem.grid_steps)
         if self.problem.fixed_axis:
-            return _fixed_axis_ntrajectory(shape, self.comp, self.problem.grid_steps), None, shape
-        traj = integrate_axis_angle(shape, self.problem.grid_steps)
-        return n_trajectory(traj), traj, shape
+            nhat = _fixed_axis_nhat(shapes, self.comp, grid)
+            _check_lanes(grid, nhat=nhat)
+            return grid, nhat, None
+        frames, nhat = _lane_frames(shapes, grid)
+        return grid, nhat, frames
+
+    def _residuals(self, shapes) -> np.ndarray:
+        problem = self.problem
+        grid, nhat, frames = self.lanes(shapes)
+        residuals = correction_residuals(grid, nhat, shapes[0].tau_s)
+        parts = [normalized_residual_vector(residuals, float(grid[-1]), problem.targets)]
+        if frames is not None:
+            parts.append(ROTATION_WEIGHT * _rotation_residual(frames, problem.theta))
+        if problem.amplitude_bound is not None:
+            excess = np.array([[s.max_amplitude()] for s in shapes]) - problem.amplitude_bound
+            parts.append(10.0 * np.maximum(0.0, excess) * problem.tau_p)
+        if problem.power_weight > 0.0:
+            t = np.linspace(0.0, problem.tau_p, 129)
+            power = np.trapezoid(np.sum(np.stack([s.amplitude(t) for s in shapes]) ** 2,
+                                        axis=-1), t)
+            parts.append(problem.power_weight * np.sqrt(power * problem.tau_p)[:, None] / np.pi)
+        return np.concatenate(parts, axis=-1)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        ntraj, traj, shape = self.ntrajectory(z)
-        residuals = correction_residuals(ntraj.grid, ntraj.nhat, shape.tau_s)
-        parts = [normalized_residual_vector(residuals, ntraj.tau_p, self.problem.targets)]
-        if traj is not None:
-            parts.append(ROTATION_WEIGHT * _rotation_residual(traj, self.problem.theta))
-        if self.problem.amplitude_bound is not None:
-            excess = shape.max_amplitude() - self.problem.amplitude_bound
-            parts.append(np.array([10.0 * max(0.0, excess) * self.problem.tau_p]))
-        if self.problem.power_weight > 0.0:
-            grid = np.linspace(0.0, shape.tau_p, 129)
-            power = np.trapezoid(np.sum(shape.amplitude(grid) ** 2, axis=1), grid)
-            parts.append(np.array([self.problem.power_weight * np.sqrt(power * shape.tau_p) / np.pi]))
-        return np.concatenate(parts)
+        shapes = [self.param.build_shape(row) for row in np.atleast_2d(z)]
+        groups: dict[float, list[int]] = {}
+        for i, shape in enumerate(shapes):
+            groups.setdefault(shape.tau_s, []).append(i)
+        out = None
+        for rows in groups.values():
+            f = self._residuals([shapes[i] for i in rows])
+            if out is None:
+                out = np.empty((len(shapes), f.shape[-1]))
+            out[rows] = f
+        return out if np.ndim(z) == 2 else out[0]
 
 
 # ----------------------------------------------------------------------
@@ -289,15 +321,21 @@ class _ResidualFunction:
 
 
 def finite_difference_jacobian(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with per-coordinate relative steps."""
-    columns = []
-    for i in range(len(x)):
-        h = step * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        columns.append((fun(xp) - fun(xm)) / (2.0 * h))
-    return np.stack(columns, axis=1)
+    """Central-difference Jacobian with per-coordinate relative steps.
+
+    ``fun`` maps lanes (m, P) to (m, R) and is called once, on the stencil
+    of the 2P points x + h_i e_i (row 2i) and x - h_i e_i (row 2i + 1).  The
+    Jacobian is returned C-contiguous: its memory order sets the rounding of
+    ``jac.T @ jac`` and with it the damped least-squares path.
+    """
+    n = len(x)
+    h = step * np.maximum(1.0, np.abs(x))
+    stencil = np.repeat(x[None, :], 2 * n, axis=0)
+    cols = np.arange(n)
+    stencil[2 * cols, cols] += h
+    stencil[2 * cols + 1, cols] -= h
+    f = fun(stencil)
+    return np.ascontiguousarray(((f[0::2] - f[1::2]) / (2.0 * h)[:, None]).T)
 
 
 def _levenberg_marquardt(fun, x0: np.ndarray, max_iter: int = 80,
@@ -357,7 +395,7 @@ def solve(problem: DesignProblem, seed: int = 0,
     shape = residual.param.build_shape(z)
     traj = integrate_axis_angle(shape, 2 * problem.grid_steps)
     report = evaluate_corrections(n_trajectory(traj), shape.tau_s)
-    rot_violation = float(np.linalg.norm(_rotation_residual(traj, problem.theta)))
+    rot_violation = float(np.linalg.norm(_rotation_residual(traj.quaternions, problem.theta)))
     verified = report.normalized[[RESIDUAL_TARGETS.index(t) for t in problem.targets]]
     converged = bool(cost <= active_policy().converged_objective
                      and rot_violation < VERIFIED_BOUND and np.all(verified < VERIFIED_BOUND))

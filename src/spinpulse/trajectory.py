@@ -19,6 +19,14 @@ stage rule.  Each RK4 step is a quaternion, because the generator
 are prefix products of the steps, taken in log2(n) vectorised levels, and
 every node is normalised once, after the products.
 
+The integrator runs on a leading batch axis: m shapes that share tau_s and
+the breakpoints, and so one grid, are m lanes (m, n, .) of the same stage,
+step, scan and n(t) arithmetic.  The frame product is associative and
+elementwise over lanes, so each lane equals its lone-shape frame bit for bit;
+:func:`integrate_axis_angle` is the one-lane case and the design loop's
+Jacobian the many-lane one.  One check, :func:`_check_lanes`, validates
+every lane of frames and n(t).
+
 For output only, :func:`axis_angle` decomposes the frame as c = cos(psi/2),
 s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
 unit axis a(t), under conventions that the equations do not force:
@@ -46,6 +54,28 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 MIN_STEPS = 64
 
 
+def _check_lanes(grid: np.ndarray, quaternions=None, nhat=None):
+    """Raise ValueError unless every lane holds a valid frame or n(t) on ``grid``.
+
+    The grid must increase strictly; frame quaternions (..., n, 4) must be
+    unit and turn by less than pi per step (q_k . q_k+1 > 0), and n(t)
+    samples (..., n, 3) must be unit vectors.  Any leading axes are lanes,
+    each checked in full; the policy is read once per call.
+    """
+    atol = active_policy().unit_vector_atol
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("trajectory grid must be strictly increasing")
+    if quaternions is not None:
+        q = quaternions
+        if np.any(np.abs(np.linalg.norm(q, axis=-1) - 1.0) > atol):
+            raise ValueError("trajectory frames must be unit quaternions")
+        # q_k . q_k+1 is the cosine of half the rotation between the two frames
+        if np.any(np.sum(q[..., 1:, :] * q[..., :-1, :], axis=-1) <= 0.0):
+            raise ValueError("frame steps must turn by less than pi on the resolved grid")
+    if nhat is not None and np.any(np.abs(np.linalg.norm(nhat, axis=-1) - 1.0) > atol):
+        raise ValueError("n(t) samples must be unit vectors")
+
+
 @dataclass(frozen=True)
 class FrameTrajectory:
     """Sampled rotation frame: strictly increasing grid, unit quaternions q = (c, s)."""
@@ -55,15 +85,7 @@ class FrameTrajectory:
     quaternions: np.ndarray  # (n, 4) unit (c, s) of the integrated W = c I - i s . sigma
 
     def __post_init__(self):
-        policy = active_policy()
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("trajectory grid must be strictly increasing")
-        q = self.quaternions
-        if np.any(np.abs(np.linalg.norm(q, axis=1) - 1.0) > policy.unit_vector_atol):
-            raise ValueError("trajectory frames must be unit quaternions")
-        # q_k . q_k+1 is the cosine of half the rotation between the two frames
-        if np.any(np.sum(q[1:] * q[:-1], axis=1) <= 0.0):
-            raise ValueError("frame steps must turn by less than pi on the resolved grid")
+        _check_lanes(self.grid, quaternions=self.quaternions)
 
     @property
     def tau_p(self) -> float:
@@ -87,12 +109,7 @@ class NTrajectory:
     nhat: np.ndarray   # (n, 3)
 
     def __post_init__(self):
-        policy = active_policy()
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        norms = np.linalg.norm(self.nhat, axis=1)
-        if np.any(np.abs(norms - 1.0) > policy.unit_vector_atol):
-            raise ValueError("n(t) samples must be unit vectors")
+        _check_lanes(self.grid, nhat=self.nhat)
 
     @property
     def tau_p(self) -> float:
@@ -133,18 +150,24 @@ def _build_grid(shape: PulseShape, steps: int, pins=()) -> np.ndarray:
     return grid
 
 
-def _stage_amplitudes(shape: PulseShape, grid: np.ndarray):
-    """v(t) at the start, midpoint and end of every grid interval.
+def _stage_amplitudes(shapes, grid: np.ndarray):
+    """v(t) at the start, midpoint and end of every grid interval, (m, n - 1, 3) each.
 
+    Each of the m ``shapes`` is a lane evaluated on the shared ``grid``.
     Piecewise-constant shapes use the midpoint value for all three stage
     evaluations of an interval so that integration never samples across a
     segment boundary.
     """
-    v_mid = shape.amplitude(0.5 * (grid[:-1] + grid[1:]))
-    if shape.representation == "piecewise_constant":
-        return v_mid, v_mid, v_mid
-    v_node = shape.amplitude(grid)
-    return v_node[:-1], v_mid, v_node[1:]
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    v1, v2, v3 = (np.empty((len(shapes), len(mid), 3)) for _ in range(3))
+    for k, shape in enumerate(shapes):
+        v2[k] = shape.amplitude(mid)
+        if shape.representation == "piecewise_constant":
+            v1[k] = v3[k] = v2[k]
+        else:
+            v_node = shape.amplitude(grid)
+            v1[k], v3[k] = v_node[:-1], v_node[1:]
+    return v1, v2, v3
 
 
 def _rk4_polynomial(g1, g2, g3, h, mul, one):
@@ -199,31 +222,57 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_quaternions(shape: PulseShape, grid: np.ndarray, i_s: int) -> np.ndarray:
-    """Unit frame quaternions at every node, identity at node ``i_s`` (tau_s)."""
-    v1, v2, v3 = _stage_amplitudes(shape, grid)
+def _frame_quaternions(shapes, grid: np.ndarray, i_s: int) -> np.ndarray:
+    """Unit frame quaternions (m, n, 4) of m lanes, identity at node ``i_s`` (tau_s).
+
+    The ``shapes`` share ``grid`` and tau_s; every lane does the arithmetic
+    of a lone shape, so a lane equals its single-shape frame bit for bit.
+    The step polynomial and the scan take the lanes end to end, on the step
+    axis and on the sweep axis, so their operands keep the dimensions of one
+    lane: each further axis of a strided operand adds to the cost of every
+    numpy call, and the one-lane case makes the most calls per node.
+    """
+    m = len(shapes)
+    v1, v2, v3 = _stage_amplitudes(shapes, grid)
     h = np.diff(grid)
     # steps in sweep order, forward from tau_s and then backward from it; a
     # backward step runs from its interval's end to its start
     ahead = len(h) - i_s
     idx = np.r_[i_s:len(h), i_s - 1:-1:-1]
     back = (idx < i_s)[:, None]
-    steps = _rk4_step_quaternions(np.where(back, v3[idx], v1[idx]), v2[idx],
-                                  np.where(back, v1[idx], v3[idx]),
-                                  np.where(back[:, 0], -h[idx], h[idx]))
-    sweeps = np.tile(IDENTITY_Q, (2, max(ahead, i_s), 1))
-    sweeps[0, :ahead] = steps[:ahead]
-    sweeps[1, :i_s] = steps[ahead:]
+    steps = _rk4_step_quaternions(np.where(back, v3[:, idx], v1[:, idx]).reshape(-1, 3),
+                                  v2[:, idx].reshape(-1, 3),
+                                  np.where(back, v1[:, idx], v3[:, idx]).reshape(-1, 3),
+                                  np.tile(np.where(back[:, 0], -h[idx], h[idx]), m))
+    steps = steps.reshape(m, len(h), 4)
+    # lane k sweeps forward in row 2k and backward in row 2k + 1
+    sweeps = np.tile(IDENTITY_Q, (2 * m, max(ahead, i_s), 1))
+    sweeps[0::2, :ahead] = steps[:, :ahead]
+    sweeps[1::2, :i_s] = steps[:, ahead:]
     sweeps = _prefix_products(sweeps)
-    q = np.concatenate([sweeps[1, :i_s][::-1], IDENTITY_Q[None], sweeps[0, :ahead]])
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
+    q = np.concatenate([sweeps[1::2, :i_s][:, ::-1], np.tile(IDENTITY_Q, (m, 1, 1)),
+                        sweeps[0::2, :ahead]], axis=1)
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
 def _frames_on_grid(shape: PulseShape, grid: np.ndarray) -> FrameTrajectory:
     """Frames on a grid that has tau_s as a node."""
     i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
     return FrameTrajectory(grid=grid, tau_s=float(grid[i_s]),
-                           quaternions=_frame_quaternions(shape, grid, i_s))
+                           quaternions=_frame_quaternions([shape], grid, i_s)[0])
+
+
+def _lane_frames(shapes, grid: np.ndarray):
+    """Checked frame quaternions (m, n, 4) and n(t) (m, n, 3) of lanes sharing tau_s and ``grid``.
+
+    The batched form of ``n_trajectory(_frames_on_grid(shape, grid))``: the
+    same values, each lane checked in full by one :func:`_check_lanes` call.
+    """
+    i_s = int(np.argmin(np.abs(grid - shapes[0].tau_s)))
+    q = _frame_quaternions(shapes, grid, i_s)
+    nhat = _frame_nhat(q)
+    _check_lanes(grid, quaternions=q, nhat=nhat)
+    return q, nhat
 
 
 def integrate_axis_angle(shape: PulseShape, steps: int) -> FrameTrajectory:
@@ -231,7 +280,9 @@ def integrate_axis_angle(shape: PulseShape, steps: int) -> FrameTrajectory:
 
     Returns the frame quaternions, all that residuals, gaps, amplitudes and
     the oracle read.  Their (axis, angle) form is :func:`axis_angle`, whose
-    rebuilt frame matches q only where the axis is +-s/|s|.
+    rebuilt frame matches q only where the axis is +-s/|s|.  This is the
+    one-lane case of the batched integrator, which the design loop runs on
+    many shapes at once.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"at least {MIN_STEPS} integration steps are required")
@@ -250,16 +301,17 @@ def amplitude_from_axis_angle(traj: FrameTrajectory) -> np.ndarray:
     return frame_amplitude(spline(traj.grid), spline.derivative()(traj.grid))
 
 
-def n_trajectory(traj: FrameTrajectory) -> NTrajectory:
-    """n(t) = 1/2 tr(sigma W^dag sigma_z W), the frame's image of the z axis.
+def _frame_nhat(q: np.ndarray) -> np.ndarray:
+    """n(t) of frame quaternions q = (c, s) over leading axes: the quadratic form
+    (2 (sx sz - c sy), 2 (sy sz + c sx), 1 - 2 (sx^2 + sy^2))."""
+    c, sx, sy, sz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([2.0 * (sx * sz - c * sy), 2.0 * (sy * sz + c * sx),
+                     1.0 - 2.0 * (sx * sx + sy * sy)], axis=-1)
 
-    For q = (c, s) it is the quadratic form
-    (2 (sx sz - c sy), 2 (sy sz + c sx), 1 - 2 (sx^2 + sy^2)).
-    """
-    c, sx, sy, sz = traj.quaternions.T
-    nhat = np.stack([2.0 * (sx * sz - c * sy), 2.0 * (sy * sz + c * sx),
-                     1.0 - 2.0 * (sx * sx + sy * sy)], axis=1)
-    return NTrajectory(grid=traj.grid.copy(), nhat=nhat)
+
+def n_trajectory(traj: FrameTrajectory) -> NTrajectory:
+    """n(t) = 1/2 tr(sigma W^dag sigma_z W), the frame's image of the z axis."""
+    return NTrajectory(grid=traj.grid.copy(), nhat=_frame_nhat(traj.quaternions))
 
 
 # ----------------------------------------------------------------------

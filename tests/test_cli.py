@@ -110,6 +110,15 @@ class TestCorrections:
         assert "'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+    def test_bad_threshold_exits_2_before_writing(self, workdir, capsys, threshold):
+        out = workdir / "report.txt"
+        code = main(["corrections", str(workdir / "pi.pulse"), "--threshold", threshold,
+                     "--out", str(out)])
+        assert code == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threshold_override(self, workdir):
         code = main(["corrections", str(workdir / "pi.pulse"), "--threshold", "10.0"])
         assert code == 0

@@ -294,6 +294,25 @@ class TestResidualSymmetries:
                                    rtol=0, atol=1e-13)
 
 
+class TestResidualLanes:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=_seeds, frac=_fractions, lanes=st.sampled_from(((1,), (4,), (2, 3))))
+    def test_leading_axes_equal_per_row_calls(self, seed, frac, lanes):
+        """Lanes on one grid give each row's own residuals, bit for bit."""
+        rng = np.random.default_rng(seed)
+        paths = [_random_smooth_ntrajectory(rng) for _ in range(int(np.prod(lanes)))]
+        grid = paths[0].grid.copy()
+        # jitter interior nodes by up to 40% of a step: non-uniform Simpson weights
+        grid[1:-1] += rng.uniform(-0.4, 0.4, len(grid) - 2) * (grid[1] - grid[0])
+        nhat = np.stack([p.nhat for p in paths]).reshape(lanes + paths[0].nhat.shape)
+        tau_s = frac * grid[-1]
+        batched = correction_residuals(grid, nhat, tau_s)
+        for idx in np.ndindex(*lanes):
+            for lane, row in zip(batched, correction_residuals(grid, nhat[idx], tau_s)):
+                assert lane.shape == lanes + (3,)
+                assert np.array_equal(lane[idx], row)
+
+
 class TestGapProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=_seeds, frac=_fractions)

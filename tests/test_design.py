@@ -4,14 +4,40 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
+from spinpulse import design
 from spinpulse.design import (VERIFIED_BOUND, DesignProblem, IllPosedProblem,
                               _levenberg_marquardt, _Parameterization,
                               _ResidualFunction, feasibility_probe,
                               finite_difference_jacobian, jacobian_check, solve)
 from spinpulse.pulses import COMPONENTS
 from spinpulse.policy import active_policy
-from spinpulse.trajectory import integrate_axis_angle, n_trajectory
+from spinpulse.trajectory import NTrajectory, integrate_axis_angle, n_trajectory
 from spinpulse.corrections import evaluate_corrections
+
+
+def _column_jacobian(fun, x, step=1e-6):
+    """Reference for ``finite_difference_jacobian``: one point pair per column.
+
+    The same relative steps and central differences, with ``fun`` called on
+    one point at a time.
+    """
+    columns = []
+    for i in range(len(x)):
+        h = step * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        columns.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return np.stack(columns, axis=1)
+
+
+def _short_lm_run(residual, z):
+    """(z bytes, cost) after three LM iterations, or the error a trial step raised."""
+    try:
+        x, cost = _levenberg_marquardt(residual, z, max_iter=3)
+    except ValueError as exc:       # a trial step the grid cannot resolve
+        return str(exc), None
+    return x.tobytes(), cost
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +117,43 @@ class TestResidualFunction:
     def test_matches_evaluate_corrections(self, problem):
         residual = _ResidualFunction(problem)
         z = residual.param.random_start(np.random.default_rng(4))
-        ntraj, _, shape = residual.ntrajectory(z)
+        shape = residual.param.build_shape(z)
+        grid, nhat, _ = residual.lanes([shape])
+        ntraj = NTrajectory(grid=grid, nhat=nhat[0])
         expected = evaluate_corrections(ntraj, shape.tau_s).normalized_vector(problem.targets)
         got = residual(z)
         assert np.array_equal(got[:len(expected)], expected)
         if problem.fixed_axis:
             assert len(got) == len(expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ansatz=st.sampled_from(("fourier", "piecewise")),
+           components=st.sampled_from((("y",), ("z",), ("x", "y"), ("z", "x", "y"))),
+           tau_s=st.sampled_from((0.0, 0.35, 1.0, "free")),
+           amplitude_bound=st.sampled_from((None, 1.5)), power_weight=st.sampled_from((0.0, 0.2)),
+           seed=st.integers(0, 2 ** 16))
+    def test_batch_matches_pointwise_evaluation(self, ansatz, components, tau_s,
+                                                amplitude_bound, power_weight, seed):
+        """Batched lanes, the one-call Jacobian and the LM path equal pointwise evaluation."""
+        problem = DesignProblem(theta=2.0, tau_s=tau_s, fourier_order=2, components=components,
+                                targets=("r1", "r2a", "r2b"), symmetric=False,
+                                amplitude_bound=amplitude_bound, power_weight=power_weight,
+                                ansatz=ansatz, segments=5, grid_steps=128)
+        residual = _ResidualFunction(problem)
+        rng = np.random.default_rng(seed)
+        z = residual.param.random_start(rng)
+        # a repeated point shares its tau_s group; the others may not
+        points = np.array([z, residual.param.random_start(rng), z,
+                           residual.param.random_start(rng)])
+        for row, lane in zip(points, residual(points)):
+            assert np.array_equal(lane, residual(row))
+        jac = finite_difference_jacobian(residual, z)
+        assert jac.flags.c_contiguous
+        assert np.array_equal(jac, _column_jacobian(residual, z))
+        outcome = _short_lm_run(residual, z)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(design, "finite_difference_jacobian", _column_jacobian)
+            assert _short_lm_run(residual, z) == outcome
 
     def test_grid_below_the_integrator_minimum_rejected(self):
         with pytest.raises(ValueError):
@@ -109,17 +166,26 @@ class TestJacobian:
 
         def linear(x):
             calls.append(x.copy())
-            return np.array([x[0] + 2.0 * x[1], 3.0 * x[0]])
+            return np.stack([x[:, 0] + 2.0 * x[:, 1], 3.0 * x[:, 0]], axis=1)
 
-        jac = finite_difference_jacobian(linear, np.array([0.5, -1.0]))
-        assert len(calls) == 4
+        x0 = np.array([0.5, -1.0])
+        jac = finite_difference_jacobian(linear, x0)
+        assert len(calls) == 1
+        assert calls[0].shape == (4, 2)
+        # rows 2i and 2i + 1 step coordinate i alone, by +h_i and -h_i
+        offsets = calls[0] - x0
+        assert np.array_equal(offsets != 0.0, np.repeat(np.eye(2, dtype=bool), 2, axis=0))
+        assert np.all(offsets[0::2].sum(axis=1) > 0.0)
+        assert np.all(offsets[1::2].sum(axis=1) < 0.0)
+        np.testing.assert_allclose(offsets[0::2], -offsets[1::2], rtol=1e-9)
         np.testing.assert_allclose(jac, [[1.0, 2.0], [3.0, 0.0]], atol=1e-9)
 
     def test_exact_for_quadratic_residuals(self):
         a = np.array([[2.0, 1.0], [0.5, -1.0], [1.0, 3.0]])
 
         def quad(x):
-            return a @ x + 0.5 * np.array([x @ x, -x @ x, 2 * x @ x])
+            sq = np.sum(x * x, axis=-1)
+            return x @ a.T + 0.5 * np.stack([sq, -sq, 2 * sq], axis=-1)
 
         x0 = np.array([0.3, -0.7])
         j1 = finite_difference_jacobian(quad, x0, 1e-5)

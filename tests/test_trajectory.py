@@ -8,7 +8,7 @@ from spinpulse import su2
 from spinpulse.pulses import PulseShape, constant_rotation_pulse, fourier_pulse
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.trajectory import (_bootstrap_axis, _build_grid, _frame_quaternions,
-                                  _prefix_products, _rk4_step_matrices,
+                                  _lane_frames, _prefix_products, _rk4_step_matrices,
                                   _rk4_step_quaternions, _stage_amplitudes,
                                   _unwrap_frames, amplitude_from_axis_angle, axis_angle,
                                   integrate_axis_angle, n_trajectory)
@@ -142,7 +142,7 @@ class TestIntegrateAxisAngle:
         for shape in shapes:
             grid = _build_grid(shape, int(rng.choice([128, 256])))
             i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
-            q = _frame_quaternions(shape, grid, i_s)
+            q = _frame_quaternions([shape], grid, i_s)[0]
             v_nodes = shape.amplitude(grid)
             scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
             axis0 = _bootstrap_axis(v_nodes[i_s], scale, q[:, 1:], i_s, 1e-7)
@@ -153,6 +153,33 @@ class TestIntegrateAxisAngle:
             assert np.abs(axis - axis_ref).max() <= 1e-12
             any_turned |= bool(turned.any())
         assert any_turned
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), tau_s=st.sampled_from((0.0, 0.37, 1.0)),
+           piecewise=st.booleans(), steps=st.sampled_from((64, 200)))
+    def test_batched_lanes_equal_single_shapes(self, seed, tau_s, piecewise, steps):
+        """Lanes sharing tau_s and the breakpoints integrate as one batch, bit for bit."""
+        rng = np.random.default_rng(seed)
+        if piecewise:
+            # one breakpoint within a quarter step of tau_s: pinned beside it
+            inner = np.r_[rng.uniform(0.05, 0.95, 3), min(tau_s + 0.1 / steps, 0.99)]
+            bounds = np.concatenate([[0.0], np.sort(inner), [1.0]])
+            shapes = [PulseShape(1.0, tau_s, np.pi, "piecewise_constant", boundaries=bounds,
+                                 values=rng.normal(scale=4.0, size=(len(bounds) - 1, 3)))
+                      for _ in range(3)]
+        else:
+            shapes = [random_fourier_shape(rng, order=3, scale=3.0, tau_s=tau_s)
+                      for _ in range(3)]
+        grid = _build_grid(shapes[0], steps)
+        i_s = int(np.argmin(np.abs(grid - tau_s)))
+        q = _frame_quaternions(shapes, grid, i_s)
+        lane_q, lane_n = _lane_frames(shapes, grid)
+        for k, shape in enumerate(shapes):
+            traj = integrate_axis_angle(shape, steps)
+            assert np.array_equal(traj.grid, grid)
+            assert np.array_equal(traj.quaternions, q[k])
+            assert np.array_equal(traj.quaternions, lane_q[k])
+            assert np.array_equal(n_trajectory(traj).nhat, lane_n[k])
 
     def test_convergence_order_is_rk4(self):
         shape = fourier_pulse(1.0, 0.5, np.pi, {"y": [1.0, 0.3]}, {"x": [0.4]})
@@ -293,7 +320,7 @@ class TestFrameProperties:
         w_backward = traj.unitaries[j]
         # forward-ordered integration from grid[j] up to tau_s
         grid = np.linspace(traj.grid[j], shape.tau_s, 513)
-        g1, g2, g3 = generator_matrices(*_stage_amplitudes(shape, grid))
+        g1, g2, g3 = generator_matrices(*(v[0] for v in _stage_amplitudes([shape], grid)))
         mats = _rk4_step_matrices(g1, g2, g3, np.diff(grid))
         u = np.eye(2, dtype=complex)
         for m in mats:
