@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .corrections import RESIDUAL_TARGETS, evaluate_corrections, nogo_diagnostics
-from .design import feasibility_probe, residual_is_pi_regime, solve
+from .design import feasibility_probe, probe_regime, solve
 from .fileio import (InvariantError, SchemaError, csv_document, fmt,
                      format_report, format_solution, make_manifest, parse_bath,
                      parse_problem, parse_pulse)
@@ -77,8 +77,8 @@ def _parse_sweep(spec: str) -> np.ndarray:
         lo, hi, pts = float(lo), float(hi), int(pts)
     except ValueError:
         raise SchemaError(f"bad sweep spec {spec!r}; expected min:max:points") from None
-    if not (0 < lo < hi) or pts < 4:
-        raise SchemaError("sweep needs 0 < min < max and at least 4 points")
+    if not (np.isfinite(hi) and 0 < lo < hi) or pts < 4:
+        raise SchemaError("sweep needs finite 0 < min < max and at least 4 points")
     return np.geomspace(lo, hi, pts)
 
 
@@ -183,8 +183,7 @@ def cmd_solve(args) -> int:
     manifest = make_manifest("solve", {"problem": text}, seed=args.seed,
                              options=_options(args))
     _check_steps("--restarts", args.restarts, 1)
-    end_split = not isinstance(problem.tau_s, str) and float(problem.tau_s) >= 1.0
-    if args.probe or end_split or residual_is_pi_regime(problem):
+    if args.probe or probe_regime(problem) != "open":
         budget = args.restarts if args.restarts is not None else 16
         probe = feasibility_probe(problem, budget=budget, seed=args.seed)
         sol = probe.solution

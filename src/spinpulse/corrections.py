@@ -15,13 +15,14 @@ the two no-go diagnostics.
 
 Quadrature is composite Simpson on the (possibly non-uniform) trajectory grid:
 each interval integrates the quadratic through three neighbouring nodes
-(Cartwright's formulas, see :func:`_simpson_intervals`).  Full integrals are
-sums of the interval integrals and the inner integral of r2b is their running
-sum, matching ``scipy.integrate.simpson`` and ``cumulative_simpson`` up to
-rounding.  The halved-grid error estimate ``quad_err`` exists only in the
-reports of :func:`evaluate_corrections`; the design loop calls
-:func:`correction_residuals`, which skips it and takes n(t) with leading
-lane axes, all on one grid and tau_s.
+(Cartwright's formulas, see :func:`_simpson_intervals`); on trajectory grids
+no panel of the grid or of its halved grid crosses tau_s or a breakpoint.
+Full integrals are sums of the interval integrals and the inner integral of
+r2b is their running sum, matching ``scipy.integrate.simpson`` and
+``cumulative_simpson`` up to rounding.  The halved-grid error estimate
+``quad_err`` exists only in the reports of :func:`evaluate_corrections`; the
+design loop calls :func:`correction_residuals`, which skips it and takes n(t)
+with leading lane axes, all on one grid and tau_s.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ def evaluate_corrections(ntraj: NTrajectory, tau_s: float) -> CorrectionReport:
                             unconverged=unconverged)
 
 
-def eta_operators(report: CorrectionReport, bath: BathModel,
-                  ntraj: NTrajectory, tau_s: float):
+def eta_operators(report: CorrectionReport, bath: BathModel):
     """Joint-space correction operators assembled from the vector residuals.
 
     Returns (first-order, bath-dynamics second-order, coupling-squared
@@ -178,8 +178,7 @@ def eta_operators(report: CorrectionReport, bath: BathModel,
     """
     lam = bath.coupling
     dim = bath.dim_b
-    n0, n1 = ntraj.nhat[0], ntraj.nhat[-1]
-    tau_p = ntraj.tau_p
+    n0, n1, tau_p, tau_s = report.n_start, report.n_end, report.tau_p, report.tau_s
     h_vec = report.r2b - np.cross((tau_p - tau_s) * n1 - tau_s * n0, report.r1)
     eta1 = lam * np.kron(pauli_dot(report.r1), bath.a)
     # the 1/2 on the bath-dynamics term is required for the second-order

@@ -356,12 +356,11 @@ def _levenberg_marquardt(fun, x0: np.ndarray, max_iter: int = 80,
         improved = False
         while mu < 1e12:
             try:
-                dx = np.linalg.solve(jtj + mu * np.eye(len(x)), -grad)
-            except np.linalg.LinAlgError:
+                x_new = x + np.linalg.solve(jtj + mu * np.eye(len(x)), -grad)
+                f_new = fun(x_new)
+            except ValueError:      # a singular system, or a trial frame the guard rejects
                 mu *= 3.0
                 continue
-            x_new = x + dx
-            f_new = fun(x_new)
             cost_new = float(f_new @ f_new)
             if np.isfinite(cost_new) and cost_new < cost:
                 x, f, cost = x_new, f_new, cost_new
@@ -434,24 +433,28 @@ def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0) -
     sol = solve(probe_problem, seed=seed, allow_underdetermined=True)
     shape = sol.shape
     ntraj = n_trajectory(integrate_axis_angle(shape, 2 * problem.grid_steps))
-    if residual_is_pi_regime(problem):
+    regime = probe_regime(problem)
+    if regime == "pi-second-order":
         closed = pi_close_ntrajectory(ntraj)
         report = evaluate_corrections(closed, shape.tau_s)
         diag = nogo_diagnostics(closed, shape.tau_s)
-        regime, gap = "pi-second-order", diag.pi2_gap
+        gap = diag.pi2_gap
         objective = float(np.sum(report.normalized_vector(problem.targets) ** 2))
         bound = (gap / shape.tau_p ** 2) ** 2
-    elif not isinstance(problem.tau_s, str) and float(problem.tau_s) >= 1.0:
+    elif regime == "end-split":
         diag = nogo_diagnostics(ntraj, shape.tau_p)
-        regime, gap, objective = "end-split", diag.tsp_gap, sol.objective
+        gap, objective = diag.tsp_gap, sol.objective
         bound = (gap / shape.tau_p) ** 2
     else:
         diag = nogo_diagnostics(ntraj, shape.tau_s)
-        regime, gap, objective, bound = "open", diag.pi2_gap, sol.objective, float("nan")
+        gap, objective, bound = diag.pi2_gap, sol.objective, float("nan")
     return ProbeResult(regime=regime, best_objective=objective, gap=gap, gap_bound=bound,
                        is_pi_pulse=diag.is_pi_pulse, budget=budget, solution=sol)
 
 
-def residual_is_pi_regime(problem: DesignProblem) -> bool:
-    return abs(problem.theta - np.pi) < 1e-12 and "r2a" in problem.targets
+def probe_regime(problem: DesignProblem) -> str:
+    """The no-go regime a problem falls in: "pi-second-order", "end-split" or "open"."""
+    if abs(problem.theta - np.pi) < 1e-12 and "r2a" in problem.targets:
+        return "pi-second-order"
+    return "end-split" if problem.tau_s == 1.0 else "open"
 

@@ -9,15 +9,15 @@ image of the z axis, is a quadratic form in q, so the correction residuals
 and no-go gaps depend on nothing else; the recovered amplitude differentiates
 q; and the exact oracle builds its frames from q.
 
-Every frame is integrated by one path: classical RK4 on a grid whose nodes
-include tau_s, the amplitude breakpoints and any extra pinned times.  A pinned
-time moves the nearest node if it lies within a quarter step and that node is
-not pinned already, and is inserted otherwise, so pinned times never displace
-each other.  The exact oracle integrates on the same grids with the same
-stage rule.  Each RK4 step is a quaternion, because the generator
--i sigma . v is the pure quaternion (0, v); the frames on each side of tau_s
-are prefix products of the steps, taken in log2(n) vectorised levels, and
-every node is normalised once, after the products.
+Every frame is integrated by one path: classical RK4 on a grid whose cuts,
+tau_s, the amplitude breakpoints and any extra pinned times, start uniform
+spans of a multiple of 4 intervals, so no RK4 step or Simpson panel, on the
+grid or its halved grid, crosses a kink of the amplitude or of n(t).  The
+exact oracle integrates on the same grids with the same stage rule.  Each RK4
+step is a quaternion, because the generator -i sigma . v is the pure
+quaternion (0, v); the frames on each side of tau_s are prefix products of
+the steps, taken in log2(n) vectorised levels, and every node is normalised
+once, after the products.
 
 The integrator runs on a leading batch axis: m shapes that share tau_s and
 the breakpoints, and so one grid, are m lanes (m, n, .) of the same stage,
@@ -125,29 +125,27 @@ class NTrajectory:
 
 
 def _build_grid(shape: PulseShape, steps: int, pins=()) -> np.ndarray:
-    """Uniform grid with tau_s, the amplitude breakpoints and ``pins`` as nodes.
+    """Grid whose cuts, 0, tau_s, the amplitude breakpoints, ``pins`` and tau_p, are nodes.
 
-    A pinned time lands on the grid by moving the nearest node when that node
-    is closer than a quarter step (keeping spacing well conditioned) and not
-    pinned itself, else by insertion; the end points count as pinned.
+    Cuts closer than 1e-12 tau_p merge.  Between two cuts the grid is uniform,
+    with the least multiple of 4 intervals that covers the span's share of
+    ``steps``.  Node j of a span is j h + (cut - j_cut h), so where the cuts
+    fall on np.linspace(0, tau_p, n + 1) the grid is that one bit for bit.
     """
-    grid = np.linspace(0.0, shape.tau_p, steps + 1)
-    pinned = np.zeros(len(grid), dtype=bool)
-    pinned[[0, -1]] = True
-    h = shape.tau_p / steps
-    for t in (shape.tau_s, *shape.breakpoints(), *pins):
-        j = int(np.argmin(np.abs(grid - t)))
-        dist = abs(grid[j] - t)
-        if dist <= 1e-12 * shape.tau_p:
-            pinned[j] = True
-        elif not pinned[j] and dist <= 0.25 * h:
-            grid[j] = t
-            pinned[j] = True
-        else:
-            k = int(np.searchsorted(grid, t))
-            grid = np.insert(grid, k, t)
-            pinned = np.insert(pinned, k, True)
-    return grid
+    tau_p = shape.tau_p
+    cuts = [0.0]
+    for t in sorted({shape.tau_s, *shape.breakpoints(), *pins, tau_p}):
+        if t - cuts[-1] > 1e-12 * tau_p:
+            cuts.append(t)
+    cuts[-1] = tau_p
+    spans, j = [], 0
+    for a, b in zip(cuts, cuts[1:]):
+        k = 4 * max(1, int(np.ceil(steps * (b - a) / (4.0 * tau_p))))
+        h = (b - a) / k
+        spans.append(np.arange(j, j + k) * h + (a - j * h))
+        spans[-1][0] = a
+        j += k
+    return np.concatenate([*spans, [tau_p]])
 
 
 def _stage_amplitudes(shapes, grid: np.ndarray):

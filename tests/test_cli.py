@@ -187,6 +187,14 @@ class TestSolveAndVerify:
         assert main(["verify", str(workdir / "pi.pulse"), str(workdir / "dyn.bath"),
                      "--sweep", "nope"]) == 2
 
+    @pytest.mark.parametrize("sweep", ["1e-3:inf:6", "nan:1e-1:6", "1e-3:nan:6"])
+    def test_non_finite_sweep_exits_2(self, workdir, capsys, sweep):
+        out = workdir / "sweep.csv"
+        assert main(["verify", str(workdir / "pi.pulse"), str(workdir / "dyn.bath"),
+                     "--sweep", sweep, "--out", str(out)]) == 2
+        assert "sweep" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("band", ["abc", "5", "1:2:3", "nan:3", "1:inf", "2:1", "2:2"],
                              ids=["word", "one-number", "three-numbers", "nan", "inf",
                                   "reversed", "empty"])

@@ -8,6 +8,7 @@ from spinpulse.bath import BathModel, preset_bath
 from spinpulse.corrections import (_simpson_intervals, correction_residuals, eta_operators,
                                    evaluate_corrections, nogo_diagnostics,
                                    normalized_residual_vector)
+from spinpulse.pulses import PulseShape
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.su2 import spectral_norm
 from spinpulse.trajectory import NTrajectory, axis_angle, integrate_axis_angle, n_trajectory
@@ -95,6 +96,22 @@ class TestResiduals:
         assert rel.max() < 1e-6
         assert not r_coarse.unconverged
 
+    def test_piecewise_residuals_keep_simpson_order(self):
+        """Breakpoints off the uniform nodes keep the residuals O(h^4): each one
+        starts a span of whole Simpson panels, so no panel straddles a kink of
+        n(t).  A panel across a kink would leave O(h^2), a ratio of 16."""
+        values = np.random.default_rng(7).normal(scale=3.0, size=(6, 3))
+        shape = PulseShape(1.0, 0.3, np.pi, "piecewise_constant",
+                           boundaries=np.linspace(0.0, 1.0, 7), values=values)
+
+        def residuals(steps):
+            ntraj = n_trajectory(integrate_axis_angle(shape, steps))
+            return np.concatenate(correction_residuals(ntraj.grid, ntraj.nhat, shape.tau_s))
+
+        reference = residuals(16384)
+        coarse, fine = (np.abs(residuals(n) - reference).max() for n in (256, 1024))
+        assert coarse / fine >= 100.0
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 5),
            scale=st.floats(0.5, 4.0), steps=st.sampled_from([256, 1024]),
@@ -120,7 +137,7 @@ class TestEtaOperators:
         bath = preset_bath("spin-dynamic", coupling=0.0)
         ntraj = constant_axis_ntrajectory()
         report = evaluate_corrections(ntraj, 0.5)
-        for op in eta_operators(report, bath, ntraj, 0.5):
+        for op in eta_operators(report, bath):
             assert spectral_norm(op) == 0.0
 
     def test_first_order_vanishes_with_r1(self):
@@ -128,7 +145,7 @@ class TestEtaOperators:
         bath = preset_bath("spin-dynamic", coupling=0.3)
         ntraj = constant_axis_ntrajectory()
         report = replace(evaluate_corrections(ntraj, 0.5), r1=np.zeros(3))
-        eta1, _, _ = eta_operators(report, bath, ntraj, 0.5)
+        eta1, _, _ = eta_operators(report, bath)
         assert spectral_norm(eta1) == 0.0
 
     def test_bench_bath_norm_value(self):
@@ -137,7 +154,7 @@ class TestEtaOperators:
                          np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 0.1)
         ntraj = constant_axis_ntrajectory(tau_p)
         report = evaluate_corrections(ntraj, tau_p / 2)
-        eta1, _, _ = eta_operators(report, bath, ntraj, tau_p / 2)
+        eta1, _, _ = eta_operators(report, bath)
         assert spectral_norm(eta1) == pytest.approx(0.1 * 2 * tau_p / np.pi, rel=1e-9)
 
     def test_operator_vector_norm_identity(self, rng):

@@ -35,7 +35,7 @@ def _short_lm_run(residual, z):
     """(z bytes, cost) after three LM iterations, or the error a trial step raised."""
     try:
         x, cost = _levenberg_marquardt(residual, z, max_iter=3)
-    except ValueError as exc:       # a trial step the grid cannot resolve
+    except ValueError as exc:       # a Jacobian stencil the grid cannot resolve
         return str(exc), None
     return x.tobytes(), cost
 
@@ -160,6 +160,29 @@ class TestResidualFunction:
             DesignProblem(theta=np.pi, grid_steps=8)
 
 
+def test_unresolved_trial_point_is_a_rejected_step():
+    """A trial point whose frame the guard rejects raises the damping, as a
+    non-finite cost does, instead of ending the solve."""
+    problem = DesignProblem(theta=2.0, tau_s=0.0, fourier_order=2, components=("x", "y"),
+                            targets=("r1", "r2a", "r2b"), symmetric=False,
+                            power_weight=0.2, grid_steps=64)
+    residual = _ResidualFunction(problem)
+    rejected = []
+
+    def fun(z):
+        try:
+            return residual(z)
+        except ValueError:
+            rejected.append(z)
+            raise
+
+    z0 = residual.param.random_start(np.random.default_rng(6394))
+    f0 = residual(z0)
+    _, cost = _levenberg_marquardt(fun, z0)
+    assert rejected
+    assert np.isfinite(cost) and cost <= float(f0 @ f0)
+
+
 class TestJacobian:
     def test_one_residual_pair_per_column(self):
         calls = []
@@ -254,6 +277,10 @@ def piecewise_solution():
 def test_piecewise_first_order_design_converges(piecewise_solution):
     sol = piecewise_solution
     assert sol.objective < 1e-16
+    # the segment boundaries start spans of whole Simpson panels, so the
+    # design-grid objective carries over to the doubled grid
+    assert sol.converged
+    assert sol.report.normalized[0] < VERIFIED_BOUND
     assert sol.shape.representation == "piecewise_constant"
     # the pinned final segment keeps the accumulated angle exact
     widths = np.diff(sol.shape.boundaries)
@@ -262,7 +289,8 @@ def test_piecewise_first_order_design_converges(piecewise_solution):
 
 
 def test_converged_only_when_the_doubled_grid_verifies(piecewise_solution):
-    """The design-grid objective here is ~1e-24, but r1 re-verifies at ~1.8e-5."""
+    """Converged means verified: the design-grid objective here is ~1e-24 and
+    r1 re-verifies at ~4e-8 on the doubled grid."""
     sol = piecewise_solution
     assert not sol.converged or sol.report.normalized[0] < VERIFIED_BOUND
 

@@ -155,7 +155,7 @@ class TestMagnusConsistency:
             u_f, traj = oracle.integrate_deviation(scaled, dynamic_bath, steps=1024)
             ntraj = n_trajectory(traj)
             report = evaluate_corrections(ntraj, traj.tau_s)
-            e1, e2a, e2b = eta_operators(report, dynamic_bath, ntraj, traj.tau_s)
+            e1, e2a, e2b = eta_operators(report, dynamic_bath)
             gen = matrix_log_unitary(u_f)
             defects.append(spectral_norm(gen + 1.0j * (e1 + e2a + e2b)))
         slope, _ = oracle.fit_loglog_slope(taus, defects)

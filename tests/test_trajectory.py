@@ -356,7 +356,7 @@ class TestFrameProperties:
             replace(traj, quaternions=1.01 * traj.quaternions)
 
     def test_pinned_times_never_displace_each_other(self):
-        """A breakpoint within a quarter step of tau_s is inserted beside it."""
+        """A breakpoint within a quarter step of tau_s starts its own span beside it."""
         boundary = 0.5 + 0.1 / 1024
         shape = PulseShape(1.0, 0.5, np.pi, "piecewise_constant",
                            boundaries=np.array([0.0, boundary, 1.0]),
@@ -365,3 +365,42 @@ class TestFrameProperties:
         assert traj.tau_s == shape.tau_s
         assert shape.tau_s in traj.grid and boundary in traj.grid
         assert np.array_equal(traj.unitaries[traj.grid == shape.tau_s][0], np.eye(2))
+
+
+class TestGridRule:
+    @settings(max_examples=80, deadline=None)
+    @given(tau_s=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+           free=st.lists(st.floats(0.01, 0.99), max_size=5),
+           near=st.lists(st.floats(-1.0, 1.0), max_size=3),
+           pin=st.one_of(st.none(), st.floats(0.0, 1.0)),
+           steps=st.sampled_from((64, 200, 512)))
+    def test_every_cut_starts_a_uniform_span(self, tau_s, free, near, pin, steps):
+        """Cuts sit at node indices divisible by 4, between them the grid is
+        uniform, and there are at least ``steps`` intervals.  Breakpoints
+        within a quarter step of tau_s, of each other or of a pin included."""
+        quarter = 0.25 / steps
+        inner = [t for t in (*free, *(tau_s + d * quarter for d in near),
+                             *(free[0] + d * quarter for d in near[:1] if free))
+                 if 0.0 < t < 1.0]
+        bounds = np.unique(np.r_[0.0, inner, 1.0])
+        shape = PulseShape(1.0, tau_s, np.pi, "piecewise_constant", boundaries=bounds,
+                           values=np.zeros((len(bounds) - 1, 3)))
+        pins = () if pin is None else (pin,)
+        grid = _build_grid(shape, steps, pins)
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+        assert np.all(np.diff(grid) > 0.0)
+        assert len(grid) - 1 >= steps
+        nodes = sorted({int(np.argmin(np.abs(grid - t))) for t in (tau_s, *bounds, *pins)})
+        for t in (tau_s, *bounds, *pins):
+            assert np.abs(grid - t).min() <= 1e-11
+        for j0, j1 in zip(nodes, nodes[1:]):
+            assert j0 % 4 == 0 and j1 % 4 == 0
+            assert np.ptp(np.diff(grid[j0:j1 + 1])) <= 1e-14
+
+    @pytest.mark.parametrize("steps", [64, 200, 512, 2048])
+    def test_cuts_on_uniform_nodes_keep_the_uniform_grid(self, steps):
+        """A split at tau_p / 2 gives np.linspace bit for bit, at any duration."""
+        for tau_p in (1.0, *np.geomspace(1e-3, 1e-1, 6)):
+            shape = fourier_pulse(tau_p, 0.5 * tau_p, np.pi, {"y": [1.0]}, {})
+            assert np.array_equal(_build_grid(shape, steps),
+                                  np.linspace(0.0, tau_p, steps + 1))
