@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -183,16 +184,14 @@ def cmd_solve(args) -> int:
     manifest = make_manifest("solve", {"problem": text}, seed=args.seed,
                              options=_options(args))
     _check_steps("--restarts", args.restarts, 1)
+    if args.restarts is not None:
+        problem = replace(problem, restarts=args.restarts)
     if args.probe or probe_regime(problem) != "open":
-        budget = args.restarts if args.restarts is not None else 16
-        probe = feasibility_probe(problem, budget=budget, seed=args.seed)
+        probe = feasibility_probe(problem, seed=args.seed)
         sol = probe.solution
         extra_note = (f"probe regime={probe.regime} objective={fmt(probe.best_objective)}"
                       f" gap={fmt(probe.gap)} bound={fmt(probe.gap_bound)}")
     else:
-        if args.restarts is not None:
-            from dataclasses import replace
-            problem = replace(problem, restarts=args.restarts)
         sol = solve(problem, seed=args.seed)
         probe = None
         extra_note = ""
@@ -202,7 +201,7 @@ def cmd_solve(args) -> int:
     _write_output(doc, args.out)
     status = "converged" if sol.converged else "did not converge"
     print(f"solver {status}: objective = {fmt(sol.objective)}", file=sys.stderr)
-    if probe is not None:
+    if probe is not None and probe.regime != "open":
         print(f"infeasibility certificate: best objective {fmt(probe.best_objective)}"
               f" >= gap bound {fmt(probe.gap_bound)}", file=sys.stderr)
         return 0 if probe.best_objective >= probe.gap_bound * (1 - 1e-9) else 1

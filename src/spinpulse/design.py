@@ -114,7 +114,6 @@ class ProbeResult:
     gap: float                  # diagnostic gap of the best candidate
     gap_bound: float            # squared normalized gap; objective >= bound in no-go regimes
     is_pi_pulse: bool
-    budget: int
     solution: DesignSolution
 
 
@@ -420,16 +419,17 @@ def jacobian_check(problem: DesignProblem, point: np.ndarray | None = None,
     return deviation, deviation > 1e-4
 
 
-def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0) -> ProbeResult:
+def feasibility_probe(problem: DesignProblem, seed: int = 0) -> ProbeResult:
     """Search a no-go (or open) regime and report the best objective found
     together with the analytic gap bound of the best candidate.
+
+    The search runs the problem's restarts on at most 256 grid steps.
 
     In the pi second-order regime the certificate is evaluated on a
     geodesically pi-closed copy of the best trajectory, where the bound
     objective >= (pi2_gap / tau_p^2)^2 is an exact inequality.
     """
-    probe_problem = replace(problem, restarts=budget,
-                            grid_steps=min(problem.grid_steps, 256))
+    probe_problem = replace(problem, grid_steps=min(problem.grid_steps, 256))
     sol = solve(probe_problem, seed=seed, allow_underdetermined=True)
     shape = sol.shape
     ntraj = n_trajectory(integrate_axis_angle(shape, 2 * problem.grid_steps))
@@ -449,7 +449,7 @@ def feasibility_probe(problem: DesignProblem, budget: int = 16, seed: int = 0) -
         diag = nogo_diagnostics(ntraj, shape.tau_s)
         gap, objective, bound = diag.pi2_gap, sol.objective, float("nan")
     return ProbeResult(regime=regime, best_objective=objective, gap=gap, gap_bound=bound,
-                       is_pi_pulse=diag.is_pi_pulse, budget=budget, solution=sol)
+                       is_pi_pulse=diag.is_pi_pulse, solution=sol)
 
 
 def probe_regime(problem: DesignProblem) -> str:

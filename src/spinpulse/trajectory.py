@@ -1,23 +1,23 @@
 """Integrated rotation frames of a pulse and the unit-vector trajectory they carry.
 
 A pulse amplitude v(t) generates a frame W(t) through i dW/dt = (sigma . v) W
-with W(tau_s) = I, integrated forward to tau_p and backward to 0, so the frame
-is the accumulated rotation taken from the splitting instant in both time
-orderings.  The frame's only state is the unit quaternion q = (c, s) with
+with W(tau_s) = I, the accumulated rotation taken from the splitting instant:
+W(t) = U(t, 0) U(tau_s, 0)^dag, with U the propagator from t = 0.  The
+frame's only state is the unit quaternion q = (c, s) with
 W = c I - i s . sigma.  Everything downstream reads q alone: n(t), the frame's
 image of the z axis, is a quadratic form in q, so the correction residuals
 and no-go gaps depend on nothing else; the recovered amplitude differentiates
 q; and the exact oracle builds its frames from q.
 
 Every frame is integrated by one path: classical RK4 on a grid whose cuts,
-tau_s, the amplitude breakpoints and any extra pinned times, start uniform
-spans of a multiple of 4 intervals, so no RK4 step or Simpson panel, on the
-grid or its halved grid, crosses a kink of the amplitude or of n(t).  The
-exact oracle integrates on the same grids with the same stage rule.  Each RK4
-step is a quaternion, because the generator -i sigma . v is the pure
-quaternion (0, v); the frames on each side of tau_s are prefix products of
-the steps, taken in log2(n) vectorised levels, and every node is normalised
-once, after the products.
+tau_s and the amplitude breakpoints, start uniform spans of a multiple of 4
+intervals, so no RK4 step or Simpson panel, on the grid or its halved grid,
+crosses a kink of the amplitude or of n(t).  The exact oracle integrates on
+the same grids with the same stage rule.  Each RK4 step is a quaternion,
+because the generator -i sigma . v is the pure quaternion (0, v); U(t, 0) is
+the prefix product of the steps forward from t = 0, taken in log2(n)
+vectorised levels, one product with U(tau_s, 0)^dag anchors it at tau_s, and
+every node is normalised once, after the products.
 
 The integrator runs on a leading batch axis: m shapes that share tau_s and
 the breakpoints, and so one grid, are m lanes (m, n, .) of the same stage,
@@ -59,20 +59,21 @@ def _check_lanes(grid: np.ndarray, quaternions=None, nhat=None):
 
     The grid must increase strictly; frame quaternions (..., n, 4) must be
     unit and turn by less than pi per step (q_k . q_k+1 > 0), and n(t)
-    samples (..., n, 3) must be unit vectors.  Any leading axes are lanes,
-    each checked in full; the policy is read once per call.
+    samples (..., n, 3) must be unit vectors.  Each check asks that every
+    value pass, so NaN fails it.  Any leading axes are lanes, each checked in
+    full; the policy is read once per call.
     """
     atol = active_policy().unit_vector_atol
-    if np.any(np.diff(grid) <= 0):
+    if not np.all(np.diff(grid) > 0):
         raise ValueError("trajectory grid must be strictly increasing")
     if quaternions is not None:
         q = quaternions
-        if np.any(np.abs(np.linalg.norm(q, axis=-1) - 1.0) > atol):
+        if not np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= atol):
             raise ValueError("trajectory frames must be unit quaternions")
         # q_k . q_k+1 is the cosine of half the rotation between the two frames
-        if np.any(np.sum(q[..., 1:, :] * q[..., :-1, :], axis=-1) <= 0.0):
+        if not np.all(np.sum(q[..., 1:, :] * q[..., :-1, :], axis=-1) > 0.0):
             raise ValueError("frame steps must turn by less than pi on the resolved grid")
-    if nhat is not None and np.any(np.abs(np.linalg.norm(nhat, axis=-1) - 1.0) > atol):
+    if nhat is not None and not np.all(np.abs(np.linalg.norm(nhat, axis=-1) - 1.0) <= atol):
         raise ValueError("n(t) samples must be unit vectors")
 
 
@@ -124,8 +125,8 @@ class NTrajectory:
 # grid construction and the frame ODE
 
 
-def _build_grid(shape: PulseShape, steps: int, pins=()) -> np.ndarray:
-    """Grid whose cuts, 0, tau_s, the amplitude breakpoints, ``pins`` and tau_p, are nodes.
+def _build_grid(shape: PulseShape, steps: int) -> np.ndarray:
+    """Grid whose cuts, 0, tau_s, the amplitude breakpoints and tau_p, are nodes.
 
     Cuts closer than 1e-12 tau_p merge.  Between two cuts the grid is uniform,
     with the least multiple of 4 intervals that covers the span's share of
@@ -134,7 +135,7 @@ def _build_grid(shape: PulseShape, steps: int, pins=()) -> np.ndarray:
     """
     tau_p = shape.tau_p
     cuts = [0.0]
-    for t in sorted({shape.tau_s, *shape.breakpoints(), *pins, tau_p}):
+    for t in sorted({shape.tau_s, *shape.breakpoints(), tau_p}):
         if t - cuts[-1] > 1e-12 * tau_p:
             cuts.append(t)
     cuts[-1] = tau_p
@@ -225,31 +226,20 @@ def _frame_quaternions(shapes, grid: np.ndarray, i_s: int) -> np.ndarray:
 
     The ``shapes`` share ``grid`` and tau_s; every lane does the arithmetic
     of a lone shape, so a lane equals its single-shape frame bit for bit.
-    The step polynomial and the scan take the lanes end to end, on the step
-    axis and on the sweep axis, so their operands keep the dimensions of one
-    lane: each further axis of a strided operand adds to the cost of every
-    numpy call, and the one-lane case makes the most calls per node.
+    U(t, 0) is the prefix product of the RK4 steps from the identity at
+    t = 0, and the frame is W(t) = U(t, 0) U(tau_s, 0)^dag.  The step
+    polynomial takes the lanes end to end on the step axis, so its operands
+    keep the dimensions of one lane: each further axis of a strided operand
+    adds to the cost of every numpy call.
     """
     m = len(shapes)
-    v1, v2, v3 = _stage_amplitudes(shapes, grid)
-    h = np.diff(grid)
-    # steps in sweep order, forward from tau_s and then backward from it; a
-    # backward step runs from its interval's end to its start
-    ahead = len(h) - i_s
-    idx = np.r_[i_s:len(h), i_s - 1:-1:-1]
-    back = (idx < i_s)[:, None]
-    steps = _rk4_step_quaternions(np.where(back, v3[:, idx], v1[:, idx]).reshape(-1, 3),
-                                  v2[:, idx].reshape(-1, 3),
-                                  np.where(back, v1[:, idx], v3[:, idx]).reshape(-1, 3),
-                                  np.tile(np.where(back[:, 0], -h[idx], h[idx]), m))
-    steps = steps.reshape(m, len(h), 4)
-    # lane k sweeps forward in row 2k and backward in row 2k + 1
-    sweeps = np.tile(IDENTITY_Q, (2 * m, max(ahead, i_s), 1))
-    sweeps[0::2, :ahead] = steps[:, :ahead]
-    sweeps[1::2, :i_s] = steps[:, ahead:]
-    sweeps = _prefix_products(sweeps)
-    q = np.concatenate([sweeps[1::2, :i_s][:, ::-1], np.tile(IDENTITY_Q, (m, 1, 1)),
-                        sweeps[0::2, :ahead]], axis=1)
+    v1, v2, v3 = (v.reshape(-1, 3) for v in _stage_amplitudes(shapes, grid))
+    steps = _rk4_step_quaternions(v1, v2, v3, np.tile(np.diff(grid), m))
+    u = _prefix_products(np.concatenate([np.tile(IDENTITY_Q, (m, 1, 1)),
+                                         steps.reshape(m, -1, 4)], axis=1))
+    q = quaternion_product(u, u[:, i_s:i_s + 1] * np.array([1.0, -1.0, -1.0, -1.0]))
+    # u_s u_s^dag can leave rounding of order 1e-17 in s; the anchor is set exactly
+    q[:, i_s] = IDENTITY_Q
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
@@ -274,7 +264,7 @@ def _lane_frames(shapes, grid: np.ndarray):
 
 
 def integrate_axis_angle(shape: PulseShape, steps: int) -> FrameTrajectory:
-    """Solve the frame equation from identity at tau_s in both directions.
+    """Solve the frame equation from t = 0, with the frame anchored at identity at tau_s.
 
     Returns the frame quaternions, all that residuals, gaps, amplitudes and
     the oracle read.  Their (axis, angle) form is :func:`axis_angle`, whose

@@ -70,7 +70,7 @@ def f_generator(shape: PulseShape, bath: BathModel, t: float,
     """The deviation generator F(t) at a single instant."""
     if not 0.0 <= t <= shape.tau_p:
         raise ValueError("time outside [0, tau_p]")
-    traj = _frames_on_grid(shape, _build_grid(shape, steps, pins=(t,)))
+    traj = _frames_on_grid(shape, np.union1d(_build_grid(shape, steps), [t]))
     j = int(np.argmin(np.abs(traj.grid - t)))
     return _deviation_table(bath, traj.grid[j:j + 1], traj.tau_s,
                             traj.unitaries[j:j + 1], shape.amplitude(t)[None])[0]

@@ -147,16 +147,16 @@ def test_criterion_5_no_go_corroboration():
 
         end_split = feasibility_probe(
             DesignProblem(theta=np.pi, tau_s=1.0, fourier_order=2,
-                          components=("y",), targets=("r1",)),
-            budget=4, seed=2)
+                          components=("y",), targets=("r1",), restarts=4),
+            seed=2)
         assert end_split.gap > 0.0
         assert end_split.best_objective >= end_split.gap_bound * (1.0 - 1e-9)
 
         pi_probe = feasibility_probe(
             DesignProblem(theta=np.pi, tau_s="free", fourier_order=1,
                           components=("x", "y"), targets=("r1", "r2a", "r2b"),
-                          symmetric=False, grid_steps=256),
-            budget=2, seed=3)
+                          symmetric=False, grid_steps=256, restarts=2),
+            seed=3)
         assert pi_probe.is_pi_pulse
         assert pi_probe.gap > 0.0
         assert pi_probe.best_objective >= pi_probe.gap_bound * (1.0 - 1e-9)

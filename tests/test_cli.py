@@ -141,7 +141,9 @@ class TestLibraryErrors:
          "trajectory frames must be unit quaternions"),
         ("coeff.y.a.0 = 1e308\ncoeff.y.a.1 = 1e308\n", [],
          "pulse amplitude is not finite"),
-    ], ids=["under-resolved", "non-finite"])
+        ("coeff.y.a.0 = -1e100\ncoeff.x.a.1 = 1e100\n", ["--grid", "64"],
+         "trajectory frames must be unit quaternions"),
+    ], ids=["under-resolved", "non-finite", "non-finite-frames"])
     def test_value_error_after_parsing_exits_3(self, tmp_path, capsys, command, coeffs,
                                                flags, message):
         pulse = tmp_path / "strong.pulse"
@@ -382,6 +384,33 @@ class TestProbeCommand:
         text = out.read_text()
         assert "solution.converged = false" in text
         assert "probe regime=pi-second-order" in text
+
+    def test_open_problem_probe_exits_on_convergence(self, tmp_path, capsys):
+        """An open regime has no gap bound: exit 0 iff the design converged."""
+        prob = tmp_path / "open.problem"
+        prob.write_text(
+            "schema_version = 1\nkind = problem\ntheta = 1.5707963267948966\n"
+            "components = y\ntargets = r1\nfourier_order = 2\nsymmetric = true\n"
+            "grid = 256\n")
+        out = tmp_path / "open.pulse"
+        code = main(["solve", str(prob), "--probe", "--restarts", "4", "--seed", "0",
+                     "--out", str(out)])
+        text = out.read_text()
+        assert "probe regime=open" in text
+        assert "solution.converged = true" in text
+        assert code == 0
+        assert "infeasibility certificate" not in capsys.readouterr().err
+
+    def test_probe_runs_the_problem_restarts(self, tmp_path):
+        prob = tmp_path / "end.problem"
+        prob.write_text(
+            f"schema_version = 1\nkind = problem\ntheta = {PI}\ntau_s = 1\n"
+            "fourier_order = 2\ncomponents = y\ntargets = r1\nrestarts = 1\n")
+        out = tmp_path / "end.pulse"
+        assert main(["solve", str(prob), "--seed", "2", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "probe regime=end-split" in text
+        assert "solution.restarts_used = 1\n" in text
 
 
 class TestVerifyDegenerate:

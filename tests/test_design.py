@@ -238,8 +238,8 @@ class TestJacobian:
 class TestProbes:
     def test_end_split_probe_certificate(self):
         problem = DesignProblem(theta=np.pi, tau_s=1.0, fourier_order=2,
-                                components=("y",), targets=("r1",))
-        probe = feasibility_probe(problem, budget=4, seed=2)
+                                components=("y",), targets=("r1",), restarts=4)
+        probe = feasibility_probe(problem, seed=2)
         assert probe.regime == "end-split"
         assert probe.gap > 1e-3
         assert probe.best_objective >= probe.gap_bound * (1.0 - 1e-9)
@@ -247,8 +247,8 @@ class TestProbes:
     def test_pi_second_order_probe_certificate(self):
         problem = DesignProblem(theta=np.pi, tau_s="free", fourier_order=1,
                                 components=("x", "y"), targets=("r1", "r2a", "r2b"),
-                                symmetric=False, grid_steps=256)
-        probe = feasibility_probe(problem, budget=2, seed=3)
+                                symmetric=False, grid_steps=256, restarts=2)
+        probe = feasibility_probe(problem, seed=3)
         assert probe.regime == "pi-second-order"
         assert probe.is_pi_pulse
         assert probe.gap > 0.0
@@ -259,8 +259,8 @@ class TestProbes:
         problem = DesignProblem(theta=np.pi / 2, tau_s="free", fourier_order=1,
                                 components=("x", "y", "z"),
                                 targets=("r1", "r2a", "r2b"),
-                                symmetric=False, grid_steps=256)
-        probe = feasibility_probe(problem, budget=2, seed=1)
+                                symmetric=False, grid_steps=256, restarts=2)
+        probe = feasibility_probe(problem, seed=1)
         assert probe.regime == "open"
         assert np.isnan(probe.gap_bound)
         assert probe.best_objective >= 0.0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,7 +330,7 @@ class TestFrameProperties:
         assert np.linalg.norm(w_backward.conj().T - u) < 1e-9
 
     def test_quaternion_rk4_step_matches_matrix_step(self, rng):
-        """The step quaternion is the 2x2 RK4 transfer matrix, both sweep directions."""
+        """The step quaternion is the 2x2 RK4 transfer matrix, for either sign of h."""
         grid = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 255)]))
         v1, v2, v3 = (rng.normal(scale=5.0, size=(len(grid) - 1, 3)) for _ in range(3))
         for h in (np.diff(grid), -np.diff(grid)):
@@ -344,9 +346,35 @@ class TestFrameProperties:
             expected.append(su2.quaternion_product(q, expected[-1]))
         assert np.abs(_prefix_products(steps) - np.array(expected)).max() <= 1e-13
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           tau_s=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+           piecewise=st.booleans(), steps=st.sampled_from((64, 200)))
+    def test_frame_is_the_forward_product_rebased_at_tau_s(self, seed, tau_s, piecewise,
+                                                            steps):
+        """W(t) = U(t, 0) U(tau_s, 0)^dag, with U the sequential RK4 product from t = 0."""
+        rng = np.random.default_rng(seed)
+        if piecewise:
+            bounds = np.r_[0.0, np.sort(rng.uniform(0.05, 0.95, 3)), 1.0]
+            shape = PulseShape(1.0, tau_s, np.pi, "piecewise_constant", boundaries=bounds,
+                               values=rng.normal(scale=4.0, size=(len(bounds) - 1, 3)))
+        else:
+            shape = random_fourier_shape(rng, order=3, scale=3.0, tau_s=tau_s)
+        traj = integrate_axis_angle(shape, steps)
+        g1, g2, g3 = generator_matrices(*(v[0] for v in
+                                          _stage_amplitudes([shape], traj.grid)))
+        u = [np.eye(2, dtype=complex)]
+        for m in _rk4_step_matrices(g1, g2, g3, np.diff(traj.grid)):
+            u.append(m @ u[-1])
+        i_s = int(np.argmin(np.abs(traj.grid - traj.tau_s)))
+        w = np.array(u) @ u[i_s].conj().T
+        # each RK4 step is a real multiple of a unitary; the frame is normalised
+        w /= np.linalg.norm(w, axis=(1, 2), keepdims=True) / np.sqrt(2.0)
+        assert np.abs(traj.unitaries - w).max() <= 1e-12
+        assert np.array_equal(traj.unitaries[i_s], np.eye(2))
+
     def test_frame_guard(self, pi_pulse):
         """Frames must be unit quaternions, each step turning by less than pi."""
-        from dataclasses import replace
         traj = integrate_axis_angle(pi_pulse, 256)
         flipped = traj.quaternions.copy()
         flipped[100] *= -1.0
@@ -354,6 +382,21 @@ class TestFrameProperties:
             replace(traj, quaternions=flipped)
         with pytest.raises(ValueError, match="unit quaternions"):
             replace(traj, quaternions=1.01 * traj.quaternions)
+
+    def test_guards_reject_nan(self, pi_pulse):
+        """NaN fails every check: a frame row, an n(t) row or a grid node."""
+        traj = integrate_axis_angle(pi_pulse, 256)
+        ntraj = n_trajectory(traj)
+        q, nhat, grid = traj.quaternions.copy(), ntraj.nhat.copy(), traj.grid.copy()
+        q[100] = nhat[100] = grid[100] = np.nan
+        with pytest.raises(ValueError, match="unit quaternions"):
+            replace(traj, quaternions=q)
+        with pytest.raises(ValueError, match="unit vectors"):
+            replace(ntraj, nhat=nhat)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            replace(traj, grid=grid)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            replace(ntraj, grid=grid)
 
     def test_pinned_times_never_displace_each_other(self):
         """A breakpoint within a quarter step of tau_s starts its own span beside it."""
@@ -372,12 +415,11 @@ class TestGridRule:
     @given(tau_s=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
            free=st.lists(st.floats(0.01, 0.99), max_size=5),
            near=st.lists(st.floats(-1.0, 1.0), max_size=3),
-           pin=st.one_of(st.none(), st.floats(0.0, 1.0)),
            steps=st.sampled_from((64, 200, 512)))
-    def test_every_cut_starts_a_uniform_span(self, tau_s, free, near, pin, steps):
+    def test_every_cut_starts_a_uniform_span(self, tau_s, free, near, steps):
         """Cuts sit at node indices divisible by 4, between them the grid is
         uniform, and there are at least ``steps`` intervals.  Breakpoints
-        within a quarter step of tau_s, of each other or of a pin included."""
+        within a quarter step of tau_s or of each other included."""
         quarter = 0.25 / steps
         inner = [t for t in (*free, *(tau_s + d * quarter for d in near),
                              *(free[0] + d * quarter for d in near[:1] if free))
@@ -385,13 +427,12 @@ class TestGridRule:
         bounds = np.unique(np.r_[0.0, inner, 1.0])
         shape = PulseShape(1.0, tau_s, np.pi, "piecewise_constant", boundaries=bounds,
                            values=np.zeros((len(bounds) - 1, 3)))
-        pins = () if pin is None else (pin,)
-        grid = _build_grid(shape, steps, pins)
+        grid = _build_grid(shape, steps)
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert np.all(np.diff(grid) > 0.0)
         assert len(grid) - 1 >= steps
-        nodes = sorted({int(np.argmin(np.abs(grid - t))) for t in (tau_s, *bounds, *pins)})
-        for t in (tau_s, *bounds, *pins):
+        nodes = sorted({int(np.argmin(np.abs(grid - t))) for t in (tau_s, *bounds)})
+        for t in (tau_s, *bounds):
             assert np.abs(grid - t).min() <= 1e-11
         for j0, j1 in zip(nodes, nodes[1:]):
             assert j0 % 4 == 0 and j1 % 4 == 0
