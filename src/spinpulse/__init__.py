@@ -16,7 +16,7 @@ from .bath import BathModel, preset_bath
 from .corrections import (CorrectionReport, NoGoDiagnostics, correction_residuals,
                           eta_operators, evaluate_corrections, nogo_diagnostics)
 from .design import (DesignProblem, DesignSolution, ProbeResult,
-                     feasibility_probe, jacobian_check, solve)
+                     feasibility_probe, solve)
 from .oracle import (DecompositionError, SweepResult, integrate_deviation,
                      magnus_consistency)
 from .policy import NumericPolicy, active_policy
@@ -34,6 +34,6 @@ __all__ = [
     "active_policy", "amplitude_from_axis_angle", "axis_angle",
     "constant_rotation_pulse", "correction_residuals", "eta_operators",
     "evaluate_corrections", "feasibility_probe", "fourier_pulse",
-    "integrate_axis_angle", "integrate_deviation", "jacobian_check",
-    "magnus_consistency", "n_trajectory", "nogo_diagnostics", "preset_bath", "solve",
+    "integrate_axis_angle", "integrate_deviation", "magnus_consistency",
+    "n_trajectory", "nogo_diagnostics", "preset_bath", "solve",
 ]

@@ -16,13 +16,14 @@ the two no-go diagnostics.
 Quadrature is composite Simpson on the (possibly non-uniform) trajectory grid:
 each interval integrates the quadratic through three neighbouring nodes
 (Cartwright's formulas, see :func:`_simpson_intervals`); on trajectory grids
-no panel of the grid or of its halved grid crosses tau_s or a breakpoint.
+no panel of the grid or of its halved grid crosses a breakpoint, and n(t) has
+no kink at tau_s.
 Full integrals are sums of the interval integrals and the inner integral of
 r2b is their running sum, matching ``scipy.integrate.simpson`` and
 ``cumulative_simpson`` up to rounding.  The halved-grid error estimate
 ``quad_err`` exists only in the reports of :func:`evaluate_corrections`; the
 design loop calls :func:`correction_residuals`, which skips it and takes n(t)
-with leading lane axes, all on one grid and tau_s.
+with leading lane axes, all on one grid, each lane with its own tau_s.
 """
 
 from __future__ import annotations
@@ -120,19 +121,20 @@ def _simpson_intervals(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
             + w_far[:, None] * values[..., near + step, :])
 
 
-def correction_residuals(grid: np.ndarray, nhat: np.ndarray, tau_s: float):
+def correction_residuals(grid: np.ndarray, nhat: np.ndarray, tau_s: float | np.ndarray):
     """The vector residuals (r1, r2a, r2b) of n(t) sampled on ``grid``.
 
-    ``nhat`` is (..., n, 3); any leading axes are lanes that share the grid
-    and tau_s, and each residual is then (..., 3), every lane equal bit for
-    bit to its own unbatched call.
+    ``nhat`` is (..., n, 3); any leading axes are lanes that share the grid,
+    and ``tau_s`` is one value or one per lane (...,).  Each residual is then
+    (..., 3), every lane equal bit for bit to its own unbatched call.
     """
     tau_p = grid[-1]
-    if not 0.0 <= tau_s <= tau_p:
+    tau_s = np.asarray(tau_s, dtype=float)[..., None]
+    if not np.all((0.0 <= tau_s) & (tau_s <= tau_p)):
         raise ValueError("tau_s must lie in [0, tau_p]")
     n0, n1 = nhat[..., 0, :], nhat[..., -1, :]
     moments = _simpson_intervals(
-        grid, np.concatenate([nhat, (grid - tau_s)[:, None] * nhat], axis=-1))
+        grid, np.concatenate([nhat, (grid - tau_s)[..., None] * nhat], axis=-1))
     r1 = moments[..., :3].sum(axis=-2) - ((tau_p - tau_s) * n1 + tau_s * n0)
     r2a = 2.0 * moments[..., 3:].sum(axis=-2) - ((tau_p - tau_s) ** 2 * n1 - tau_s ** 2 * n0)
     inner = np.zeros_like(nhat)

@@ -11,7 +11,8 @@ residual and the rotation below ``VERIFIED_BOUND``.
 
 The residual function takes a batch of points as lanes, and the
 central-difference Jacobian evaluates its whole 2P-point stencil in one
-call: points with equal tau_s share one grid and one batched frame pass.
+call: every point of a problem has the same grid, so a call is one batched
+frame pass whatever the points' tau_s.
 
 Problems are posed at tau_p = 1 without loss of generality: the normalized
 residuals are invariant under joint rescaling of duration and amplitude, so a
@@ -211,14 +212,16 @@ class _Parameterization:
 def _swept_angle(shapes, comp: int, t: np.ndarray) -> np.ndarray:
     """Exact accumulated angle 2 int_{tau_s}^t v dt of one component, (m, len(t)).
 
-    The m Fourier or piecewise ``shapes`` are lanes that share tau_s.
+    The m Fourier or piecewise ``shapes`` are lanes, each with its own tau_s.
     """
     if shapes[0].representation == "piecewise_constant":
         cums = [np.concatenate([[0.0], np.cumsum(s.values[:, comp] * np.diff(s.boundaries))])
                 for s in shapes]
 
         def antiderivative(x):
-            return np.stack([np.interp(x, s.boundaries, cum) for s, cum in zip(shapes, cums)])
+            lanes = np.broadcast_to(x, (len(shapes), x.shape[-1]))
+            return np.stack([np.interp(xk, s.boundaries, cum)
+                             for xk, s, cum in zip(lanes, shapes, cums)])
     else:
         c = np.stack([s.fourier.cos[comp] for s in shapes])
         sn = np.stack([s.fourier.sin[comp] for s in shapes])
@@ -231,11 +234,11 @@ def _swept_angle(shapes, comp: int, t: np.ndarray) -> np.ndarray:
                 out = out - sn[:, k - 1:k] * np.cos(omega * k * x) / (omega * k)
             return out
 
-    return 2.0 * (antiderivative(t) - antiderivative(np.array([shapes[0].tau_s])))
+    return 2.0 * (antiderivative(t) - antiderivative(np.array([[s.tau_s] for s in shapes])))
 
 
 def _fixed_axis_nhat(shapes, comp: int, grid: np.ndarray) -> np.ndarray:
-    """Closed-form n(t) (m, n, 3) of single-component lanes sharing tau_s.
+    """Closed-form n(t) (m, n, 3) of single-component lanes.
 
     The frame axis never moves, so psi(t) = 2 int_{tau_s}^t v dt (exact for
     Fourier and piecewise amplitudes) and n(t) is an elementary rotation of z
@@ -265,8 +268,8 @@ class _ResidualFunction:
     """z -> stacked normalized residual vector for a design problem.
 
     ``z`` is one point (P,) or a batch of lanes (m, P), giving (R,) or (m, R).
-    Lanes with equal tau_s share one grid and are evaluated as one batch, and
-    each lane equals its single-point call bit for bit.
+    All lanes share one grid and are evaluated as one batch, and each lane
+    equals its single-point call bit for bit.
     """
 
     def __init__(self, problem: DesignProblem):
@@ -275,7 +278,7 @@ class _ResidualFunction:
         self.comp = COMPONENTS.index(problem.components[0]) if problem.fixed_axis else None
 
     def lanes(self, shapes):
-        """(grid, checked n(t) (m, n, 3), frames (m, n, 4) or None) of shapes sharing tau_s."""
+        """(grid, checked n(t) (m, n, 3), frames (m, n, 4) or None) of the lanes ``shapes``."""
         grid = _build_grid(shapes[0], self.problem.grid_steps)
         if self.problem.fixed_axis:
             nhat = _fixed_axis_nhat(shapes, self.comp, grid)
@@ -284,10 +287,11 @@ class _ResidualFunction:
         frames, nhat = _lane_frames(shapes, grid)
         return grid, nhat, frames
 
-    def _residuals(self, shapes) -> np.ndarray:
+    def __call__(self, z: np.ndarray) -> np.ndarray:
         problem = self.problem
+        shapes = [self.param.build_shape(row) for row in np.atleast_2d(z)]
         grid, nhat, frames = self.lanes(shapes)
-        residuals = correction_residuals(grid, nhat, shapes[0].tau_s)
+        residuals = correction_residuals(grid, nhat, np.array([s.tau_s for s in shapes]))
         parts = [normalized_residual_vector(residuals, float(grid[-1]), problem.targets)]
         if frames is not None:
             parts.append(ROTATION_WEIGHT * _rotation_residual(frames, problem.theta))
@@ -299,19 +303,7 @@ class _ResidualFunction:
             power = np.trapezoid(np.sum(np.stack([s.amplitude(t) for s in shapes]) ** 2,
                                         axis=-1), t)
             parts.append(problem.power_weight * np.sqrt(power * problem.tau_p)[:, None] / np.pi)
-        return np.concatenate(parts, axis=-1)
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        shapes = [self.param.build_shape(row) for row in np.atleast_2d(z)]
-        groups: dict[float, list[int]] = {}
-        for i, shape in enumerate(shapes):
-            groups.setdefault(shape.tau_s, []).append(i)
-        out = None
-        for rows in groups.values():
-            f = self._residuals([shapes[i] for i in rows])
-            if out is None:
-                out = np.empty((len(shapes), f.shape[-1]))
-            out[rows] = f
+        out = np.concatenate(parts, axis=-1)
         return out if np.ndim(z) == 2 else out[0]
 
 
@@ -400,23 +392,6 @@ def solve(problem: DesignProblem, seed: int = 0,
     return DesignSolution(shape=shape, report=report, objective=cost,
                           converged=converged, restarts_used=problem.restarts,
                           best_restart=idx, rotation_violation=rot_violation)
-
-
-def jacobian_check(problem: DesignProblem, point: np.ndarray | None = None,
-                   step: float = 1e-5, seed: int = 0):
-    """Richardson comparison of the finite-difference Jacobian at steps h and h/2.
-
-    Returns (max relative deviation, flagged); smooth ansaetze stay below 1e-4.
-    """
-    residual = _ResidualFunction(problem)
-    if point is None:
-        point = residual.param.random_start(np.random.default_rng(seed))
-    point = np.asarray(point, dtype=float)
-    j1 = finite_difference_jacobian(residual, point, step)
-    j2 = finite_difference_jacobian(residual, point, step / 2.0)
-    scale = max(1.0, float(np.max(np.abs(j2))))
-    deviation = float(np.max(np.abs(j1 - j2)) / scale)
-    return deviation, deviation > 1e-4
 
 
 def feasibility_probe(problem: DesignProblem, seed: int = 0) -> ProbeResult:

@@ -8,10 +8,11 @@ far a real pulse is from the ideal decomposition
 with P_theta = exp(i sigma_y theta / 2).  :func:`integrate_deviation`
 produces the residual correction unitary U_F by integrating the exact
 deviation generator F(t) = W(t)^dag [e^{iH dt} H0 e^{-iH dt} - H0] W(t)
-directly, by classical RK4 on a grid of uniform spans cut at tau_s and the
-segment boundaries.  The frames W come from the trajectory integrator on the
-bisected grid, and each RK4 stage takes its amplitude by the integrator's
-stage rule: one frame path, one stage rule and one formula for F.
+directly, by classical RK4 on a grid of uniform spans cut at the segment
+boundaries; tau_s is no cut, since F is smooth there.  The frames W come from
+the trajectory integrator on the bisected grid, and each RK4 stage takes its
+amplitude by the integrator's stage rule: one frame path, one stage rule and
+one formula for F.
 
 This route keeps full relative accuracy as tau_p -> 0 (the deviation
 generator stays O(lambda) while the pulse amplitude grows as 1/tau_p), so
@@ -110,14 +111,14 @@ def _deviation_table(bath: BathModel, t: np.ndarray, tau_s: float,
 def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     """(U_F, trajectory) by RK4 integration of i U' = F(t) U over [0, tau_p].
 
-    The coarse grid is cut at tau_s and the segment boundaries into uniform
-    spans (``_build_grid``); bisecting it gives the trajectory grid, whose
-    frames supply F at the start, midpoint and end of every coarse step.  The
-    amplitude at those stages follows the frame integrator's stage rule
-    (``_stage_amplitudes``), so every step is a true RK4 step and no step
-    crosses tau_s or a breakpoint.  Only the final product of the step
-    matrices is needed; it is taken pairwise and projected onto the unitaries
-    once.
+    The coarse grid is cut at the segment boundaries into uniform spans
+    (``_build_grid``); bisecting it gives the trajectory grid, whose frames,
+    the identity at the exact tau_s, supply F at the start, midpoint and end
+    of every coarse step.  The amplitude at those stages follows the frame
+    integrator's stage rule (``_stage_amplitudes``), so every step is a true
+    RK4 step and no step crosses a breakpoint.  Only the final product of the
+    step matrices is needed; it is taken pairwise and projected onto the
+    unitaries once.
     """
     coarse = _build_grid(shape, steps)
     fine = np.empty(2 * len(coarse) - 1)

@@ -10,28 +10,28 @@ and no-go gaps depend on nothing else; the recovered amplitude differentiates
 q; and the exact oracle builds its frames from q.
 
 Every frame is integrated by one path: classical RK4 on a grid whose cuts,
-tau_s and the amplitude breakpoints, start uniform spans of a multiple of 4
-intervals, so no RK4 step or Simpson panel, on the grid or its halved grid,
-crosses a kink of the amplitude or of n(t).  The exact oracle integrates on
-the same grids with the same stage rule.  Each RK4 step is a quaternion,
-because the generator -i sigma . v is the pure quaternion (0, v); U(t, 0) is
-the prefix product of the steps forward from t = 0, taken in log2(n)
-vectorised levels, one product with U(tau_s, 0)^dag anchors it at tau_s, and
-every node is normalised once, after the products.
+the amplitude breakpoints, start uniform spans of a multiple of 4 intervals,
+so no RK4 step or Simpson panel, on the grid or its halved grid, crosses a
+kink of the amplitude; a Fourier grid is np.linspace.  The exact oracle
+integrates on the same grids with the same stage rule.  Each RK4 step is the
+quaternion polynomial of the generator (0, v), rejected if its norm drifts
+from 1 by more than ``STEP_DRIFT``; U(t, 0) is the prefix product of the
+steps from t = 0, in log2(n) vectorised levels.  tau_s is no cut: U(tau_s, 0)
+is interpolated between the nodes around it and enters W(t) only as the
+constant right factor U(tau_s, 0)^dag, so n(t) has no kink there.
 
-The integrator runs on a leading batch axis: m shapes that share tau_s and
-the breakpoints, and so one grid, are m lanes (m, n, .) of the same stage,
-step, scan and n(t) arithmetic.  The frame product is associative and
-elementwise over lanes, so each lane equals its lone-shape frame bit for bit;
-:func:`integrate_axis_angle` is the one-lane case and the design loop's
-Jacobian the many-lane one.  One check, :func:`_check_lanes`, validates
-every lane of frames and n(t).
+The integrator runs on a leading batch axis: m shapes that share the
+breakpoints, and so one grid, are m lanes (m, n, .), each with its own tau_s,
+of the same elementwise arithmetic, so each lane equals its lone-shape frame
+bit for bit; :func:`integrate_axis_angle` is the one-lane case and the design
+loop's Jacobian the many-lane one.  One check, :func:`_check_lanes`,
+validates every lane of frames and n(t).
 
 For output only, :func:`axis_angle` decomposes the frame as c = cos(psi/2),
 s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
 unit axis a(t), under conventions that the equations do not force:
   * the axis gauge is chosen so that psi initially grows along +v just after
-    tau_s;
+    tau_s; it also signs the angle at the node nearest tau_s;
   * where sin(psi/2) vanishes, or s turns away from the previous axis, the
     axis is continued from the instantaneous rotation axis v(t)/|v(t)|
     (falling back to the previous node's axis).
@@ -52,6 +52,9 @@ from .su2 import IDENTITY_Q, quaternion_matrix, quaternion_product
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 MIN_STEPS = 64
+# largest | |M_k| - 1 | of an RK4 step quaternion that a frame accepts: the
+# drift is ~phi^6 / 144 for a step turning by 2 phi, so phi < 0.95 rad
+STEP_DRIFT = 5e-3
 
 
 def _check_lanes(grid: np.ndarray, quaternions=None, nhat=None):
@@ -126,16 +129,17 @@ class NTrajectory:
 
 
 def _build_grid(shape: PulseShape, steps: int) -> np.ndarray:
-    """Grid whose cuts, 0, tau_s, the amplitude breakpoints and tau_p, are nodes.
+    """Grid whose cuts, 0, the amplitude breakpoints and tau_p, are nodes.
 
     Cuts closer than 1e-12 tau_p merge.  Between two cuts the grid is uniform,
     with the least multiple of 4 intervals that covers the span's share of
     ``steps``.  Node j of a span is j h + (cut - j_cut h), so where the cuts
-    fall on np.linspace(0, tau_p, n + 1) the grid is that one bit for bit.
+    fall on np.linspace(0, tau_p, n + 1), as for any Fourier shape, the grid
+    is that one bit for bit.
     """
     tau_p = shape.tau_p
     cuts = [0.0]
-    for t in sorted({shape.tau_s, *shape.breakpoints(), tau_p}):
+    for t in sorted({*shape.breakpoints(), tau_p}):
         if t - cuts[-1] > 1e-12 * tau_p:
             cuts.append(t)
     cuts[-1] = tau_p
@@ -204,8 +208,9 @@ def _rk4_step_quaternions(v1, v2, v3, h) -> np.ndarray:
     The generator -i sigma . v is the pure quaternion (0, v), so the step
     polynomial never leaves the quaternion algebra.
     """
-    g1, g2, g3 = (np.pad(v, ((0, 0), (1, 0))) for v in (v1, v2, v3))
-    return _rk4_polynomial(g1, g2, g3, h, quaternion_product, IDENTITY_Q)
+    g = np.zeros((3, *np.shape(v1)[:-1], 4))
+    g[0, ..., 1:], g[1, ..., 1:], g[2, ..., 1:] = v1, v2, v3
+    return _rk4_polynomial(*g, h, quaternion_product, IDENTITY_Q)
 
 
 def _prefix_products(steps: np.ndarray) -> np.ndarray:
@@ -221,43 +226,58 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_quaternions(shapes, grid: np.ndarray, i_s: int) -> np.ndarray:
-    """Unit frame quaternions (m, n, 4) of m lanes, identity at node ``i_s`` (tau_s).
+def _frame_quaternions(shapes, grid: np.ndarray) -> np.ndarray:
+    """Unit frames W(t) = U(t, 0) U(tau_s, 0)^dag (m, n, 4) of m lanes sharing ``grid``.
 
-    The ``shapes`` share ``grid`` and tau_s; every lane does the arithmetic
-    of a lone shape, so a lane equals its single-shape frame bit for bit.
-    U(t, 0) is the prefix product of the RK4 steps from the identity at
-    t = 0, and the frame is W(t) = U(t, 0) U(tau_s, 0)^dag.  The step
-    polynomial takes the lanes end to end on the step axis, so its operands
-    keep the dimensions of one lane: each further axis of a strided operand
-    adds to the cost of every numpy call.
+    U(t, 0) is the prefix product of the RK4 steps from t = 0.  U(tau_s, 0)
+    is the cubic Hermite interpolant of U and U' = (0, v) U at the nodes
+    around each lane's tau_s, O(h^4) like the steps, with v the step's first
+    and last stage amplitudes, so it evaluates no amplitude; on a node it is U
+    there exactly.  The step polynomial takes the lanes end to end on the step
+    axis: each further axis of a strided operand adds to every numpy call.
     """
-    m = len(shapes)
-    v1, v2, v3 = (v.reshape(-1, 3) for v in _stage_amplitudes(shapes, grid))
-    steps = _rk4_step_quaternions(v1, v2, v3, np.tile(np.diff(grid), m))
+    m, n = len(shapes), len(grid)
+    v1, v2, v3 = _stage_amplitudes(shapes, grid)
+    steps = _rk4_step_quaternions(*(v.reshape(-1, 3) for v in (v1, v2, v3)),
+                                  np.tile(np.diff(grid), m))
+    drift = np.max(np.abs(np.linalg.norm(steps, axis=-1) - 1.0))
+    if not drift <= STEP_DRIFT:
+        raise ValueError(f"trajectory frames must be unit quaternions, but an RK4 step "
+                         f"drifts {drift:.3g} from unit norm (limit {STEP_DRIFT:g}): "
+                         "the grid does not resolve the pulse")
     u = _prefix_products(np.concatenate([np.tile(IDENTITY_Q, (m, 1, 1)),
                                          steps.reshape(m, -1, 4)], axis=1))
-    q = quaternion_product(u, u[:, i_s:i_s + 1] * np.array([1.0, -1.0, -1.0, -1.0]))
-    # u_s u_s^dag can leave rounding of order 1e-17 in s; the anchor is set exactly
-    q[:, i_s] = IDENTITY_Q
+    lane, tau_s = np.arange(m), np.array([shape.tau_s for shape in shapes])
+    j = np.minimum(np.searchsorted(grid, tau_s, side="right") - 1, n - 2)
+    h = (grid[j + 1] - grid[j])[:, None]
+    x = (tau_s[:, None] - grid[j][:, None]) / h
+    ends = u[lane[:, None], j[:, None] + [0, 1]]            # U at the two nodes, (m, 2, 4)
+    generators = np.zeros((m, 2, 4))
+    generators[:, 0, 1:], generators[:, 1, 1:] = v1[lane, j], v3[lane, j]
+    slopes = h[:, :, None] * quaternion_product(generators, ends)     # h U' there
+    # the Hermite basis is exactly (1, 0, 0, 0) at x = 0 and (0, 0, 1, 0) at x = 1
+    rise = x * x * (3.0 - 2.0 * x)
+    anchor = ((1.0 - rise) * ends[:, 0] + rise * ends[:, 1]
+              + x * (1.0 - x) ** 2 * slopes[:, 0] - x * x * (1.0 - x) * slopes[:, 1])
+    q = quaternion_product(u, anchor[:, None, :] * np.array([1.0, -1.0, -1.0, -1.0]))
+    # u_s u_s^dag can leave rounding of order 1e-17 in s; a node at tau_s is set exactly
+    q[grid == tau_s[:, None]] = IDENTITY_Q
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
 def _frames_on_grid(shape: PulseShape, grid: np.ndarray) -> FrameTrajectory:
-    """Frames on a grid that has tau_s as a node."""
-    i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
-    return FrameTrajectory(grid=grid, tau_s=float(grid[i_s]),
-                           quaternions=_frame_quaternions([shape], grid, i_s)[0])
+    """Frames of ``shape`` on ``grid``, the identity at tau_s."""
+    return FrameTrajectory(grid=grid, tau_s=shape.tau_s,
+                           quaternions=_frame_quaternions([shape], grid)[0])
 
 
 def _lane_frames(shapes, grid: np.ndarray):
-    """Checked frame quaternions (m, n, 4) and n(t) (m, n, 3) of lanes sharing tau_s and ``grid``.
+    """Checked frame quaternions (m, n, 4) and n(t) (m, n, 3) of lanes sharing ``grid``.
 
     The batched form of ``n_trajectory(_frames_on_grid(shape, grid))``: the
     same values, each lane checked in full by one :func:`_check_lanes` call.
     """
-    i_s = int(np.argmin(np.abs(grid - shapes[0].tau_s)))
-    q = _frame_quaternions(shapes, grid, i_s)
+    q = _frame_quaternions(shapes, grid)
     nhat = _frame_nhat(q)
     _check_lanes(grid, quaternions=q, nhat=nhat)
     return q, nhat
@@ -327,45 +347,43 @@ def _unit_rows(x: np.ndarray):
 
 
 def _unwrap_sweep(c, svec, v, axis0, floor, v_floor):
-    """(psi, axis) along one sweep away from tau_s, which is its first node.
+    """(psi, axis) along one sweep from the node nearest tau_s, away from tau_s.
 
+    Before its first node is tau_s itself, with psi = 0 and axis ``axis0``.
     The previous node's axis fixes the sign of s, and with it the 2 pi branch
     of the angle.  The axis line is s/|s| where |s| exceeds ``floor`` and s
     stays within ~75 degrees of the previous line; elsewhere (a full turn) it
-    continues along v(t), or keeps the previous line where v vanishes.  That
-    choice at a node depends on the line before it, so it is iterated to its
-    fixed point; the first pass reaches it unless a resolvable s turns away
-    from the previous line.  Signs are a cumulative product of signs of
-    consecutive dot products.
+    continues along v(t), or keeps the previous line where v vanishes, and
+    the first node falls back to ``axis0`` itself.  That choice at a node
+    depends on the line before it, so it is iterated to its fixed point; the
+    first pass reaches it unless a resolvable s turns away from the previous
+    line.  Signs are a cumulative product of signs of consecutive dot
+    products.
     """
     s_hat, mag = _unit_rows(svec)
     v_hat, v_norm = _unit_rows(v)
+    v_hat[0] = axis0
     fallback = v_norm > v_floor
     index = np.arange(len(c))
     resolvable = mag > floor
-    resolvable[0] = False
     resolved = resolvable
     while True:
         line = np.where(resolved[:, None], s_hat, v_hat)
-        line[0] = axis0
         keep = ~resolved & ~fallback
-        keep[0] = False
         line = line[np.maximum.accumulate(np.where(keep, 0, index))]
-        w = np.sum(svec[1:] * line[:-1], axis=1)
-        regular = resolvable & np.concatenate([[False], np.abs(w) > 0.25 * mag[1:]])
+        prev = np.vstack([axis0, line[:-1]])
+        w = np.sum(svec * prev, axis=1)
+        regular = resolvable & (np.abs(w) > 0.25 * mag)
         if np.array_equal(regular, resolved):
             break
         resolved = regular
-    turn = np.ones(len(c))
-    turn[1:] = np.where(np.sum(line[1:] * line[:-1], axis=1) >= 0.0, 1.0, -1.0)
-    sign = np.cumprod(turn)
-    branch = np.zeros(len(c))
-    branch[1:] = np.arctan2(sign[:-1] * np.where(w >= 0.0, 1.0, -1.0) * mag[1:], c[1:])
+    sign = np.cumprod(np.where(np.sum(line * prev, axis=1) >= 0.0, 1.0, -1.0))
+    branch = np.arctan2(np.r_[1.0, sign[:-1]] * np.where(w >= 0.0, 1.0, -1.0) * mag, c)
     return 2.0 * np.unwrap(branch), sign[:, None] * line
 
 
 def _unwrap_frames(v_nodes, c, svec, i_s, axis0, floor):
-    """Continuous angle and axis along both sweeps away from tau_s."""
+    """Continuous angle and axis along both sweeps from node ``i_s``, nearest tau_s."""
     v_floor = 1e-9 * max(float(np.max(np.linalg.norm(v_nodes, axis=1))), 1e-300)
     psi = np.zeros(len(c))
     axis = np.empty((len(c), 3))

@@ -155,6 +155,20 @@ class TestLibraryErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["64", "256"])
+    def test_under_resolved_grid_exits_3_without_warnings(self, tmp_path, capsys, grid):
+        """RK4 steps that drift from unit norm are rejected before the frame
+        product: exit 3, and no numpy warning on the way."""
+        pulse = tmp_path / "fast.pulse"
+        pulse.write_text("schema_version = 1\nkind = pulse\nrepresentation = fourier\n"
+                         f"tau_p = 1.0\ntau_s = 0.5\ntheta = {PI}\nfourier_order = 1\n"
+                         "coeff.y.a.0 = -300\n")
+        out = tmp_path / "out.txt"
+        assert main(["corrections", str(pulse), "--grid", grid, "--out", str(out)]) == 3
+        assert "the grid does not resolve the pulse" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolveAndVerify:
     def test_solve_writes_reverifiable_solution(self, workdir):

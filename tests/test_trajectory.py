@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
 from spinpulse import su2
+from spinpulse.corrections import correction_residuals, nogo_diagnostics
+from spinpulse.design import _rotation_residual
 from spinpulse.pulses import PulseShape, constant_rotation_pulse, fourier_pulse
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.trajectory import (_bootstrap_axis, _build_grid, _frame_quaternions,
@@ -30,20 +32,21 @@ def generator_matrices(*amplitudes):
 def unwrap_frames_loop(v_nodes, c, svec, i_s, axis0, floor):
     """Node-by-node reference for ``_unwrap_frames``.
 
-    Also returns the nodes where |s| exceeds the floor and the axis still
-    came from a fallback, because s turned away from the previous axis.
+    Both sweeps start at tau_s, with psi = 0 and axis ``axis0``, and take
+    node i_s first; there the fallback axis is ``axis0`` itself.  Also
+    returns the nodes where |s| exceeds the floor and the axis still came
+    from a fallback, because s turned away from the previous axis.
     """
     n = len(c)
     phi = np.zeros(n)
     axis = np.zeros((n, 3))
-    axis[i_s] = axis0
     turned = np.zeros(n, dtype=bool)
     v_floor = 1e-9 * max(float(np.max(np.linalg.norm(v_nodes, axis=1))), 1e-300)
     mags = np.linalg.norm(svec, axis=1)
     for direction in (1, -1):
         ax = np.array(axis0, dtype=float)
         phi_prev = 0.0
-        for j in (range(i_s + 1, n) if direction > 0 else range(i_s - 1, -1, -1)):
+        for j in (range(i_s, n) if direction > 0 else range(i_s, -1, -1)):
             w = svec[j] @ ax
             sign = 1.0 if w >= 0 else -1.0
             raw = np.arctan2(sign * mags[j], c[j])
@@ -53,7 +56,7 @@ def unwrap_frames_loop(v_nodes, c, svec, i_s, axis0, floor):
             else:
                 turned[j] = mags[j] > floor
                 v_norm = np.linalg.norm(v_nodes[j])
-                if v_norm > v_floor:
+                if j != i_s and v_norm > v_floor:
                     ax = (1.0 if v_nodes[j] @ ax >= 0 else -1.0) * v_nodes[j] / v_norm
             axis[j] = ax
             phi_prev = phi[j]
@@ -144,7 +147,7 @@ class TestIntegrateAxisAngle:
         for shape in shapes:
             grid = _build_grid(shape, int(rng.choice([128, 256])))
             i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
-            q = _frame_quaternions([shape], grid, i_s)[0]
+            q = _frame_quaternions([shape], grid)[0]
             v_nodes = shape.amplitude(grid)
             scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
             axis0 = _bootstrap_axis(v_nodes[i_s], scale, q[:, 1:], i_s, 1e-7)
@@ -160,21 +163,21 @@ class TestIntegrateAxisAngle:
     @given(seed=st.integers(0, 2 ** 32 - 1), tau_s=st.sampled_from((0.0, 0.37, 1.0)),
            piecewise=st.booleans(), steps=st.sampled_from((64, 200)))
     def test_batched_lanes_equal_single_shapes(self, seed, tau_s, piecewise, steps):
-        """Lanes sharing tau_s and the breakpoints integrate as one batch, bit for bit."""
+        """Lanes sharing the breakpoints integrate as one batch, bit for bit,
+        each with its own tau_s, on a node or off it."""
         rng = np.random.default_rng(seed)
+        taus = (tau_s, rng.uniform(), 1.0 - tau_s)
         if piecewise:
-            # one breakpoint within a quarter step of tau_s: pinned beside it
+            # one breakpoint within a quarter step of tau_s
             inner = np.r_[rng.uniform(0.05, 0.95, 3), min(tau_s + 0.1 / steps, 0.99)]
             bounds = np.concatenate([[0.0], np.sort(inner), [1.0]])
-            shapes = [PulseShape(1.0, tau_s, np.pi, "piecewise_constant", boundaries=bounds,
+            shapes = [PulseShape(1.0, t, np.pi, "piecewise_constant", boundaries=bounds,
                                  values=rng.normal(scale=4.0, size=(len(bounds) - 1, 3)))
-                      for _ in range(3)]
+                      for t in taus]
         else:
-            shapes = [random_fourier_shape(rng, order=3, scale=3.0, tau_s=tau_s)
-                      for _ in range(3)]
+            shapes = [random_fourier_shape(rng, order=3, scale=3.0, tau_s=t) for t in taus]
         grid = _build_grid(shapes[0], steps)
-        i_s = int(np.argmin(np.abs(grid - tau_s)))
-        q = _frame_quaternions(shapes, grid, i_s)
+        q = _frame_quaternions(shapes, grid)
         lane_q, lane_n = _lane_frames(shapes, grid)
         for k, shape in enumerate(shapes):
             traj = integrate_axis_angle(shape, steps)
@@ -352,7 +355,9 @@ class TestFrameProperties:
            piecewise=st.booleans(), steps=st.sampled_from((64, 200)))
     def test_frame_is_the_forward_product_rebased_at_tau_s(self, seed, tau_s, piecewise,
                                                             steps):
-        """W(t) = U(t, 0) U(tau_s, 0)^dag, with U the sequential RK4 product from t = 0."""
+        """W(t) = U(t, 0) U(tau_s, 0)^dag, with U the sequential RK4 product from
+        t = 0 and U(tau_s, 0) its cubic Hermite interpolant, U' = G U, between
+        the nodes around tau_s."""
         rng = np.random.default_rng(seed)
         if piecewise:
             bounds = np.r_[0.0, np.sort(rng.uniform(0.05, 0.95, 3)), 1.0]
@@ -366,12 +371,61 @@ class TestFrameProperties:
         u = [np.eye(2, dtype=complex)]
         for m in _rk4_step_matrices(g1, g2, g3, np.diff(traj.grid)):
             u.append(m @ u[-1])
-        i_s = int(np.argmin(np.abs(traj.grid - traj.tau_s)))
-        w = np.array(u) @ u[i_s].conj().T
+        j = min(int(np.searchsorted(traj.grid, tau_s, side="right")) - 1, len(u) - 2)
+        h = traj.grid[j + 1] - traj.grid[j]
+        x = (tau_s - traj.grid[j]) / h
+        u_s = ((2 * x ** 3 - 3 * x ** 2 + 1) * u[j] + (3 * x ** 2 - 2 * x ** 3) * u[j + 1]
+               + h * (x * (1 - x) ** 2 * g1[j] @ u[j] - x ** 2 * (1 - x) * g3[j] @ u[j + 1]))
+        w = np.array(u) @ u_s.conj().T
         # each RK4 step is a real multiple of a unitary; the frame is normalised
         w /= np.linalg.norm(w, axis=(1, 2), keepdims=True) / np.sqrt(2.0)
         assert np.abs(traj.unitaries - w).max() <= 1e-12
-        assert np.array_equal(traj.unitaries[i_s], np.eye(2))
+        assert traj.tau_s == tau_s
+        if tau_s in traj.grid:
+            assert np.array_equal(traj.unitaries[traj.grid == tau_s][0], np.eye(2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), piecewise=st.booleans(),
+           steps=st.sampled_from((64, 200)))
+    def test_the_anchor_is_a_gauge(self, seed, piecewise, steps):
+        """Frames anchored at two tau_s, one on a node and one off, differ by one
+        constant right factor, and nothing read from them differs beyond
+        rounding: the residual norms and both gaps at either tau_s, and the
+        rotation residual."""
+        rng = np.random.default_rng(seed)
+        if piecewise:
+            bounds = np.r_[0.0, np.sort(rng.uniform(0.05, 0.95, 3)), 1.0]
+            shape = PulseShape(1.0, 0.0, np.pi, "piecewise_constant", boundaries=bounds,
+                               values=rng.normal(scale=4.0, size=(len(bounds) - 1, 3)))
+        else:
+            shape = random_fourier_shape(rng, order=3, scale=3.0, tau_s=0.0)
+        grid = _build_grid(shape, steps)
+        taus = (float(grid[rng.integers(len(grid))]), float(rng.uniform()))
+        assert taus[1] not in grid
+        trajs = [integrate_axis_angle(replace(shape, tau_s=t), steps) for t in taus]
+        a, b = (traj.quaternions for traj in trajs)
+        right = su2.quaternion_product(a * [1.0, -1.0, -1.0, -1.0], b)
+        assert np.abs(right - right[0]).max() <= 1e-12
+        nhats = [n_trajectory(traj) for traj in trajs]
+        for tau_s in taus:
+            norms = [np.linalg.norm(correction_residuals(grid, n.nhat, tau_s), axis=-1)
+                     for n in nhats]
+            assert np.abs(norms[0] - norms[1]).max() <= 1e-12
+            gaps = [nogo_diagnostics(n, tau_s) for n in nhats]
+            assert abs(gaps[0].tsp_gap - gaps[1].tsp_gap) <= 1e-12
+            assert abs(gaps[0].pi2_gap - gaps[1].pi2_gap) <= 1e-12
+        rotation = [np.linalg.norm(_rotation_residual(q, np.pi)) for q in (a, b)]
+        assert abs(rotation[0] - rotation[1]) <= 1e-12
+
+    def test_off_node_anchor_keeps_fourth_order(self):
+        """With tau_s between nodes, every node's frame still converges at
+        fourth order: the Hermite anchor is as accurate as the RK4 steps."""
+        shape = random_fourier_shape(np.random.default_rng(1), order=4, scale=3.0,
+                                     tau_s=0.3337)
+        reference = integrate_axis_angle(shape, 8192).quaternions
+        coarse, fine = (np.abs(integrate_axis_angle(shape, n).quaternions
+                               - reference[::8192 // n]).max() for n in (64, 256))
+        assert coarse / fine >= 100.0
 
     def test_frame_guard(self, pi_pulse):
         """Frames must be unit quaternions, each step turning by less than pi."""
@@ -399,15 +453,20 @@ class TestFrameProperties:
             replace(ntraj, grid=grid)
 
     def test_pinned_times_never_displace_each_other(self):
-        """A breakpoint within a quarter step of tau_s starts its own span beside it."""
+        """A breakpoint within a quarter step of tau_s is a node, and the frame is
+        the identity at the exact tau_s, which lies between two nodes."""
         boundary = 0.5 + 0.1 / 1024
         shape = PulseShape(1.0, 0.5, np.pi, "piecewise_constant",
                            boundaries=np.array([0.0, boundary, 1.0]),
                            values=np.array([[0.0, -np.pi / 2, 0.0], [0.0, -np.pi / 2, 0.0]]))
         traj = integrate_axis_angle(shape, 1024)
         assert traj.tau_s == shape.tau_s
-        assert shape.tau_s in traj.grid and boundary in traj.grid
-        assert np.array_equal(traj.unitaries[traj.grid == shape.tau_s][0], np.eye(2))
+        assert boundary in traj.grid and shape.tau_s not in traj.grid
+        # W(t) = exp(i sigma_y pi (t - tau_s) / 2): q = (cos, 0, -sin, 0) of pi (t - tau_s) / 2
+        half = 0.5 * np.pi * (traj.grid - shape.tau_s)
+        zero = np.zeros_like(half)
+        exact = np.column_stack([np.cos(half), zero, -np.sin(half), zero])
+        assert np.abs(traj.quaternions - exact).max() <= 1e-12
 
 
 class TestGridRule:
@@ -419,7 +478,8 @@ class TestGridRule:
     def test_every_cut_starts_a_uniform_span(self, tau_s, free, near, steps):
         """Cuts sit at node indices divisible by 4, between them the grid is
         uniform, and there are at least ``steps`` intervals.  Breakpoints
-        within a quarter step of tau_s or of each other included."""
+        within a quarter step of each other included.  tau_s is no cut: a
+        shape differing only in tau_s has the same grid bit for bit."""
         quarter = 0.25 / steps
         inner = [t for t in (*free, *(tau_s + d * quarter for d in near),
                              *(free[0] + d * quarter for d in near[:1] if free))
@@ -431,8 +491,9 @@ class TestGridRule:
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert np.all(np.diff(grid) > 0.0)
         assert len(grid) - 1 >= steps
-        nodes = sorted({int(np.argmin(np.abs(grid - t))) for t in (tau_s, *bounds)})
-        for t in (tau_s, *bounds):
+        assert np.array_equal(_build_grid(replace(shape, tau_s=0.5 * tau_s + 0.25), steps), grid)
+        nodes = sorted({int(np.argmin(np.abs(grid - t))) for t in bounds})
+        for t in bounds:
             assert np.abs(grid - t).min() <= 1e-11
         for j0, j1 in zip(nodes, nodes[1:]):
             assert j0 % 4 == 0 and j1 % 4 == 0
