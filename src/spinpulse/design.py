@@ -11,8 +11,10 @@ residual and the rotation below ``VERIFIED_BOUND``.
 
 The residual function takes a batch of points as lanes, and the
 central-difference Jacobian evaluates its whole 2P-point stencil in one
-call: every point of a problem has the same grid, so a call is one batched
-frame pass whatever the points' tau_s.
+call.  A call builds one lane ``PulseShape``, whose coefficients and tau_s
+carry the points on a leading axis; every point of a problem has the same
+grid, so a call is one batched amplitude and frame pass whatever the points'
+tau_s.
 
 Problems are posed at tau_p = 1 without loss of generality: the normalized
 residuals are invariant under joint rescaling of duration and amplitude, so a
@@ -32,8 +34,8 @@ from .policy import active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import ideal_pulse_quaternion, quaternion_product
-from .trajectory import (MIN_STEPS, _build_grid, _check_lanes, _lane_frames,
-                         integrate_axis_angle, n_trajectory)
+from .trajectory import (MIN_STEPS, _build_grid, _check_lanes, _frame_nhat,
+                         _frame_quaternions, integrate_axis_angle, n_trajectory)
 
 ROTATION_WEIGHT = 100.0
 # a converged design verifies below this on the doubled grid: its rotation
@@ -68,6 +70,16 @@ class DesignProblem:
             raise ValueError("ansatz must be 'fourier' or 'piecewise'")
         if self.ansatz == "fourier" and self.fourier_order < 1:
             raise ValueError("fourier order must be at least 1")
+        if self.segments < 1:
+            raise ValueError("segments must be at least 1")
+        if self.endpoint_derivatives < 0:
+            raise ValueError("endpoint_zero_derivatives must not be negative")
+        if not np.isfinite(self.theta):
+            raise ValueError("theta must be finite")
+        if self.amplitude_bound is not None and not 0.0 < self.amplitude_bound < np.inf:
+            raise ValueError("amplitude_bound must be finite and positive")
+        if not 0.0 <= self.power_weight < np.inf:
+            raise ValueError("power_weight must be finite and not negative")
         if not self.components or any(c not in COMPONENTS for c in self.components):
             raise ValueError("components must be a nonempty subset of x, y, z")
         bad = [t for t in self.targets if t not in RESIDUAL_TARGETS]
@@ -189,17 +201,22 @@ class _Parameterization:
         return self.offset + self.lift @ (self.basis @ z), tau_s
 
     def build_shape(self, z: np.ndarray) -> PulseShape:
+        """The shape of one point z (P,), or the lane shape of the points z (m, P)."""
         problem = self.problem
-        coeffs, tau_s = self.split(z)
-        blocks = coeffs.reshape(len(problem.components), -1)
+        if np.ndim(z) == 1:
+            coeffs, tau_s = self.split(z)
+        else:   # point by point: one product over all lanes would round differently
+            coeffs, tau_s = (np.array(part) for part in zip(*map(self.split, z)))
+        lanes = np.shape(tau_s)
+        blocks = coeffs.reshape(*lanes, len(problem.components), -1)
         rows = [COMPONENTS.index(c) for c in problem.components]
         if problem.ansatz == "fourier":
-            fc = FourierCoefficients.zeros(problem.fourier_order)
-            fc.cos[rows] = blocks[:, :problem.fourier_order + 1]
-            fc.sin[rows] = blocks[:, problem.fourier_order + 1:]
+            fc = FourierCoefficients.zeros(problem.fourier_order, lanes)
+            fc.cos[..., rows, :] = blocks[..., :problem.fourier_order + 1]
+            fc.sin[..., rows, :] = blocks[..., problem.fourier_order + 1:]
             return PulseShape(problem.tau_p, tau_s, problem.theta, "fourier", fourier=fc)
-        values = np.zeros((problem.segments, 3))
-        values[:, rows] = blocks.T
+        values = np.zeros((*lanes, problem.segments, 3))
+        values[..., rows] = np.swapaxes(blocks, -1, -2)
         return PulseShape(problem.tau_p, tau_s, problem.theta, "piecewise_constant",
                           boundaries=np.linspace(0.0, problem.tau_p, problem.segments + 1),
                           values=values)
@@ -209,42 +226,45 @@ class _Parameterization:
 # residual evaluation
 
 
-def _swept_angle(shapes, comp: int, t: np.ndarray) -> np.ndarray:
+def _swept_angle(shape: PulseShape, comp: int, t: np.ndarray) -> np.ndarray:
     """Exact accumulated angle 2 int_{tau_s}^t v dt of one component, (m, len(t)).
 
-    The m Fourier or piecewise ``shapes`` are lanes, each with its own tau_s.
+    ``shape`` is a Fourier or piecewise lane shape, each lane with its own tau_s.
     """
-    if shapes[0].representation == "piecewise_constant":
-        cums = [np.concatenate([[0.0], np.cumsum(s.values[:, comp] * np.diff(s.boundaries))])
-                for s in shapes]
+    if shape.representation == "piecewise_constant":
+        b = shape.boundaries
+        cum = np.cumsum(shape.values[..., comp] * np.diff(b), axis=-1)
+        cum = np.concatenate([np.zeros_like(cum[:, :1]), cum], axis=-1)
+        # the slopes of np.interp(x, b, cum), and a flat piece from tau_p on
+        slope = np.diff(cum, axis=-1, append=cum[:, -1:]) / np.append(np.diff(b), 1.0)
 
         def antiderivative(x):
-            lanes = np.broadcast_to(x, (len(shapes), x.shape[-1]))
-            return np.stack([np.interp(xk, s.boundaries, cum)
-                             for xk, s, cum in zip(lanes, shapes, cums)])
+            # np.interp(x, b, cum) in every lane, in its arithmetic
+            x = np.broadcast_to(x, (len(cum), x.shape[-1]))
+            j = np.searchsorted(b, x, side="right") - 1
+            return np.take_along_axis(slope, j, -1) * (x - b[j]) + np.take_along_axis(cum, j, -1)
     else:
-        c = np.stack([s.fourier.cos[comp] for s in shapes])
-        sn = np.stack([s.fourier.sin[comp] for s in shapes])
-        omega = 2.0 * np.pi / shapes[0].tau_p
+        c, sn = shape.fourier.cos[..., comp, :], shape.fourier.sin[..., comp, :]
+        omega = 2.0 * np.pi / shape.tau_p
 
         def antiderivative(x):
-            out = c[:, :1] * x
-            for k in range(1, c.shape[1]):
-                out = out + c[:, k:k + 1] * np.sin(omega * k * x) / (omega * k)
-                out = out - sn[:, k - 1:k] * np.cos(omega * k * x) / (omega * k)
+            out = c[..., :1] * x
+            for k in range(1, c.shape[-1]):
+                out = out + c[..., k:k + 1] * np.sin(omega * k * x) / (omega * k)
+                out = out - sn[..., k - 1:k] * np.cos(omega * k * x) / (omega * k)
             return out
 
-    return 2.0 * (antiderivative(t) - antiderivative(np.array([[s.tau_s] for s in shapes])))
+    return 2.0 * (antiderivative(t) - antiderivative(shape.tau_s[:, None]))
 
 
-def _fixed_axis_nhat(shapes, comp: int, grid: np.ndarray) -> np.ndarray:
-    """Closed-form n(t) (m, n, 3) of single-component lanes.
+def _fixed_axis_nhat(shape: PulseShape, comp: int, grid: np.ndarray) -> np.ndarray:
+    """Closed-form n(t) (m, n, 3) of a single-component lane shape.
 
     The frame axis never moves, so psi(t) = 2 int_{tau_s}^t v dt (exact for
     Fourier and piecewise amplitudes) and n(t) is an elementary rotation of z
     about the component axis; no frame ODE is needed.
     """
-    psi = _swept_angle(shapes, comp, grid)
+    psi = _swept_angle(shape, comp, grid)
     if comp == 1:      # y axis: n = (-sin psi, 0, cos psi)
         return np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
     if comp == 0:      # x axis: n = (0, sin psi, cos psi)
@@ -277,31 +297,31 @@ class _ResidualFunction:
         self.param = _Parameterization(problem)
         self.comp = COMPONENTS.index(problem.components[0]) if problem.fixed_axis else None
 
-    def lanes(self, shapes):
-        """(grid, checked n(t) (m, n, 3), frames (m, n, 4) or None) of the lanes ``shapes``."""
-        grid = _build_grid(shapes[0], self.problem.grid_steps)
+    def lanes(self, shape: PulseShape):
+        """(grid, checked n(t) (m, n, 3), frames (m, n, 4) or None) of the lane shape."""
+        grid = _build_grid(shape, self.problem.grid_steps)
         if self.problem.fixed_axis:
-            nhat = _fixed_axis_nhat(shapes, self.comp, grid)
-            _check_lanes(grid, nhat=nhat)
-            return grid, nhat, None
-        frames, nhat = _lane_frames(shapes, grid)
+            frames, nhat = None, _fixed_axis_nhat(shape, self.comp, grid)
+        else:
+            frames = _frame_quaternions(shape, grid)
+            nhat = _frame_nhat(frames)
+        _check_lanes(grid, quaternions=frames, nhat=nhat)
         return grid, nhat, frames
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         problem = self.problem
-        shapes = [self.param.build_shape(row) for row in np.atleast_2d(z)]
-        grid, nhat, frames = self.lanes(shapes)
-        residuals = correction_residuals(grid, nhat, np.array([s.tau_s for s in shapes]))
+        shape = self.param.build_shape(np.atleast_2d(z))
+        grid, nhat, frames = self.lanes(shape)
+        residuals = correction_residuals(grid, nhat, shape.tau_s)
         parts = [normalized_residual_vector(residuals, float(grid[-1]), problem.targets)]
         if frames is not None:
             parts.append(ROTATION_WEIGHT * _rotation_residual(frames, problem.theta))
         if problem.amplitude_bound is not None:
-            excess = np.array([[s.max_amplitude()] for s in shapes]) - problem.amplitude_bound
+            excess = shape.max_amplitude()[:, None] - problem.amplitude_bound
             parts.append(10.0 * np.maximum(0.0, excess) * problem.tau_p)
         if problem.power_weight > 0.0:
             t = np.linspace(0.0, problem.tau_p, 129)
-            power = np.trapezoid(np.sum(np.stack([s.amplitude(t) for s in shapes]) ** 2,
-                                        axis=-1), t)
+            power = np.trapezoid(np.sum(shape.amplitude(t) ** 2, axis=-1), t)
             parts.append(problem.power_weight * np.sqrt(power * problem.tau_p)[:, None] / np.pi)
         out = np.concatenate(parts, axis=-1)
         return out if np.ndim(z) == 2 else out[0]

@@ -127,7 +127,7 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     traj = _frames_on_grid(shape, fine)
     frames = traj.unitaries
     stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
-                 (v[0] for v in _stage_amplitudes([shape], coarse)))
+                 _stage_amplitudes(shape, coarse))
     f = [-1.0j * _deviation_table(bath, fine[sl], traj.tau_s, frames[sl], v)
          for sl, v in stages]
     mats = _rk4_step_matrices(*f, np.diff(coarse))

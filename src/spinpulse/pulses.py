@@ -36,31 +36,31 @@ SPLINE_ORDER = 5
 
 @dataclass(frozen=True)
 class FourierCoefficients:
-    """Per-component cosine/sine coefficients; arrays of shape (3, K+1) and (3, K)."""
+    """Per-component cosine/sine coefficients; arrays of shape ([m,] 3, K+1) and ([m,] 3, K)."""
 
     cos: np.ndarray
     sin: np.ndarray
 
     @property
     def order(self) -> int:
-        return self.sin.shape[1]
+        return self.sin.shape[-1]
 
     @staticmethod
-    def zeros(order: int) -> "FourierCoefficients":
-        return FourierCoefficients(np.zeros((3, order + 1)), np.zeros((3, order)))
+    def zeros(order: int, lanes: tuple = ()) -> "FourierCoefficients":
+        return FourierCoefficients(np.zeros((*lanes, 3, order + 1)), np.zeros((*lanes, 3, order)))
 
 
 @dataclass(frozen=True)
 class PulseShape:
     tau_p: float
-    tau_s: float
+    tau_s: float | np.ndarray                 # or shape (m,) for m lanes
     theta: float
     representation: str
     # fourier
     fourier: FourierCoefficients | None = None
     # piecewise_constant
     boundaries: np.ndarray | None = None      # shape (N+1,)
-    values: np.ndarray | None = None          # shape (N, 3)
+    values: np.ndarray | None = None          # shape (N, 3), or (m, N, 3) for lanes
     # axis_angle_samples
     sample_times: np.ndarray | None = None    # shape (M,)
     sample_axes: np.ndarray | None = None     # shape (M, 3)
@@ -71,7 +71,7 @@ class PulseShape:
         policy = active_policy()
         if not self.tau_p > 0:
             raise ValueError("tau_p must be positive")
-        if not 0.0 <= self.tau_s <= self.tau_p:
+        if not np.all((0.0 <= self.tau_s) & (self.tau_s <= self.tau_p)):
             raise ValueError("tau_s must lie in [0, tau_p]")
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.representation!r}")
@@ -81,7 +81,7 @@ class PulseShape:
         elif self.representation == "piecewise_constant":
             b = np.asarray(self.boundaries, dtype=float)
             v = np.asarray(self.values, dtype=float)
-            if b.ndim != 1 or len(b) < 2 or v.shape != (len(b) - 1, 3):
+            if b.ndim != 1 or len(b) < 2 or v.shape != (*np.shape(self.tau_s), len(b) - 1, 3):
                 raise ValueError("piecewise shape needs N+1 boundaries and N value rows")
             if np.any(np.diff(b) <= 0):
                 raise ValueError("segment boundaries must be strictly increasing")
@@ -128,7 +128,8 @@ class PulseShape:
                 np.column_stack([-s * dhalf, (c * dhalf)[:, None] * a + s[:, None] * da]))
 
     def amplitude(self, t) -> np.ndarray:
-        """v(t) for scalar or array t inside [0, tau_p]; shape (..., 3)."""
+        """v(t) for scalar or array t inside [0, tau_p]: (..., 3), or (m, ..., 3) for m
+        lanes (a Fourier or piecewise family), each its lone shape's v bit for bit."""
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12 * self.tau_p) or np.any(t > self.tau_p * (1 + 1e-12)):
             raise ValueError("time outside [0, tau_p]")
@@ -138,27 +139,32 @@ class PulseShape:
             out = self._fourier_amplitude(t)
         elif self.representation == "piecewise_constant":
             idx = np.searchsorted(self.boundaries, t, side="right") - 1
-            idx = np.clip(idx, 0, len(self.values) - 1)
-            out = self.values[idx]
+            idx = np.clip(idx, 0, self.values.shape[-2] - 1)
+            # np.take keeps the lanes contiguous, and so their sums' rounding
+            out = np.take(self.values, idx, axis=-2)
         else:
             out = frame_amplitude(*self._sampled_frame(t))
         if not np.all(np.isfinite(out)):
             raise ValueError("pulse amplitude is not finite")
-        return out[0] if scalar else out
+        return out[..., 0, :] if scalar else out
 
     def _fourier_amplitude(self, t: np.ndarray) -> np.ndarray:
         c = self.fourier.cos
         s = self.fourier.sin
-        out = np.repeat(c[None, :, 0], len(t), axis=0)
-        if c.shape[1] > 1:
-            k = np.arange(1, c.shape[1])
+        out = np.repeat(c[..., None, :, 0], len(t), axis=-2)
+        if c.shape[-1] > 1:
+            k = np.arange(1, c.shape[-1])
             phase = 2.0 * np.pi * np.outer(t, k) / self.tau_p
-            out = out + np.cos(phase) @ c[:, 1:].T + np.sin(phase) @ s.T
+            # an overflow leaves inf or NaN, which the finite check rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = (out + np.cos(phase) @ np.swapaxes(c[..., 1:], -1, -2)
+                       + np.sin(phase) @ np.swapaxes(s, -1, -2))
         return out
 
-    def max_amplitude(self, samples: int = 512) -> float:
+    def max_amplitude(self, samples: int = 512) -> float | np.ndarray:
+        """Largest |v| at ``samples`` uniform times: a float, or (m,) for lanes."""
         t = np.linspace(0.0, self.tau_p, samples)
-        return float(np.max(np.linalg.norm(self.amplitude(t), axis=1)))
+        return np.max(np.linalg.norm(self.amplitude(t), axis=-1), axis=-1)
 
     def breakpoints(self) -> np.ndarray:
         """Interior times where the amplitude may be non-smooth."""

@@ -20,12 +20,12 @@ steps from t = 0, in log2(n) vectorised levels.  tau_s is no cut: U(tau_s, 0)
 is interpolated between the nodes around it and enters W(t) only as the
 constant right factor U(tau_s, 0)^dag, so n(t) has no kink there.
 
-The integrator runs on a leading batch axis: m shapes that share the
-breakpoints, and so one grid, are m lanes (m, n, .), each with its own tau_s,
-of the same elementwise arithmetic, so each lane equals its lone-shape frame
-bit for bit; :func:`integrate_axis_angle` is the one-lane case and the design
-loop's Jacobian the many-lane one.  One check, :func:`_check_lanes`,
-validates every lane of frames and n(t).
+The integrator runs on a leading lane axis: a lane shape (``PulseShape``
+with m lanes, each with its own tau_s, on one set of breakpoints and so one
+grid) gives frames (m, n, 4) and n(t) (m, n, 3) by the same elementwise
+arithmetic, so each lane equals its lone-shape frame bit for bit; a lone
+shape gives (n, 4).  The design loop's Jacobian is the many-lane case.  One
+check, :func:`_check_lanes`, validates every lane of frames and n(t).
 
 For output only, :func:`axis_angle` decomposes the frame as c = cos(psi/2),
 s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
@@ -85,8 +85,8 @@ class FrameTrajectory:
     """Sampled rotation frame: strictly increasing grid, unit quaternions q = (c, s)."""
 
     grid: np.ndarray         # (n,)
-    tau_s: float
-    quaternions: np.ndarray  # (n, 4) unit (c, s) of the integrated W = c I - i s . sigma
+    tau_s: float             # or (m,) for lanes
+    quaternions: np.ndarray  # (n, 4) or (m, n, 4): unit (c, s) of W = c I - i s . sigma
 
     def __post_init__(self):
         _check_lanes(self.grid, quaternions=self.quaternions)
@@ -101,7 +101,7 @@ class FrameTrajectory:
 
     @property
     def unitaries(self) -> np.ndarray:
-        """(n, 2, 2) frames built from the quaternions."""
+        """(..., n, 2, 2) frames built from the quaternions."""
         return quaternion_matrix(self.quaternions)
 
 
@@ -110,7 +110,7 @@ class NTrajectory:
     """Unit vectors n(t), the frame's image of the z axis, on the trajectory grid."""
 
     grid: np.ndarray   # (n,)
-    nhat: np.ndarray   # (n, 3)
+    nhat: np.ndarray   # (n, 3), or (m, n, 3) for lanes
 
     def __post_init__(self):
         _check_lanes(self.grid, nhat=self.nhat)
@@ -153,24 +153,18 @@ def _build_grid(shape: PulseShape, steps: int) -> np.ndarray:
     return np.concatenate([*spans, [tau_p]])
 
 
-def _stage_amplitudes(shapes, grid: np.ndarray):
-    """v(t) at the start, midpoint and end of every grid interval, (m, n - 1, 3) each.
+def _stage_amplitudes(shape: PulseShape, grid: np.ndarray):
+    """v(t) at the start, midpoint and end of every grid interval, (..., n - 1, 3) each.
 
-    Each of the m ``shapes`` is a lane evaluated on the shared ``grid``.
-    Piecewise-constant shapes use the midpoint value for all three stage
-    evaluations of an interval so that integration never samples across a
-    segment boundary.
+    The lanes of ``shape`` lead, as in ``shape.amplitude``.  Piecewise-constant
+    shapes use the midpoint value for all three stage evaluations of an
+    interval so that integration never samples across a segment boundary.
     """
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    v1, v2, v3 = (np.empty((len(shapes), len(mid), 3)) for _ in range(3))
-    for k, shape in enumerate(shapes):
-        v2[k] = shape.amplitude(mid)
-        if shape.representation == "piecewise_constant":
-            v1[k] = v3[k] = v2[k]
-        else:
-            v_node = shape.amplitude(grid)
-            v1[k], v3[k] = v_node[:-1], v_node[1:]
-    return v1, v2, v3
+    v2 = shape.amplitude(0.5 * (grid[:-1] + grid[1:]))
+    if shape.representation == "piecewise_constant":
+        return v2, v2, v2
+    v_node = shape.amplitude(grid)
+    return v_node[..., :-1, :], v2, v_node[..., 1:, :]
 
 
 def _rk4_polynomial(g1, g2, g3, h, mul, one):
@@ -226,28 +220,30 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_quaternions(shapes, grid: np.ndarray) -> np.ndarray:
-    """Unit frames W(t) = U(t, 0) U(tau_s, 0)^dag (m, n, 4) of m lanes sharing ``grid``.
+def _frame_quaternions(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
+    """Unit frames W(t) = U(t, 0) U(tau_s, 0)^dag of ``shape``: (n, 4), or (m, n, 4) for lanes.
 
     U(t, 0) is the prefix product of the RK4 steps from t = 0.  U(tau_s, 0)
     is the cubic Hermite interpolant of U and U' = (0, v) U at the nodes
     around each lane's tau_s, O(h^4) like the steps, with v the step's first
-    and last stage amplitudes, so it evaluates no amplitude; on a node it is U
-    there exactly.  The step polynomial takes the lanes end to end on the step
-    axis: each further axis of a strided operand adds to every numpy call.
+    and last stage amplitudes, so it evaluates no amplitude; on a node it is
+    U there exactly.  The step polynomial takes the lanes end to end on the
+    step axis: each further axis of a strided operand adds to every numpy call.
     """
-    m, n = len(shapes), len(grid)
-    v1, v2, v3 = _stage_amplitudes(shapes, grid)
-    steps = _rk4_step_quaternions(*(v.reshape(-1, 3) for v in (v1, v2, v3)),
-                                  np.tile(np.diff(grid), m))
-    drift = np.max(np.abs(np.linalg.norm(steps, axis=-1) - 1.0))
+    m, n = np.size(shape.tau_s), len(grid)
+    v1, v2, v3 = (v.reshape(m, n - 1, 3) for v in _stage_amplitudes(shape, grid))
+    # an overflow leaves inf or NaN steps, which the drift guard rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _rk4_step_quaternions(*(v.reshape(-1, 3) for v in (v1, v2, v3)),
+                                      np.tile(np.diff(grid), m))
+        drift = np.max(np.abs(np.linalg.norm(steps, axis=-1) - 1.0))
     if not drift <= STEP_DRIFT:
         raise ValueError(f"trajectory frames must be unit quaternions, but an RK4 step "
                          f"drifts {drift:.3g} from unit norm (limit {STEP_DRIFT:g}): "
                          "the grid does not resolve the pulse")
     u = _prefix_products(np.concatenate([np.tile(IDENTITY_Q, (m, 1, 1)),
                                          steps.reshape(m, -1, 4)], axis=1))
-    lane, tau_s = np.arange(m), np.array([shape.tau_s for shape in shapes])
+    lane, tau_s = np.arange(m), np.atleast_1d(shape.tau_s)
     j = np.minimum(np.searchsorted(grid, tau_s, side="right") - 1, n - 2)
     h = (grid[j + 1] - grid[j])[:, None]
     x = (tau_s[:, None] - grid[j][:, None]) / h
@@ -262,25 +258,14 @@ def _frame_quaternions(shapes, grid: np.ndarray) -> np.ndarray:
     q = quaternion_product(u, anchor[:, None, :] * np.array([1.0, -1.0, -1.0, -1.0]))
     # u_s u_s^dag can leave rounding of order 1e-17 in s; a node at tau_s is set exactly
     q[grid == tau_s[:, None]] = IDENTITY_Q
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    return q.reshape(np.shape(shape.tau_s) + (n, 4))
 
 
 def _frames_on_grid(shape: PulseShape, grid: np.ndarray) -> FrameTrajectory:
-    """Frames of ``shape`` on ``grid``, the identity at tau_s."""
+    """Frames of ``shape`` on ``grid``, the identity at tau_s, one frame per lane."""
     return FrameTrajectory(grid=grid, tau_s=shape.tau_s,
-                           quaternions=_frame_quaternions([shape], grid)[0])
-
-
-def _lane_frames(shapes, grid: np.ndarray):
-    """Checked frame quaternions (m, n, 4) and n(t) (m, n, 3) of lanes sharing ``grid``.
-
-    The batched form of ``n_trajectory(_frames_on_grid(shape, grid))``: the
-    same values, each lane checked in full by one :func:`_check_lanes` call.
-    """
-    q = _frame_quaternions(shapes, grid)
-    nhat = _frame_nhat(q)
-    _check_lanes(grid, quaternions=q, nhat=nhat)
-    return q, nhat
+                           quaternions=_frame_quaternions(shape, grid))
 
 
 def integrate_axis_angle(shape: PulseShape, steps: int) -> FrameTrajectory:
@@ -288,9 +273,8 @@ def integrate_axis_angle(shape: PulseShape, steps: int) -> FrameTrajectory:
 
     Returns the frame quaternions, all that residuals, gaps, amplitudes and
     the oracle read.  Their (axis, angle) form is :func:`axis_angle`, whose
-    rebuilt frame matches q only where the axis is +-s/|s|.  This is the
-    one-lane case of the batched integrator, which the design loop runs on
-    many shapes at once.
+    rebuilt frame matches q only where the axis is +-s/|s|.  A lane shape
+    gives one frame per lane, (m, n, 4), as the design loop uses it.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"at least {MIN_STEPS} integration steps are required")

@@ -144,6 +144,7 @@ class TestLibraryErrors:
         ("coeff.y.a.0 = -1e100\ncoeff.x.a.1 = 1e100\n", ["--grid", "64"],
          "trajectory frames must be unit quaternions"),
     ], ids=["under-resolved", "non-finite", "non-finite-frames"])
+    @pytest.mark.filterwarnings("error")
     def test_value_error_after_parsing_exits_3(self, tmp_path, capsys, command, coeffs,
                                                flags, message):
         pulse = tmp_path / "strong.pulse"
@@ -281,6 +282,25 @@ class TestUsageErrors:
         out = workdir / "ill.pulse"
         assert main(["solve", str(prob), *flags, "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("restarts = 8", "restarts = 8\namplitude_bound = nan", "amplitude_bound"),
+        ("restarts = 8", "restarts = 8\namplitude_bound = 0", "amplitude_bound"),
+        ("restarts = 8", "restarts = 8\npower_weight = nan", "power_weight"),
+        ("restarts = 8", "restarts = 8\npower_weight = -1", "power_weight"),
+        (f"theta = {PI}", "theta = nan", "theta"),
+        ("restarts = 8", "restarts = 8\nansatz = piecewise\nsegments = 0", "segments"),
+        ("endpoint_zero_derivatives = 1", "endpoint_zero_derivatives = -1",
+         "endpoint_zero_derivatives"),
+    ], ids=["bound-nan", "bound-zero", "power-nan", "power-negative", "theta-nan",
+            "no-segments", "negative-derivatives"])
+    def test_invalid_problem_field_exits_3(self, workdir, capsys, old, new, field):
+        prob = workdir / "bad.problem"
+        prob.write_text(PROBLEM_S.replace(old, new))
+        out = workdir / "bad.pulse"
+        assert main(["solve", str(prob), "--out", str(out)]) == 3
+        assert field in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("override", [

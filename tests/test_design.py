@@ -134,13 +134,16 @@ class TestResidualFunction:
         residual = _ResidualFunction(problem)
         z = residual.param.random_start(np.random.default_rng(4))
         shape = residual.param.build_shape(z)
-        grid, nhat, _ = residual.lanes([shape])
+        grid, nhat, _ = residual.lanes(residual.param.build_shape(z[None]))
         ntraj = NTrajectory(grid=grid, nhat=nhat[0])
         expected = evaluate_corrections(ntraj, shape.tau_s).normalized_vector(problem.targets)
         got = residual(z)
         assert np.array_equal(got[:len(expected)], expected)
         if problem.fixed_axis:
             assert len(got) == len(expected)
+        else:
+            traj = integrate_axis_angle(shape, problem.grid_steps)
+            assert np.array_equal(nhat[0], n_trajectory(traj).nhat)
 
     @settings(max_examples=20, deadline=None)
     @given(ansatz=st.sampled_from(("fourier", "piecewise")),

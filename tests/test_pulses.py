@@ -92,6 +92,9 @@ def test_shape_validation():
         PulseShape(-1.0, 0.0, np.pi, "fourier", fourier=FourierCoefficients.zeros(1))
     with pytest.raises(ValueError):
         PulseShape(1.0, 2.0, np.pi, "fourier", fourier=FourierCoefficients.zeros(1))
+    with pytest.raises(ValueError):  # one lane's tau_s outside [0, tau_p]
+        PulseShape(1.0, np.array([0.2, 1.5, 0.5]), np.pi, "fourier",
+                   fourier=FourierCoefficients.zeros(1, (3,)))
     with pytest.raises(ValueError):  # boundaries not covering [0, tau_p]
         PulseShape(1.0, 0.5, np.pi, "piecewise_constant",
                    boundaries=np.array([0.0, 0.4]), values=np.array([[1.0, 0, 0]]))

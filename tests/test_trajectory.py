@@ -9,10 +9,11 @@ from scipy.interpolate import make_interp_spline
 from spinpulse import su2
 from spinpulse.corrections import correction_residuals, nogo_diagnostics
 from spinpulse.design import _rotation_residual
-from spinpulse.pulses import PulseShape, constant_rotation_pulse, fourier_pulse
+from spinpulse.pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
+                              fourier_pulse)
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.trajectory import (_bootstrap_axis, _build_grid, _frame_quaternions,
-                                  _lane_frames, _prefix_products, _rk4_step_matrices,
+                                  _prefix_products, _rk4_step_matrices,
                                   _rk4_step_quaternions, _stage_amplitudes,
                                   _unwrap_frames, amplitude_from_axis_angle, axis_angle,
                                   integrate_axis_angle, n_trajectory)
@@ -147,7 +148,7 @@ class TestIntegrateAxisAngle:
         for shape in shapes:
             grid = _build_grid(shape, int(rng.choice([128, 256])))
             i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
-            q = _frame_quaternions([shape], grid)[0]
+            q = _frame_quaternions(shape, grid)
             v_nodes = shape.amplitude(grid)
             scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
             axis0 = _bootstrap_axis(v_nodes[i_s], scale, q[:, 1:], i_s, 1e-7)
@@ -163,8 +164,8 @@ class TestIntegrateAxisAngle:
     @given(seed=st.integers(0, 2 ** 32 - 1), tau_s=st.sampled_from((0.0, 0.37, 1.0)),
            piecewise=st.booleans(), steps=st.sampled_from((64, 200)))
     def test_batched_lanes_equal_single_shapes(self, seed, tau_s, piecewise, steps):
-        """Lanes sharing the breakpoints integrate as one batch, bit for bit,
-        each with its own tau_s, on a node or off it."""
+        """One lane shape carrying shapes that share the breakpoints integrates
+        as one batch, bit for bit, each lane with its own tau_s, on a node or off it."""
         rng = np.random.default_rng(seed)
         taus = (tau_s, rng.uniform(), 1.0 - tau_s)
         if piecewise:
@@ -174,17 +175,23 @@ class TestIntegrateAxisAngle:
             shapes = [PulseShape(1.0, t, np.pi, "piecewise_constant", boundaries=bounds,
                                  values=rng.normal(scale=4.0, size=(len(bounds) - 1, 3)))
                       for t in taus]
+            lanes = replace(shapes[0], tau_s=np.array(taus),
+                            values=np.stack([s.values for s in shapes]))
         else:
             shapes = [random_fourier_shape(rng, order=3, scale=3.0, tau_s=t) for t in taus]
-        grid = _build_grid(shapes[0], steps)
-        q = _frame_quaternions(shapes, grid)
-        lane_q, lane_n = _lane_frames(shapes, grid)
+            lanes = replace(shapes[0], tau_s=np.array(taus), fourier=FourierCoefficients(
+                np.stack([s.fourier.cos for s in shapes]),
+                np.stack([s.fourier.sin for s in shapes])))
+        t = np.r_[rng.uniform(0.0, 1.0, 7), 0.0, 1.0]
+        traj = integrate_axis_angle(lanes, steps)
+        nhat = n_trajectory(traj).nhat
+        assert traj.quaternions.shape == (3, len(traj.grid), 4)
         for k, shape in enumerate(shapes):
-            traj = integrate_axis_angle(shape, steps)
-            assert np.array_equal(traj.grid, grid)
-            assert np.array_equal(traj.quaternions, q[k])
-            assert np.array_equal(traj.quaternions, lane_q[k])
-            assert np.array_equal(n_trajectory(traj).nhat, lane_n[k])
+            lone = integrate_axis_angle(shape, steps)
+            assert np.array_equal(shape.amplitude(t), lanes.amplitude(t)[k])
+            assert np.array_equal(lone.grid, traj.grid)
+            assert np.array_equal(lone.quaternions, traj.quaternions[k])
+            assert np.array_equal(n_trajectory(lone).nhat, nhat[k])
 
     def test_convergence_order_is_rk4(self):
         shape = fourier_pulse(1.0, 0.5, np.pi, {"y": [1.0, 0.3]}, {"x": [0.4]})
@@ -325,7 +332,7 @@ class TestFrameProperties:
         w_backward = traj.unitaries[j]
         # forward-ordered integration from grid[j] up to tau_s
         grid = np.linspace(traj.grid[j], shape.tau_s, 513)
-        g1, g2, g3 = generator_matrices(*(v[0] for v in _stage_amplitudes([shape], grid)))
+        g1, g2, g3 = generator_matrices(*_stage_amplitudes(shape, grid))
         mats = _rk4_step_matrices(g1, g2, g3, np.diff(grid))
         u = np.eye(2, dtype=complex)
         for m in mats:
@@ -366,8 +373,7 @@ class TestFrameProperties:
         else:
             shape = random_fourier_shape(rng, order=3, scale=3.0, tau_s=tau_s)
         traj = integrate_axis_angle(shape, steps)
-        g1, g2, g3 = generator_matrices(*(v[0] for v in
-                                          _stage_amplitudes([shape], traj.grid)))
+        g1, g2, g3 = generator_matrices(*_stage_amplitudes(shape, traj.grid))
         u = [np.eye(2, dtype=complex)]
         for m in _rk4_step_matrices(g1, g2, g3, np.diff(traj.grid)):
             u.append(m @ u[-1])
