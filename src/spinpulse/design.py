@@ -9,12 +9,15 @@ total-rotation requirement as an extra weighted residual block.  A solve is
 converged only if a re-check on the doubled grid also holds every targeted
 residual and the rotation below ``VERIFIED_BOUND``.
 
-The residual function takes a batch of points as lanes, and the
-central-difference Jacobian evaluates its whole 2P-point stencil in one
-call.  A call builds one lane ``PulseShape``, whose coefficients and tau_s
-carry the points on a leading axis; every point of a problem has the same
-grid, so a call is one batched amplitude and frame pass whatever the points'
-tau_s.
+The residual function takes a batch of points as lanes.  A call builds one
+lane ``PulseShape``, whose coefficients and tau_s carry the points on a
+leading axis; every point of a problem has the same grid, so a call is one
+batched amplitude and frame pass whatever the points' tau_s.  The Jacobian
+integrates no frame: it differentiates the frame of the point's own
+evaluation by Duhamel's formula, the exact gradient of GRAPE (Khaneja et
+al., J. Magn. Reson. 172, 296 (2005)), so a Levenberg-Marquardt iteration
+integrates only its trial points.  Only the rows that read no frame, the
+amplitude bound and the power, are central differences.
 
 Problems are posed at tau_p = 1 without loss of generality: the normalized
 residuals are invariant under joint rescaling of duration and amplitude, so a
@@ -28,20 +31,23 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import null_space
 
-from .corrections import (RESIDUAL_TARGETS, CorrectionReport, correction_residuals,
-                          evaluate_corrections, nogo_diagnostics, normalized_residual_vector)
+from .corrections import (RESIDUAL_TARGETS, CorrectionReport, _simpson_intervals,
+                          correction_residuals, evaluate_corrections, nogo_diagnostics,
+                          normalized_residual_vector)
 from .policy import active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import ideal_pulse_quaternion, quaternion_product
-from .trajectory import (MIN_STEPS, _build_grid, _check_lanes, _frame_nhat,
-                         _frame_quaternions, integrate_axis_angle, n_trajectory)
+from .trajectory import (MIN_STEPS, _anchor, _bracket, _build_grid, _check_lanes,
+                         _frame_nhat, _frame_quaternions, _frame_rotation, _hermite,
+                         _stage_amplitudes, integrate_axis_angle, n_trajectory)
 
 ROTATION_WEIGHT = 100.0
 # a converged design verifies below this on the doubled grid: its rotation
 # violation and every targeted normalized residual
 VERIFIED_BOUND = 1e-7
 FREE = "free"
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])     # q -> q^*, the frame's inverse
 
 
 class IllPosedProblem(ValueError):
@@ -82,6 +88,9 @@ class DesignProblem:
             raise ValueError("power_weight must be finite and not negative")
         if not self.components or any(c not in COMPONENTS for c in self.components):
             raise ValueError("components must be a nonempty subset of x, y, z")
+        if len(set(self.components)) != len(self.components):
+            # a repeated block never reaches the pulse: zero Jacobian columns
+            raise ValueError("components must be distinct: each of x, y, z at most once")
         bad = [t for t in self.targets if t not in RESIDUAL_TARGETS]
         if bad:
             raise ValueError(f"unknown residual targets {bad}")
@@ -202,11 +211,14 @@ class _Parameterization:
 
     def build_shape(self, z: np.ndarray) -> PulseShape:
         """The shape of one point z (P,), or the lane shape of the points z (m, P)."""
-        problem = self.problem
         if np.ndim(z) == 1:
-            coeffs, tau_s = self.split(z)
-        else:   # point by point: one product over all lanes would round differently
-            coeffs, tau_s = (np.array(part) for part in zip(*map(self.split, z)))
+            return self.shape_of(*self.split(z))
+        # point by point: one product over all lanes would round differently
+        return self.shape_of(*(np.array(part) for part in zip(*map(self.split, z))))
+
+    def shape_of(self, coeffs: np.ndarray, tau_s) -> PulseShape:
+        """The shape of a coefficient vector c (C,) and its tau_s, or of lanes (m, C), (m,)."""
+        problem = self.problem
         lanes = np.shape(tau_s)
         blocks = coeffs.reshape(*lanes, len(problem.components), -1)
         rows = [COMPONENTS.index(c) for c in problem.components]
@@ -277,25 +289,27 @@ def _rotation_residual(quaternions: np.ndarray, theta: float) -> np.ndarray:
 
     ``quaternions`` is a frame (..., n, 4); the result is (..., 4).
     """
-    conj = np.array([1.0, -1.0, -1.0, -1.0])
-    q = quaternion_product(conj * ideal_pulse_quaternion(theta),
+    q = quaternion_product(_CONJ * ideal_pulse_quaternion(theta),
                            quaternion_product(quaternions[..., -1, :],
-                                              conj * quaternions[..., 0, :]))
+                                              _CONJ * quaternions[..., 0, :]))
     return np.concatenate([q[..., 1:], 1.0 - q[..., :1]], axis=-1)
 
 
 class _ResidualFunction:
-    """z -> stacked normalized residual vector for a design problem.
+    """z -> stacked normalized residual vector for a design problem, and its Jacobian.
 
     ``z`` is one point (P,) or a batch of lanes (m, P), giving (R,) or (m, R).
     All lanes share one grid and are evaluated as one batch, and each lane
-    equals its single-point call bit for bit.
+    equals its single-point call bit for bit.  A single-point call keeps its
+    frame, from which :meth:`jacobian` differentiates at that point.
     """
 
     def __init__(self, problem: DesignProblem):
         self.problem = problem
         self.param = _Parameterization(problem)
         self.comp = COMPONENTS.index(problem.components[0]) if problem.fixed_axis else None
+        self._last = None           # (z, shape, grid, n(t), frame or None) of the last point
+        self._directions = None     # stage amplitudes of dv/dz on the problem's grid
 
     def lanes(self, shape: PulseShape):
         """(grid, checked n(t) (m, n, 3), frames (m, n, 4) or None) of the lane shape."""
@@ -308,6 +322,23 @@ class _ResidualFunction:
         _check_lanes(grid, quaternions=frames, nhat=nhat)
         return grid, nhat, frames
 
+    def _penalty_rows(self, shape: PulseShape) -> list:
+        """The rows that read no frame, amplitude bound and power, of a lane shape."""
+        problem = self.problem
+        parts = []
+        if problem.amplitude_bound is not None:
+            excess = shape.max_amplitude()[:, None] - problem.amplitude_bound
+            parts.append(10.0 * np.maximum(0.0, excess) * problem.tau_p)
+        if problem.power_weight > 0.0:
+            t = np.linspace(0.0, problem.tau_p, 129)
+            power = np.trapezoid(np.sum(shape.amplitude(t) ** 2, axis=-1), t)
+            parts.append(problem.power_weight * np.sqrt(power * problem.tau_p)[:, None] / np.pi)
+        return parts
+
+    def _penalties(self, z: np.ndarray) -> np.ndarray:
+        """The rows that read no frame of the lanes z (m, P), (m, k)."""
+        return np.concatenate(self._penalty_rows(self.param.build_shape(z)), axis=-1)
+
     def __call__(self, z: np.ndarray) -> np.ndarray:
         problem = self.problem
         shape = self.param.build_shape(np.atleast_2d(z))
@@ -316,15 +347,100 @@ class _ResidualFunction:
         parts = [normalized_residual_vector(residuals, float(grid[-1]), problem.targets)]
         if frames is not None:
             parts.append(ROTATION_WEIGHT * _rotation_residual(frames, problem.theta))
-        if problem.amplitude_bound is not None:
-            excess = shape.max_amplitude()[:, None] - problem.amplitude_bound
-            parts.append(10.0 * np.maximum(0.0, excess) * problem.tau_p)
-        if problem.power_weight > 0.0:
-            t = np.linspace(0.0, problem.tau_p, 129)
-            power = np.trapezoid(np.sum(shape.amplitude(t) ** 2, axis=-1), t)
-            parts.append(problem.power_weight * np.sqrt(power * problem.tau_p)[:, None] / np.pi)
-        out = np.concatenate(parts, axis=-1)
-        return out if np.ndim(z) == 2 else out[0]
+        out = np.concatenate(parts + self._penalty_rows(shape), axis=-1)
+        if np.ndim(z) == 2:
+            return out
+        self._last = (np.array(z, dtype=float), shape, grid, nhat[0],
+                      None if frames is None else frames[0])
+        return out[0]
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """The (R, P) Jacobian at the point z, C-contiguous, with no new frame.
+
+        It reads the frame of z's own evaluation, the last single-point call
+        (or a new one).  The first variation of the frame is dW = W X with
+        X = -i sigma . xi (see :meth:`_sweeps`), so n(t) = R z moves by
+        dn = 2 n x xi and the rotation residual by q(tp) (0, xi(tp) - xi(0))
+        q(0)^*.  r1 and r2a are linear in n and r2b is quadratic, so each
+        residual column is exactly [r(n + dn) - r(n - dn)] / 2, on 2P lanes
+        of n(t) that need no frame.  A free tau_s adds its explicit terms and
+        the logit's chain rule.  The rows that read no frame (amplitude bound
+        and power) are central differences in z.  The memory order sets the
+        rounding of ``jac.T @ jac`` and with it the damped least-squares path.
+        """
+        if self._last is None or not np.array_equal(self._last[0], z):
+            self(z)
+        _, shape, grid, nhat, frames = self._last
+        problem = self.problem
+        tau_p, tau_s = float(grid[-1]), float(shape.tau_s[0])
+        xi = self._sweeps(shape, grid, frames)
+        dn = 2.0 * np.cross(nhat, xi)
+        residuals = correction_residuals(grid, np.concatenate([nhat + dn, nhat - dn]), tau_s)
+        vectors = normalized_residual_vector(residuals, tau_p, problem.targets)
+        parts = [0.5 * (vectors[:len(xi)] - vectors[len(xi):])]
+        if frames is not None:
+            # xi(tp) - xi(0) vanishes along a free tau_s: it moves only the anchor
+            turn = np.zeros((len(xi), 4))
+            turn[:, 1:] = xi[:, -1] - xi[:, 0]
+            dq = quaternion_product(_CONJ * ideal_pulse_quaternion(problem.theta),
+                                    quaternion_product(frames[-1],
+                                                       quaternion_product(turn, _CONJ * frames[0])))
+            parts.append(ROTATION_WEIGHT * np.concatenate([dq[:, 1:], -dq[:, :1]], axis=1))
+        jac = np.concatenate(parts, axis=1).T
+        if self.param.free_tau_s:
+            # r1, r2a and r2b read tau_s also outside n(t): d r2a / d tau_s = -2 r1,
+            # and r1 is linear in n, so any lane pair gives it
+            n0, n1 = nhat[0], nhat[-1]
+            r1 = 0.5 * (residuals[0][0] + residuals[0][len(xi)])
+            explicit = (n1 - n0, -2.0 * r1, (2.0 * tau_s - tau_p) * np.cross(n1, n0))
+            jac[:len(vectors[0]), -1] += normalized_residual_vector(explicit, tau_p,
+                                                                    problem.targets)
+            jac[:, -1] *= tau_s * (1.0 - tau_s / tau_p)     # d tau_s / d logit
+        if problem.amplitude_bound is not None or problem.power_weight > 0.0:
+            jac = np.concatenate([jac, finite_difference_jacobian(self._penalties, z)])
+        return np.ascontiguousarray(jac)
+
+    def _sweeps(self, shape: PulseShape, grid: np.ndarray, frames) -> np.ndarray:
+        """xi_j(t) = int_{tau_s}^t R dv_j dt at the nodes for every direction j, (P, n, 3).
+
+        R is the frame's rotation (n = R z), the identity about a fixed axis,
+        and dv_j = dv/dz_j is constant: the amplitude is affine in z.  The
+        integral is one cumulative Simpson sum; its value at tau_s is the cubic
+        Hermite interpolant of its nodes, as the frame's anchor is.  Along a
+        free tau_s, xi is constant: minus the anchor's rate, -v(tau_s) about a
+        fixed axis, whose n(t) is exact in tau_s.
+        """
+        n, tau_s = len(grid), shape.tau_s
+        if self._directions is None:    # every point of a problem has the same grid
+            directions = self.param.lift @ self.param.basis
+            stages = _stage_amplitudes(
+                self.param.shape_of(directions.T, np.zeros(directions.shape[1])), grid)
+            # steps first, directions last: R dv is then one batched matmul
+            self._directions = [np.ascontiguousarray(np.moveaxis(v, 0, -1)) for v in stages]
+        v1, v2, v3 = self._directions               # (n - 1, 3, P) each
+        rot = np.broadcast_to(np.eye(3), (n, 3, 3)) if frames is None else _frame_rotation(frames)
+        if self.problem.ansatz == "piecewise":      # dv_j is constant on every step
+            steps = _simpson_intervals(grid, rot.reshape(n, 9)).reshape(n - 1, 3, 3) @ v2
+        else:
+            steps = _simpson_intervals(grid, (rot @ np.concatenate([v1, v3[-1:]])).reshape(n, -1))
+        sweep = np.zeros((n, steps[0].size))
+        np.cumsum(steps.reshape(n - 1, -1), axis=0, out=sweep[1:])
+        j, h, x = (part[0] for part in _bracket(grid, tau_s))
+        slopes = h * (rot[j:j + 2] @ np.stack([v1[j], v3[j]])).reshape(2, -1)
+        xi = (sweep - _hermite(sweep[j:j + 2], slopes, x)[0]).reshape(n, 3, -1)
+        xi = np.moveaxis(xi, -1, 0)
+        if not self.param.free_tau_s:
+            return xi
+        if frames is None:
+            xi_tau = -shape.amplitude(tau_s)[0]
+        else:
+            # U at the two nodes, up to a common norm, from W = U U(tau_s, 0)^dag
+            ends = quaternion_product(frames[j:j + 2], _CONJ * frames[0])
+            v_start, _, v_end = _stage_amplitudes(shape, grid[j:j + 2])
+            anchor, rate = _anchor(ends[None], v_start[:, 0], v_end[:, 0], h[None], x[None])
+            # W = U b with b = anchor^* / |anchor|: xi = vec(b^* db)
+            xi_tau = quaternion_product(anchor, _CONJ * rate)[0, 1:] / (h * (anchor @ anchor.T)[0])
+        return np.concatenate([xi, np.broadcast_to(xi_tau, (1, n, 3))])
 
 
 # ----------------------------------------------------------------------
@@ -336,8 +452,9 @@ def finite_difference_jacobian(fun, x: np.ndarray, step: float = 1e-6) -> np.nda
 
     ``fun`` maps lanes (m, P) to (m, R) and is called once, on the stencil
     of the 2P points x + h_i e_i (row 2i) and x - h_i e_i (row 2i + 1).  The
-    Jacobian is returned C-contiguous: its memory order sets the rounding of
-    ``jac.T @ jac`` and with it the damped least-squares path.
+    design loop differences only the rows that read no frame with it; the
+    tests use it as the oracle of :meth:`_ResidualFunction.jacobian`.  The
+    Jacobian is returned C-contiguous, like that one.
     """
     n = len(x)
     h = step * np.maximum(1.0, np.abs(x))
@@ -349,9 +466,14 @@ def finite_difference_jacobian(fun, x: np.ndarray, step: float = 1e-6) -> np.nda
     return np.ascontiguousarray(((f[0::2] - f[1::2]) / (2.0 * h)[:, None]).T)
 
 
-def _levenberg_marquardt(fun, x0: np.ndarray, max_iter: int = 80,
+def _levenberg_marquardt(fun: _ResidualFunction, x0: np.ndarray, max_iter: int = 80,
                          cost_tol: float = 1e-20, grad_tol: float = 1e-13):
-    """Damped Gauss-Newton with multiplicative damping (x3 up, /2 down)."""
+    """Damped Gauss-Newton with multiplicative damping (x3 up, /2 down).
+
+    ``fun`` is a residual function with a ``jacobian`` method.  Each
+    iteration evaluates only its trial points; the Jacobian at the current
+    point reads the frame of the trial that was accepted there.
+    """
     x = np.asarray(x0, dtype=float)
     f = fun(x)
     cost = float(f @ f)
@@ -359,7 +481,7 @@ def _levenberg_marquardt(fun, x0: np.ndarray, max_iter: int = 80,
     for _ in range(max_iter):
         if cost < cost_tol:
             break
-        jac = finite_difference_jacobian(fun, x)
+        jac = fun.jacobian(x)
         grad = jac.T @ f
         if np.max(np.abs(grad)) < grad_tol:
             break

@@ -24,8 +24,11 @@ The integrator runs on a leading lane axis: a lane shape (``PulseShape``
 with m lanes, each with its own tau_s, on one set of breakpoints and so one
 grid) gives frames (m, n, 4) and n(t) (m, n, 3) by the same elementwise
 arithmetic, so each lane equals its lone-shape frame bit for bit; a lone
-shape gives (n, 4).  The design loop's Jacobian is the many-lane case.  One
-check, :func:`_check_lanes`, validates every lane of frames and n(t).
+shape gives (n, 4).  The design loop's residual takes its points as lanes;
+its Jacobian integrates nothing more, but differentiates one point's frame
+through its rotation (:func:`_frame_rotation`) and its Hermite anchor
+(:func:`_anchor`).  One check, :func:`_check_lanes`, validates every lane of
+frames and n(t).
 
 For output only, :func:`axis_angle` decomposes the frame as c = cos(psi/2),
 s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
@@ -220,6 +223,42 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bracket(grid: np.ndarray, tau_s: np.ndarray):
+    """(j (m,), h (m, 1), x (m, 1)): the step [t_j, t_j+1] of width h that holds
+    each tau_s (m,), the last one for tau_p, and tau_s's place x in [0, 1] in it."""
+    j = np.minimum(np.searchsorted(grid, tau_s, side="right") - 1, len(grid) - 2)
+    h = (grid[j + 1] - grid[j])[:, None]
+    return j, h, (tau_s[:, None] - grid[j][:, None]) / h
+
+
+def _hermite(ends: np.ndarray, slopes: np.ndarray, x):
+    """Cubic Hermite interpolant on [0, 1] and its x-derivative at x.
+
+    ``ends`` and ``slopes`` (..., 2, k) hold f and df/dx at 0 and 1; x
+    broadcasts against (..., k).  The basis is exactly (1, 0, 0, 0) at x = 0
+    and (0, 0, 1, 0) at x = 1.
+    """
+    rise = x * x * (3.0 - 2.0 * x)
+    value = ((1.0 - rise) * ends[..., 0, :] + rise * ends[..., 1, :]
+             + x * (1.0 - x) ** 2 * slopes[..., 0, :] - x * x * (1.0 - x) * slopes[..., 1, :])
+    rate = (6.0 * x * (1.0 - x) * (ends[..., 1, :] - ends[..., 0, :])
+            + (1.0 - x) * (1.0 - 3.0 * x) * slopes[..., 0, :]
+            - x * (2.0 - 3.0 * x) * slopes[..., 1, :])
+    return value, rate
+
+
+def _anchor(ends: np.ndarray, v_start: np.ndarray, v_end: np.ndarray, h, x):
+    """U(tau_s, 0) and h dU(tau_s, 0)/dtau_s, (m, 4) each, by cubic Hermite.
+
+    ``ends`` (m, 2, 4) is U at the nodes around tau_s, ``v_start`` and
+    ``v_end`` (m, 3) the first and last stage amplitudes of the step between
+    them, h and x (m, 1) its width and tau_s's place in it; U' = (0, v) U.
+    """
+    generators = np.zeros((len(ends), 2, 4))
+    generators[:, 0, 1:], generators[:, 1, 1:] = v_start, v_end
+    return _hermite(ends, h[:, :, None] * quaternion_product(generators, ends), x)
+
+
 def _frame_quaternions(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
     """Unit frames W(t) = U(t, 0) U(tau_s, 0)^dag of ``shape``: (n, 4), or (m, n, 4) for lanes.
 
@@ -244,17 +283,9 @@ def _frame_quaternions(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
     u = _prefix_products(np.concatenate([np.tile(IDENTITY_Q, (m, 1, 1)),
                                          steps.reshape(m, -1, 4)], axis=1))
     lane, tau_s = np.arange(m), np.atleast_1d(shape.tau_s)
-    j = np.minimum(np.searchsorted(grid, tau_s, side="right") - 1, n - 2)
-    h = (grid[j + 1] - grid[j])[:, None]
-    x = (tau_s[:, None] - grid[j][:, None]) / h
+    j, h, x = _bracket(grid, tau_s)
     ends = u[lane[:, None], j[:, None] + [0, 1]]            # U at the two nodes, (m, 2, 4)
-    generators = np.zeros((m, 2, 4))
-    generators[:, 0, 1:], generators[:, 1, 1:] = v1[lane, j], v3[lane, j]
-    slopes = h[:, :, None] * quaternion_product(generators, ends)     # h U' there
-    # the Hermite basis is exactly (1, 0, 0, 0) at x = 0 and (0, 0, 1, 0) at x = 1
-    rise = x * x * (3.0 - 2.0 * x)
-    anchor = ((1.0 - rise) * ends[:, 0] + rise * ends[:, 1]
-              + x * (1.0 - x) ** 2 * slopes[:, 0] - x * x * (1.0 - x) * slopes[:, 1])
+    anchor, _ = _anchor(ends, v1[lane, j], v3[lane, j], h, x)
     q = quaternion_product(u, anchor[:, None, :] * np.array([1.0, -1.0, -1.0, -1.0]))
     # u_s u_s^dag can leave rounding of order 1e-17 in s; a node at tau_s is set exactly
     q[grid == tau_s[:, None]] = IDENTITY_Q
@@ -299,6 +330,19 @@ def _frame_nhat(q: np.ndarray) -> np.ndarray:
     c, sx, sy, sz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     return np.stack([2.0 * (sx * sz - c * sy), 2.0 * (sy * sz + c * sx),
                      1.0 - 2.0 * (sx * sx + sy * sy)], axis=-1)
+
+
+def _frame_rotation(q: np.ndarray) -> np.ndarray:
+    """Rotations R (..., 3, 3) of frame quaternions, W^dag (sigma . a) W = sigma . (R a):
+    n(t) = R z is the last column."""
+    c, sx, sy, sz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([
+        np.stack([1.0 - 2.0 * (sy * sy + sz * sz), 2.0 * (sx * sy + c * sz),
+                  2.0 * (sx * sz - c * sy)], axis=-1),
+        np.stack([2.0 * (sx * sy - c * sz), 1.0 - 2.0 * (sx * sx + sz * sz),
+                  2.0 * (sy * sz + c * sx)], axis=-1),
+        np.stack([2.0 * (sx * sz + c * sy), 2.0 * (sy * sz - c * sx),
+                  1.0 - 2.0 * (sx * sx + sy * sy)], axis=-1)], axis=-2)
 
 
 def n_trajectory(traj: FrameTrajectory) -> NTrajectory:

@@ -293,8 +293,9 @@ class TestUsageErrors:
         ("restarts = 8", "restarts = 8\nansatz = piecewise\nsegments = 0", "segments"),
         ("endpoint_zero_derivatives = 1", "endpoint_zero_derivatives = -1",
          "endpoint_zero_derivatives"),
+        ("components = y", "components = y y", "components"),
     ], ids=["bound-nan", "bound-zero", "power-nan", "power-negative", "theta-nan",
-            "no-segments", "negative-derivatives"])
+            "no-segments", "negative-derivatives", "repeated-component"])
     def test_invalid_problem_field_exits_3(self, workdir, capsys, old, new, field):
         prob = workdir / "bad.problem"
         prob.write_text(PROBLEM_S.replace(old, new))

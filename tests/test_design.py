@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
-from spinpulse import design
+from spinpulse import oracle
 from spinpulse.design import (VERIFIED_BOUND, DesignProblem, IllPosedProblem,
                               _levenberg_marquardt, _Parameterization,
                               _ResidualFunction, feasibility_probe,
@@ -48,12 +50,21 @@ def jacobian_check(problem, point=None, step=1e-5, seed=0):
 
 
 def _short_lm_run(residual, z):
-    """(z bytes, cost) after three LM iterations, or the error a trial step raised."""
+    """(z bytes, cost) after three LM iterations, or the error the start raised."""
     try:
         x, cost = _levenberg_marquardt(residual, z, max_iter=3)
-    except ValueError as exc:       # a Jacobian stencil the grid cannot resolve
+    except ValueError as exc:       # a starting frame the grid cannot resolve
         return str(exc), None
     return x.tobytes(), cost
+
+
+_DUHAMEL_JACOBIAN = _ResidualFunction.jacobian
+
+
+def _cold_jacobian(residual, z):
+    """The Jacobian at z from a new residual function: from its own frame of z,
+    with nothing kept from earlier calls."""
+    return _DUHAMEL_JACOBIAN(_ResidualFunction(residual.problem), z)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +164,8 @@ class TestResidualFunction:
            seed=st.integers(0, 2 ** 16))
     def test_batch_matches_pointwise_evaluation(self, ansatz, components, tau_s,
                                                 amplitude_bound, power_weight, seed):
-        """Batched lanes, the one-call Jacobian and the LM path equal pointwise evaluation."""
+        """Batched lanes and the one-call stencil equal pointwise evaluation, and the
+        Jacobian and the LM path that reuse a trial's frame equal fresh ones."""
         problem = DesignProblem(theta=2.0, tau_s=tau_s, fourier_order=2, components=components,
                                 targets=("r1", "r2a", "r2b"), symmetric=False,
                                 amplitude_bound=amplitude_bound, power_weight=power_weight,
@@ -169,10 +181,16 @@ class TestResidualFunction:
         jac = finite_difference_jacobian(residual, z)
         assert jac.flags.c_contiguous
         assert np.array_equal(jac, _column_jacobian(residual, z))
+        # the last single point was another one, so this evaluates z afresh
+        jac = residual.jacobian(z)
+        assert jac.flags.c_contiguous
+        residual(points[1])
+        residual(z)
+        assert np.array_equal(residual.jacobian(z), jac)
         outcome = _short_lm_run(residual, z)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(design, "finite_difference_jacobian", _column_jacobian)
-            assert _short_lm_run(residual, z) == outcome
+            patch.setattr(_ResidualFunction, "jacobian", _cold_jacobian)
+            assert _short_lm_run(_ResidualFunction(problem), z) == outcome
 
     def test_grid_below_the_integrator_minimum_rejected(self):
         with pytest.raises(ValueError):
@@ -185,19 +203,20 @@ def test_unresolved_trial_point_is_a_rejected_step():
     problem = DesignProblem(theta=2.0, tau_s=0.0, fourier_order=2, components=("x", "y"),
                             targets=("r1", "r2a", "r2b"), symmetric=False,
                             power_weight=0.2, grid_steps=64)
-    residual = _ResidualFunction(problem)
     rejected = []
 
-    def fun(z):
-        try:
-            return residual(z)
-        except ValueError:
-            rejected.append(z)
-            raise
+    class Recording(_ResidualFunction):
+        def __call__(self, z):
+            try:
+                return super().__call__(z)
+            except ValueError:
+                rejected.append(z)
+                raise
 
+    residual = Recording(problem)
     z0 = residual.param.random_start(np.random.default_rng(6394))
     f0 = residual(z0)
-    _, cost = _levenberg_marquardt(fun, z0)
+    _, cost = _levenberg_marquardt(residual, z0)
     assert rejected
     assert np.isfinite(cost) and cost <= float(f0 @ f0)
 
@@ -254,6 +273,47 @@ class TestJacobian:
         assert deviation > 1e-4
 
 
+class TestDuhamelJacobian:
+    """The LM Jacobian, built from one frame, against the central-difference oracle.
+
+    The two differ by the discretisation of the frame and of the Simpson sums,
+    O(h^4).  A piecewise shape with a free tau_s on a segment boundary kinks
+    the residual (see ``test_free_splitting_time_with_piecewise_ansatz_flagged``);
+    the random starts here put tau_s away from every boundary.
+    """
+
+    @staticmethod
+    def difference(problem, seed=0):
+        residual = _ResidualFunction(problem)
+        z = residual.param.random_start(np.random.default_rng(seed))
+        jac = residual.jacobian(z)
+        oracle_jac = finite_difference_jacobian(residual, z)
+        assert jac.shape == oracle_jac.shape and jac.flags.c_contiguous
+        return float(np.max(np.abs(jac - oracle_jac)) / max(1.0, np.max(np.abs(oracle_jac))))
+
+    @pytest.mark.parametrize("amplitude_bound, power_weight",
+                             [(None, 0.0), (1.5, 0.0), (None, 0.2), (1.5, 0.2)],
+                             ids=["plain", "bound", "power", "bound-power"])
+    @pytest.mark.parametrize("tau_s", [0.0, 0.35, 1.0, "free"])
+    @pytest.mark.parametrize("components", [("y",), ("x", "y"), ("z", "x", "y")],
+                             ids=["y", "xy", "zxy"])
+    @pytest.mark.parametrize("ansatz", ["fourier", "piecewise"])
+    def test_matches_finite_differences(self, ansatz, components, tau_s,
+                                        amplitude_bound, power_weight):
+        problem = DesignProblem(theta=2.0, tau_s=tau_s, fourier_order=2, components=components,
+                                targets=("r1", "r2a", "r2b"), symmetric=False,
+                                amplitude_bound=amplitude_bound, power_weight=power_weight,
+                                ansatz=ansatz, segments=5, grid_steps=256)
+        coarse = self.difference(problem)
+        assert coarse <= 1e-5
+        if ansatz == "fourier" and len(components) > 1:
+            # O(h^4): the RK4 frame sets the difference.  About a fixed axis
+            # n(t) is exact and the difference, ~1e-8 at 256 steps, lies
+            # within a decade of the oracle's rounding, too close for a rate.
+            fine = self.difference(replace(problem, grid_steps=512))
+            assert coarse >= 8.0 * fine
+
+
 class TestProbes:
     def test_end_split_probe_certificate(self):
         problem = DesignProblem(theta=np.pi, tau_s=1.0, fourier_order=2,
@@ -283,6 +343,21 @@ class TestProbes:
         assert probe.regime == "open"
         assert np.isnan(probe.gap_bound)
         assert probe.best_objective >= 0.0
+
+
+def test_general_axis_first_order_design(dynamic_bath):
+    """A pi/2 design whose axis turns in the x-y plane converges, verifies on
+    the doubled grid, and its defect against the exact propagator falls at
+    first order."""
+    problem = DesignProblem(theta=np.pi / 2, fourier_order=2, components=("x", "y"),
+                            targets=("r1",), symmetric=True, grid_steps=256, restarts=2)
+    sol = solve(problem, seed=3)
+    assert sol.converged
+    singular = np.linalg.svd(sol.shape.amplitude(np.linspace(0.0, 1.0, 257))[:, :2],
+                             compute_uv=False)
+    assert singular[1] > 0.1 * singular[0]     # no fixed axis
+    sweep = oracle.magnus_consistency(sol.shape, dynamic_bath, np.geomspace(1e-3, 1e-1, 6))
+    assert 1.85 <= sweep.slopes["uf_defect"][0] <= 2.15
 
 
 @pytest.fixture(scope="module")
