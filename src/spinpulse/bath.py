@@ -32,6 +32,10 @@ class BathModel:
         a = np.asarray(self.a, dtype=complex)
         if h_b.ndim != 2 or h_b.shape[0] != h_b.shape[1] or h_b.shape != a.shape:
             raise ValueError("h_b and a must be square matrices of equal dimension")
+        # NaN passes the tolerance checks below, and LAPACK then fails on it
+        for name, m in (("coupling lambda", self.coupling), ("h_b", h_b), ("a", a)):
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} must be finite")
         dim = h_b.shape[0]
         if not 1 <= dim <= DIM_CAP:
             raise ValueError(f"bath dimension must be in 1..{DIM_CAP}")
@@ -62,6 +66,8 @@ def preset_bath(name: str, coupling: float = 0.1, omega_b: float = 1.0) -> BathM
     """
     tau_z = np.diag([1.0, -1.0]).astype(complex)
     tau_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    if not np.isfinite(omega_b):
+        raise ValueError("omega_b must be finite")
     if name == "spin-dephasing":
         return BathModel(np.zeros((1, 1), dtype=complex), np.ones((1, 1), dtype=complex), coupling)
     if name == "spin-ising":

@@ -9,15 +9,15 @@ total-rotation requirement as an extra weighted residual block.  A solve is
 converged only if a re-check on the doubled grid also holds every targeted
 residual and the rotation below ``VERIFIED_BOUND``.
 
-The residual function takes a batch of points as lanes.  A call builds one
-lane ``PulseShape``, whose coefficients and tau_s carry the points on a
-leading axis; every point of a problem has the same grid, so a call is one
-batched amplitude and frame pass whatever the points' tau_s.  The Jacobian
-integrates no frame: it differentiates the frame of the point's own
-evaluation by Duhamel's formula, the exact gradient of GRAPE (Khaneja et
-al., J. Magn. Reson. 172, 296 (2005)), so a Levenberg-Marquardt iteration
-integrates only its trial points.  Only the rows that read no frame, the
-amplitude bound and the power, are central differences.
+The residual function evaluates one point at a time.  Every point of a
+problem has the same grid, whatever its tau_s, so the grid and the stage
+amplitudes of dv/dz are built once per problem.  An evaluation returns a
+record of the point, its frame and its residual vector; the Jacobian
+integrates no frame but differentiates that record by Duhamel's formula, the
+exact gradient of GRAPE (Khaneja et al., J. Magn. Reson. 172, 296 (2005)), so
+a Levenberg-Marquardt iteration integrates only its trial points.  Only the
+rows that read no frame, the amplitude bound and the power, are central
+differences.
 
 Problems are posed at tau_p = 1 without loss of generality: the normalized
 residuals are invariant under joint rescaling of duration and amplitude, so a
@@ -38,7 +38,7 @@ from .policy import active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import ideal_pulse_quaternion, quaternion_product
-from .trajectory import (MIN_STEPS, _anchor, _bracket, _build_grid, _check_lanes,
+from .trajectory import (MIN_STEPS, _anchor, _bracket, _build_grid, _check_trajectory,
                          _frame_nhat, _frame_quaternions, _frame_rotation, _hermite,
                          _stage_amplitudes, integrate_axis_angle, n_trajectory)
 
@@ -210,24 +210,22 @@ class _Parameterization:
         return self.offset + self.lift @ (self.basis @ z), tau_s
 
     def build_shape(self, z: np.ndarray) -> PulseShape:
-        """The shape of one point z (P,), or the lane shape of the points z (m, P)."""
-        if np.ndim(z) == 1:
-            return self.shape_of(*self.split(z))
-        # point by point: one product over all lanes would round differently
-        return self.shape_of(*(np.array(part) for part in zip(*map(self.split, z))))
+        """The shape of the point z (P,)."""
+        return self.shape_of(*self.split(z))
 
     def shape_of(self, coeffs: np.ndarray, tau_s) -> PulseShape:
-        """The shape of a coefficient vector c (C,) and its tau_s, or of lanes (m, C), (m,)."""
+        """The shape of a coefficient vector c (C,) and its tau_s, or of a family of
+        m vectors (m, C), each with its tau_s (m,)."""
         problem = self.problem
-        lanes = np.shape(tau_s)
-        blocks = coeffs.reshape(*lanes, len(problem.components), -1)
+        family = np.shape(tau_s)
+        blocks = coeffs.reshape(*family, len(problem.components), -1)
         rows = [COMPONENTS.index(c) for c in problem.components]
         if problem.ansatz == "fourier":
-            fc = FourierCoefficients.zeros(problem.fourier_order, lanes)
+            fc = FourierCoefficients.zeros(problem.fourier_order, family)
             fc.cos[..., rows, :] = blocks[..., :problem.fourier_order + 1]
             fc.sin[..., rows, :] = blocks[..., problem.fourier_order + 1:]
             return PulseShape(problem.tau_p, tau_s, problem.theta, "fourier", fourier=fc)
-        values = np.zeros((*lanes, problem.segments, 3))
+        values = np.zeros((*family, problem.segments, 3))
         values[..., rows] = np.swapaxes(blocks, -1, -2)
         return PulseShape(problem.tau_p, tau_s, problem.theta, "piecewise_constant",
                           boundaries=np.linspace(0.0, problem.tau_p, problem.segments + 1),
@@ -239,38 +237,27 @@ class _Parameterization:
 
 
 def _swept_angle(shape: PulseShape, comp: int, t: np.ndarray) -> np.ndarray:
-    """Exact accumulated angle 2 int_{tau_s}^t v dt of one component, (m, len(t)).
-
-    ``shape`` is a Fourier or piecewise lane shape, each lane with its own tau_s.
-    """
+    """Exact accumulated angle 2 int_{tau_s}^t v dt of one component of a
+    Fourier or piecewise shape, (len(t),)."""
     if shape.representation == "piecewise_constant":
         b = shape.boundaries
-        cum = np.cumsum(shape.values[..., comp] * np.diff(b), axis=-1)
-        cum = np.concatenate([np.zeros_like(cum[:, :1]), cum], axis=-1)
-        # the slopes of np.interp(x, b, cum), and a flat piece from tau_p on
-        slope = np.diff(cum, axis=-1, append=cum[:, -1:]) / np.append(np.diff(b), 1.0)
+        cum = np.concatenate([[0.0], np.cumsum(shape.values[:, comp] * np.diff(b))])
+        return 2.0 * (np.interp(t, b, cum) - np.interp(shape.tau_s, b, cum))
+    c, sn = shape.fourier.cos[comp], shape.fourier.sin[comp]
+    omega = 2.0 * np.pi / shape.tau_p
 
-        def antiderivative(x):
-            # np.interp(x, b, cum) in every lane, in its arithmetic
-            x = np.broadcast_to(x, (len(cum), x.shape[-1]))
-            j = np.searchsorted(b, x, side="right") - 1
-            return np.take_along_axis(slope, j, -1) * (x - b[j]) + np.take_along_axis(cum, j, -1)
-    else:
-        c, sn = shape.fourier.cos[..., comp, :], shape.fourier.sin[..., comp, :]
-        omega = 2.0 * np.pi / shape.tau_p
+    def antiderivative(x):
+        out = c[0] * x
+        for k in range(1, len(c)):
+            out = out + c[k] * np.sin(omega * k * x) / (omega * k)
+            out = out - sn[k - 1] * np.cos(omega * k * x) / (omega * k)
+        return out
 
-        def antiderivative(x):
-            out = c[..., :1] * x
-            for k in range(1, c.shape[-1]):
-                out = out + c[..., k:k + 1] * np.sin(omega * k * x) / (omega * k)
-                out = out - sn[..., k - 1:k] * np.cos(omega * k * x) / (omega * k)
-            return out
-
-    return 2.0 * (antiderivative(t) - antiderivative(shape.tau_s[:, None]))
+    return 2.0 * (antiderivative(t) - antiderivative(shape.tau_s))
 
 
 def _fixed_axis_nhat(shape: PulseShape, comp: int, grid: np.ndarray) -> np.ndarray:
-    """Closed-form n(t) (m, n, 3) of a single-component lane shape.
+    """Closed-form n(t) (n, 3) of a single-component shape.
 
     The frame axis never moves, so psi(t) = 2 int_{tau_s}^t v dt (exact for
     Fourier and piecewise amplitudes) and n(t) is an elementary rotation of z
@@ -295,85 +282,87 @@ def _rotation_residual(quaternions: np.ndarray, theta: float) -> np.ndarray:
     return np.concatenate([q[..., 1:], 1.0 - q[..., :1]], axis=-1)
 
 
-class _ResidualFunction:
-    """z -> stacked normalized residual vector for a design problem, and its Jacobian.
+@dataclass(frozen=True)
+class _Point:
+    """One evaluated design point: what its Jacobian reads."""
 
-    ``z`` is one point (P,) or a batch of lanes (m, P), giving (R,) or (m, R).
-    All lanes share one grid and are evaluated as one batch, and each lane
-    equals its single-point call bit for bit.  A single-point call keeps its
-    frame, from which :meth:`jacobian` differentiates at that point.
+    z: np.ndarray                   # (P,) free parameters
+    shape: PulseShape
+    nhat: np.ndarray                # (n, 3) n(t) on the problem's grid
+    frames: np.ndarray | None       # (n, 4) frame quaternions, None about a fixed axis
+    f: np.ndarray                   # (R,) stacked normalized residual vector
+
+
+class _ResidualFunction:
+    """z -> the evaluated point of a design problem, and the Jacobian at a point.
+
+    Every point of a problem has the same grid, whatever its tau_s, and the
+    amplitude is affine in z, so the grid and the stage amplitudes of dv/dz
+    are built once, here.  A call evaluates one point z (P,) into a
+    :class:`_Point`, whose residual vector is ``f``; :meth:`jacobian`
+    differentiates that record without integrating a frame.
     """
 
     def __init__(self, problem: DesignProblem):
         self.problem = problem
         self.param = _Parameterization(problem)
         self.comp = COMPONENTS.index(problem.components[0]) if problem.fixed_axis else None
-        self._last = None           # (z, shape, grid, n(t), frame or None) of the last point
-        self._directions = None     # stage amplitudes of dv/dz on the problem's grid
+        directions = self.param.lift @ self.param.basis
+        family = self.param.shape_of(directions.T, np.zeros(directions.shape[1]))
+        self.grid = _build_grid(family, problem.grid_steps)
+        # steps first, directions last: R dv is then one batched matmul
+        self.directions = [np.ascontiguousarray(np.moveaxis(v, 0, -1))
+                           for v in _stage_amplitudes(family, self.grid)]
 
-    def lanes(self, shape: PulseShape):
-        """(grid, checked n(t) (m, n, 3), frames (m, n, 4) or None) of the lane shape."""
-        grid = _build_grid(shape, self.problem.grid_steps)
-        if self.problem.fixed_axis:
+    def _penalty_rows(self, shape: PulseShape) -> list:
+        """The rows that read no frame, amplitude bound and power, of a shape."""
+        problem = self.problem
+        parts = []
+        if problem.amplitude_bound is not None:
+            excess = shape.max_amplitude() - problem.amplitude_bound
+            parts.append([10.0 * np.maximum(0.0, excess) * problem.tau_p])
+        if problem.power_weight > 0.0:
+            t = np.linspace(0.0, problem.tau_p, 129)
+            power = np.trapezoid(np.sum(shape.amplitude(t) ** 2, axis=-1), t)
+            parts.append([problem.power_weight * np.sqrt(power * problem.tau_p) / np.pi])
+        return parts
+
+    def _penalties(self, z: np.ndarray) -> np.ndarray:
+        """The rows that read no frame at the point z (P,)."""
+        return np.concatenate(self._penalty_rows(self.param.build_shape(z)))
+
+    def __call__(self, z: np.ndarray) -> _Point:
+        problem, grid = self.problem, self.grid
+        shape = self.param.build_shape(z)
+        if problem.fixed_axis:
             frames, nhat = None, _fixed_axis_nhat(shape, self.comp, grid)
         else:
             frames = _frame_quaternions(shape, grid)
             nhat = _frame_nhat(frames)
-        _check_lanes(grid, quaternions=frames, nhat=nhat)
-        return grid, nhat, frames
-
-    def _penalty_rows(self, shape: PulseShape) -> list:
-        """The rows that read no frame, amplitude bound and power, of a lane shape."""
-        problem = self.problem
-        parts = []
-        if problem.amplitude_bound is not None:
-            excess = shape.max_amplitude()[:, None] - problem.amplitude_bound
-            parts.append(10.0 * np.maximum(0.0, excess) * problem.tau_p)
-        if problem.power_weight > 0.0:
-            t = np.linspace(0.0, problem.tau_p, 129)
-            power = np.trapezoid(np.sum(shape.amplitude(t) ** 2, axis=-1), t)
-            parts.append(problem.power_weight * np.sqrt(power * problem.tau_p)[:, None] / np.pi)
-        return parts
-
-    def _penalties(self, z: np.ndarray) -> np.ndarray:
-        """The rows that read no frame of the lanes z (m, P), (m, k)."""
-        return np.concatenate(self._penalty_rows(self.param.build_shape(z)), axis=-1)
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        problem = self.problem
-        shape = self.param.build_shape(np.atleast_2d(z))
-        grid, nhat, frames = self.lanes(shape)
+        _check_trajectory(grid, quaternions=frames, nhat=nhat)
         residuals = correction_residuals(grid, nhat, shape.tau_s)
         parts = [normalized_residual_vector(residuals, float(grid[-1]), problem.targets)]
         if frames is not None:
             parts.append(ROTATION_WEIGHT * _rotation_residual(frames, problem.theta))
-        out = np.concatenate(parts + self._penalty_rows(shape), axis=-1)
-        if np.ndim(z) == 2:
-            return out
-        self._last = (np.array(z, dtype=float), shape, grid, nhat[0],
-                      None if frames is None else frames[0])
-        return out[0]
+        f = np.concatenate(parts + self._penalty_rows(shape))
+        return _Point(z=z, shape=shape, nhat=nhat, frames=frames, f=f)
 
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """The (R, P) Jacobian at the point z, C-contiguous, with no new frame.
+    def jacobian(self, point: _Point) -> np.ndarray:
+        """The (R, P) Jacobian at an evaluated point, C-contiguous, with no new frame.
 
-        It reads the frame of z's own evaluation, the last single-point call
-        (or a new one).  The first variation of the frame is dW = W X with
+        The first variation of the point's frame is dW = W X with
         X = -i sigma . xi (see :meth:`_sweeps`), so n(t) = R z moves by
         dn = 2 n x xi and the rotation residual by q(tp) (0, xi(tp) - xi(0))
         q(0)^*.  r1 and r2a are linear in n and r2b is quadratic, so each
-        residual column is exactly [r(n + dn) - r(n - dn)] / 2, on 2P lanes
-        of n(t) that need no frame.  A free tau_s adds its explicit terms and
+        residual column is exactly [r(n + dn) - r(n - dn)] / 2, on a batch of
+        2P n(t) that need no frame.  A free tau_s adds its explicit terms and
         the logit's chain rule.  The rows that read no frame (amplitude bound
         and power) are central differences in z.  The memory order sets the
         rounding of ``jac.T @ jac`` and with it the damped least-squares path.
         """
-        if self._last is None or not np.array_equal(self._last[0], z):
-            self(z)
-        _, shape, grid, nhat, frames = self._last
-        problem = self.problem
-        tau_p, tau_s = float(grid[-1]), float(shape.tau_s[0])
-        xi = self._sweeps(shape, grid, frames)
+        problem, grid, nhat, frames = self.problem, self.grid, point.nhat, point.frames
+        tau_p, tau_s = float(grid[-1]), float(point.shape.tau_s)
+        xi = self._sweeps(point.shape, frames)
         dn = 2.0 * np.cross(nhat, xi)
         residuals = correction_residuals(grid, np.concatenate([nhat + dn, nhat - dn]), tau_s)
         vectors = normalized_residual_vector(residuals, tau_p, problem.targets)
@@ -389,7 +378,7 @@ class _ResidualFunction:
         jac = np.concatenate(parts, axis=1).T
         if self.param.free_tau_s:
             # r1, r2a and r2b read tau_s also outside n(t): d r2a / d tau_s = -2 r1,
-            # and r1 is linear in n, so any lane pair gives it
+            # and r1 is linear in n, so any +/- pair gives it
             n0, n1 = nhat[0], nhat[-1]
             r1 = 0.5 * (residuals[0][0] + residuals[0][len(xi)])
             explicit = (n1 - n0, -2.0 * r1, (2.0 * tau_s - tau_p) * np.cross(n1, n0))
@@ -397,10 +386,10 @@ class _ResidualFunction:
                                                                     problem.targets)
             jac[:, -1] *= tau_s * (1.0 - tau_s / tau_p)     # d tau_s / d logit
         if problem.amplitude_bound is not None or problem.power_weight > 0.0:
-            jac = np.concatenate([jac, finite_difference_jacobian(self._penalties, z)])
+            jac = np.concatenate([jac, finite_difference_jacobian(self._penalties, point.z)])
         return np.ascontiguousarray(jac)
 
-    def _sweeps(self, shape: PulseShape, grid: np.ndarray, frames) -> np.ndarray:
+    def _sweeps(self, shape: PulseShape, frames) -> np.ndarray:
         """xi_j(t) = int_{tau_s}^t R dv_j dt at the nodes for every direction j, (P, n, 3).
 
         R is the frame's rotation (n = R z), the identity about a fixed axis,
@@ -410,14 +399,9 @@ class _ResidualFunction:
         free tau_s, xi is constant: minus the anchor's rate, -v(tau_s) about a
         fixed axis, whose n(t) is exact in tau_s.
         """
-        n, tau_s = len(grid), shape.tau_s
-        if self._directions is None:    # every point of a problem has the same grid
-            directions = self.param.lift @ self.param.basis
-            stages = _stage_amplitudes(
-                self.param.shape_of(directions.T, np.zeros(directions.shape[1])), grid)
-            # steps first, directions last: R dv is then one batched matmul
-            self._directions = [np.ascontiguousarray(np.moveaxis(v, 0, -1)) for v in stages]
-        v1, v2, v3 = self._directions               # (n - 1, 3, P) each
+        grid, tau_s = self.grid, shape.tau_s
+        n = len(grid)
+        v1, v2, v3 = self.directions                # (n - 1, 3, P) each
         rot = np.broadcast_to(np.eye(3), (n, 3, 3)) if frames is None else _frame_rotation(frames)
         if self.problem.ansatz == "piecewise":      # dv_j is constant on every step
             steps = _simpson_intervals(grid, rot.reshape(n, 9)).reshape(n - 1, 3, 3) @ v2
@@ -425,19 +409,19 @@ class _ResidualFunction:
             steps = _simpson_intervals(grid, (rot @ np.concatenate([v1, v3[-1:]])).reshape(n, -1))
         sweep = np.zeros((n, steps[0].size))
         np.cumsum(steps.reshape(n - 1, -1), axis=0, out=sweep[1:])
-        j, h, x = (part[0] for part in _bracket(grid, tau_s))
+        j, h, x = (part[0] for part in _bracket(grid, np.array([tau_s])))
         slopes = h * (rot[j:j + 2] @ np.stack([v1[j], v3[j]])).reshape(2, -1)
         xi = (sweep - _hermite(sweep[j:j + 2], slopes, x)[0]).reshape(n, 3, -1)
         xi = np.moveaxis(xi, -1, 0)
         if not self.param.free_tau_s:
             return xi
         if frames is None:
-            xi_tau = -shape.amplitude(tau_s)[0]
+            xi_tau = -shape.amplitude(tau_s)
         else:
             # U at the two nodes, up to a common norm, from W = U U(tau_s, 0)^dag
             ends = quaternion_product(frames[j:j + 2], _CONJ * frames[0])
             v_start, _, v_end = _stage_amplitudes(shape, grid[j:j + 2])
-            anchor, rate = _anchor(ends[None], v_start[:, 0], v_end[:, 0], h[None], x[None])
+            anchor, rate = _anchor(ends[None], v_start, v_end, h[None], x[None])
             # W = U b with b = anchor^* / |anchor|: xi = vec(b^* db)
             xi_tau = quaternion_product(anchor, _CONJ * rate)[0, 1:] / (h * (anchor @ anchor.T)[0])
         return np.concatenate([xi, np.broadcast_to(xi_tau, (1, n, 3))])
@@ -448,62 +432,55 @@ class _ResidualFunction:
 
 
 def finite_difference_jacobian(fun, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with per-coordinate relative steps.
+    """Central-difference Jacobian with per-coordinate relative steps, C-contiguous.
 
-    ``fun`` maps lanes (m, P) to (m, R) and is called once, on the stencil
-    of the 2P points x + h_i e_i (row 2i) and x - h_i e_i (row 2i + 1).  The
-    design loop differences only the rows that read no frame with it; the
-    tests use it as the oracle of :meth:`_ResidualFunction.jacobian`.  The
-    Jacobian is returned C-contiguous, like that one.
+    ``fun`` maps a point (P,) to (R,); column i is
+    [fun(x + h_i e_i) - fun(x - h_i e_i)] / (2 h_i), two calls per column.
+    The design loop differences only the rows that read no frame with it; the
+    tests use it as the oracle of :meth:`_ResidualFunction.jacobian`.
     """
-    n = len(x)
     h = step * np.maximum(1.0, np.abs(x))
-    stencil = np.repeat(x[None, :], 2 * n, axis=0)
-    cols = np.arange(n)
-    stencil[2 * cols, cols] += h
-    stencil[2 * cols + 1, cols] -= h
-    f = fun(stencil)
-    return np.ascontiguousarray(((f[0::2] - f[1::2]) / (2.0 * h)[:, None]).T)
+    return np.stack([(fun(x + d) - fun(x - d)) / (2.0 * h_i)
+                     for d, h_i in zip(np.diag(h), h)], axis=1)
 
 
 def _levenberg_marquardt(fun: _ResidualFunction, x0: np.ndarray, max_iter: int = 80,
                          cost_tol: float = 1e-20, grad_tol: float = 1e-13):
     """Damped Gauss-Newton with multiplicative damping (x3 up, /2 down).
 
-    ``fun`` is a residual function with a ``jacobian`` method.  Each
-    iteration evaluates only its trial points; the Jacobian at the current
-    point reads the frame of the trial that was accepted there.
+    ``fun`` is a residual function: a call evaluates a point, and its
+    ``jacobian`` differentiates the evaluated point.  The loop carries the
+    record of its current point, so each iteration evaluates only its trial
+    points and the Jacobian reads the frame of the trial accepted there.
     """
-    x = np.asarray(x0, dtype=float)
-    f = fun(x)
-    cost = float(f @ f)
+    point = fun(np.asarray(x0, dtype=float))
+    cost = float(point.f @ point.f)
     mu = 1e-3
     for _ in range(max_iter):
         if cost < cost_tol:
             break
-        jac = fun.jacobian(x)
-        grad = jac.T @ f
+        jac = fun.jacobian(point)
+        grad = jac.T @ point.f
         if np.max(np.abs(grad)) < grad_tol:
             break
         jtj = jac.T @ jac
         improved = False
         while mu < 1e12:
             try:
-                x_new = x + np.linalg.solve(jtj + mu * np.eye(len(x)), -grad)
-                f_new = fun(x_new)
+                trial = fun(point.z + np.linalg.solve(jtj + mu * np.eye(len(point.z)), -grad))
             except ValueError:      # a singular system, or a trial frame the guard rejects
                 mu *= 3.0
                 continue
-            cost_new = float(f_new @ f_new)
+            cost_new = float(trial.f @ trial.f)
             if np.isfinite(cost_new) and cost_new < cost:
-                x, f, cost = x_new, f_new, cost_new
+                point, cost = trial, cost_new
                 mu = max(mu / 2.0, 1e-14)
                 improved = True
                 break
             mu *= 3.0
         if not improved:
             break
-    return x, cost
+    return point.z, cost
 
 
 def solve(problem: DesignProblem, seed: int = 0,
@@ -540,11 +517,15 @@ def feasibility_probe(problem: DesignProblem, seed: int = 0) -> ProbeResult:
     """Search a no-go (or open) regime and report the best objective found
     together with the analytic gap bound of the best candidate.
 
-    The search runs the problem's restarts on at most 256 grid steps.
+    The search runs the problem's restarts on at most 256 grid steps, each
+    restart for at most 80 Levenberg-Marquardt iterations.  The reported
+    objective is the lowest one reached: a candidate's, not a proven minimum
+    of the regime.
 
     In the pi second-order regime the certificate is evaluated on a
-    geodesically pi-closed copy of the best trajectory, where the bound
-    objective >= (pi2_gap / tau_p^2)^2 is an exact inequality.
+    geodesically pi-closed copy of that candidate's trajectory, where the
+    bound objective >= (pi2_gap / tau_p^2)^2 is an exact inequality: it holds
+    for the candidate, wherever the search stopped.
     """
     probe_problem = replace(problem, grid_steps=min(problem.grid_steps, 256))
     sol = solve(probe_problem, seed=seed, allow_underdetermined=True)

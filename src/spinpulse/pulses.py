@@ -69,8 +69,10 @@ class PulseShape:
 
     def __post_init__(self):
         policy = active_policy()
-        if not self.tau_p > 0:
-            raise ValueError("tau_p must be positive")
+        if not 0 < self.tau_p < np.inf:
+            raise ValueError("tau_p must be finite and positive")
+        if not np.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if not np.all((0.0 <= self.tau_s) & (self.tau_s <= self.tau_p)):
             raise ValueError("tau_s must lie in [0, tau_p]")
         if self.representation not in REPRESENTATIONS:

@@ -24,11 +24,13 @@ The integrator runs on a leading lane axis: a lane shape (``PulseShape``
 with m lanes, each with its own tau_s, on one set of breakpoints and so one
 grid) gives frames (m, n, 4) and n(t) (m, n, 3) by the same elementwise
 arithmetic, so each lane equals its lone-shape frame bit for bit; a lone
-shape gives (n, 4).  The design loop's residual takes its points as lanes;
-its Jacobian integrates nothing more, but differentiates one point's frame
-through its rotation (:func:`_frame_rotation`) and its Hermite anchor
-(:func:`_anchor`).  One check, :func:`_check_lanes`, validates every lane of
-frames and n(t).
+shape gives (n, 4).  The design loop evaluates one point, a lone shape, at a
+time; it reads lanes only for its table of dv/dz, the stage amplitudes of
+one lane per free direction.  Its Jacobian integrates no frame, but
+differentiates the point's frame through its rotation
+(:func:`_frame_rotation`) and its Hermite anchor (:func:`_anchor`).  One
+check, :func:`_check_trajectory`, validates frames and n(t), every lane in
+full.
 
 For output only, :func:`axis_angle` decomposes the frame as c = cos(psi/2),
 s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
@@ -60,7 +62,7 @@ MIN_STEPS = 64
 STEP_DRIFT = 5e-3
 
 
-def _check_lanes(grid: np.ndarray, quaternions=None, nhat=None):
+def _check_trajectory(grid: np.ndarray, quaternions=None, nhat=None):
     """Raise ValueError unless every lane holds a valid frame or n(t) on ``grid``.
 
     The grid must increase strictly; frame quaternions (..., n, 4) must be
@@ -92,7 +94,7 @@ class FrameTrajectory:
     quaternions: np.ndarray  # (n, 4) or (m, n, 4): unit (c, s) of W = c I - i s . sigma
 
     def __post_init__(self):
-        _check_lanes(self.grid, quaternions=self.quaternions)
+        _check_trajectory(self.grid, quaternions=self.quaternions)
 
     @property
     def tau_p(self) -> float:
@@ -116,7 +118,7 @@ class NTrajectory:
     nhat: np.ndarray   # (n, 3), or (m, n, 3) for lanes
 
     def __post_init__(self):
-        _check_lanes(self.grid, nhat=self.nhat)
+        _check_trajectory(self.grid, nhat=self.nhat)
 
     @property
     def tau_p(self) -> float:
@@ -305,7 +307,7 @@ def integrate_axis_angle(shape: PulseShape, steps: int) -> FrameTrajectory:
     Returns the frame quaternions, all that residuals, gaps, amplitudes and
     the oracle read.  Their (axis, angle) form is :func:`axis_angle`, whose
     rebuilt frame matches q only where the axis is +-s/|s|.  A lane shape
-    gives one frame per lane, (m, n, 4), as the design loop uses it.
+    gives one frame per lane, (m, n, 4).
     """
     if steps < MIN_STEPS:
         raise ValueError(f"at least {MIN_STEPS} integration steps are required")

@@ -171,6 +171,35 @@ class TestLibraryErrors:
         assert not out.exists()
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, old, new, field", [
+        ("verify", "lambda = 1.0", "lambda = nan", "lambda"),
+        ("verify", "lambda = 1.0", "lambda = inf", "lambda"),
+        ("verify", "omega_b = 1.0", "omega_b = nan", "omega_b"),
+        ("verify", "preset = spin-dynamic\nlambda = 1.0\nomega_b = 1.0\n",
+         "lambda = 1.0\ndim_b = 1\nh_b.0.0 = nan 0\na.0.0 = 1 0\n", "h_b"),
+        ("verify", "preset = spin-dynamic\nlambda = 1.0\nomega_b = 1.0\n",
+         "lambda = 1.0\ndim_b = 1\na.0.0 = inf 0\n", "a must be finite"),
+        ("corrections", "tau_p = 1.0", "tau_p = inf", "tau_p"),
+        ("convert", f"theta = {PI}", "theta = nan", "theta"),
+        ("verify", f"theta = {PI}", "theta = inf", "theta"),
+    ], ids=["lambda-nan", "lambda-inf", "omega_b-nan", "h_b-nan", "a-inf", "tau_p-inf",
+            "theta-nan", "theta-inf"])
+    def test_non_finite_field_exits_3(self, workdir, capsys, command, old, new, field):
+        """A non-finite bath or pulse field is an invariant violation that
+        names the field, before any numerical work and with no numpy warning."""
+        pulse, bath = workdir / "pi.pulse", workdir / "dyn.bath"
+        texts = {path: path.read_text() for path in (pulse, bath)}
+        assert sum(old in text for text in texts.values()) == 1
+        for path, text in texts.items():
+            path.write_text(text.replace(old, new))
+        out = workdir / "out.txt"
+        files = [str(pulse), str(bath)] if command == "verify" else [str(pulse)]
+        assert main([command, *files, "--out", str(out)]) == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSolveAndVerify:
     def test_solve_writes_reverifiable_solution(self, workdir):
         out = workdir / "solution.pulse"

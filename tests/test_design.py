@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
-from spinpulse import oracle
+from spinpulse import design, oracle
 from spinpulse.design import (VERIFIED_BOUND, DesignProblem, IllPosedProblem,
                               _levenberg_marquardt, _Parameterization,
                               _ResidualFunction, feasibility_probe,
@@ -15,22 +15,6 @@ from spinpulse.pulses import COMPONENTS
 from spinpulse.policy import active_policy
 from spinpulse.trajectory import NTrajectory, integrate_axis_angle, n_trajectory
 from spinpulse.corrections import evaluate_corrections
-
-
-def _column_jacobian(fun, x, step=1e-6):
-    """Reference for ``finite_difference_jacobian``: one point pair per column.
-
-    The same relative steps and central differences, with ``fun`` called on
-    one point at a time.
-    """
-    columns = []
-    for i in range(len(x)):
-        h = step * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        columns.append((fun(xp) - fun(xm)) / (2.0 * h))
-    return np.stack(columns, axis=1)
 
 
 def jacobian_check(problem, point=None, step=1e-5, seed=0):
@@ -42,29 +26,11 @@ def jacobian_check(problem, point=None, step=1e-5, seed=0):
     if point is None:
         point = residual.param.random_start(np.random.default_rng(seed))
     point = np.asarray(point, dtype=float)
-    j1 = finite_difference_jacobian(residual, point, step)
-    j2 = finite_difference_jacobian(residual, point, step / 2.0)
+    j1 = finite_difference_jacobian(lambda z: residual(z).f, point, step)
+    j2 = finite_difference_jacobian(lambda z: residual(z).f, point, step / 2.0)
     scale = max(1.0, float(np.max(np.abs(j2))))
     deviation = float(np.max(np.abs(j1 - j2)) / scale)
     return deviation, deviation > 1e-4
-
-
-def _short_lm_run(residual, z):
-    """(z bytes, cost) after three LM iterations, or the error the start raised."""
-    try:
-        x, cost = _levenberg_marquardt(residual, z, max_iter=3)
-    except ValueError as exc:       # a starting frame the grid cannot resolve
-        return str(exc), None
-    return x.tobytes(), cost
-
-
-_DUHAMEL_JACOBIAN = _ResidualFunction.jacobian
-
-
-def _cold_jacobian(residual, z):
-    """The Jacobian at z from a new residual function: from its own frame of z,
-    with nothing kept from earlier calls."""
-    return _DUHAMEL_JACOBIAN(_ResidualFunction(residual.problem), z)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +62,7 @@ class TestSolve:
         coeffs = sol.shape.fourier.cos[1, 1:]
         z0 = residual.param.basis.T @ coeffs
         z, cost = _levenberg_marquardt(residual, z0)
-        f0 = residual(z0)
+        f0 = residual(z0).f
         assert float(f0 @ f0) - cost < 1e-18
 
     def test_endpoint_derivative_constraint(self, s_type_solution):
@@ -143,54 +109,15 @@ class TestResidualFunction:
     ], ids=["fixed-axis", "general-axis-free-tau-s"])
     def test_matches_evaluate_corrections(self, problem):
         residual = _ResidualFunction(problem)
-        z = residual.param.random_start(np.random.default_rng(4))
-        shape = residual.param.build_shape(z)
-        grid, nhat, _ = residual.lanes(residual.param.build_shape(z[None]))
-        ntraj = NTrajectory(grid=grid, nhat=nhat[0])
-        expected = evaluate_corrections(ntraj, shape.tau_s).normalized_vector(problem.targets)
-        got = residual(z)
-        assert np.array_equal(got[:len(expected)], expected)
+        point = residual(residual.param.random_start(np.random.default_rng(4)))
+        ntraj = NTrajectory(grid=residual.grid, nhat=point.nhat)
+        expected = evaluate_corrections(ntraj, point.shape.tau_s).normalized_vector(problem.targets)
+        assert np.array_equal(point.f[:len(expected)], expected)
         if problem.fixed_axis:
-            assert len(got) == len(expected)
+            assert len(point.f) == len(expected)
         else:
-            traj = integrate_axis_angle(shape, problem.grid_steps)
-            assert np.array_equal(nhat[0], n_trajectory(traj).nhat)
-
-    @settings(max_examples=20, deadline=None)
-    @given(ansatz=st.sampled_from(("fourier", "piecewise")),
-           components=st.sampled_from((("y",), ("z",), ("x", "y"), ("z", "x", "y"))),
-           tau_s=st.sampled_from((0.0, 0.35, 1.0, "free")),
-           amplitude_bound=st.sampled_from((None, 1.5)), power_weight=st.sampled_from((0.0, 0.2)),
-           seed=st.integers(0, 2 ** 16))
-    def test_batch_matches_pointwise_evaluation(self, ansatz, components, tau_s,
-                                                amplitude_bound, power_weight, seed):
-        """Batched lanes and the one-call stencil equal pointwise evaluation, and the
-        Jacobian and the LM path that reuse a trial's frame equal fresh ones."""
-        problem = DesignProblem(theta=2.0, tau_s=tau_s, fourier_order=2, components=components,
-                                targets=("r1", "r2a", "r2b"), symmetric=False,
-                                amplitude_bound=amplitude_bound, power_weight=power_weight,
-                                ansatz=ansatz, segments=5, grid_steps=128)
-        residual = _ResidualFunction(problem)
-        rng = np.random.default_rng(seed)
-        z = residual.param.random_start(rng)
-        # a repeated point and two others, with their own tau_s if it is free
-        points = np.array([z, residual.param.random_start(rng), z,
-                           residual.param.random_start(rng)])
-        for row, lane in zip(points, residual(points)):
-            assert np.array_equal(lane, residual(row))
-        jac = finite_difference_jacobian(residual, z)
-        assert jac.flags.c_contiguous
-        assert np.array_equal(jac, _column_jacobian(residual, z))
-        # the last single point was another one, so this evaluates z afresh
-        jac = residual.jacobian(z)
-        assert jac.flags.c_contiguous
-        residual(points[1])
-        residual(z)
-        assert np.array_equal(residual.jacobian(z), jac)
-        outcome = _short_lm_run(residual, z)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_ResidualFunction, "jacobian", _cold_jacobian)
-            assert _short_lm_run(_ResidualFunction(problem), z) == outcome
+            traj = integrate_axis_angle(point.shape, problem.grid_steps)
+            assert np.array_equal(point.nhat, n_trajectory(traj).nhat)
 
     def test_grid_below_the_integrator_minimum_rejected(self):
         with pytest.raises(ValueError):
@@ -215,10 +142,40 @@ def test_unresolved_trial_point_is_a_rejected_step():
 
     residual = Recording(problem)
     z0 = residual.param.random_start(np.random.default_rng(6394))
-    f0 = residual(z0)
+    f0 = residual(z0).f
     _, cost = _levenberg_marquardt(residual, z0)
     assert rejected
     assert np.isfinite(cost) and cost <= float(f0 @ f0)
+
+
+def test_jacobian_integrates_no_frame(monkeypatch):
+    """An LM iteration integrates only its trial points: one frame per residual
+    evaluation and none for a Jacobian, its rows that read no frame included."""
+    problem = DesignProblem(theta=np.pi, tau_s="free", fourier_order=1, components=("x", "y"),
+                            targets=("r1", "r2a", "r2b"), symmetric=False, power_weight=0.2,
+                            grid_steps=256)
+    counts = {"frames": 0, "evaluations": 0, "jacobians": 0}
+    frame_quaternions = design._frame_quaternions
+
+    def counted_frames(*args):
+        counts["frames"] += 1
+        return frame_quaternions(*args)
+
+    class Counting(_ResidualFunction):
+        def __call__(self, z):
+            counts["evaluations"] += 1
+            return super().__call__(z)
+
+        def jacobian(self, point):
+            counts["jacobians"] += 1
+            return super().jacobian(point)
+
+    monkeypatch.setattr(design, "_frame_quaternions", counted_frames)
+    residual = Counting(problem)
+    _levenberg_marquardt(residual, residual.param.random_start(np.random.default_rng(3)),
+                         max_iter=10)
+    assert counts["jacobians"] > 0
+    assert counts["frames"] == counts["evaluations"]
 
 
 class TestJacobian:
@@ -227,14 +184,14 @@ class TestJacobian:
 
         def linear(x):
             calls.append(x.copy())
-            return np.stack([x[:, 0] + 2.0 * x[:, 1], 3.0 * x[:, 0]], axis=1)
+            return np.array([x[0] + 2.0 * x[1], 3.0 * x[0]])
 
         x0 = np.array([0.5, -1.0])
         jac = finite_difference_jacobian(linear, x0)
-        assert len(calls) == 1
-        assert calls[0].shape == (4, 2)
-        # rows 2i and 2i + 1 step coordinate i alone, by +h_i and -h_i
-        offsets = calls[0] - x0
+        # 2P single-point calls: calls 2i and 2i + 1 step coordinate i alone,
+        # by +h_i and -h_i
+        assert [c.shape for c in calls] == [(2,)] * 4
+        offsets = np.array(calls) - x0
         assert np.array_equal(offsets != 0.0, np.repeat(np.eye(2, dtype=bool), 2, axis=0))
         assert np.all(offsets[0::2].sum(axis=1) > 0.0)
         assert np.all(offsets[1::2].sum(axis=1) < 0.0)
@@ -285,9 +242,9 @@ class TestDuhamelJacobian:
     @staticmethod
     def difference(problem, seed=0):
         residual = _ResidualFunction(problem)
-        z = residual.param.random_start(np.random.default_rng(seed))
-        jac = residual.jacobian(z)
-        oracle_jac = finite_difference_jacobian(residual, z)
+        point = residual(residual.param.random_start(np.random.default_rng(seed)))
+        jac = residual.jacobian(point)
+        oracle_jac = finite_difference_jacobian(lambda z: residual(z).f, point.z)
         assert jac.shape == oracle_jac.shape and jac.flags.c_contiguous
         return float(np.max(np.abs(jac - oracle_jac)) / max(1.0, np.max(np.abs(oracle_jac))))
 
