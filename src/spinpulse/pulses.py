@@ -13,7 +13,9 @@ Three representations are supported:
 ``axis_angle_samples``
     A sampled rotation frame (t_j, axis_j, angle_j).  The axis and the angle
     are splined separately, keeping whole turns between samples, and the
-    amplitude is :func:`frame_amplitude` of the frame q they give.
+    amplitude is :func:`frame_amplitude` of the frame q they give.  The
+    splines are scipy's, imported on a sampled pulse's first amplitude call;
+    the other representations run on numpy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .policy import active_policy
 
@@ -97,6 +98,9 @@ class PulseShape:
             ps = np.asarray(self.sample_angles, dtype=float)
             if t.ndim != 1 or ax.shape != (len(t), 3) or ps.shape != (len(t),):
                 raise ValueError("axis-angle samples need matching t, axis, angle arrays")
+            for name, value in (("times", t), ("axes", ax), ("angles", ps)):
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"sample {name} must be finite")
             if len(t) < 2 or np.any(np.diff(t) <= 0):
                 raise ValueError("sample times must be strictly increasing")
             if abs(t[0]) > 1e-12 * self.tau_p or abs(t[-1] - self.tau_p) > 1e-12 * self.tau_p:
@@ -114,8 +118,10 @@ class PulseShape:
         """q = (cos psi/2, sin psi/2 a) and dq/dt at t from cached quintic splines.
 
         The angle is splined itself; a spline of q loses whole turns between samples.
+        The splines are scipy's, imported here on first use.
         """
         if "frame" not in self._splines:
+            from scipy.interpolate import make_interp_spline
             k = min(SPLINE_ORDER, len(self.sample_times) - 1)
             ax_spl = make_interp_spline(self.sample_times, self.sample_axes, k=k, axis=0)
             ps_spl = make_interp_spline(self.sample_times, self.sample_angles, k=k)

@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .policy import active_policy
 from .pulses import SPLINE_ORDER, PulseShape, frame_amplitude
@@ -319,9 +318,14 @@ def integrate_axis_angle(shape: PulseShape, steps: int) -> FrameTrajectory:
 
 
 def amplitude_from_axis_angle(traj: FrameTrajectory) -> np.ndarray:
-    """Recover v(t) at the trajectory nodes from the sampled frame quaternions."""
+    """Recover v(t) at the trajectory nodes from the sampled frame quaternions.
+
+    The quintic spline that differentiates q is scipy's, imported here on first
+    use: this and ``axis_angle_samples`` pulses are the only paths that load scipy.
+    """
     if traj.n_nodes < 16:
         raise ValueError("trajectory grid too coarse for stable differentiation")
+    from scipy.interpolate import make_interp_spline
     spline = make_interp_spline(traj.grid, traj.quaternions, k=SPLINE_ORDER, axis=0)
     return frame_amplitude(spline(traj.grid), spline.derivative()(traj.grid))
 

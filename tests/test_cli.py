@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spinpulse
 from spinpulse import cli
 from spinpulse.cli import main
+from spinpulse.design import _Parameterization
+from spinpulse.fileio import parse_problem
 
 PI = "3.14159265358979312"
 
@@ -36,9 +45,22 @@ restarts = 8
 """
 
 
+PULSE_SAMPLED_PI = """schema_version = 1
+kind = pulse
+representation = axis_angle_samples
+tau_p = 1
+tau_s = 0.5
+theta = 3.141592653589793
+sample.0 = 0 0 1 0 0
+sample.1 = 0.5 0 1 0 1.5707963267948966
+sample.2 = 1 0 1 0 3.141592653589793
+"""
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "pi.pulse").write_text(PULSE_CONSTANT_PI)
+    (tmp_path / "frame.pulse").write_text(PULSE_SAMPLED_PI)
     (tmp_path / "dyn.bath").write_text(BATH_DYNAMIC)
     (tmp_path / "s.problem").write_text(PROBLEM_S)
     return tmp_path
@@ -183,16 +205,23 @@ class TestLibraryErrors:
         ("corrections", "tau_p = 1.0", "tau_p = inf", "tau_p"),
         ("convert", f"theta = {PI}", "theta = nan", "theta"),
         ("verify", f"theta = {PI}", "theta = inf", "theta"),
+        ("convert", "sample.1 = 0.5 0", "sample.1 = 0.5 nan", "sample axes must be finite"),
+        ("corrections", "0 1 0 1.5707963267948966", "0 1 0 nan",
+         "sample angles must be finite"),
+        ("verify", "sample.1 = 0.5", "sample.1 = inf", "sample times must be finite"),
     ], ids=["lambda-nan", "lambda-inf", "omega_b-nan", "h_b-nan", "a-inf", "tau_p-inf",
-            "theta-nan", "theta-inf"])
+            "theta-nan", "theta-inf", "sample-axis-nan", "sample-angle-nan",
+            "sample-time-inf"])
     def test_non_finite_field_exits_3(self, workdir, capsys, command, old, new, field):
         """A non-finite bath or pulse field is an invariant violation that
-        names the field, before any numerical work and with no numpy warning."""
-        pulse, bath = workdir / "pi.pulse", workdir / "dyn.bath"
-        texts = {path: path.read_text() for path in (pulse, bath)}
-        assert sum(old in text for text in texts.values()) == 1
-        for path, text in texts.items():
-            path.write_text(text.replace(old, new))
+        names the field, before any numerical work and with no numpy warning.
+        The sampled pulse's cases fail before any spline is built."""
+        bath = workdir / "dyn.bath"
+        edited = [path for path in (workdir / "pi.pulse", workdir / "frame.pulse", bath)
+                  if old in path.read_text()]
+        assert len(edited) == 1
+        edited[0].write_text(edited[0].read_text().replace(old, new))
+        pulse = workdir / "pi.pulse" if edited[0] == bath else edited[0]
         out = workdir / "out.txt"
         files = [str(pulse), str(bath)] if command == "verify" else [str(pulse)]
         assert main([command, *files, "--out", str(out)]) == 3
@@ -414,6 +443,49 @@ class TestDeterminism:
                   "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestColdImport:
+    # runs each argv (fields split on "|") in one interpreter, reporting after
+    # the import and after each command whether scipy has been loaded
+    SCRIPT = textwrap.dedent("""
+        import sys
+        import spinpulse, spinpulse.cli
+        print("import", "scipy" in sys.modules)
+        for arg in sys.argv[1:]:
+            argv = arg.split("|")
+            code = spinpulse.cli.main(argv)
+            print(argv[0], code, "scipy" in sys.modules)
+    """)
+
+    def test_only_the_spline_paths_load_scipy(self, workdir):
+        """Importing spinpulse and running corrections, nogo, a solve through the
+        null space and verify load no scipy module; convert, which splines the frame,
+        does."""
+        pulse, out = str(workdir / "pi.pulse"), str(workdir / "out")
+        # the sine terms keep the endpoint row, so its basis is a proper null space
+        problem = PROBLEM_S.replace("symmetric = true", "symmetric = false")
+        basis = _Parameterization(parse_problem(problem)).basis
+        assert basis.shape[1] < basis.shape[0]
+        (workdir / "a.problem").write_text(problem)
+        runs = [["corrections", pulse, "--out", out],
+                ["nogo", "ts-eq-tp", "--samples", "4", "--out", out],
+                ["solve", str(workdir / "a.problem"), "--restarts", "1", "--out", out],
+                ["verify", pulse, str(workdir / "dyn.bath"), "--sweep", "1e-2:1e-1:4",
+                 "--out", out],
+                ["convert", pulse, "--grid", "128", "--out", out]]
+        src = str(Path(spinpulse.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *("|".join(r) for r in runs)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        assert lines[0] == ["import", "False"]
+        assert [line[0] for line in lines[1:]] == [r[0] for r in runs]
+        for command, code, loaded in lines[1:]:
+            assert code in ("0", "1"), (command, proc.stderr)
+            assert loaded == ("True" if command == "convert" else "False"), command
 
 
 class TestAxisAngleInput:

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
+from scipy.linalg import null_space
 
 from spinpulse import design, oracle
 from spinpulse.design import (VERIFIED_BOUND, DesignProblem, IllPosedProblem,
@@ -409,3 +411,45 @@ class TestAnsatzMap:
             moves = [_shape_coefficients(param.build_shape(z + step)) - _shape_coefficients(s)
                      for z, s in zip(points, shapes)]
             assert np.abs(moves[0] - moves[1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ansatz", ["fourier", "piecewise"])
+def test_null_space_is_scipys_bit_for_bit(monkeypatch, ansatz):
+    """The numpy null space of every endpoint-derivative row set equals
+    scipy.linalg.null_space, and so do the random starts and dc/dz read from
+    it: the seeded designs (S, Q, the probes) start where they always did."""
+    calls = []
+    numpy_null_space = design._null_space
+    monkeypatch.setattr(design, "_null_space",
+                        lambda rows: calls.append(rows) or numpy_null_space(rows))
+    compared = 0
+    for order, components, symmetric, theta, derivatives in itertools.product(
+            range(1, 6), (("y",), ("x", "y"), ("z", "x", "y")), (True, False),
+            (np.pi, np.pi / 2), range(4)):
+        problem = DesignProblem(theta=theta, tau_s="free", fourier_order=order,
+                                components=components, symmetric=symmetric,
+                                endpoint_derivatives=derivatives, ansatz=ansatz,
+                                segments=order + 1)
+        calls.clear()
+        try:
+            param = _Parameterization(problem)
+        except IllPosedProblem:
+            param = None
+        if not calls:
+            # no endpoint row survives the lift: the basis is the identity
+            assert np.array_equal(param.basis, np.eye(param.lift.shape[1]))
+            continue
+        (rows,) = calls
+        expected = null_space(rows)
+        assert np.array_equal(numpy_null_space(rows), expected)
+        compared += 1
+        if param is None:
+            continue
+        seed = 100 * order + derivatives
+        start = param.random_start(np.random.default_rng(seed))
+        directions = param.lift @ param.basis
+        param.basis = expected
+        assert np.array_equal(param.random_start(np.random.default_rng(seed)), start)
+        assert np.array_equal(param.lift @ param.basis, directions)
+    # piecewise blocks carry no endpoint rows; the Fourier sweep has 150 row sets
+    assert compared == (150 if ansatz == "fourier" else 0)
