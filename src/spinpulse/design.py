@@ -79,6 +79,8 @@ class DesignProblem:
             raise ValueError("segments must be at least 1")
         if self.endpoint_derivatives < 0:
             raise ValueError("endpoint_zero_derivatives must not be negative")
+        if self.endpoint_derivatives and self.ansatz == "piecewise":   # vacuous there
+            raise ValueError("endpoint_zero_derivatives must be 0 for the piecewise ansatz")
         if not np.isfinite(self.theta):
             raise ValueError("theta must be finite")
         if self.amplitude_bound is not None and not 0.0 < self.amplitude_bound < np.inf:

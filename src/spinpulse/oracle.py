@@ -5,23 +5,31 @@ far a real pulse is from the ideal decomposition
 
     U_p(tau_p, 0)  ~  exp(-i (tau_p - tau_s) H) P_theta exp(-i tau_s H),
 
-with P_theta = exp(i sigma_y theta / 2).  :func:`integrate_deviation`
-produces the residual correction unitary U_F by integrating the exact
-deviation generator F(t) = W(t)^dag [e^{iH dt} H0 e^{-iH dt} - H0] W(t)
+with H = I (x) H_b + lambda sigma_z (x) A and P_theta = exp(i sigma_y theta / 2).
+:func:`integrate_deviation` produces the residual correction unitary U_F by
+integrating F(t) = W(t)^dag [e^{iH dt} H0 e^{-iH dt} - H0] W(t), dt = t - tau_s,
 directly, by classical RK4 on a grid of uniform spans cut at the segment
 boundaries; tau_s is no cut, since F is smooth there.  The frames W come from
 the trajectory integrator on the bisected grid, and each RK4 stage takes its
 amplitude by the integrator's stage rule: one frame path, one stage rule and
 one formula for F.
 
+F is built in the bath's sigma_z blocks.  H commutes with sigma_z (x) I, so
+e^{iH dt} is diag(e^{i H+ dt}, e^{i H- dt}) with H+- = H_b +- lambda A: the
+sigma_z part of H0 = (v . sigma) (x) I drops out, and beta = v_x - i v_y turns
+through one d x d unitary K(dt) = e^{i H+ dt} e^{-i H- dt}, giving the upper
+block beta (K - I).  K - I is computed once per node of the bisected grid,
+from eigendecompositions of H+ and H- taken once; every RK4 stage slices it.
+
 This route keeps full relative accuracy as tau_p -> 0 (the deviation
 generator stays O(lambda) while the pulse amplitude grows as 1/tau_p), so
 expansion-order sweeps use it.  The test suite checks it against a second,
 independent route (time-sliced midpoint exponentials of the full Hamiltonian,
-with the decomposition inverted algebraically), which lives beside the tests
-because nothing else uses it.  Sweeps report the decomposition defect through
-the algebraic identity defect = ||W(tp) U_F W(0)^dag - P_theta||, which holds
-by unitary invariance of the spectral norm.
+with the decomposition inverted algebraically) and against F formed in the
+full joint space; both live beside the tests because nothing else uses them.
+Sweeps report the decomposition defect through the algebraic identity
+defect = ||U_F - (W(tp)^dag P_theta W(0)) (x) I||, which holds by unitary
+invariance of the spectral norm.
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ import numpy as np
 from .bath import BathModel
 from .corrections import CorrectionReport, eta_operators, evaluate_corrections
 from .pulses import PulseShape
-from .su2 import (IDENTITY_2, PAULI, SIGMA_Z, expm_hermitian, ideal_pulse_quaternion,
-                  quaternion_matrix, spectral_norm)
+from .su2 import (expm_hermitian, ideal_pulse_quaternion, quaternion_matrix,
+                  quaternion_product, spectral_norm)
 from .trajectory import (_build_grid, _frames_on_grid, _rk4_step_matrices,
                          _stage_amplitudes, n_trajectory)
 
@@ -58,16 +66,6 @@ class SweepResult:
     reports: list[CorrectionReport]
 
 
-def ideal_pulse(theta: float) -> np.ndarray:
-    """P_theta = exp(i sigma_y theta / 2)."""
-    return quaternion_matrix(ideal_pulse_quaternion(theta))
-
-
-def static_hamiltonian(bath: BathModel) -> np.ndarray:
-    """H = H_b + lambda A sigma_z on the qubit (x) bath space."""
-    return np.kron(IDENTITY_2, bath.h_b) + bath.coupling * np.kron(SIGMA_Z, bath.a)
-
-
 def _project_unitary(u: np.ndarray) -> np.ndarray:
     w, _, vh = np.linalg.svd(u)
     return w @ vh
@@ -85,27 +83,24 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _batched_kron_qubit(mats: np.ndarray, dim_b: int) -> np.ndarray:
-    """kron(m, I_b) for a batch of 2x2 matrices."""
-    n = mats.shape[0]
-    eye_b = np.eye(dim_b, dtype=complex)
-    out = np.einsum("nab,cd->nacbd", mats, eye_b)
-    return out.reshape(n, 2 * dim_b, 2 * dim_b)
+def _coupling_turns(bath: BathModel, t: np.ndarray) -> np.ndarray:
+    """K(t) - I with K(t) = e^{i H+ t} e^{-i H- t} and H+- = H_b +- lambda A, (n, d, d)."""
+    e_plus, v_plus = np.linalg.eigh(bath.h_b + bath.coupling * bath.a)
+    e_minus, v_minus = np.linalg.eigh(bath.h_b - bath.coupling * bath.a)
+    phases = (np.exp(1.0j * np.multiply.outer(t, e_plus))[:, :, None]
+              * np.exp(-1.0j * np.multiply.outer(t, e_minus))[:, None, :])
+    k = v_plus @ (phases * (v_plus.conj().T @ v_minus)) @ v_minus.conj().T
+    return k - np.eye(bath.dim_b)
 
 
-def _deviation_table(bath: BathModel, t: np.ndarray, tau_s: float,
-                     w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """F at times t from the frames w (n, 2, 2) and amplitudes v (n, 3) there."""
-    h = static_hamiltonian(bath)
-    evals, evecs = np.linalg.eigh(h)
-    h0_joint = _batched_kron_qubit(np.einsum("nj,jab->nab", v, PAULI), bath.dim_b)
-    phase = np.exp(1.0j * np.outer(t - tau_s, evals))
-    rot = (evecs[None, :, :] * phase[:, None, :]) @ evecs.conj().T
-    rot_dag = rot.conj().transpose(0, 2, 1)
-    tilde = rot @ h0_joint @ rot_dag
-    w_joint = _batched_kron_qubit(w, bath.dim_b)
-    f = w_joint.conj().transpose(0, 2, 1) @ (tilde - h0_joint) @ w_joint
-    return 0.5 * (f + f.conj().transpose(0, 2, 1))
+def _deviation_table(turns: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """F = top + top^dag, top[a, b] = beta conj(w[0, a]) w[1, b] (K - I), from K - I
+    (n, d, d), frames w (n, 2, 2) and amplitudes v (n, 3); Hermitian as computed."""
+    n, d = turns.shape[:2]
+    beta = v[:, 0] - 1.0j * v[:, 1]
+    coef = beta[:, None, None] * w[:, 0, :, None].conj() * w[:, 1, None, :]
+    top = (coef[:, :, None, :, None] * turns[:, None, :, None, :]).reshape(n, 2 * d, 2 * d)
+    return top + top.conj().transpose(0, 2, 1)
 
 
 def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
@@ -126,10 +121,10 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
     traj = _frames_on_grid(shape, fine)
     frames = traj.unitaries
+    turns = _coupling_turns(bath, fine - traj.tau_s)
     stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
                  _stage_amplitudes(shape, coarse))
-    f = [-1.0j * _deviation_table(bath, fine[sl], traj.tau_s, frames[sl], v)
-         for sl, v in stages]
+    f = [-1.0j * _deviation_table(turns[sl], frames[sl], v) for sl, v in stages]
     mats = _rk4_step_matrices(*f, np.diff(coarse))
     return _project_unitary(_ordered_product(mats)), traj
 
@@ -143,15 +138,14 @@ def decomposition_defects(shape: PulseShape, bath: BathModel, steps: int):
     u_f, traj = integrate_deviation(shape, bath, steps=steps)
     report = evaluate_corrections(n_trajectory(traj), traj.tau_s)
     eta1, eta2a, eta2b = eta_operators(report, bath)
-    eye = np.eye(2 * bath.dim_b)
-    eye_b = np.eye(bath.dim_b)
-    uf_defect = spectral_norm(u_f - eye)
+    uf_defect = spectral_norm(u_f - np.eye(2 * bath.dim_b))
     # each eta is Hermitian, so the Magnus exponential is a unitary one
     magnus_defect = spectral_norm(u_f - expm_hermitian(eta1 + eta2a + eta2b))
-    p_ideal = np.kron(ideal_pulse(shape.theta), eye_b)
-    w_end = np.kron(traj.unitaries[-1], eye_b)
-    w_start = np.kron(traj.unitaries[0], eye_b)
-    defect = spectral_norm(w_end @ u_f @ w_start.conj().T - p_ideal)
+    # ||(W(tp) (x) I) U_F (W(0) (x) I)^dag - P (x) I|| = ||U_F - (W(tp)^dag P W(0)) (x) I||
+    q_start, q_end = traj.quaternions[0], traj.quaternions[-1]
+    target = quaternion_product(q_end * [1.0, -1.0, -1.0, -1.0],
+                                quaternion_product(ideal_pulse_quaternion(shape.theta), q_start))
+    defect = spectral_norm(u_f - np.kron(quaternion_matrix(target), np.eye(bath.dim_b)))
     err = DecompositionError(tau_p=shape.tau_p, defect=float(defect),
                              uf_defect=float(uf_defect), magnus_defect=float(magnus_defect))
     return err, report

@@ -3,8 +3,9 @@
 The library's oracle integrates the deviation generator (see
 :mod:`spinpulse.oracle`).  These are the independent checks it is tested
 against: a time-sliced propagator of the full Hamiltonian with the
-decomposition inverted algebraically, the deviation generator at a single
-instant, the pure-dephasing identity and the first-order norm identity.
+decomposition inverted algebraically, the deviation generator formed in the
+full joint space, the deviation generator at a single instant, the
+pure-dephasing identity and the first-order norm identity.
 """
 
 from dataclasses import dataclass
@@ -13,11 +14,42 @@ import numpy as np
 
 from spinpulse.bath import BathModel
 from spinpulse.corrections import CorrectionReport
-from spinpulse.oracle import (_deviation_table, _project_unitary, ideal_pulse,
-                              static_hamiltonian)
+from spinpulse.oracle import _coupling_turns, _deviation_table, _project_unitary
 from spinpulse.pulses import PulseShape
-from spinpulse.su2 import SIGMA_Z, expm_hermitian, pauli_dot, spectral_norm
+from spinpulse.su2 import (IDENTITY_2, PAULI, SIGMA_Z, expm_hermitian,
+                           ideal_pulse_quaternion, pauli_dot, quaternion_matrix,
+                           spectral_norm)
 from spinpulse.trajectory import FrameTrajectory, _build_grid, _frames_on_grid
+
+
+def ideal_pulse(theta: float) -> np.ndarray:
+    """P_theta = exp(i sigma_y theta / 2)."""
+    return quaternion_matrix(ideal_pulse_quaternion(theta))
+
+
+def static_hamiltonian(bath: BathModel) -> np.ndarray:
+    """H = H_b + lambda A sigma_z on the qubit (x) bath space."""
+    return np.kron(IDENTITY_2, bath.h_b) + bath.coupling * np.kron(SIGMA_Z, bath.a)
+
+
+def _kron_qubit(mats: np.ndarray, dim_b: int) -> np.ndarray:
+    """kron(m, I_b) for a batch of 2x2 matrices."""
+    out = np.einsum("nab,cd->nacbd", mats, np.eye(dim_b))
+    return out.reshape(len(mats), 2 * dim_b, 2 * dim_b)
+
+
+def joint_deviation_table(bath: BathModel, t: np.ndarray, tau_s: float,
+                          w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """F at times t formed in the full qubit (x) bath space, with no block structure:
+    W^dag (e^{iH dt} H0 e^{-iH dt} - H0) W, H0 = (v . sigma) (x) I, dt = t - tau_s."""
+    evals, evecs = np.linalg.eigh(static_hamiltonian(bath))
+    phase = np.exp(1.0j * np.multiply.outer(t - tau_s, evals))
+    rot = (evecs * phase[:, None, :]) @ evecs.conj().T
+    h0 = _kron_qubit(np.einsum("nj,jab->nab", v, PAULI), bath.dim_b)
+    w_joint = _kron_qubit(w, bath.dim_b)
+    tilde = rot @ h0 @ rot.conj().transpose(0, 2, 1)
+    f = w_joint.conj().transpose(0, 2, 1) @ (tilde - h0) @ w_joint
+    return 0.5 * (f + f.conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -72,8 +104,8 @@ def f_generator(shape: PulseShape, bath: BathModel, t: float,
         raise ValueError("time outside [0, tau_p]")
     traj = _frames_on_grid(shape, np.union1d(_build_grid(shape, steps), [t]))
     j = int(np.argmin(np.abs(traj.grid - t)))
-    return _deviation_table(bath, traj.grid[j:j + 1], traj.tau_s,
-                            traj.unitaries[j:j + 1], shape.amplitude(t)[None])[0]
+    turns = _coupling_turns(bath, traj.grid[j:j + 1] - traj.tau_s)
+    return _deviation_table(turns, traj.unitaries[j:j + 1], shape.amplitude(t)[None])[0]
 
 
 def dephasing_identity_defect(coupling: float, tau_p: float) -> float:

@@ -352,8 +352,10 @@ class TestUsageErrors:
         ("endpoint_zero_derivatives = 1", "endpoint_zero_derivatives = -1",
          "endpoint_zero_derivatives"),
         ("components = y", "components = y y", "components"),
+        ("restarts = 8", "restarts = 8\nansatz = piecewise", "endpoint_zero_derivatives"),
     ], ids=["bound-nan", "bound-zero", "power-nan", "power-negative", "theta-nan",
-            "no-segments", "negative-derivatives", "repeated-component"])
+            "no-segments", "negative-derivatives", "repeated-component",
+            "piecewise-derivatives"])
     def test_invalid_problem_field_exits_3(self, workdir, capsys, old, new, field):
         prob = workdir / "bad.problem"
         prob.write_text(PROBLEM_S.replace(old, new))

@@ -370,10 +370,14 @@ class TestAnsatzMap:
     def test_built_shapes(self, ansatz, components, symmetric, derivatives, order,
                           segments, tau_s, seed):
         theta = 2.0
-        problem = DesignProblem(theta=theta, tau_s=tau_s, fourier_order=order,
-                                components=components, symmetric=symmetric,
-                                endpoint_derivatives=derivatives, ansatz=ansatz,
-                                segments=segments)
+        fields = dict(theta=theta, tau_s=tau_s, fourier_order=order,
+                      components=components, symmetric=symmetric,
+                      endpoint_derivatives=derivatives, ansatz=ansatz, segments=segments)
+        if ansatz == "piecewise" and derivatives:
+            with pytest.raises(ValueError, match="endpoint_zero_derivatives"):
+                DesignProblem(**fields)
+            return
+        problem = DesignProblem(**fields)
         try:
             param = _Parameterization(problem)
         except IllPosedProblem:
@@ -426,10 +430,14 @@ def test_null_space_is_scipys_bit_for_bit(monkeypatch, ansatz):
     for order, components, symmetric, theta, derivatives in itertools.product(
             range(1, 6), (("y",), ("x", "y"), ("z", "x", "y")), (True, False),
             (np.pi, np.pi / 2), range(4)):
-        problem = DesignProblem(theta=theta, tau_s="free", fourier_order=order,
-                                components=components, symmetric=symmetric,
-                                endpoint_derivatives=derivatives, ansatz=ansatz,
-                                segments=order + 1)
+        fields = dict(theta=theta, tau_s="free", fourier_order=order,
+                      components=components, symmetric=symmetric,
+                      endpoint_derivatives=derivatives, ansatz=ansatz, segments=order + 1)
+        if ansatz == "piecewise" and derivatives:
+            with pytest.raises(ValueError, match="endpoint_zero_derivatives"):
+                DesignProblem(**fields)
+            continue
+        problem = DesignProblem(**fields)
         calls.clear()
         try:
             param = _Parameterization(problem)
@@ -451,5 +459,5 @@ def test_null_space_is_scipys_bit_for_bit(monkeypatch, ansatz):
         param.basis = expected
         assert np.array_equal(param.random_start(np.random.default_rng(seed)), start)
         assert np.array_equal(param.lift @ param.basis, directions)
-    # piecewise blocks carry no endpoint rows; the Fourier sweep has 150 row sets
+    # piecewise problems take no endpoint rows; the Fourier sweep has 150 row sets
     assert compared == (150 if ansatz == "fourier" else 0)

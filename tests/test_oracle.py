@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpulse import oracle
 from spinpulse.bath import BathModel, preset_bath
 from spinpulse.corrections import eta_operators, evaluate_corrections
 from spinpulse.pulses import PulseShape, constant_rotation_pulse, fourier_pulse
 from spinpulse.sampling import random_fourier_shape
-from spinpulse.su2 import SIGMA_Z, expm_hermitian, pauli_dot, spectral_norm
+from spinpulse.su2 import (SIGMA_Z, expm_hermitian, pauli_dot, quaternion_matrix,
+                           spectral_norm)
 from spinpulse.trajectory import integrate_axis_angle, n_trajectory
-from joint_oracles import (dephasing_identity_defect, f_generator, propagate_joint,
-                           reconstruct_uf)
+from joint_oracles import (dephasing_identity_defect, f_generator, ideal_pulse,
+                           joint_deviation_table, propagate_joint, reconstruct_uf,
+                           static_hamiltonian)
 from su2_oracles import matrix_log_unitary
 
 
@@ -29,7 +33,7 @@ class TestPropagateJoint:
         bath = preset_bath("spin-dynamic", coupling=0.7, omega_b=1.0)
         shape = fourier_pulse(0.9, 0.4, 0.0, {"y": [0.0]})
         result = propagate_joint(shape, bath, steps=512)
-        h = oracle.static_hamiltonian(bath)
+        h = static_hamiltonian(bath)
         assert spectral_norm(result.unitary - expm_hermitian(h, scale=-1.0j * 0.9)) < 1e-10
 
     def test_dephasing_defect_equals_deviation_defect(self):
@@ -124,6 +128,26 @@ class TestDeviationGenerator:
         f = f_generator(shape, dynamic_bath, 0.8)
         assert spectral_norm(f - f.conj().T) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from((1, 2, 5, 8)), coupling=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_form_equals_joint_space(self, dim, coupling, seed):
+        """F from the bath's sigma_z blocks equals F formed in the full joint
+        space, with v_z in the amplitudes, and is exactly Hermitian."""
+        rng = np.random.default_rng(seed)
+        h_b, a = (m + m.conj().T for m in rng.normal(size=(2, dim, dim))
+                  + 1.0j * rng.normal(size=(2, dim, dim)))
+        bath = BathModel(h_b, a / spectral_norm(a), coupling)
+        t = rng.uniform(0.0, 2.0, 24)
+        tau_s = rng.uniform(0.0, 2.0)
+        q = rng.normal(size=(24, 4))
+        w = quaternion_matrix(q / np.linalg.norm(q, axis=1, keepdims=True))
+        v = rng.normal(scale=5.0, size=(24, 3))
+        f = oracle._deviation_table(oracle._coupling_turns(bath, t - tau_s), w, v)
+        ref = joint_deviation_table(bath, t, tau_s, w, v)
+        assert np.array_equal(f, f.conj().transpose(0, 2, 1))
+        assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_leading_series_term(self, dynamic_bath):
         """F(t) = -lambda dt dSz(t) (x) A + O(dt^2) near the splitting instant."""
         shape = constant_rotation_pulse(1.0, np.pi)
@@ -167,10 +191,10 @@ class TestMagnusConsistency:
 
 
 def test_ideal_pulse_convention():
-    p = oracle.ideal_pulse(np.pi)
+    p = ideal_pulse(np.pi)
     assert np.allclose(p, 1j * np.array([[0, -1j], [1j, 0]]))  # i sigma_y
     # a pi rotation about y inverts z
     assert np.allclose(p @ SIGMA_Z @ p.conj().T, -SIGMA_Z, atol=1e-12)
-    half = oracle.ideal_pulse(np.pi / 2)
+    half = ideal_pulse(np.pi / 2)
     z_flip = half @ SIGMA_Z @ half.conj().T
     assert np.allclose(z_flip, pauli_dot([-1.0, 0.0, 0.0]), atol=1e-12)
