@@ -15,8 +15,8 @@ Library layout:
 import numpy as _np
 
 from .bath import BathModel, preset_bath
-from .corrections import (CorrectionReport, NoGoDiagnostics, correction_residuals,
-                          eta_operators, evaluate_corrections, nogo_diagnostics)
+from .corrections import (CorrectionReport, NoGoDiagnostics, eta_operators,
+                          evaluate_corrections, nogo_diagnostics)
 from .design import (DesignProblem, DesignSolution, ProbeResult,
                      feasibility_probe, solve)
 from .oracle import (DecompositionError, SweepResult, integrate_deviation,
@@ -33,8 +33,8 @@ __version__ = "0.1.0"
 # to the block's size, and the trim threshold to twice it, for the rest of
 # the process.  The design loop's temporaries, a few hundred kB, then reuse
 # heap memory instead of mapping fresh zeroed pages on every call: without
-# it, an S and a Q design of 32 restarts each take ~67k minor page faults and
-# ~12% longer on Linux.  Elsewhere this is one untouched allocation.
+# it, an S and a Q design of 32 restarts each take ~43k minor page faults and
+# ~30% longer on Linux.  Elsewhere this is one untouched allocation.
 _np.empty(1 << 20, _np.uint8)
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "DesignSolution", "FourierCoefficients", "FrameTrajectory", "NTrajectory",
     "NoGoDiagnostics", "NumericPolicy", "ProbeResult", "PulseShape", "SweepResult",
     "active_policy", "amplitude_from_axis_angle", "axis_angle",
-    "constant_rotation_pulse", "correction_residuals", "eta_operators",
+    "constant_rotation_pulse", "eta_operators",
     "evaluate_corrections", "feasibility_probe", "fourier_pulse",
     "integrate_axis_angle", "integrate_deviation", "magnus_consistency",
     "n_trajectory", "nogo_diagnostics", "preset_bath", "solve",

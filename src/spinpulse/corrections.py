@@ -13,17 +13,16 @@ Normalized forms divide by tau_p (r1) and tau_p^2 (r2a, r2b).  The residuals
 feed both the operator-level correction terms (see :func:`eta_operators`) and
 the two no-go diagnostics.
 
-Quadrature is composite Simpson on the (possibly non-uniform) trajectory grid:
-each interval integrates the quadratic through three neighbouring nodes
-(Cartwright's formulas, see :func:`_simpson_intervals`); on trajectory grids
-no panel of the grid or of its halved grid crosses a breakpoint, and n(t) has
-no kink at tau_s.
-Full integrals are sums of the interval integrals and the inner integral of
-r2b is their running sum, matching ``scipy.integrate.simpson`` and
-``cumulative_simpson`` up to rounding.  The halved-grid error estimate
-``quad_err`` exists only in the reports of :func:`evaluate_corrections`; the
-design loop calls :func:`correction_residuals`, which skips it and takes n(t)
-with leading lane axes, all on one grid, each lane with its own tau_s.
+Quadrature is composite Simpson on the (possibly non-uniform) trajectory grid,
+one :class:`SimpsonRule` per grid, built once; on trajectory grids no panel of
+the grid or of its halved grid crosses a breakpoint, and n(t) has no kink at
+tau_s.  A full integral is one dot product with the rule's weights W: r1 reads
+W @ n, r2a (W t) @ n - ts W @ n, the gaps W @ cos(alpha) and
+(W (t - ts)) @ cos(alpha); only r2b's inner integral is a running sum of
+interval integrals.  The halved-grid error estimate ``quad_err`` exists only in
+the reports of :func:`evaluate_corrections`; the design loop builds its rule
+once per problem and calls :func:`correction_residuals`, which skips it and
+takes n(t) with leading lane axes, all on one grid, each lane with its own tau_s.
 """
 
 from __future__ import annotations
@@ -95,52 +94,62 @@ class NoGoDiagnostics:
                          # meaningful on the pi manifold
 
 
-def _simpson_intervals(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Simpson integrals of ``values`` (..., n, k) over the n - 1 intervals of ``grid``.
+class SimpsonRule:
+    """Composite Simpson on a grid (n,), scipy's ``simpson`` up to rounding.
 
     Interval j integrates the quadratic through three neighbouring nodes
     exactly (Cartwright 2017, eq. 8): forward on (t_j, t_j+1, t_j+2) for even j,
     backward on (t_j+1, t_j, t_j-1) for odd j and for the last interval, so the
     intervals pair up on the triplets (t_0, t_1, t_2), (t_2, t_3, t_4), ...
-    The weights depend on the grid spacing alone.
+    ``nodes`` and ``node_weights`` (3, n - 1) hold each interval's three nodes
+    and weights; ``weights`` W (n,) sums them per node: int f dt = W @ f.
     """
-    if len(grid) < 3:
-        raise ValueError("Simpson quadrature needs at least 3 nodes")
-    h = np.diff(grid)
-    j = np.arange(len(h))
-    back = (j % 2 == 1) | (j == len(h) - 1)
-    step = 1 - 2 * back                      # +1 forward, -1 backward
-    near = j + 1 - back                      # middle node of the triplet
-    a, b = h, h[j + step]                    # own width, neighbour's width
-    a_ab = a / (a + b)
-    aa_abb = a_ab * a / b
-    w_own = a / 6.0 * (3.0 - a_ab)
-    w_near = a / 6.0 * (3.0 + aa_abb + a_ab)
-    w_far = a / 6.0 * -aa_abb
-    return (w_own[:, None] * values[..., j + back, :] + w_near[:, None] * values[..., near, :]
-            + w_far[:, None] * values[..., near + step, :])
+
+    def __init__(self, grid: np.ndarray):
+        if len(grid) < 3:
+            raise ValueError("Simpson quadrature needs at least 3 nodes")
+        h = np.diff(grid)
+        j = np.arange(len(h))
+        back = (j % 2 == 1) | (j == len(h) - 1)
+        step = 1 - 2 * back                      # +1 forward, -1 backward
+        near = j + 1 - back                      # middle node of the triplet
+        a, b = h, h[j + step]                    # own width, neighbour's width
+        a_ab = a / (a + b)
+        aa_abb = a_ab * a / b
+        self.grid = grid
+        self.nodes = np.stack([j + back, near, near + step])
+        self.node_weights = a / 6.0 * np.stack([3.0 - a_ab, 3.0 + aa_abb + a_ab, -aa_abb])
+        self.weights = np.bincount(self.nodes.ravel(), self.node_weights.ravel(), len(grid))
+
+    def intervals(self, f: np.ndarray) -> np.ndarray:
+        """Integrals of f (..., n, k) over the n - 1 intervals, (..., n - 1, k)."""
+        (i0, i1, i2), (w0, w1, w2) = self.nodes, self.node_weights[..., None]
+        return w0 * f[..., i0, :] + w1 * f[..., i1, :] + w2 * f[..., i2, :]
+
+    def running(self, f: np.ndarray) -> np.ndarray:
+        """int_{t_0}^t f dt (..., n, k) at every node of f (..., n, k): 0 at t_0."""
+        out = np.zeros(f.shape)
+        np.cumsum(self.intervals(f), axis=-2, out=out[..., 1:, :])
+        return out
 
 
-def correction_residuals(grid: np.ndarray, nhat: np.ndarray, tau_s: float | np.ndarray):
-    """The vector residuals (r1, r2a, r2b) of n(t) sampled on ``grid``.
+def correction_residuals(quad: SimpsonRule, nhat: np.ndarray, tau_s: float | np.ndarray):
+    """The vector residuals (r1, r2a, r2b) of n(t) sampled on the grid of ``quad``.
 
     ``nhat`` is (..., n, 3); any leading axes are lanes that share the grid,
     and ``tau_s`` is one value or one per lane (...,).  Each residual is then
     (..., 3), every lane equal bit for bit to its own unbatched call.
     """
+    grid, w = quad.grid, quad.weights
     tau_p = grid[-1]
     tau_s = np.asarray(tau_s, dtype=float)[..., None]
     if not np.all((0.0 <= tau_s) & (tau_s <= tau_p)):
         raise ValueError("tau_s must lie in [0, tau_p]")
     n0, n1 = nhat[..., 0, :], nhat[..., -1, :]
-    moments = _simpson_intervals(
-        grid, np.concatenate([nhat, (grid - tau_s)[..., None] * nhat], axis=-1))
-    r1 = moments[..., :3].sum(axis=-2) - ((tau_p - tau_s) * n1 + tau_s * n0)
-    r2a = 2.0 * moments[..., 3:].sum(axis=-2) - ((tau_p - tau_s) ** 2 * n1 - tau_s ** 2 * n0)
-    inner = np.zeros_like(nhat)
-    np.cumsum(moments[..., :3], axis=-2, out=inner[..., 1:, :])
-    cross = _simpson_intervals(grid, np.cross(nhat, inner))
-    r2b = cross.sum(axis=-2) - tau_s * (tau_p - tau_s) * np.cross(n1, n0)
+    int_n = w @ nhat
+    r1 = int_n - ((tau_p - tau_s) * n1 + tau_s * n0)
+    r2a = 2.0 * ((w * grid) @ nhat - tau_s * int_n) - ((tau_p - tau_s) ** 2 * n1 - tau_s ** 2 * n0)
+    r2b = w @ np.cross(nhat, quad.running(nhat)) - tau_s * (tau_p - tau_s) * np.cross(n1, n0)
     return r1, r2a, r2b
 
 
@@ -150,13 +159,12 @@ def evaluate_corrections(ntraj: NTrajectory, tau_s: float) -> CorrectionReport:
         raise ValueError("need at least 16 trajectory nodes")
     tau_p = ntraj.tau_p
 
-    r1, r2a, r2b = correction_residuals(ntraj.grid, ntraj.nhat, tau_s)
+    r1, r2a, r2b = correction_residuals(SimpsonRule(ntraj.grid), ntraj.nhat, tau_s)
     half = np.arange(0, ntraj.n_nodes, 2)
     if half[-1] != ntraj.n_nodes - 1:      # the half grid must keep the endpoint
         half = np.append(half, ntraj.n_nodes - 1)
-    r1_h, r2a_h, r2b_h = correction_residuals(ntraj.grid[half], ntraj.nhat[half], tau_s)
-    quad_err = np.array([np.linalg.norm(r1 - r1_h), np.linalg.norm(r2a - r2a_h),
-                         np.linalg.norm(r2b - r2b_h)])
+    halved = correction_residuals(SimpsonRule(ntraj.grid[half]), ntraj.nhat[half], tau_s)
+    quad_err = np.array([np.linalg.norm(r - r_h) for r, r_h in zip((r1, r2a, r2b), halved)])
 
     policy = active_policy()
     norms = np.array([np.linalg.norm(r1), np.linalg.norm(r2a), np.linalg.norm(r2b)])
@@ -197,11 +205,11 @@ def nogo_diagnostics(ntraj: NTrajectory, tau_s: float) -> NoGoDiagnostics:
     tau_p = ntraj.tau_p
     if not 0.0 <= tau_s <= tau_p:
         raise ValueError("tau_s must lie in [0, tau_p]")
+    w = SimpsonRule(ntraj.grid).weights
     cos_alpha = ntraj.nhat @ ntraj.nhat[0]
-    moments = _simpson_intervals(
-        ntraj.grid, np.column_stack([cos_alpha, (ntraj.grid - tau_s) * cos_alpha])).sum(axis=0)
-    tsp_gap = tau_p - float(moments[0])
-    pi2_gap = (tau_p - tau_s) ** 2 + tau_s ** 2 + 2.0 * float(moments[1])
+    tsp_gap = tau_p - float(w @ cos_alpha)
+    moment = float((w * (ntraj.grid - tau_s)) @ cos_alpha)     # int (t - ts) cos(alpha) dt
+    pi2_gap = (tau_p - tau_s) ** 2 + tau_s ** 2 + 2.0 * moment
     is_pi = bool(np.linalg.norm(ntraj.nhat[0] + ntraj.nhat[-1])
                  < active_policy().pi_condition_atol)
     return NoGoDiagnostics(tsp_gap=tsp_gap, pi2_gap=pi2_gap, is_pi_pulse=is_pi)

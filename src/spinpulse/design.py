@@ -10,9 +10,9 @@ converged only if a re-check on the doubled grid also holds every targeted
 residual and the rotation below ``VERIFIED_BOUND``.
 
 The residual function evaluates one point at a time.  Every point of a
-problem has the same grid, whatever its tau_s, so the grid and the stage
-amplitudes of dv/dz are built once per problem.  An evaluation returns a
-record of the point, its frame and its residual vector; the Jacobian
+problem has the same grid, whatever its tau_s, so the grid, its Simpson rule
+and the stage amplitudes of dv/dz are built once per problem.  An evaluation
+returns a record of the point, its frame and its residual vector; the Jacobian
 integrates no frame but differentiates that record by Duhamel's formula, the
 exact gradient of GRAPE (Khaneja et al., J. Magn. Reson. 172, 296 (2005)), so
 a Levenberg-Marquardt iteration integrates only its trial points.  Only the
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corrections import (RESIDUAL_TARGETS, CorrectionReport, _simpson_intervals,
+from .corrections import (RESIDUAL_TARGETS, CorrectionReport, SimpsonRule,
                           correction_residuals, evaluate_corrections, nogo_diagnostics,
                           normalized_residual_vector)
 from .policy import active_policy
@@ -38,7 +38,7 @@ from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import ideal_pulse_quaternion, quaternion_product
 from .trajectory import (MIN_STEPS, _anchor, _bracket, _build_grid, _check_trajectory,
-                         _frame_nhat, _frame_quaternions, _frame_rotation, _hermite,
+                         _frame_quaternions, _frame_rotation, _hermite,
                          _stage_amplitudes, integrate_axis_angle, n_trajectory)
 
 ROTATION_WEIGHT = 100.0
@@ -312,10 +312,10 @@ class _ResidualFunction:
     """z -> the evaluated point of a design problem, and the Jacobian at a point.
 
     Every point of a problem has the same grid, whatever its tau_s, and the
-    amplitude is affine in z, so the grid and the stage amplitudes of dv/dz
-    are built once, here.  A call evaluates one point z (P,) into a
-    :class:`_Point`, whose residual vector is ``f``; :meth:`jacobian`
-    differentiates that record without integrating a frame.
+    amplitude is affine in z, so the grid, its Simpson rule and the stage
+    amplitudes of dv/dz are built once, here.  A call evaluates one point z
+    (P,) into a :class:`_Point`, whose residual vector is ``f``;
+    :meth:`jacobian` differentiates that record without integrating a frame.
     """
 
     def __init__(self, problem: DesignProblem):
@@ -325,6 +325,7 @@ class _ResidualFunction:
         directions = self.param.lift @ self.param.basis
         family = self.param.shape_of(directions.T, np.zeros(directions.shape[1]))
         self.grid = _build_grid(family, problem.grid_steps)
+        self.quad = SimpsonRule(self.grid)
         # steps first, directions last: R dv is then one batched matmul
         self.directions = [np.ascontiguousarray(np.moveaxis(v, 0, -1))
                            for v in _stage_amplitudes(family, self.grid)]
@@ -353,9 +354,9 @@ class _ResidualFunction:
             frames, nhat = None, _fixed_axis_nhat(shape, self.comp, grid)
         else:
             frames = _frame_quaternions(shape, grid)
-            nhat = _frame_nhat(frames)
+            nhat = _frame_rotation(frames)[..., 2]
         _check_trajectory(grid, quaternions=frames, nhat=nhat)
-        residuals = correction_residuals(grid, nhat, shape.tau_s)
+        residuals = correction_residuals(self.quad, nhat, shape.tau_s)
         parts = [normalized_residual_vector(residuals, float(grid[-1]), problem.targets)]
         if frames is not None:
             parts.append(ROTATION_WEIGHT * _rotation_residual(frames, problem.theta))
@@ -379,7 +380,7 @@ class _ResidualFunction:
         tau_p, tau_s = float(grid[-1]), float(point.shape.tau_s)
         xi = self._sweeps(point.shape, frames)
         dn = 2.0 * np.cross(nhat, xi)
-        residuals = correction_residuals(grid, np.concatenate([nhat + dn, nhat - dn]), tau_s)
+        residuals = correction_residuals(self.quad, np.concatenate([nhat + dn, nhat - dn]), tau_s)
         vectors = normalized_residual_vector(residuals, tau_p, problem.targets)
         parts = [0.5 * (vectors[:len(xi)] - vectors[len(xi):])]
         if frames is not None:
@@ -414,16 +415,15 @@ class _ResidualFunction:
         free tau_s, xi is constant: minus the anchor's rate, -v(tau_s) about a
         fixed axis, whose n(t) is exact in tau_s.
         """
-        grid, tau_s = self.grid, shape.tau_s
+        grid, quad, tau_s = self.grid, self.quad, shape.tau_s
         n = len(grid)
         v1, v2, v3 = self.directions                # (n - 1, 3, P) each
         rot = np.broadcast_to(np.eye(3), (n, 3, 3)) if frames is None else _frame_rotation(frames)
         if self.problem.ansatz == "piecewise":      # dv_j is constant on every step
-            steps = _simpson_intervals(grid, rot.reshape(n, 9)).reshape(n - 1, 3, 3) @ v2
+            steps = quad.intervals(rot.reshape(n, 9)).reshape(n - 1, 3, 3) @ v2
+            sweep = np.cumsum(np.vstack([np.zeros_like(steps[:1]), steps]), axis=0).reshape(n, -1)
         else:
-            steps = _simpson_intervals(grid, (rot @ np.concatenate([v1, v3[-1:]])).reshape(n, -1))
-        sweep = np.zeros((n, steps[0].size))
-        np.cumsum(steps.reshape(n - 1, -1), axis=0, out=sweep[1:])
+            sweep = quad.running((rot @ np.concatenate([v1, v3[-1:]])).reshape(n, -1))
         j, h, x = (part[0] for part in _bracket(grid, np.array([tau_s])))
         slopes = h * (rot[j:j + 2] @ np.stack([v1[j], v3[j]])).reshape(2, -1)
         xi = (sweep - _hermite(sweep[j:j + 2], slopes, x)[0]).reshape(n, 3, -1)

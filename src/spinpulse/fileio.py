@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bath import BathModel, preset_bath
+from .bath import DIM_CAP, BathModel, preset_bath
 from .corrections import CorrectionReport, NoGoDiagnostics
 from .design import FREE, DesignProblem, DesignSolution
 from .policy import NumericPolicy, active_policy
@@ -250,6 +250,8 @@ def parse_bath(text: str) -> BathModel:
             return preset_bath(rec.string("preset"), coupling=coupling,
                                omega_b=rec.number("omega_b", 1.0))
         dim = rec.integer("dim_b")
+        if not 1 <= dim <= DIM_CAP:     # before the dim x dim tables are built
+            raise ValueError(f"bath dimension must be in 1..{DIM_CAP}")
         h_b = np.zeros((dim, dim), dtype=complex)
         a = np.zeros((dim, dim), dtype=complex)
         for name, target in (("h_b", h_b), ("a", a)):
@@ -290,7 +292,7 @@ def parse_problem(text: str) -> DesignProblem:
     if kind != "problem":
         raise SchemaError(f"expected kind = problem, got {kind!r}", rec.line("kind"))
     tau_s_raw = rec.string("tau_s", "0.5")
-    tau_s: float | str = FREE if tau_s_raw == FREE else float(tau_s_raw)
+    tau_s: float | str = FREE if tau_s_raw == FREE else rec.number("tau_s", 0.5)
     try:
         return DesignProblem(
             theta=rec.number("theta"),

@@ -330,14 +330,6 @@ def amplitude_from_axis_angle(traj: FrameTrajectory) -> np.ndarray:
     return frame_amplitude(spline(traj.grid), spline.derivative()(traj.grid))
 
 
-def _frame_nhat(q: np.ndarray) -> np.ndarray:
-    """n(t) of frame quaternions q = (c, s) over leading axes: the quadratic form
-    (2 (sx sz - c sy), 2 (sy sz + c sx), 1 - 2 (sx^2 + sy^2))."""
-    c, sx, sy, sz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack([2.0 * (sx * sz - c * sy), 2.0 * (sy * sz + c * sx),
-                     1.0 - 2.0 * (sx * sx + sy * sy)], axis=-1)
-
-
 def _frame_rotation(q: np.ndarray) -> np.ndarray:
     """Rotations R (..., 3, 3) of frame quaternions, W^dag (sigma . a) W = sigma . (R a):
     n(t) = R z is the last column."""
@@ -353,7 +345,7 @@ def _frame_rotation(q: np.ndarray) -> np.ndarray:
 
 def n_trajectory(traj: FrameTrajectory) -> NTrajectory:
     """n(t) = 1/2 tr(sigma W^dag sigma_z W), the frame's image of the z axis."""
-    return NTrajectory(grid=traj.grid.copy(), nhat=_frame_nhat(traj.quaternions))
+    return NTrajectory(grid=traj.grid.copy(), nhat=_frame_rotation(traj.quaternions)[..., 2])
 
 
 # ----------------------------------------------------------------------

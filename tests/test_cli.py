@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,28 @@ class TestUsageErrors:
         out = workdir / "bad.pulse"
         assert main(["solve", str(prob), "--out", str(out)]) == 3
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_tau_s_exits_2_with_its_line(self, workdir, capsys):
+        prob = workdir / "bad.problem"
+        prob.write_text(PROBLEM_S.replace("tau_s = 0.5", "tau_s = abc"))
+        out = workdir / "bad.pulse"
+        assert main(["solve", str(prob), "--out", str(out)]) == 2
+        line = PROBLEM_S.splitlines().index("tau_s = 0.5") + 1
+        assert f"line {line}," in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", ["1000000", "0", "-1"])
+    def test_bath_dimension_out_of_range_exits_3_at_once(self, workdir, capsys, dim):
+        """The dimension is checked before any dim x dim table is built."""
+        bath = workdir / "big.bath"
+        bath.write_text("schema_version = 1\nkind = bath\nlambda = 1.0\n"
+                        f"dim_b = {dim}\na.0.0 = 1 0\n")
+        out = workdir / "out.csv"
+        start = time.perf_counter()
+        assert main(["verify", str(workdir / "pi.pulse"), str(bath), "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "bath dimension must be in 1..16" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("override", [

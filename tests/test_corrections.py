@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
 from spinpulse.bath import BathModel, preset_bath
-from spinpulse.corrections import (_simpson_intervals, correction_residuals, eta_operators,
+from spinpulse.corrections import (SimpsonRule, correction_residuals, eta_operators,
                                    evaluate_corrections, nogo_diagnostics,
                                    normalized_residual_vector)
 from spinpulse.pulses import PulseShape
@@ -106,7 +106,8 @@ class TestResiduals:
 
         def residuals(steps):
             ntraj = n_trajectory(integrate_axis_angle(shape, steps))
-            return np.concatenate(correction_residuals(ntraj.grid, ntraj.nhat, shape.tau_s))
+            return np.concatenate(correction_residuals(SimpsonRule(ntraj.grid), ntraj.nhat,
+                                                       shape.tau_s))
 
         reference = residuals(16384)
         coarse, fine = (np.abs(residuals(n) - reference).max() for n in (256, 1024))
@@ -123,9 +124,9 @@ class TestResiduals:
                                      order=order, scale=scale)
         ntraj = n_trajectory(integrate_axis_angle(shape, steps))
         tau_s = shape.tau_s
-        r1, r2a, r2b = correction_residuals(ntraj.grid, ntraj.nhat, tau_s)
-        b1, b2a, b2b = correction_residuals((tau_p - ntraj.grid)[::-1], ntraj.nhat[::-1],
-                                            tau_p - tau_s)
+        r1, r2a, r2b = correction_residuals(SimpsonRule(ntraj.grid), ntraj.nhat, tau_s)
+        b1, b2a, b2b = correction_residuals(SimpsonRule((tau_p - ntraj.grid)[::-1]),
+                                            ntraj.nhat[::-1], tau_p - tau_s)
         # exact up to the (direction-asymmetric) quadrature error
         assert np.abs(r1 - b1).max() < 1e-6 * tau_p
         assert np.abs(r2a + b2a).max() < 1e-6 * tau_p ** 2
@@ -249,7 +250,7 @@ def test_nogo_positivity_large_ensemble(rng):
 
 
 class TestSimpsonIntervals:
-    """The per-interval primitive against scipy's composite rules."""
+    """The per-grid Simpson rule against scipy's composite rules."""
 
     @pytest.mark.parametrize("nodes", [3, 4, 17, 18, 513, 514, 1025])
     @pytest.mark.parametrize("uniform", [True, False])
@@ -259,19 +260,19 @@ class TestSimpsonIntervals:
             # jitter interior nodes by up to 40% of a step
             t[1:-1] += rng.uniform(-0.4, 0.4, nodes - 2) * (t[1] - t[0])
         values = np.column_stack([np.sin(3.0 * t), np.exp(t), rng.normal(size=nodes)])
-        intervals = _simpson_intervals(t, values)
-        assert intervals.shape == (nodes - 1, 3)
-        np.testing.assert_allclose(intervals.sum(axis=0), simpson(values, x=t, axis=0),
+        quad = SimpsonRule(t)
+        assert quad.intervals(values).shape == (nodes - 1, 3)
+        np.testing.assert_allclose(quad.weights @ values, simpson(values, x=t, axis=0),
                                    rtol=0, atol=1e-13)
-        np.testing.assert_allclose(
-            np.concatenate([[np.zeros(3)], np.cumsum(intervals, axis=0)]),
-            cumulative_simpson(values, x=t, axis=0, initial=0.0), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(quad.running(values),
+                                   cumulative_simpson(values, x=t, axis=0, initial=0.0),
+                                   rtol=0, atol=1e-13)
 
     def test_exact_for_quadratics(self, rng):
         t = np.sort(np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 30)]))
         values = (1.0 - 2.0 * t + 3.0 * t ** 2)[:, None]
         exact = t[1:] - t[:-1] - (t[1:] ** 2 - t[:-1] ** 2) + (t[1:] ** 3 - t[:-1] ** 3)
-        np.testing.assert_allclose(_simpson_intervals(t, values)[:, 0], exact,
+        np.testing.assert_allclose(SimpsonRule(t).intervals(values)[:, 0], exact,
                                    rtol=1e-10, atol=1e-14)
 
 
@@ -295,8 +296,9 @@ class TestResidualSymmetries:
         ntraj = _random_smooth_ntrajectory(np.random.default_rng(seed))
         rot = _rotation(q)
         tau_s = frac * ntraj.tau_p
-        plain = correction_residuals(ntraj.grid, ntraj.nhat, tau_s)
-        rotated = correction_residuals(ntraj.grid, ntraj.nhat @ rot.T, tau_s)
+        quad = SimpsonRule(ntraj.grid)
+        plain = correction_residuals(quad, ntraj.nhat, tau_s)
+        rotated = correction_residuals(quad, ntraj.nhat @ rot.T, tau_s)
         for r, r_rot in zip(plain, rotated):
             np.testing.assert_allclose(r_rot, rot @ r, rtol=0, atol=1e-13)
 
@@ -304,8 +306,8 @@ class TestResidualSymmetries:
     @given(seed=_seeds, frac=_fractions, tau_p=st.floats(1e-3, 1e3))
     def test_normalized_residuals_ignore_tau_p(self, seed, frac, tau_p):
         ntraj = _random_smooth_ntrajectory(np.random.default_rng(seed))
-        unit = correction_residuals(ntraj.grid, ntraj.nhat, frac)
-        scaled = correction_residuals(tau_p * ntraj.grid, ntraj.nhat, frac * tau_p)
+        unit = correction_residuals(SimpsonRule(ntraj.grid), ntraj.nhat, frac)
+        scaled = correction_residuals(SimpsonRule(tau_p * ntraj.grid), ntraj.nhat, frac * tau_p)
         np.testing.assert_allclose(normalized_residual_vector(scaled, tau_p * ntraj.tau_p),
                                    normalized_residual_vector(unit, ntraj.tau_p),
                                    rtol=0, atol=1e-13)
@@ -323,9 +325,10 @@ class TestResidualLanes:
         grid[1:-1] += rng.uniform(-0.4, 0.4, len(grid) - 2) * (grid[1] - grid[0])
         nhat = np.stack([p.nhat for p in paths]).reshape(lanes + paths[0].nhat.shape)
         tau_s = frac * grid[-1]
-        batched = correction_residuals(grid, nhat, tau_s)
+        quad = SimpsonRule(grid)
+        batched = correction_residuals(quad, nhat, tau_s)
         for idx in np.ndindex(*lanes):
-            for lane, row in zip(batched, correction_residuals(grid, nhat[idx], tau_s)):
+            for lane, row in zip(batched, correction_residuals(quad, nhat[idx], tau_s)):
                 assert lane.shape == lanes + (3,)
                 assert np.array_equal(lane[idx], row)
 

@@ -16,6 +16,7 @@ from spinpulse.design import (VERIFIED_BOUND, DesignProblem, IllPosedProblem,
 from spinpulse.pulses import COMPONENTS
 from spinpulse.policy import active_policy
 from spinpulse.trajectory import NTrajectory, integrate_axis_angle, n_trajectory
+from spinpulse.cli import SLOPE_BANDS
 from spinpulse.corrections import evaluate_corrections
 
 
@@ -317,6 +318,24 @@ def test_general_axis_first_order_design(dynamic_bath):
     assert singular[1] > 0.1 * singular[0]     # no fixed axis
     sweep = oracle.magnus_consistency(sol.shape, dynamic_bath, np.geomspace(1e-3, 1e-1, 6))
     assert 1.85 <= sweep.slopes["uf_defect"][0] <= 2.15
+
+
+def test_general_axis_second_order_design(dynamic_bath, ising_bath):
+    """A pi/2 design that zeroes r1 and r2b with an axis turning in the x-y
+    plane converges, and its defect against the exact propagator falls at
+    second order on a commuting bath and, with r2a left free, at first order
+    on a dynamic one: the r2b quadrature on a moving axis."""
+    problem = DesignProblem(theta=np.pi / 2, components=("x", "y"), targets=("r1", "r2b"),
+                            fourier_order=3, symmetric=False, grid_steps=256, restarts=1)
+    sol = solve(problem, seed=1)
+    assert sol.converged
+    singular = np.linalg.svd(sol.shape.amplitude(np.linspace(0.0, 1.0, 257))[:, :2],
+                             compute_uv=False)
+    assert singular[1] > 0.1 * singular[0]     # no fixed axis
+    for bath, regime in ((ising_bath, "second-order-commuting"), (dynamic_bath, "first-order")):
+        sweep = oracle.magnus_consistency(sol.shape, bath, np.geomspace(1e-3, 1e-1, 6))
+        low, high = SLOPE_BANDS[regime]
+        assert low <= sweep.slopes["uf_defect"][0] <= high
 
 
 @pytest.fixture(scope="module")

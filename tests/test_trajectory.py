@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
 from spinpulse import su2
-from spinpulse.corrections import correction_residuals, nogo_diagnostics
+from spinpulse.corrections import SimpsonRule, correction_residuals, nogo_diagnostics
 from spinpulse.design import _rotation_residual
 from spinpulse.pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                               fourier_pulse)
@@ -413,8 +413,9 @@ class TestFrameProperties:
         right = su2.quaternion_product(a * [1.0, -1.0, -1.0, -1.0], b)
         assert np.abs(right - right[0]).max() <= 1e-12
         nhats = [n_trajectory(traj) for traj in trajs]
+        quad = SimpsonRule(grid)
         for tau_s in taus:
-            norms = [np.linalg.norm(correction_residuals(grid, n.nhat, tau_s), axis=-1)
+            norms = [np.linalg.norm(correction_residuals(quad, n.nhat, tau_s), axis=-1)
                      for n in nhats]
             assert np.abs(norms[0] - norms[1]).max() <= 1e-12
             gaps = [nogo_diagnostics(n, tau_s) for n in nhats]
