@@ -7,7 +7,7 @@ Exit codes
     slope outside the band, negative gap, non-converged solve)
 2   unparseable input (message carries line and column) or bad usage
 3   input parsed but violates a model invariant (any ``ValueError`` the
-    library raises after parsing)
+    library raises after parsing, or a size numpy cannot allocate)
 4   degenerate slope fit in ``verify``
 
 The numeric policy can be overridden per run through the environment
@@ -45,6 +45,7 @@ SLOPE_BANDS = {
 }
 
 NOGO_CHECKS = ("ts-eq-tp", "pi-second-order")
+NOGO_LANE_STEPS = 2048    # lanes x steps of a nogo chunk: memory is bounded at any --samples
 
 
 def _write_output(text: str, out: str | None):
@@ -217,21 +218,19 @@ def cmd_nogo(args) -> int:
     manifest = make_manifest(f"nogo-{args.check}", {}, seed=args.seed,
                              options=_options(args))
     rng = np.random.default_rng(args.seed)
-    rows = []
-    gaps = []
-    for i in range(args.samples):
-        ntraj, tau_s = random_ntrajectory(rng, steps=args.grid)
+    chunk = max(1, NOGO_LANE_STEPS // args.grid)
+    taus, gaps = [], []
+    for start in range(0, args.samples, chunk):
+        ntraj, tau_s = random_ntrajectory(rng, min(chunk, args.samples - start), args.grid)
         if args.check == "pi-second-order":
-            ntraj = pi_close_ntrajectory(ntraj)
-            diag = nogo_diagnostics(ntraj, tau_s)
-            gap = diag.pi2_gap
+            gaps.append(nogo_diagnostics(pi_close_ntrajectory(ntraj), tau_s).pi2_gap)
         else:
-            diag = nogo_diagnostics(ntraj, ntraj.tau_p)
-            gap = diag.tsp_gap
-        gaps.append(gap)
-        rows.append((i, tau_s, gap))
-    min_gap = min(gaps)
-    trailer = [f"min_gap={fmt(min_gap)}", f"max_gap={fmt(max(gaps))}",
+            gaps.append(nogo_diagnostics(ntraj, ntraj.tau_p).tsp_gap)
+        taus.append(tau_s)
+    gaps = np.concatenate(gaps)
+    rows = zip(range(args.samples), np.concatenate(taus), gaps)
+    min_gap = float(np.min(gaps))
+    trailer = [f"min_gap={fmt(min_gap)}", f"max_gap={fmt(np.max(gaps))}",
                f"mean_gap={fmt(float(np.mean(gaps)))}"]
     doc = csv_document("sample,tau_s,gap", rows, manifest.digest(), trailer)
     _write_output(doc, args.out)
@@ -316,6 +315,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"invariant violation: input too large: {exc}", file=sys.stderr)
         return 3
 
 

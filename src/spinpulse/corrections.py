@@ -88,10 +88,9 @@ def normalized_residual_vector(residuals, tau_p: float,
 
 @dataclass(frozen=True)
 class NoGoDiagnostics:
-    tsp_gap: float       # tau_p - int cos(alpha) dt   (end-splitting obstruction)
-    pi2_gap: float       # [(tp-ts)^2 + ts^2] + 2 int (t-ts) cos(alpha) dt
-    is_pi_pulse: bool    # n(0) = -n(tau_p) within tolerance; pi2_gap is only
-                         # meaningful on the pi manifold
+    tsp_gap: float       # or (...,) for lanes: tau_p - int cos(alpha) dt  (end-split obstruction)
+    pi2_gap: float       # (...,): [(tp-ts)^2 + ts^2] + 2 int (t-ts) cos(alpha) dt
+    is_pi_pulse: bool    # (...,): n(0) = -n(tau_p) within tolerance, where pi2_gap has meaning
 
 
 class SimpsonRule:
@@ -200,16 +199,20 @@ def eta_operators(report: CorrectionReport, bath: BathModel):
     return eta1, eta2a, eta2b
 
 
-def nogo_diagnostics(ntraj: NTrajectory, tau_s: float) -> NoGoDiagnostics:
-    """The two impossibility gaps; both are nonnegative up to quadrature error."""
-    tau_p = ntraj.tau_p
-    if not 0.0 <= tau_s <= tau_p:
+def nogo_diagnostics(ntraj: NTrajectory, tau_s: float | np.ndarray) -> NoGoDiagnostics:
+    """The two impossibility gaps; both are nonnegative up to quadrature error.
+
+    Lanes of n(t) (..., n, 3), with one tau_s or one per lane (...,), give gaps
+    (...,), each lane equal bit for bit to its own unbatched call."""
+    grid, nhat, tau_p = ntraj.grid, ntraj.nhat, ntraj.tau_p
+    tau_s = np.asarray(tau_s, dtype=float)
+    if not np.all((0.0 <= tau_s) & (tau_s <= tau_p)):
         raise ValueError("tau_s must lie in [0, tau_p]")
-    w = SimpsonRule(ntraj.grid).weights
-    cos_alpha = ntraj.nhat @ ntraj.nhat[0]
-    tsp_gap = tau_p - float(w @ cos_alpha)
-    moment = float((w * (ntraj.grid - tau_s)) @ cos_alpha)     # int (t - ts) cos(alpha) dt
+    w = SimpsonRule(grid).weights
+    n0 = nhat[..., 0, :]
+    cos_alpha = nhat @ n0[..., None]                               # (..., n, 1)
+    tsp_gap = tau_p - (w @ cos_alpha)[..., 0]
+    moment = ((w * (grid - tau_s[..., None]))[..., None, :] @ cos_alpha)[..., 0, 0]
     pi2_gap = (tau_p - tau_s) ** 2 + tau_s ** 2 + 2.0 * moment
-    is_pi = bool(np.linalg.norm(ntraj.nhat[0] + ntraj.nhat[-1])
-                 < active_policy().pi_condition_atol)
+    is_pi = np.linalg.norm(n0 + nhat[..., -1, :], axis=-1) < active_policy().pi_condition_atol
     return NoGoDiagnostics(tsp_gap=tsp_gap, pi2_gap=pi2_gap, is_pi_pulse=is_pi)

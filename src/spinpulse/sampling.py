@@ -1,4 +1,8 @@
-"""Seeded random pulses and constraint-manifold trajectory sampling."""
+"""Seeded random pulses and constraint-manifold trajectory sampling.
+
+``nogo`` runs its samples as lanes: one lane shape of consecutive draws (the
+lone draws' random stream), one frame integration, one pi-closing per chunk.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,8 @@ import numpy as np
 
 from .pulses import FourierCoefficients, PulseShape
 from .trajectory import NTrajectory, integrate_axis_angle, n_trajectory
+
+PI_CLOSE_FRACTION = 0.15      # share of the path, at its end, that pi-closing replaces
 
 
 def random_fourier_shape(rng: np.random.Generator, tau_p: float = 1.0,
@@ -25,43 +31,45 @@ def random_fourier_shape(rng: np.random.Generator, tau_p: float = 1.0,
     return PulseShape(tau_p, tau_s, theta, "fourier", fourier=coeff)
 
 
-def random_ntrajectory(rng: np.random.Generator, tau_p: float = 1.0,
-                       order: int = 4, steps: int = 512,
-                       scale: float = 1.0) -> tuple[NTrajectory, float]:
-    """(n-trajectory of a random pulse, its tau_s)."""
-    shape = random_fourier_shape(rng, tau_p=tau_p, order=order, scale=scale)
-    traj = integrate_axis_angle(shape, steps)
-    return n_trajectory(traj), shape.tau_s
+def random_ntrajectory(rng: np.random.Generator, samples: int,
+                       steps: int) -> tuple[NTrajectory, np.ndarray]:
+    """(n(t) of ``samples`` random pulses as lanes (samples, n, 3), their tau_s (samples,))."""
+    shapes = [random_fourier_shape(rng) for _ in range(samples)]
+    tau_s = np.array([shape.tau_s for shape in shapes])
+    coeff = FourierCoefficients(np.stack([shape.fourier.cos for shape in shapes]),
+                                np.stack([shape.fourier.sin for shape in shapes]))
+    lanes = PulseShape(1.0, tau_s, np.pi, "fourier", fourier=coeff)
+    return n_trajectory(integrate_axis_angle(lanes, steps)), tau_s
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Great-circle interpolation between unit vectors a and b at fractions s."""
-    dot = float(np.clip(a @ b, -1.0, 1.0))
-    omega = np.arccos(dot)
-    if omega < 1e-9:
-        out = np.tile(a, (len(s), 1))
-    elif omega > np.pi - 1e-9:
-        # antipodal: route through an arbitrary perpendicular
-        perp = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(perp) < 1e-6:
-            perp = np.cross(a, [0.0, 1.0, 0.0])
-        perp = perp / np.linalg.norm(perp)
-        out = (np.outer(np.cos(s * np.pi), a) + np.outer(np.sin(s * np.pi), perp))
-    else:
-        out = (np.outer(np.sin((1.0 - s) * omega), a) + np.outer(np.sin(s * omega), b)) / np.sin(omega)
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    """Great circle from unit vectors a to b (..., 3) at fractions s (k,): (..., k, 3).
+
+    The path is cos(s w) a + sin(s w) u, with w the angle between a and b and
+    u the unit tangent at a toward b.  Where b is (anti)parallel to a within
+    1e-9, that tangent is any perpendicular: a x x, or a x y when |a x x| =
+    hypot(a_y, a_z) is below 1e-6.
+    """
+    cos_w = np.sum(a * b, axis=-1, keepdims=True)
+    tangent = b - cos_w * a
+    sin_w = np.linalg.norm(tangent, axis=-1, keepdims=True)
+    perp = np.cross(a, np.where(np.hypot(a[..., 1:2], a[..., 2:]) < 1e-6, [0.0, 1.0, 0.0],
+                                [1.0, 0.0, 0.0]))
+    u = np.where(sin_w > 1e-9, tangent, perp)
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    angle = np.arctan2(sin_w, cos_w) * s                 # (..., k)
+    out = np.cos(angle)[..., None] * a[..., None, :] + np.sin(angle)[..., None] * u[..., None, :]
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
-def pi_close_ntrajectory(ntraj: NTrajectory, fraction: float = 0.15) -> NTrajectory:
+def pi_close_ntrajectory(ntraj: NTrajectory) -> NTrajectory:
     """Replace the final stretch with a geodesic landing exactly on n(tp) = -n(0).
 
     Samples the constraint manifold of the pi condition rather than its
-    neighborhood; the junction is continuous.
+    neighborhood; the junction is continuous.  Lanes (..., n, 3) share the cut.
     """
-    n = ntraj.n_nodes
-    cut = min(n - 2, max(1, int(np.floor((1.0 - fraction) * (n - 1)))))
-    target = -ntraj.nhat[0]
-    s = (ntraj.grid[cut:] - ntraj.grid[cut]) / (ntraj.grid[-1] - ntraj.grid[cut])
-    tail = _slerp(ntraj.nhat[cut], target, s)
-    nhat = np.vstack([ntraj.nhat[:cut], tail])
-    return NTrajectory(grid=ntraj.grid.copy(), nhat=nhat)
+    n, grid, nhat = ntraj.n_nodes, ntraj.grid, ntraj.nhat
+    cut = min(n - 2, max(1, int(np.floor((1.0 - PI_CLOSE_FRACTION) * (n - 1)))))
+    s = (grid[cut:] - grid[cut]) / (grid[-1] - grid[cut])
+    tail = _slerp(nhat[..., cut, :], -nhat[..., 0, :], s)
+    return NTrajectory(grid=grid.copy(), nhat=np.concatenate([nhat[..., :cut, :], tail], axis=-2))

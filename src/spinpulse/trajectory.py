@@ -24,13 +24,13 @@ The integrator runs on a leading lane axis: a lane shape (``PulseShape``
 with m lanes, each with its own tau_s, on one set of breakpoints and so one
 grid) gives frames (m, n, 4) and n(t) (m, n, 3) by the same elementwise
 arithmetic, so each lane equals its lone-shape frame bit for bit; a lone
-shape gives (n, 4).  The design loop evaluates one point, a lone shape, at a
-time; it reads lanes only for its table of dv/dz, the stage amplitudes of
-one lane per free direction.  Its Jacobian integrates no frame, but
-differentiates the point's frame through its rotation
-(:func:`_frame_rotation`) and its Hermite anchor (:func:`_anchor`).  One
-check, :func:`_check_trajectory`, validates frames and n(t), every lane in
-full.
+shape gives (n, 4).  ``nogo`` integrates its random samples as one lane shape
+per chunk.  The design loop evaluates one point, a lone shape, at a time and
+reads lanes only for its table of dv/dz (one lane per free direction); its
+Jacobian integrates no frame, but differentiates the point's frame through
+its rotation (:func:`_frame_rotation`) and Hermite anchor (:func:`_anchor`).
+One check, :func:`_check_trajectory`, validates frames and n(t), every lane
+in full.
 
 For output only, :func:`axis_angle` decomposes the frame as c = cos(psi/2),
 s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a

@@ -135,13 +135,13 @@ def test_criterion_5_no_go_corroboration():
     with _Criterion(5, "randomized no-go gaps and infeasibility probes", 120.0):
         rng = np.random.default_rng(123)
         tsp_min, pi2_min = np.inf, np.inf
-        for _ in range(1000):
-            ntraj, tau_s = random_ntrajectory(rng, steps=256)
-            tsp_min = min(tsp_min, nogo_diagnostics(ntraj, ntraj.tau_p).tsp_gap)
+        for _ in range(10):                         # 1000 samples, 100 lanes a call
+            ntraj, tau_s = random_ntrajectory(rng, 100, 256)
+            tsp_min = min(tsp_min, np.min(nogo_diagnostics(ntraj, ntraj.tau_p).tsp_gap))
             closed = pi_close_ntrajectory(ntraj)
             diag = nogo_diagnostics(closed, tau_s)
-            assert diag.is_pi_pulse
-            pi2_min = min(pi2_min, diag.pi2_gap)
+            assert np.all(diag.is_pi_pulse)
+            pi2_min = min(pi2_min, np.min(diag.pi2_gap))
         assert tsp_min >= -1e-9
         assert pi2_min >= -1e-9
 

@@ -11,8 +11,11 @@ import pytest
 import spinpulse
 from spinpulse import cli
 from spinpulse.cli import main
+from spinpulse.corrections import nogo_diagnostics
 from spinpulse.design import _Parameterization
-from spinpulse.fileio import parse_problem
+from spinpulse.fileio import fmt, parse_problem
+from spinpulse.sampling import pi_close_ntrajectory, random_fourier_shape, random_ntrajectory
+from spinpulse.trajectory import integrate_axis_angle, n_trajectory
 
 PI = "3.14159265358979312"
 
@@ -299,6 +302,33 @@ class TestNogo:
     def test_zero_samples(self):
         assert main(["nogo", "ts-eq-tp", "--samples", "0"]) == 2
 
+    @pytest.mark.parametrize("grid, samples, chunks", [
+        (256, 17, [8, 8, 1]), (4096, 2, [1, 1]),
+    ], ids=["grid-256", "grid-4096"])
+    def test_lane_chunks_equal_lone_samples(self, workdir, monkeypatch, grid, samples, chunks):
+        """Samples run in chunks of 2048 // grid lanes, and every row equals its
+        sample drawn, integrated, pi-closed and measured on its own."""
+        drawn = []
+
+        def counted(rng, lanes, steps):
+            drawn.append(lanes)
+            return random_ntrajectory(rng, lanes, steps)
+
+        monkeypatch.setattr(cli, "random_ntrajectory", counted)
+        out = workdir / "pi.csv"
+        assert main(["nogo", "pi-second-order", "--samples", str(samples),
+                     "--grid", str(grid), "--seed", "7", "--out", str(out)]) == 0
+        assert drawn == chunks
+        rng = np.random.default_rng(7)
+        expected = []
+        for i in range(samples):
+            shape = random_fourier_shape(rng)
+            closed = pi_close_ntrajectory(n_trajectory(integrate_axis_angle(shape, grid)))
+            gap = nogo_diagnostics(closed, shape.tau_s).pi2_gap
+            expected.append(",".join(fmt(x) for x in (i, shape.tau_s, gap)))
+        rows = [line for line in out.read_text().splitlines()[3:] if not line.startswith("#")]
+        assert rows == expected
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -385,6 +415,21 @@ class TestUsageErrors:
         assert main(["verify", str(workdir / "pi.pulse"), str(bath), "--out", str(out)]) == 3
         assert time.perf_counter() - start < 1.0
         assert "bath dimension must be in 1..16" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["nogo", "ts-eq-tp", "--samples", "3", "--grid", "1000000000000000"],
+        ["verify", "{pulse}", "{bath}", "--sweep", "1e-3:1e-1:1000000000000000"],
+    ], ids=["nogo-grid", "verify-sweep"])
+    def test_size_numpy_refuses_exits_3_at_once(self, workdir, capsys, argv):
+        """A grid or sweep of petabytes: numpy refuses it before allocating anything."""
+        out = workdir / "out.csv"
+        argv = [a.format(pulse=workdir / "pi.pulse", bath=workdir / "dyn.bath")
+                for a in argv] + ["--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "invariant violation: input too large" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("override", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from spinpulse.corrections import (SimpsonRule, correction_residuals, eta_operat
                                    evaluate_corrections, nogo_diagnostics,
                                    normalized_residual_vector)
 from spinpulse.pulses import PulseShape
-from spinpulse.sampling import random_fourier_shape
+from spinpulse.sampling import (_slerp, pi_close_ntrajectory, random_fourier_shape,
+                                random_ntrajectory)
 from spinpulse.su2 import spectral_norm
 from spinpulse.trajectory import NTrajectory, axis_angle, integrate_axis_angle, n_trajectory
 from joint_oracles import first_order_norm_identity
@@ -203,15 +206,13 @@ class TestNoGoDiagnostics:
         assert np.linalg.norm(report.r2a) >= diag.pi2_gap > 0.0
 
     def test_gap_positivity_sample(self, rng):
-        from spinpulse.sampling import pi_close_ntrajectory, random_ntrajectory
-        for _ in range(50):
-            ntraj, tau_s = random_ntrajectory(rng, steps=256)
-            diag = nogo_diagnostics(ntraj, ntraj.tau_p)
-            assert diag.tsp_gap >= -1e-9
-            closed = pi_close_ntrajectory(ntraj)
-            diag2 = nogo_diagnostics(closed, tau_s)
-            assert diag2.is_pi_pulse
-            assert diag2.pi2_gap >= -1e-9
+        ntraj, tau_s = random_ntrajectory(rng, 50, 256)
+        diag = nogo_diagnostics(ntraj, ntraj.tau_p)
+        assert np.all(diag.tsp_gap >= -1e-9)
+        closed = pi_close_ntrajectory(ntraj)
+        diag2 = nogo_diagnostics(closed, tau_s)
+        assert np.all(diag2.is_pi_pulse)
+        assert np.all(diag2.pi2_gap >= -1e-9)
 
 
 def _random_smooth_ntrajectory(rng, nodes=257, tau_p=1.0):
@@ -235,16 +236,16 @@ def _random_smooth_ntrajectory(rng, nodes=257, tau_p=1.0):
 
 def test_nogo_positivity_large_ensemble(rng):
     """Both gaps stay nonnegative over ten thousand random trajectories."""
-    from spinpulse.sampling import pi_close_ntrajectory
     tsp_min, pi2_min = np.inf, np.inf
-    for _ in range(10_000):
-        ntraj = _random_smooth_ntrajectory(rng)
-        tau_s = rng.uniform(0.0, 1.0)
-        diag = nogo_diagnostics(ntraj, ntraj.tau_p)
-        tsp_min = min(tsp_min, diag.tsp_gap)
+    for _ in range(10):                         # 10,000 paths, 1000 lanes a call
+        paths, taus = [], []
+        for _ in range(1000):
+            paths.append(_random_smooth_ntrajectory(rng).nhat)
+            taus.append(rng.uniform(0.0, 1.0))
+        ntraj = NTrajectory(grid=np.linspace(0.0, 1.0, 257), nhat=np.stack(paths))
+        tsp_min = min(tsp_min, np.min(nogo_diagnostics(ntraj, ntraj.tau_p).tsp_gap))
         closed = pi_close_ntrajectory(ntraj)
-        diag_pi = nogo_diagnostics(closed, tau_s)
-        pi2_min = min(pi2_min, diag_pi.pi2_gap)
+        pi2_min = min(pi2_min, np.min(nogo_diagnostics(closed, np.array(taus)).pi2_gap))
     assert tsp_min >= -1e-9
     assert pi2_min >= -1e-9
 
@@ -333,6 +334,79 @@ class TestResidualLanes:
                 assert np.array_equal(lane[idx], row)
 
 
+class TestNoGoLanes:
+    """The lane path of ``nogo``: each lane equals its lone call bit for bit."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=_seeds, lanes=st.sampled_from(((1,), (4,), (2, 3))))
+    def test_random_ntrajectory_lanes_equal_lone_draws(self, seed, lanes):
+        m = int(np.prod(lanes))
+        ntraj, tau_s = random_ntrajectory(np.random.default_rng(seed), m, 128)
+        rng = np.random.default_rng(seed)
+        for i in range(m):
+            shape = random_fourier_shape(rng)
+            lone = n_trajectory(integrate_axis_angle(shape, 128))
+            assert tau_s[i] == shape.tau_s
+            assert np.array_equal(ntraj.grid, lone.grid)
+            assert np.array_equal(ntraj.nhat[i], lone.nhat)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=_seeds, frac=_fractions, lanes=st.sampled_from(((1,), (4,), (2, 3))))
+    def test_pi_close_and_gaps_on_lanes_equal_lone_calls(self, seed, frac, lanes):
+        rng = np.random.default_rng(seed)
+        drawn, drawn_tau_s = random_ntrajectory(rng, int(np.prod(lanes)), 128)
+        grid = drawn.grid
+        nhat = drawn.nhat.reshape(lanes + drawn.nhat.shape[1:])
+        ntraj = NTrajectory(grid=grid, nhat=nhat)
+        closed = pi_close_ntrajectory(ntraj)
+        assert closed.nhat.shape == nhat.shape
+        for tau_s in (drawn_tau_s.reshape(lanes), frac * grid[-1]):
+            diag = nogo_diagnostics(ntraj, tau_s)
+            diag_pi = nogo_diagnostics(closed, tau_s)
+            for idx in np.ndindex(*lanes):
+                lone_tau_s = tau_s[idx] if np.ndim(tau_s) else tau_s
+                lone = NTrajectory(grid=grid, nhat=nhat[idx])
+                lone_closed = pi_close_ntrajectory(lone)
+                assert np.array_equal(closed.nhat[idx], lone_closed.nhat)
+                for batch, row in ((diag, nogo_diagnostics(lone, lone_tau_s)),
+                                   (diag_pi, nogo_diagnostics(lone_closed, lone_tau_s))):
+                    assert batch.tsp_gap[idx] == row.tsp_gap
+                    assert batch.pi2_gap[idx] == row.pi2_gap
+                    assert batch.is_pi_pulse[idx] == row.is_pi_pulse
+                assert diag_pi.is_pi_pulse[idx]
+
+
+class TestSlerp:
+    @pytest.mark.parametrize("omega", [0.0, 1e-12, 1e-6, 0.5 * np.pi, np.pi - 1e-6,
+                                       np.pi - 1e-12, np.pi])
+    def test_degenerate_ends_give_unit_paths_from_a_to_b(self, omega, rng):
+        """b = a, b = -a and angles within 1e-12 of either, on several lanes at once,
+        including the lanes a = +-x whose perpendicular falls back to a x y."""
+        a = rng.normal(size=(6, 3))
+        a[:2] = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        perp = np.cross(a, rng.normal(size=3))
+        perp /= np.linalg.norm(perp, axis=1, keepdims=True)
+        b = np.cos(omega) * a + np.sin(omega) * perp
+        if omega == np.pi:
+            b = -a                              # exactly antipodal, not cos(pi) a + ...
+        s = np.linspace(0.0, 1.0, 33)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = _slerp(a, b, s)
+        assert path.shape == (6, 33, 3)
+        assert np.all(np.isfinite(path))
+        np.testing.assert_allclose(np.linalg.norm(path, axis=-1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(path[:, 0], a, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(path[:, -1], b, rtol=0, atol=1e-11)
+        # a great circle: equal steps, each turning by omega / 32; near pi the tangent
+        # b - (a . b) a carries rounding / sin(omega), ~1e-10 at pi - 1e-6
+        steps = np.linalg.norm(np.diff(path, axis=1), axis=-1)
+        np.testing.assert_allclose(steps, np.broadcast_to(steps[:, :1], steps.shape),
+                                   rtol=1e-6, atol=1e-15)
+        assert np.all(steps <= 2.0 * np.sin(omega / 64.0) + 1e-9)
+
+
 class TestGapProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=_seeds, frac=_fractions)
@@ -340,12 +414,11 @@ class TestGapProperties:
         """tsp_gap at tau_s = tau_p and pi2_gap on a pi-closed path stay >= 0,
         on direct sphere paths and on the pulse paths that ``nogo`` samples."""
         from spinpulse.policy import active_policy
-        from spinpulse.sampling import pi_close_ntrajectory, random_ntrajectory
         rng = np.random.default_rng(seed)
         tolerance = active_policy().nogo_tolerance
         sphere = _random_smooth_ntrajectory(rng)
-        pulse, pulse_tau_s = random_ntrajectory(rng, steps=256)
+        pulse, pulse_tau_s = random_ntrajectory(rng, 1, 256)
         for ntraj, tau_s in ((sphere, frac * sphere.tau_p), (pulse, pulse_tau_s)):
-            assert nogo_diagnostics(ntraj, ntraj.tau_p).tsp_gap >= -tolerance
+            assert np.all(nogo_diagnostics(ntraj, ntraj.tau_p).tsp_gap >= -tolerance)
             closed = pi_close_ntrajectory(ntraj)
-            assert nogo_diagnostics(closed, tau_s).pi2_gap >= -tolerance
+            assert np.all(nogo_diagnostics(closed, tau_s).pi2_gap >= -tolerance)
