@@ -3,11 +3,11 @@
 The design variables are Fourier or piecewise amplitude coefficients, one
 affine map of the free parameters (:class:`_Parameterization`); the equations
 are the normalized correction residuals.  A single-component ansatz keeps the
-rotation axis fixed and pins the mean amplitude so the accumulated rotation
-hits the target angle exactly; multi-component ansaetze carry the
-total-rotation requirement as an extra weighted residual block.  A solve is
-converged only if a re-check on the doubled grid also holds every targeted
-residual and the rotation below ``VERIFIED_BOUND``.
+rotation axis fixed at y, the axis of P_theta, and pins the mean amplitude so
+the accumulated rotation hits the target angle exactly; multi-component
+ansaetze carry the total-rotation requirement as an extra weighted residual
+block.  A solve is converged only if a re-check on the doubled grid also holds
+every targeted residual and the rotation below ``VERIFIED_BOUND``.
 
 The residual function evaluates one point at a time.  Every point of a
 problem has the same grid, whatever its tau_s, so the grid, its Simpson rule
@@ -92,9 +92,12 @@ class DesignProblem:
         if len(set(self.components)) != len(self.components):
             # a repeated block never reaches the pulse: zero Jacobian columns
             raise ValueError("components must be distinct: each of x, y, z at most once")
-        bad = [t for t in self.targets if t not in RESIDUAL_TARGETS]
-        if bad:
-            raise ValueError(f"unknown residual targets {bad}")
+        if self.fixed_axis and self.components != ("y",):
+            # x or z pins the swept angle about itself, never P_theta's rotation
+            raise ValueError("components: a fixed axis must be y, the axis of P_theta")
+        if not self.targets or any(t not in RESIDUAL_TARGETS for t in self.targets):
+            raise ValueError(f"targets must be a nonempty subset of r1, r2a, r2b, "
+                             f"got {list(self.targets)}")
         if self.grid_steps < MIN_STEPS:
             raise ValueError(f"grid must have at least {MIN_STEPS} steps")
         if self.restarts < 1:
@@ -251,14 +254,14 @@ class _Parameterization:
 # residual evaluation
 
 
-def _swept_angle(shape: PulseShape, comp: int, t: np.ndarray) -> np.ndarray:
-    """Exact accumulated angle 2 int_{tau_s}^t v dt of one component of a
-    Fourier or piecewise shape, (len(t),)."""
+def _swept_angle(shape: PulseShape, t: np.ndarray) -> np.ndarray:
+    """Exact accumulated angle 2 int_{tau_s}^t v_y dt of a Fourier or piecewise
+    shape, (len(t),)."""
     if shape.representation == "piecewise_constant":
         b = shape.boundaries
-        cum = np.concatenate([[0.0], np.cumsum(shape.values[:, comp] * np.diff(b))])
+        cum = np.concatenate([[0.0], np.cumsum(shape.values[:, 1] * np.diff(b))])
         return 2.0 * (np.interp(t, b, cum) - np.interp(shape.tau_s, b, cum))
-    c, sn = shape.fourier.cos[comp], shape.fourier.sin[comp]
+    c, sn = shape.fourier.cos[1], shape.fourier.sin[1]
     omega = 2.0 * np.pi / shape.tau_p
 
     def antiderivative(x):
@@ -271,19 +274,15 @@ def _swept_angle(shape: PulseShape, comp: int, t: np.ndarray) -> np.ndarray:
     return 2.0 * (antiderivative(t) - antiderivative(shape.tau_s))
 
 
-def _fixed_axis_nhat(shape: PulseShape, comp: int, grid: np.ndarray) -> np.ndarray:
-    """Closed-form n(t) (n, 3) of a single-component shape.
+def _fixed_axis_nhat(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
+    """Closed-form n(t) = (-sin psi, 0, cos psi) (n, 3) of a shape about y alone.
 
-    The frame axis never moves, so psi(t) = 2 int_{tau_s}^t v dt (exact for
-    Fourier and piecewise amplitudes) and n(t) is an elementary rotation of z
-    about the component axis; no frame ODE is needed.
+    The frame axis never moves, so psi(t) = 2 int_{tau_s}^t v_y dt (exact for
+    Fourier and piecewise amplitudes) and n(t) is z turned about y; no frame
+    ODE is needed.
     """
-    psi = _swept_angle(shape, comp, grid)
-    if comp == 1:      # y axis: n = (-sin psi, 0, cos psi)
-        return np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
-    if comp == 0:      # x axis: n = (0, sin psi, cos psi)
-        return np.stack([np.zeros_like(psi), np.sin(psi), np.cos(psi)], axis=-1)
-    return np.tile([0.0, 0.0, 1.0], psi.shape + (1,))     # z axis: n = z for all t
+    psi = _swept_angle(shape, grid)
+    return np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
 
 
 def _rotation_residual(quaternions: np.ndarray, theta: float) -> np.ndarray:
@@ -321,7 +320,6 @@ class _ResidualFunction:
     def __init__(self, problem: DesignProblem):
         self.problem = problem
         self.param = _Parameterization(problem)
-        self.comp = COMPONENTS.index(problem.components[0]) if problem.fixed_axis else None
         directions = self.param.lift @ self.param.basis
         family = self.param.shape_of(directions.T, np.zeros(directions.shape[1]))
         self.grid = _build_grid(family, problem.grid_steps)
@@ -351,7 +349,7 @@ class _ResidualFunction:
         problem, grid = self.problem, self.grid
         shape = self.param.build_shape(z)
         if problem.fixed_axis:
-            frames, nhat = None, _fixed_axis_nhat(shape, self.comp, grid)
+            frames, nhat = None, _fixed_axis_nhat(shape, grid)
         else:
             frames = _frame_quaternions(shape, grid)
             nhat = _frame_rotation(frames)[..., 2]

@@ -43,8 +43,8 @@ from .corrections import CorrectionReport, eta_operators, evaluate_corrections
 from .pulses import PulseShape
 from .su2 import (expm_hermitian, ideal_pulse_quaternion, quaternion_matrix,
                   quaternion_product, spectral_norm)
-from .trajectory import (_build_grid, _frames_on_grid, _rk4_step_matrices,
-                         _stage_amplitudes, n_trajectory)
+from .trajectory import (_build_grid, _frames_on_grid, _rk4_steps, _stage_amplitudes,
+                         n_trajectory)
 
 # RK4 steps of an expansion-order sweep: keeps the integration floor below
 # the tau_p^3 defects
@@ -111,9 +111,9 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     the identity at the exact tau_s, supply F at the start, midpoint and end
     of every coarse step.  The amplitude at those stages follows the frame
     integrator's stage rule (``_stage_amplitudes``), so every step is a true
-    RK4 step and no step crosses a breakpoint.  Only the final product of the
-    step matrices is needed; it is taken pairwise and projected onto the
-    unitaries once.
+    RK4 step and no step crosses a breakpoint; it steps the Hermitian F by
+    -i h, which is RK4 on U' = -i F U by h.  Only the final product of the
+    step matrices is needed; it is taken pairwise and projected once.
     """
     coarse = _build_grid(shape, steps)
     fine = np.empty(2 * len(coarse) - 1)
@@ -124,8 +124,8 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     turns = _coupling_turns(bath, fine - traj.tau_s)
     stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
                  _stage_amplitudes(shape, coarse))
-    f = [-1.0j * _deviation_table(turns[sl], frames[sl], v) for sl, v in stages]
-    mats = _rk4_step_matrices(*f, np.diff(coarse))
+    f = [_deviation_table(turns[sl], frames[sl], v) for sl, v in stages]
+    mats = _rk4_steps(*f, -1.0j * np.diff(coarse), np.matmul, np.eye(2 * bath.dim_b))
     return _project_unitary(_ordered_product(mats)), traj
 
 

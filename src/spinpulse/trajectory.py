@@ -13,12 +13,12 @@ Every frame is integrated by one path: classical RK4 on a grid whose cuts,
 the amplitude breakpoints, start uniform spans of a multiple of 4 intervals,
 so no RK4 step or Simpson panel, on the grid or its halved grid, crosses a
 kink of the amplitude; a Fourier grid is np.linspace.  The exact oracle
-integrates on the same grids with the same stage rule.  Each RK4 step is the
-quaternion polynomial of the generator (0, v), rejected if its norm drifts
-from 1 by more than ``STEP_DRIFT``; U(t, 0) is the prefix product of the
-steps from t = 0, in log2(n) vectorised levels.  tau_s is no cut: U(tau_s, 0)
-is interpolated between the nodes around it and enters W(t) only as the
-constant right factor U(tau_s, 0)^dag, so n(t) has no kink there.
+integrates on the same grids with the same stage rule and step.  Each RK4 step
+is the stage recurrence (:func:`_rk4_steps`) of the generator (0, v), rejected
+if its norm drifts from 1 by more than ``STEP_DRIFT``; U(t, 0) is the prefix
+product of the steps from t = 0, in log2(n) levels.  tau_s is no cut:
+U(tau_s, 0) is interpolated between the nodes around it and enters W(t) only
+as the constant right factor U(tau_s, 0)^dag, so n(t) has no kink there.
 
 The integrator runs on a leading lane axis: a lane shape (``PulseShape``
 with m lanes, each with its own tau_s, on one set of breakpoints and so one
@@ -171,44 +171,17 @@ def _stage_amplitudes(shape: PulseShape, grid: np.ndarray):
     return v_node[..., :-1, :], v2, v_node[..., 1:, :]
 
 
-def _rk4_polynomial(g1, g2, g3, h, mul, one):
-    """Per-step RK4 transfer elements for the linear ODE W' = G(t) W.
-
-    With stage generators (g1, g2, g3) at the step start, midpoint and end,
-    one classical RK4 step is W -> M W with
-
-        M = I + (h/6)(g1 + 4 g2 + g3) + (h^2/6)(g2 g1 + g2^2 + g3 g2)
-              + (h^3/12)(g2^2 g1 + g3 g2^2) + (h^4/24) g3 g2^2 g1,
-
-    built for all steps at once from the algebra's batched product ``mul``
-    and unit ``one``.
-    """
+def _rk4_steps(g1, g2, g3, h, mul, one):
+    """RK4 steps W -> M W of W' = G(t) W from the stage generators (g1, g2, g3)
+    at each step's start, midpoint and end, by the classical stage recurrence
+    k2 = g2 + (h/2) g2 g1, k3 = g2 + (h/2) g2 k2, k4 = g3 + h g3 k3,
+    M = 1 + (h/6) (g1 + 2 (k2 + k3) + k4): three products ``mul`` per step in
+    an algebra with unit ``one``.  h = -i dt steps G = -i F by dt."""
     h = np.reshape(h, (-1,) + (1,) * (np.ndim(g1) - 1))
-    g2g1 = mul(g2, g1)
-    g2sq = mul(g2, g2)
-    g3g2 = mul(g3, g2)
-    g2sq_g1 = mul(g2sq, g1)
-    return (one
-            + (h / 6.0) * (g1 + 4.0 * g2 + g3)
-            + (h ** 2 / 6.0) * (g2g1 + g2sq + g3g2)
-            + (h ** 3 / 12.0) * (g2sq_g1 + mul(g3, g2sq))
-            + (h ** 4 / 24.0) * mul(g3, g2sq_g1))
-
-
-def _rk4_step_matrices(g1, g2, g3, h) -> np.ndarray:
-    """RK4 transfer matrices from generator matrices (batched matmuls)."""
-    return _rk4_polynomial(g1, g2, g3, h, np.matmul, np.eye(g1.shape[-1], dtype=complex))
-
-
-def _rk4_step_quaternions(v1, v2, v3, h) -> np.ndarray:
-    """RK4 transfer quaternions for i W' = (sigma . v) W.
-
-    The generator -i sigma . v is the pure quaternion (0, v), so the step
-    polynomial never leaves the quaternion algebra.
-    """
-    g = np.zeros((3, *np.shape(v1)[:-1], 4))
-    g[0, ..., 1:], g[1, ..., 1:], g[2, ..., 1:] = v1, v2, v3
-    return _rk4_polynomial(*g, h, quaternion_product, IDENTITY_Q)
+    k2 = g2 + (0.5 * h) * mul(g2, g1)
+    k3 = g2 + (0.5 * h) * mul(g2, k2)
+    k4 = g3 + h * mul(g3, k3)
+    return one + (h / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
 
 
 def _prefix_products(steps: np.ndarray) -> np.ndarray:
@@ -267,15 +240,17 @@ def _frame_quaternions(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
     is the cubic Hermite interpolant of U and U' = (0, v) U at the nodes
     around each lane's tau_s, O(h^4) like the steps, with v the step's first
     and last stage amplitudes, so it evaluates no amplitude; on a node it is
-    U there exactly.  The step polynomial takes the lanes end to end on the
+    U there exactly.  The RK4 steps take the lanes end to end on the
     step axis: each further axis of a strided operand adds to every numpy call.
     """
     m, n = np.size(shape.tau_s), len(grid)
     v1, v2, v3 = (v.reshape(m, n - 1, 3) for v in _stage_amplitudes(shape, grid))
+    # the generator -i sigma . v is the pure quaternion (0, v)
+    g = np.zeros((3, m * (n - 1), 4))
+    g[0, :, 1:], g[1, :, 1:], g[2, :, 1:] = (v.reshape(-1, 3) for v in (v1, v2, v3))
     # an overflow leaves inf or NaN steps, which the drift guard rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _rk4_step_quaternions(*(v.reshape(-1, 3) for v in (v1, v2, v3)),
-                                      np.tile(np.diff(grid), m))
+        steps = _rk4_steps(*g, np.tile(np.diff(grid), m), quaternion_product, IDENTITY_Q)
         drift = np.max(np.abs(np.linalg.norm(steps, axis=-1) - 1.0))
     if not drift <= STEP_DRIFT:
         raise ValueError(f"trajectory frames must be unit quaternions, but an RK4 step "
@@ -345,7 +320,9 @@ def _frame_rotation(q: np.ndarray) -> np.ndarray:
 
 def n_trajectory(traj: FrameTrajectory) -> NTrajectory:
     """n(t) = 1/2 tr(sigma W^dag sigma_z W), the frame's image of the z axis."""
-    return NTrajectory(grid=traj.grid.copy(), nhat=_frame_rotation(traj.quaternions)[..., 2])
+    # a copy: the view would keep all nine entries of every rotation alive
+    nhat = _frame_rotation(traj.quaternions)[..., 2].copy()
+    return NTrajectory(grid=traj.grid.copy(), nhat=nhat)
 
 
 # ----------------------------------------------------------------------

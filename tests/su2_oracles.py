@@ -1,10 +1,10 @@
-"""Reference SU(2) algebra that only the tests use: exponentials, 3x3 rotations
-and logarithms.
+"""Reference SU(2) algebra that only the tests use: exponentials, 3x3 rotations,
+logarithms and the expanded RK4 step.
 
 These are independent oracles for the library's quaternion frames: the
 closed-form 2x2 exponential about an axis, the Rodrigues matrix, the adjoint
-representation of a 2x2 unitary and the principal logarithm of a unitary of
-any dimension.
+representation of a 2x2 unitary, the principal logarithm of a unitary of
+any dimension, and the RK4 step of a linear ODE as its degree-4 polynomial.
 """
 
 import numpy as np
@@ -97,3 +97,32 @@ def matrix_log_unitary(u: np.ndarray, branch_margin: float = BRANCH_MARGIN) -> n
             "eigenvalue within branch margin of -1; logarithm branch is ambiguous")
     gen = (z * (1.0j * phases)) @ z.conj().T
     return 0.5 * (gen - gen.conj().T)
+
+
+def rk4_polynomial(g1, g2, g3, h, mul, one):
+    """Per-step RK4 transfer elements for the linear ODE W' = G(t) W.
+
+    With stage generators (g1, g2, g3) at the step start, midpoint and end,
+    one classical RK4 step is W -> M W with
+
+        M = I + (h/6)(g1 + 4 g2 + g3) + (h^2/6)(g2 g1 + g2^2 + g3 g2)
+              + (h^3/12)(g2^2 g1 + g3 g2^2) + (h^4/24) g3 g2^2 g1,
+
+    built for all steps at once from the algebra's batched product ``mul``
+    and unit ``one``.
+    """
+    h = np.reshape(h, (-1,) + (1,) * (np.ndim(g1) - 1))
+    g2g1 = mul(g2, g1)
+    g2sq = mul(g2, g2)
+    g3g2 = mul(g3, g2)
+    g2sq_g1 = mul(g2sq, g1)
+    return (one
+            + (h / 6.0) * (g1 + 4.0 * g2 + g3)
+            + (h ** 2 / 6.0) * (g2g1 + g2sq + g3g2)
+            + (h ** 3 / 12.0) * (g2sq_g1 + mul(g3, g2sq))
+            + (h ** 4 / 24.0) * mul(g3, g2sq_g1))
+
+
+def rk4_step_matrices(g1, g2, g3, h) -> np.ndarray:
+    """RK4 transfer matrices of generator matrices (..., d, d), by :func:`rk4_polynomial`."""
+    return rk4_polynomial(g1, g2, g3, h, np.matmul, np.eye(g1.shape[-1], dtype=complex))

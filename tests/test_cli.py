@@ -383,10 +383,14 @@ class TestUsageErrors:
         ("endpoint_zero_derivatives = 1", "endpoint_zero_derivatives = -1",
          "endpoint_zero_derivatives"),
         ("components = y", "components = y y", "components"),
+        ("components = y", "components = x", "components"),
+        ("components = y", "components = z", "components"),
+        ("targets = r1", "targets =", "targets"),
+        ("components = y\ntargets = r1", "components = x y\ntargets =", "targets"),
         ("restarts = 8", "restarts = 8\nansatz = piecewise", "endpoint_zero_derivatives"),
     ], ids=["bound-nan", "bound-zero", "power-nan", "power-negative", "theta-nan",
-            "no-segments", "negative-derivatives", "repeated-component",
-            "piecewise-derivatives"])
+            "no-segments", "negative-derivatives", "repeated-component", "fixed-x-axis",
+            "fixed-z-axis", "no-targets", "no-targets-general", "piecewise-derivatives"])
     def test_invalid_problem_field_exits_3(self, workdir, capsys, old, new, field):
         prob = workdir / "bad.problem"
         prob.write_text(PROBLEM_S.replace(old, new))

@@ -396,6 +396,10 @@ class TestAnsatzMap:
             with pytest.raises(ValueError, match="endpoint_zero_derivatives"):
                 DesignProblem(**fields)
             return
+        if components in (("x",), ("z",)):
+            with pytest.raises(ValueError, match="a fixed axis must be y"):
+                DesignProblem(**fields)
+            return
         problem = DesignProblem(**fields)
         try:
             param = _Parameterization(problem)

@@ -11,13 +11,13 @@ from spinpulse.corrections import SimpsonRule, correction_residuals, nogo_diagno
 from spinpulse.design import _rotation_residual
 from spinpulse.pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                               fourier_pulse)
-from spinpulse.sampling import random_fourier_shape
+from spinpulse.sampling import random_fourier_shape, random_ntrajectory
 from spinpulse.trajectory import (_bootstrap_axis, _build_grid, _frame_quaternions,
-                                  _prefix_products, _rk4_step_matrices,
-                                  _rk4_step_quaternions, _stage_amplitudes,
+                                  _prefix_products, _rk4_steps, _stage_amplitudes,
                                   _unwrap_frames, amplitude_from_axis_angle, axis_angle,
                                   integrate_axis_angle, n_trajectory)
-from su2_oracles import axis_angle_exponential, pauli_conjugate
+from su2_oracles import (axis_angle_exponential, pauli_conjugate, rk4_polynomial,
+                         rk4_step_matrices)
 
 
 def closed_form_frames(shape, traj):
@@ -28,6 +28,11 @@ def closed_form_frames(shape, traj):
 def generator_matrices(*amplitudes):
     """-i sigma . v for each (n, 3) amplitude array."""
     return tuple(-1.0j * np.tensordot(v, su2.PAULI, axes=(1, 0)) for v in amplitudes)
+
+
+def generator_quaternions(*amplitudes):
+    """The pure quaternions (0, v) of -i sigma . v for each (n, 3) amplitude array."""
+    return tuple(np.concatenate([np.zeros((len(v), 1)), v], axis=1) for v in amplitudes)
 
 
 def unwrap_frames_loop(v_nodes, c, svec, i_s, axis0, floor):
@@ -313,6 +318,14 @@ class TestNTrajectory:
                                     w.conj().transpose(0, 2, 1), su2.SIGMA_Z, w).real
             assert np.abs(n_trajectory(traj).nhat - image).max() <= 1e-14
 
+    def test_n_owns_its_memory(self, rng):
+        """n(t) of a lone frame and of a lane frame is an array of its own, not a
+        view that keeps the (..., n, 3, 3) rotations alive."""
+        lone = integrate_axis_angle(random_fourier_shape(rng, order=3, scale=3.0), 128)
+        lanes, _ = random_ntrajectory(rng, 4, 128)
+        assert n_trajectory(lone).nhat.base is None
+        assert lanes.nhat.base is None and lanes.nhat.shape == (4, 129, 3)
+
 
 class TestFrameProperties:
     def test_total_rotation_requirement(self):
@@ -333,7 +346,7 @@ class TestFrameProperties:
         # forward-ordered integration from grid[j] up to tau_s
         grid = np.linspace(traj.grid[j], shape.tau_s, 513)
         g1, g2, g3 = generator_matrices(*_stage_amplitudes(shape, grid))
-        mats = _rk4_step_matrices(g1, g2, g3, np.diff(grid))
+        mats = rk4_step_matrices(g1, g2, g3, np.diff(grid))
         u = np.eye(2, dtype=complex)
         for m in mats:
             u = m @ u
@@ -344,9 +357,27 @@ class TestFrameProperties:
         grid = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 255)]))
         v1, v2, v3 = (rng.normal(scale=5.0, size=(len(grid) - 1, 3)) for _ in range(3))
         for h in (np.diff(grid), -np.diff(grid)):
-            mats = _rk4_step_matrices(*generator_matrices(v1, v2, v3), h)
-            quats = _rk4_step_quaternions(v1, v2, v3, h)
+            mats = rk4_step_matrices(*generator_matrices(v1, v2, v3), h)
+            quats = _rk4_steps(*generator_quaternions(v1, v2, v3), h,
+                               su2.quaternion_product, su2.IDENTITY_Q)
             assert np.abs(su2.quaternion_matrix(quats) - mats).max() <= 1e-14
+
+    def test_rk4_steps_are_the_expanded_polynomial(self, rng):
+        """The stage recurrence is the degree-4 RK4 polynomial: in the quaternion
+        algebra for either sign of h, and on Hermitian 16 x 16 tables F with the
+        complex step -i h against the polynomial of -i F with step h."""
+        h = np.diff(np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 255)])))
+        g = generator_quaternions(*(rng.normal(scale=5.0, size=(len(h), 3)) for _ in range(3)))
+        for step in (h, -h):
+            expected = rk4_polynomial(*g, step, su2.quaternion_product, su2.IDENTITY_Q)
+            steps = _rk4_steps(*g, step, su2.quaternion_product, su2.IDENTITY_Q)
+            assert np.abs(steps - expected).max() <= 1e-14 * np.abs(expected).max()
+        a = rng.normal(size=(3, 64, 16, 16)) + 1.0j * rng.normal(size=(3, 64, 16, 16))
+        f = 0.5 * (a + a.conj().transpose(0, 1, 3, 2))
+        h = rng.uniform(0.0, 0.1, 64)
+        expected = rk4_step_matrices(*(-1.0j * f), h)
+        steps = _rk4_steps(*f, -1.0j * h, np.matmul, np.eye(16))
+        assert np.abs(steps - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_prefix_products_match_sequential_products(self, rng):
         steps = rng.normal(size=(300, 4))
@@ -375,7 +406,7 @@ class TestFrameProperties:
         traj = integrate_axis_angle(shape, steps)
         g1, g2, g3 = generator_matrices(*_stage_amplitudes(shape, traj.grid))
         u = [np.eye(2, dtype=complex)]
-        for m in _rk4_step_matrices(g1, g2, g3, np.diff(traj.grid)):
+        for m in rk4_step_matrices(g1, g2, g3, np.diff(traj.grid)):
             u.append(m @ u[-1])
         j = min(int(np.searchsorted(traj.grid, tau_s, side="right")) - 1, len(u) - 2)
         h = traj.grid[j + 1] - traj.grid[j]
