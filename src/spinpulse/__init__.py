@@ -31,10 +31,12 @@ __version__ = "0.1.0"
 
 # Freeing one block above glibc malloc's mmap threshold raises that threshold
 # to the block's size, and the trim threshold to twice it, for the rest of
-# the process.  The design loop's temporaries, a few hundred kB, then reuse
-# heap memory instead of mapping fresh zeroed pages on every call: without
-# it, an S and a Q design of 32 restarts each take ~43k minor page faults and
-# ~30% longer on Linux.  Elsewhere this is one untouched allocation.
+# the process.  Two users make temporaries of a few hundred kB, which then
+# reuse heap memory instead of mapping fresh zeroed pages on every call: the
+# design Jacobian at P >= 3 (an S and a Q design of 32 restarts each take ~43k
+# minor page faults and ~30% longer without it) and the nogo lane chunks (a
+# 2 x 300-sample batch takes ~8.5k faults against ~15, and ~10% longer, on
+# Linux).  Elsewhere this is one untouched allocation.
 _np.empty(1 << 20, _np.uint8)
 
 __all__ = [

@@ -6,8 +6,8 @@ Exit codes
 1   the computation ran but the check failed (residuals above threshold,
     slope outside the band, negative gap, non-converged solve)
 2   unparseable input (message carries line and column) or bad usage
-3   input parsed but violates a model invariant (any ``ValueError`` the
-    library raises after parsing, or a size numpy cannot allocate)
+3   the input violates a model invariant (any other ``ValueError`` the
+    library raises, or a size numpy cannot allocate)
 4   degenerate slope fit in ``verify``
 
 The numeric policy can be overridden per run through the environment
@@ -29,9 +29,8 @@ import numpy as np
 from . import __version__
 from .corrections import RESIDUAL_TARGETS, evaluate_corrections, nogo_diagnostics
 from .design import feasibility_probe, probe_regime, solve
-from .fileio import (InvariantError, SchemaError, csv_document, fmt,
-                     format_report, format_solution, make_manifest, parse_bath,
-                     parse_problem, parse_pulse)
+from .fileio import (SchemaError, csv_document, fmt, format_report, format_solution,
+                     make_manifest, parse_bath, parse_problem, parse_pulse)
 from .oracle import SWEEP_STEPS, magnus_consistency
 from .policy import ENV_VAR, active_policy
 from .sampling import pi_close_ntrajectory, random_ntrajectory
@@ -135,7 +134,7 @@ def cmd_corrections(args) -> int:
                              options=_options(args))
     tau_s = args.tau_s if args.tau_s is not None else shape.tau_s
     if not 0.0 <= tau_s <= shape.tau_p:
-        raise InvariantError("tau_s override outside [0, tau_p]")
+        raise ValueError("tau_s override outside [0, tau_p]")
     traj = integrate_axis_angle(shape, args.grid)
     ntraj = n_trajectory(traj)
     report = evaluate_corrections(ntraj, tau_s)

@@ -36,7 +36,7 @@ from .corrections import (RESIDUAL_TARGETS, CorrectionReport, SimpsonRule,
 from .policy import active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
-from .su2 import ideal_pulse_quaternion, quaternion_product
+from .su2 import CONJUGATE_Q, ideal_pulse_quaternion, quaternion_product
 from .trajectory import (MIN_STEPS, _anchor, _bracket, _build_grid, _check_trajectory,
                          _frame_quaternions, _frame_rotation, _hermite,
                          _stage_amplitudes, integrate_axis_angle, n_trajectory)
@@ -46,7 +46,6 @@ ROTATION_WEIGHT = 100.0
 # violation and every targeted normalized residual
 VERIFIED_BOUND = 1e-7
 FREE = "free"
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])     # q -> q^*, the frame's inverse
 
 
 class IllPosedProblem(ValueError):
@@ -98,6 +97,8 @@ class DesignProblem:
         if not self.targets or any(t not in RESIDUAL_TARGETS for t in self.targets):
             raise ValueError(f"targets must be a nonempty subset of r1, r2a, r2b, "
                              f"got {list(self.targets)}")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError("targets must be distinct: each of r1, r2a, r2b at most once")
         if self.grid_steps < MIN_STEPS:
             raise ValueError(f"grid must have at least {MIN_STEPS} steps")
         if self.restarts < 1:
@@ -290,9 +291,9 @@ def _rotation_residual(quaternions: np.ndarray, theta: float) -> np.ndarray:
 
     ``quaternions`` is a frame (..., n, 4); the result is (..., 4).
     """
-    q = quaternion_product(_CONJ * ideal_pulse_quaternion(theta),
+    q = quaternion_product(CONJUGATE_Q * ideal_pulse_quaternion(theta),
                            quaternion_product(quaternions[..., -1, :],
-                                              _CONJ * quaternions[..., 0, :]))
+                                              CONJUGATE_Q * quaternions[..., 0, :]))
     return np.concatenate([q[..., 1:], 1.0 - q[..., :1]], axis=-1)
 
 
@@ -385,9 +386,9 @@ class _ResidualFunction:
             # xi(tp) - xi(0) vanishes along a free tau_s: it moves only the anchor
             turn = np.zeros((len(xi), 4))
             turn[:, 1:] = xi[:, -1] - xi[:, 0]
-            dq = quaternion_product(_CONJ * ideal_pulse_quaternion(problem.theta),
-                                    quaternion_product(frames[-1],
-                                                       quaternion_product(turn, _CONJ * frames[0])))
+            inner = quaternion_product(turn, CONJUGATE_Q * frames[0])
+            dq = quaternion_product(CONJUGATE_Q * ideal_pulse_quaternion(problem.theta),
+                                    quaternion_product(frames[-1], inner))
             parts.append(ROTATION_WEIGHT * np.concatenate([dq[:, 1:], -dq[:, :1]], axis=1))
         jac = np.concatenate(parts, axis=1).T
         if self.param.free_tau_s:
@@ -432,11 +433,12 @@ class _ResidualFunction:
             xi_tau = -shape.amplitude(tau_s)
         else:
             # U at the two nodes, up to a common norm, from W = U U(tau_s, 0)^dag
-            ends = quaternion_product(frames[j:j + 2], _CONJ * frames[0])
+            ends = quaternion_product(frames[j:j + 2], CONJUGATE_Q * frames[0])
             v_start, _, v_end = _stage_amplitudes(shape, grid[j:j + 2])
             anchor, rate = _anchor(ends[None], v_start, v_end, h[None], x[None])
             # W = U b with b = anchor^* / |anchor|: xi = vec(b^* db)
-            xi_tau = quaternion_product(anchor, _CONJ * rate)[0, 1:] / (h * (anchor @ anchor.T)[0])
+            xi_tau = (quaternion_product(anchor, CONJUGATE_Q * rate)[0, 1:]
+                      / (h * (anchor @ anchor.T)[0]))
         return np.concatenate([xi, np.broadcast_to(xi_tau, (1, n, 3))])
 
 

@@ -1,9 +1,11 @@
 """Flat text schemas and CSV export.
 
 All inputs are hand-editable ``key = value`` files with ``#`` comments and a
-``schema_version`` field; all outputs embed the digest of the run manifest so
-identical manifests reproduce byte-identical files.  Floats are written with
-17 significant digits for exact round trips.
+``schema_version`` field.  A malformed file raises :class:`SchemaError`; the
+values of a well-formed one go to the model, whose ``ValueError`` passes
+through.  All outputs embed the digest of the run manifest so identical
+manifests reproduce byte-identical files.  Floats are written with 17
+significant digits for exact round trips.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ class SchemaError(ValueError):
         self.column = column
 
 
-class InvariantError(ValueError):
-    """Well-formed file whose contents violate a model invariant."""
-
-
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -47,6 +45,8 @@ def fmt_vec(values) -> str:
 
 # ----------------------------------------------------------------------
 # flat key-value layer
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def parse_flat(text: str) -> dict[str, tuple[str, int]]:
@@ -78,53 +78,37 @@ class _Record:
     def has(self, key: str) -> bool:
         return key in self.fields
 
-    def raw(self, key: str) -> str:
-        if key not in self.fields:
-            raise SchemaError(f"missing required key {key!r}")
-        return self.fields[key][0]
-
     def line(self, key: str) -> int:
         return self.fields[key][1]
 
+    def _read(self, key: str, default, convert, noun: str, fold=str):
+        """``convert(fold(value))`` of ``key``, or ``default`` if it is absent; a
+        value ``convert`` refuses is a SchemaError at its line, quoted as folded."""
+        if key not in self.fields:
+            if default is not None:
+                return default
+            raise SchemaError(f"missing required key {key!r}")
+        value = fold(self.fields[key][0])
+        try:
+            return convert(value)
+        except (ValueError, KeyError):
+            raise SchemaError(f"{key}: not {noun}: {value!r}", self.line(key)) from None
+
     def string(self, key: str, default: str | None = None) -> str:
-        if key not in self.fields and default is not None:
-            return default
-        return self.raw(key)
+        return self._read(key, default, str, "a string")
 
     def number(self, key: str, default: float | None = None) -> float:
-        if key not in self.fields and default is not None:
-            return default
-        value = self.raw(key)
-        try:
-            return float(value)
-        except ValueError:
-            raise SchemaError(f"{key}: not a number: {value!r}", self.line(key)) from None
+        return self._read(key, default, float, "a number")
 
     def integer(self, key: str, default: int | None = None) -> int:
-        if key not in self.fields and default is not None:
-            return default
-        value = self.raw(key)
-        try:
-            return int(value)
-        except ValueError:
-            raise SchemaError(f"{key}: not an integer: {value!r}", self.line(key)) from None
+        return self._read(key, default, int, "an integer")
 
     def boolean(self, key: str, default: bool | None = None) -> bool:
-        if key not in self.fields and default is not None:
-            return default
-        value = self.raw(key).lower()
-        if value in ("true", "yes", "1"):
-            return True
-        if value in ("false", "no", "0"):
-            return False
-        raise SchemaError(f"{key}: not a boolean: {value!r}", self.line(key))
+        return self._read(key, default, _BOOLEANS.__getitem__, "a boolean", str.lower)
 
     def numbers(self, key: str) -> list[float]:
-        value = self.raw(key)
-        try:
-            return [float(tok) for tok in value.split()]
-        except ValueError:
-            raise SchemaError(f"{key}: not a number list: {value!r}", self.line(key)) from None
+        return self._read(key, None, lambda value: [float(tok) for tok in value.split()],
+                          "a number list")
 
     def check_version(self):
         version = self.integer("schema_version")
@@ -147,62 +131,57 @@ def parse_pulse(text: str) -> PulseShape:
     tau_p = rec.number("tau_p")
     tau_s = rec.number("tau_s")
     theta = rec.number("theta")
-    try:
-        if rep == "fourier":
-            order = rec.integer("fourier_order")
-            coeff = FourierCoefficients.zeros(order)
-            for key in rec.fields:
-                if not key.startswith("coeff."):
-                    continue
-                parts = key.split(".")
-                if (len(parts) != 4 or parts[1] not in COMPONENTS
-                        or parts[2] not in ("a", "b")):
-                    raise SchemaError(f"bad coefficient key {key!r}", rec.line(key))
-                i = COMPONENTS.index(parts[1])
-                try:
-                    k = int(parts[3])
-                except ValueError:
-                    raise SchemaError(f"bad harmonic index in {key!r}", rec.line(key)) from None
-                value = rec.number(key)
-                if parts[2] == "a" and 0 <= k <= order:
-                    coeff.cos[i, k] = value
-                elif parts[2] == "b" and 1 <= k <= order:
-                    coeff.sin[i, k - 1] = value
-                else:
-                    raise SchemaError(f"harmonic index out of range in {key!r}", rec.line(key))
-            return PulseShape(tau_p, tau_s, theta, "fourier", fourier=coeff)
-        if rep == "piecewise_constant":
-            bounds = rec.numbers("boundaries")
-            values = []
-            for i in range(len(bounds) - 1):
-                row = rec.numbers(f"segment.{i}")
-                if len(row) != 3:
-                    raise SchemaError(f"segment.{i}: need 3 amplitudes",
-                                      rec.line(f"segment.{i}"))
-                values.append(row)
-            return PulseShape(tau_p, tau_s, theta, "piecewise_constant",
-                              boundaries=np.array(bounds), values=np.array(values))
-        if rep == "axis_angle_samples":
-            times, axes, angles = [], [], []
-            i = 0
-            while rec.has(f"sample.{i}"):
-                row = rec.numbers(f"sample.{i}")
-                if len(row) != 5:
-                    raise SchemaError(f"sample.{i}: need t ax ay az psi",
-                                      rec.line(f"sample.{i}"))
-                times.append(row[0])
-                axes.append(row[1:4])
-                angles.append(row[4])
-                i += 1
-            if not times:
-                raise SchemaError("axis_angle_samples needs sample.<i> rows")
-            return PulseShape(tau_p, tau_s, theta, "axis_angle_samples",
-                              sample_times=np.array(times), sample_axes=np.array(axes),
-                              sample_angles=np.array(angles))
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise InvariantError(str(exc)) from exc
+    if rep == "fourier":
+        order = rec.integer("fourier_order")
+        coeff = FourierCoefficients.zeros(order)
+        for key in rec.fields:
+            if not key.startswith("coeff."):
+                continue
+            parts = key.split(".")
+            if (len(parts) != 4 or parts[1] not in COMPONENTS
+                    or parts[2] not in ("a", "b")):
+                raise SchemaError(f"bad coefficient key {key!r}", rec.line(key))
+            i = COMPONENTS.index(parts[1])
+            try:
+                k = int(parts[3])
+            except ValueError:
+                raise SchemaError(f"bad harmonic index in {key!r}", rec.line(key)) from None
+            value = rec.number(key)
+            if parts[2] == "a" and 0 <= k <= order:
+                coeff.cos[i, k] = value
+            elif parts[2] == "b" and 1 <= k <= order:
+                coeff.sin[i, k - 1] = value
+            else:
+                raise SchemaError(f"harmonic index out of range in {key!r}", rec.line(key))
+        return PulseShape(tau_p, tau_s, theta, "fourier", fourier=coeff)
+    if rep == "piecewise_constant":
+        bounds = rec.numbers("boundaries")
+        values = []
+        for i in range(len(bounds) - 1):
+            row = rec.numbers(f"segment.{i}")
+            if len(row) != 3:
+                raise SchemaError(f"segment.{i}: need 3 amplitudes",
+                                  rec.line(f"segment.{i}"))
+            values.append(row)
+        return PulseShape(tau_p, tau_s, theta, "piecewise_constant",
+                          boundaries=np.array(bounds), values=np.array(values))
+    if rep == "axis_angle_samples":
+        times, axes, angles = [], [], []
+        i = 0
+        while rec.has(f"sample.{i}"):
+            row = rec.numbers(f"sample.{i}")
+            if len(row) != 5:
+                raise SchemaError(f"sample.{i}: need t ax ay az psi",
+                                  rec.line(f"sample.{i}"))
+            times.append(row[0])
+            axes.append(row[1:4])
+            angles.append(row[4])
+            i += 1
+        if not times:
+            raise SchemaError("axis_angle_samples needs sample.<i> rows")
+        return PulseShape(tau_p, tau_s, theta, "axis_angle_samples",
+                          sample_times=np.array(times), sample_axes=np.array(axes),
+                          sample_angles=np.array(angles))
     raise SchemaError(f"unknown representation {rep!r}", rec.line("representation"))
 
 
@@ -245,29 +224,24 @@ def parse_bath(text: str) -> BathModel:
     if kind != "bath":
         raise SchemaError(f"expected kind = bath, got {kind!r}", rec.line("kind"))
     coupling = rec.number("lambda")
-    try:
-        if rec.has("preset"):
-            return preset_bath(rec.string("preset"), coupling=coupling,
-                               omega_b=rec.number("omega_b", 1.0))
-        dim = rec.integer("dim_b")
-        if not 1 <= dim <= DIM_CAP:     # before the dim x dim tables are built
-            raise ValueError(f"bath dimension must be in 1..{DIM_CAP}")
-        h_b = np.zeros((dim, dim), dtype=complex)
-        a = np.zeros((dim, dim), dtype=complex)
-        for name, target in (("h_b", h_b), ("a", a)):
-            for i in range(dim):
-                for j in range(dim):
-                    key = f"{name}.{i}.{j}"
-                    if rec.has(key):
-                        row = rec.numbers(key)
-                        if len(row) != 2:
-                            raise SchemaError(f"{key}: need 're im'", rec.line(key))
-                        target[i, j] = row[0] + 1.0j * row[1]
-        return BathModel(h_b, a, coupling)
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise InvariantError(str(exc)) from exc
+    if rec.has("preset"):
+        return preset_bath(rec.string("preset"), coupling=coupling,
+                           omega_b=rec.number("omega_b", 1.0))
+    dim = rec.integer("dim_b")
+    if not 1 <= dim <= DIM_CAP:     # before the dim x dim tables are built
+        raise ValueError(f"bath dimension must be in 1..{DIM_CAP}")
+    h_b = np.zeros((dim, dim), dtype=complex)
+    a = np.zeros((dim, dim), dtype=complex)
+    for name, target in (("h_b", h_b), ("a", a)):
+        for i in range(dim):
+            for j in range(dim):
+                key = f"{name}.{i}.{j}"
+                if rec.has(key):
+                    row = rec.numbers(key)
+                    if len(row) != 2:
+                        raise SchemaError(f"{key}: need 're im'", rec.line(key))
+                    target[i, j] = row[0] + 1.0j * row[1]
+    return BathModel(h_b, a, coupling)
 
 
 def format_bath(bath: BathModel) -> str:
@@ -293,27 +267,22 @@ def parse_problem(text: str) -> DesignProblem:
         raise SchemaError(f"expected kind = problem, got {kind!r}", rec.line("kind"))
     tau_s_raw = rec.string("tau_s", "0.5")
     tau_s: float | str = FREE if tau_s_raw == FREE else rec.number("tau_s", 0.5)
-    try:
-        return DesignProblem(
-            theta=rec.number("theta"),
-            tau_s=tau_s,
-            fourier_order=rec.integer("fourier_order", 2),
-            components=tuple(rec.string("components", "y").split()),
-            targets=tuple(rec.string("targets", "r1").split()),
-            symmetric=rec.boolean("symmetric", True),
-            endpoint_derivatives=rec.integer("endpoint_zero_derivatives", 0),
-            amplitude_bound=(rec.number("amplitude_bound")
-                             if rec.has("amplitude_bound") else None),
-            power_weight=rec.number("power_weight", 0.0),
-            ansatz=rec.string("ansatz", "fourier"),
-            segments=rec.integer("segments", 8),
-            grid_steps=rec.integer("grid", 512),
-            restarts=rec.integer("restarts", 32),
-        )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise InvariantError(str(exc)) from exc
+    return DesignProblem(
+        theta=rec.number("theta"),
+        tau_s=tau_s,
+        fourier_order=rec.integer("fourier_order", 2),
+        components=tuple(rec.string("components", "y").split()),
+        targets=tuple(rec.string("targets", "r1").split()),
+        symmetric=rec.boolean("symmetric", True),
+        endpoint_derivatives=rec.integer("endpoint_zero_derivatives", 0),
+        amplitude_bound=(rec.number("amplitude_bound")
+                         if rec.has("amplitude_bound") else None),
+        power_weight=rec.number("power_weight", 0.0),
+        ansatz=rec.string("ansatz", "fourier"),
+        segments=rec.integer("segments", 8),
+        grid_steps=rec.integer("grid", 512),
+        restarts=rec.integer("restarts", 32),
+    )
 
 
 def format_solution(solution: DesignSolution, manifest_digest: str) -> str:

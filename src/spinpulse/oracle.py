@@ -39,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel
-from .corrections import CorrectionReport, eta_operators, evaluate_corrections
+from .corrections import eta_operators, evaluate_corrections
 from .pulses import PulseShape
-from .su2 import (expm_hermitian, ideal_pulse_quaternion, quaternion_matrix,
-                  quaternion_product, spectral_norm)
+from .su2 import (CONJUGATE_Q, expm_hermitian, ideal_pulse_quaternion,
+                  quaternion_matrix, quaternion_product, spectral_norm)
 from .trajectory import (_build_grid, _frames_on_grid, _rk4_steps, _stage_amplitudes,
                          n_trajectory)
 
@@ -63,7 +63,6 @@ class DecompositionError:
 class SweepResult:
     entries: list[DecompositionError]
     slopes: dict           # least-squares log-log slopes with standard errors
-    reports: list[CorrectionReport]
 
 
 def _project_unitary(u: np.ndarray) -> np.ndarray:
@@ -134,7 +133,7 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
 
 
 def decomposition_defects(shape: PulseShape, bath: BathModel, steps: int):
-    """(DecompositionError, CorrectionReport) for one pulse at its native tau_p."""
+    """The DecompositionError of one pulse at its native tau_p."""
     u_f, traj = integrate_deviation(shape, bath, steps=steps)
     report = evaluate_corrections(n_trajectory(traj), traj.tau_s)
     eta1, eta2a, eta2b = eta_operators(report, bath)
@@ -143,12 +142,11 @@ def decomposition_defects(shape: PulseShape, bath: BathModel, steps: int):
     magnus_defect = spectral_norm(u_f - expm_hermitian(eta1 + eta2a + eta2b))
     # ||(W(tp) (x) I) U_F (W(0) (x) I)^dag - P (x) I|| = ||U_F - (W(tp)^dag P W(0)) (x) I||
     q_start, q_end = traj.quaternions[0], traj.quaternions[-1]
-    target = quaternion_product(q_end * [1.0, -1.0, -1.0, -1.0],
+    target = quaternion_product(q_end * CONJUGATE_Q,
                                 quaternion_product(ideal_pulse_quaternion(shape.theta), q_start))
     defect = spectral_norm(u_f - np.kron(quaternion_matrix(target), np.eye(bath.dim_b)))
-    err = DecompositionError(tau_p=shape.tau_p, defect=float(defect),
-                             uf_defect=float(uf_defect), magnus_defect=float(magnus_defect))
-    return err, report
+    return DecompositionError(tau_p=shape.tau_p, defect=float(defect),
+                              uf_defect=float(uf_defect), magnus_defect=float(magnus_defect))
 
 
 def fit_loglog_slope(x, y):
@@ -169,11 +167,8 @@ def magnus_consistency(shape: PulseShape, bath: BathModel, tau_list,
     tau_list = sorted(float(t) for t in tau_list)
     if len(tau_list) < 4:
         raise ValueError("need at least 4 sweep points for a slope fit")
-    entries, reports = [], []
-    for tau_p in tau_list:
-        err, report = decomposition_defects(shape.rescaled(tau_p), bath, steps=steps)
-        entries.append(err)
-        reports.append(report)
+    entries = [decomposition_defects(shape.rescaled(tau_p), bath, steps=steps)
+               for tau_p in tau_list]
     taus = [e.tau_p for e in entries]
     slopes = {}
     for field in ("defect", "uf_defect", "magnus_defect"):
@@ -182,4 +177,4 @@ def magnus_consistency(shape: PulseShape, bath: BathModel, tau_list,
             slopes[field] = (float("nan"), float("nan"))
         else:
             slopes[field] = fit_loglog_slope(taus, values)
-    return SweepResult(entries=entries, slopes=slopes, reports=reports)
+    return SweepResult(entries=entries, slopes=slopes)

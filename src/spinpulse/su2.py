@@ -15,6 +15,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+CONJUGATE_Q = np.array([1.0, -1.0, -1.0, -1.0])   # q * CONJUGATE_Q = q^*, the inverse frame
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from .policy import active_policy
 from .pulses import SPLINE_ORDER, PulseShape, frame_amplitude
-from .su2 import IDENTITY_Q, quaternion_matrix, quaternion_product
+from .su2 import CONJUGATE_Q, IDENTITY_Q, quaternion_matrix, quaternion_product
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 MIN_STEPS = 64
@@ -262,7 +262,7 @@ def _frame_quaternions(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
     j, h, x = _bracket(grid, tau_s)
     ends = u[lane[:, None], j[:, None] + [0, 1]]            # U at the two nodes, (m, 2, 4)
     anchor, _ = _anchor(ends, v1[lane, j], v3[lane, j], h, x)
-    q = quaternion_product(u, anchor[:, None, :] * np.array([1.0, -1.0, -1.0, -1.0]))
+    q = quaternion_product(u, anchor[:, None, :] * CONJUGATE_Q)
     # u_s u_s^dag can leave rounding of order 1e-17 in s; a node at tau_s is set exactly
     q[grid == tau_s[:, None]] = IDENTITY_Q
     q /= np.linalg.norm(q, axis=-1, keepdims=True)

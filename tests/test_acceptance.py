@@ -171,7 +171,7 @@ def test_criterion_6_dephasing_identity():
         bath = preset_bath("spin-dephasing", coupling=0.8)
         shape = constant_rotation_pulse(1.0, np.pi)
         for tau_p in (1e-2, 1e-1):
-            err, _ = oracle.decomposition_defects(
+            err = oracle.decomposition_defects(
                 shape.rescaled(tau_p), bath, steps=1024)
             assert err.defect == pytest.approx(err.uf_defect, abs=1e-8)
 

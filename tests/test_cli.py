@@ -60,6 +60,16 @@ sample.1 = 0.5 0 1 0 1.5707963267948966
 sample.2 = 1 0 1 0 3.141592653589793
 """
 
+PULSE_PIECEWISE = f"""schema_version = 1
+kind = pulse
+representation = piecewise_constant
+tau_p = 1
+tau_s = 0.5
+theta = {PI}
+boundaries = 0 1
+segment.0 = 0 {PI} 0
+"""
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -387,10 +397,12 @@ class TestUsageErrors:
         ("components = y", "components = z", "components"),
         ("targets = r1", "targets =", "targets"),
         ("components = y\ntargets = r1", "components = x y\ntargets =", "targets"),
+        ("targets = r1", "targets = r1 r1", "targets must be distinct"),
         ("restarts = 8", "restarts = 8\nansatz = piecewise", "endpoint_zero_derivatives"),
     ], ids=["bound-nan", "bound-zero", "power-nan", "power-negative", "theta-nan",
             "no-segments", "negative-derivatives", "repeated-component", "fixed-x-axis",
-            "fixed-z-axis", "no-targets", "no-targets-general", "piecewise-derivatives"])
+            "fixed-z-axis", "no-targets", "no-targets-general", "repeated-target",
+            "piecewise-derivatives"])
     def test_invalid_problem_field_exits_3(self, workdir, capsys, old, new, field):
         prob = workdir / "bad.problem"
         prob.write_text(PROBLEM_S.replace(old, new))
@@ -406,6 +418,32 @@ class TestUsageErrors:
         assert main(["solve", str(prob), "--out", str(out)]) == 2
         line = PROBLEM_S.splitlines().index("tau_s = 0.5") + 1
         assert f"line {line}," in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, old, new, line, message", [
+        ("problem", f"theta = {PI}\n", "", 0, "missing required key 'theta'"),
+        ("pulse", "tau_p = 1\n", "", 0, "missing required key 'tau_p'"),
+        ("problem", f"theta = {PI}", "theta = pi", 3, "theta: not a number: 'pi'"),
+        ("pulse", "tau_s = 0.5", "tau_s = half", 5, "tau_s: not a number: 'half'"),
+        ("problem", "fourier_order = 2", "fourier_order = 2.5", 5,
+         "fourier_order: not an integer: '2.5'"),
+        ("problem", "symmetric = true", "symmetric = Maybe", 8,
+         "symmetric: not a boolean: 'maybe'"),
+        ("pulse", "boundaries = 0 1", "boundaries = 0 x 1", 7,
+         "boundaries: not a number list: '0 x 1'"),
+    ], ids=["missing-problem-key", "missing-pulse-key", "bad-number-problem",
+            "bad-number-pulse", "bad-integer", "bad-boolean", "bad-number-list"])
+    def test_bad_field_exits_2_with_its_position(self, workdir, capsys, kind, old, new,
+                                                line, message):
+        """A typed field error names the key and the value at the key's line,
+        column 1; a missing key has no position."""
+        path = workdir / f"bad.{kind}"
+        path.write_text((PROBLEM_S if kind == "problem" else PULSE_PIECEWISE).replace(old, new))
+        out = workdir / "bad.out"
+        command = "solve" if kind == "problem" else "corrections"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        where = f"line {line}, column 1: " if line else ""
+        assert capsys.readouterr().err == f"error: {where}{message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("dim", ["1000000", "0", "-1"])

@@ -41,7 +41,7 @@ class TestPropagateJoint:
         exactly the deviation from identity of the residual unitary."""
         bath = preset_bath("spin-dephasing", coupling=0.8)
         shape = constant_rotation_pulse(0.3, np.pi)
-        err, _ = oracle.decomposition_defects(shape, bath, steps=1024)
+        err = oracle.decomposition_defects(shape, bath, steps=1024)
         assert err.defect == pytest.approx(err.uf_defect, abs=1e-9)
 
     def test_step_floor(self, pi_pulse):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import make_interp_spline
 
@@ -513,11 +513,14 @@ class TestGridRule:
            free=st.lists(st.floats(0.01, 0.99), max_size=5),
            near=st.lists(st.floats(-1.0, 1.0), max_size=3),
            steps=st.sampled_from((64, 200, 512)))
+    @example(tau_s=0.0, free=[], near=[1e-09, 1.7419877371323957e-10], steps=64)
     def test_every_cut_starts_a_uniform_span(self, tau_s, free, near, steps):
         """Cuts sit at node indices divisible by 4, between them the grid is
         uniform, and there are at least ``steps`` intervals.  Breakpoints
-        within a quarter step of each other included.  tau_s is no cut: a
-        shape differing only in tau_s has the same grid bit for bit."""
+        within a quarter step of each other included; one within 1e-12 tau_p
+        of the last kept cut merges into it, and tau_p replaces the last kept
+        cut.  tau_s is no cut: a shape differing only in tau_s has the same
+        grid bit for bit."""
         quarter = 0.25 / steps
         inner = [t for t in (*free, *(tau_s + d * quarter for d in near),
                              *(free[0] + d * quarter for d in near[:1] if free))
@@ -530,9 +533,16 @@ class TestGridRule:
         assert np.all(np.diff(grid) > 0.0)
         assert len(grid) - 1 >= steps
         assert np.array_equal(_build_grid(replace(shape, tau_s=0.5 * tau_s + 0.25), steps), grid)
-        nodes = sorted({int(np.argmin(np.abs(grid - t))) for t in bounds})
+        cuts = [0.0]
+        for t in bounds[1:]:
+            if t - cuts[-1] > 1e-12:
+                cuts.append(t)
+        cuts[-1] = 1.0
+        nodes = np.searchsorted(grid, cuts)
+        assert np.array_equal(grid[nodes], cuts)
         for t in bounds:
             assert np.abs(grid - t).min() <= 1e-11
+            assert np.abs(grid[nodes] - t).min() <= 1e-12
         for j0, j1 in zip(nodes, nodes[1:]):
             assert j0 % 4 == 0 and j1 % 4 == 0
             assert np.ptp(np.diff(grid[j0:j1 + 1])) <= 1e-14
