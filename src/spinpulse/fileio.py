@@ -1,11 +1,11 @@
 """Flat text schemas and CSV export.
 
 All inputs are hand-editable ``key = value`` files with ``#`` comments and a
-``schema_version`` field.  A malformed file raises :class:`SchemaError`; the
-values of a well-formed one go to the model, whose ``ValueError`` passes
-through.  All outputs embed the digest of the run manifest so identical
-manifests reproduce byte-identical files.  Floats are written with 17
-significant digits for exact round trips.
+``schema_version`` field.  A malformed file, including one with a key its
+parser does not read, raises :class:`SchemaError`; the values of a well-formed
+one go to the model, whose ``ValueError`` passes through.  All outputs embed
+the digest of the run manifest so identical manifests reproduce byte-identical
+files.  Floats are written with 17 significant digits for exact round trips.
 """
 
 from __future__ import annotations
@@ -70,10 +70,12 @@ def parse_flat(text: str) -> dict[str, tuple[str, int]]:
 
 
 class _Record:
-    """Typed access to a parsed flat file with positioned errors."""
+    """Typed access to a parsed flat file with positioned errors; records the
+    keys the getters read."""
 
     def __init__(self, fields: dict[str, tuple[str, int]]):
         self.fields = fields
+        self.read: set[str] = set()
 
     def has(self, key: str) -> bool:
         return key in self.fields
@@ -88,6 +90,7 @@ class _Record:
             if default is not None:
                 return default
             raise SchemaError(f"missing required key {key!r}")
+        self.read.add(key)
         value = fold(self.fields[key][0])
         try:
             return convert(value)
@@ -109,6 +112,13 @@ class _Record:
     def numbers(self, key: str) -> list[float]:
         return self._read(key, None, lambda value: [float(tok) for tok in value.split()],
                           "a number list")
+
+    def check_all_read(self, accept=lambda key: False):
+        """SchemaError at the first key, in line order, that no getter read and
+        ``accept`` does not pass: a misspelled or stray key is never ignored."""
+        for key, (_, line) in self.fields.items():
+            if key not in self.read and not accept(key):
+                raise SchemaError(f"unknown key {key!r}", line)
 
     def check_version(self):
         version = self.integer("schema_version")
@@ -153,8 +163,8 @@ def parse_pulse(text: str) -> PulseShape:
                 coeff.sin[i, k - 1] = value
             else:
                 raise SchemaError(f"harmonic index out of range in {key!r}", rec.line(key))
-        return PulseShape(tau_p, tau_s, theta, "fourier", fourier=coeff)
-    if rep == "piecewise_constant":
+        data = {"fourier": coeff}
+    elif rep == "piecewise_constant":
         bounds = rec.numbers("boundaries")
         values = []
         for i in range(len(bounds) - 1):
@@ -163,9 +173,8 @@ def parse_pulse(text: str) -> PulseShape:
                 raise SchemaError(f"segment.{i}: need 3 amplitudes",
                                   rec.line(f"segment.{i}"))
             values.append(row)
-        return PulseShape(tau_p, tau_s, theta, "piecewise_constant",
-                          boundaries=np.array(bounds), values=np.array(values))
-    if rep == "axis_angle_samples":
+        data = {"boundaries": np.array(bounds), "values": np.array(values)}
+    elif rep == "axis_angle_samples":
         times, axes, angles = [], [], []
         i = 0
         while rec.has(f"sample.{i}"):
@@ -179,10 +188,13 @@ def parse_pulse(text: str) -> PulseShape:
             i += 1
         if not times:
             raise SchemaError("axis_angle_samples needs sample.<i> rows")
-        return PulseShape(tau_p, tau_s, theta, "axis_angle_samples",
-                          sample_times=np.array(times), sample_axes=np.array(axes),
-                          sample_angles=np.array(angles))
-    raise SchemaError(f"unknown representation {rep!r}", rec.line("representation"))
+        data = {"sample_times": np.array(times), "sample_axes": np.array(axes),
+                "sample_angles": np.array(angles)}
+    else:
+        raise SchemaError(f"unknown representation {rep!r}", rec.line("representation"))
+    # a solution file is a pulse file plus the metadata format_solution writes
+    rec.check_all_read(lambda key: key.startswith("solution.") or key == "manifest_sha256")
+    return PulseShape(tau_p, tau_s, theta, rep, **data)
 
 
 def format_pulse(shape: PulseShape, extra: dict | None = None) -> str:
@@ -225,8 +237,9 @@ def parse_bath(text: str) -> BathModel:
         raise SchemaError(f"expected kind = bath, got {kind!r}", rec.line("kind"))
     coupling = rec.number("lambda")
     if rec.has("preset"):
-        return preset_bath(rec.string("preset"), coupling=coupling,
-                           omega_b=rec.number("omega_b", 1.0))
+        preset, omega_b = rec.string("preset"), rec.number("omega_b", 1.0)
+        rec.check_all_read()
+        return preset_bath(preset, coupling=coupling, omega_b=omega_b)
     dim = rec.integer("dim_b")
     if not 1 <= dim <= DIM_CAP:     # before the dim x dim tables are built
         raise ValueError(f"bath dimension must be in 1..{DIM_CAP}")
@@ -241,6 +254,7 @@ def parse_bath(text: str) -> BathModel:
                     if len(row) != 2:
                         raise SchemaError(f"{key}: need 're im'", rec.line(key))
                     target[i, j] = row[0] + 1.0j * row[1]
+    rec.check_all_read()
     return BathModel(h_b, a, coupling)
 
 
@@ -267,7 +281,7 @@ def parse_problem(text: str) -> DesignProblem:
         raise SchemaError(f"expected kind = problem, got {kind!r}", rec.line("kind"))
     tau_s_raw = rec.string("tau_s", "0.5")
     tau_s: float | str = FREE if tau_s_raw == FREE else rec.number("tau_s", 0.5)
-    return DesignProblem(
+    fields = dict(
         theta=rec.number("theta"),
         tau_s=tau_s,
         fourier_order=rec.integer("fourier_order", 2),
@@ -283,6 +297,8 @@ def parse_problem(text: str) -> DesignProblem:
         grid_steps=rec.integer("grid", 512),
         restarts=rec.integer("restarts", 32),
     )
+    rec.check_all_read()
+    return DesignProblem(**fields)
 
 
 def format_solution(solution: DesignSolution, manifest_digest: str) -> str:

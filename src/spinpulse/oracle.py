@@ -19,7 +19,15 @@ e^{iH dt} is diag(e^{i H+ dt}, e^{i H- dt}) with H+- = H_b +- lambda A: the
 sigma_z part of H0 = (v . sigma) (x) I drops out, and beta = v_x - i v_y turns
 through one d x d unitary K(dt) = e^{i H+ dt} e^{-i H- dt}, giving the upper
 block beta (K - I).  K - I is computed once per node of the bisected grid,
-from eigendecompositions of H+ and H- taken once; every RK4 stage slices it.
+from eigendecompositions of H+ and H- taken once per call; every RK4 stage
+slices it.
+
+The steps are built and reduced ``STEP_CHUNK`` at a time: each chunk's K - I,
+stage tables and step matrices, then their pairwise product, so the (2d) x (2d)
+tables held at once do not grow with the step count.  The chunk size is a
+power of two, so each aligned chunk is a whole subtree of the pairwise product
+of all the steps, and a partial last chunk carries its odd factors the same way:
+U_F is bit for bit the pairwise product of all the steps taken at once.
 
 This route keeps full relative accuracy as tau_p -> 0 (the deviation
 generator stays O(lambda) while the pulse amplitude grows as 1/tau_p), so
@@ -49,6 +57,9 @@ from .trajectory import (_build_grid, _frames_on_grid, _rk4_steps, _stage_amplit
 # RK4 steps of an expansion-order sweep: keeps the integration floor below
 # the tau_p^3 defects
 SWEEP_STEPS = 2048
+# RK4 steps the deviation route builds and reduces at a time: bounds its memory
+# at any step count; a power of two, so chunks are whole pairwise subtrees
+STEP_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -82,14 +93,19 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _coupling_turns(bath: BathModel, t: np.ndarray) -> np.ndarray:
-    """K(t) - I with K(t) = e^{i H+ t} e^{-i H- t} and H+- = H_b +- lambda A, (n, d, d)."""
+def _coupling_turns(bath: BathModel):
+    """t -> K(t) - I with K(t) = e^{i H+ t} e^{-i H- t} and H+- = H_b +- lambda A,
+    (n, d, d) for t (n,); the eigendecompositions of H+ and H- are taken here, once."""
     e_plus, v_plus = np.linalg.eigh(bath.h_b + bath.coupling * bath.a)
     e_minus, v_minus = np.linalg.eigh(bath.h_b - bath.coupling * bath.a)
-    phases = (np.exp(1.0j * np.multiply.outer(t, e_plus))[:, :, None]
-              * np.exp(-1.0j * np.multiply.outer(t, e_minus))[:, None, :])
-    k = v_plus @ (phases * (v_plus.conj().T @ v_minus)) @ v_minus.conj().T
-    return k - np.eye(bath.dim_b)
+    overlap = v_plus.conj().T @ v_minus
+
+    def turns(t: np.ndarray) -> np.ndarray:
+        phases = (np.exp(1.0j * np.multiply.outer(t, e_plus))[:, :, None]
+                  * np.exp(-1.0j * np.multiply.outer(t, e_minus))[:, None, :])
+        k = v_plus @ (phases * overlap) @ v_minus.conj().T
+        return k - np.eye(bath.dim_b)
+    return turns
 
 
 def _deviation_table(turns: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -112,7 +128,12 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     integrator's stage rule (``_stage_amplitudes``), so every step is a true
     RK4 step and no step crosses a breakpoint; it steps the Hermitian F by
     -i h, which is RK4 on U' = -i F U by h.  Only the final product of the
-    step matrices is needed; it is taken pairwise and projected once.
+    step matrices is needed.  It is taken pairwise, ``STEP_CHUNK`` steps at a
+    time: each chunk's K - I, stage tables and step matrices are built and
+    reduced before the next, so the joint-space tables do not grow with
+    ``steps``.  The chunk products are then reduced the same way and projected
+    once.  A power-of-two chunk is a whole subtree of the pairwise product of
+    all the steps, so U_F does not depend on the chunk size.
     """
     coarse = _build_grid(shape, steps)
     fine = np.empty(2 * len(coarse) - 1)
@@ -120,12 +141,19 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
     traj = _frames_on_grid(shape, fine)
     frames = traj.unitaries
-    turns = _coupling_turns(bath, fine - traj.tau_s)
-    stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
-                 _stage_amplitudes(shape, coarse))
-    f = [_deviation_table(turns[sl], frames[sl], v) for sl, v in stages]
-    mats = _rk4_steps(*f, -1.0j * np.diff(coarse), np.matmul, np.eye(2 * bath.dim_b))
-    return _project_unitary(_ordered_product(mats)), traj
+    turns = _coupling_turns(bath)
+    amplitudes = _stage_amplitudes(shape, coarse)
+    h = -1.0j * np.diff(coarse)
+    one = np.eye(2 * bath.dim_b)
+    products = []
+    for k in range(0, len(h), STEP_CHUNK):
+        steps_k = slice(k, k + STEP_CHUNK)
+        nodes = slice(2 * k, 2 * (k + STEP_CHUNK) + 1)
+        turns_k, frames_k = turns(fine[nodes] - traj.tau_s), frames[nodes]
+        stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)), amplitudes)
+        f = [_deviation_table(turns_k[sl], frames_k[sl], v[steps_k]) for sl, v in stages]
+        products.append(_ordered_product(_rk4_steps(*f, h[steps_k], np.matmul, one)))
+    return _project_unitary(_ordered_product(np.stack(products))), traj
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ The library's oracle integrates the deviation generator (see
 against: a time-sliced propagator of the full Hamiltonian with the
 decomposition inverted algebraically, the deviation generator formed in the
 full joint space, the deviation generator at a single instant, the
-pure-dephasing identity and the first-order norm identity.
+deviation route with every step built at once, the pure-dephasing identity
+and the first-order norm identity.
 """
 
 from dataclasses import dataclass
@@ -14,12 +15,14 @@ import numpy as np
 
 from spinpulse.bath import BathModel
 from spinpulse.corrections import CorrectionReport
-from spinpulse.oracle import _coupling_turns, _deviation_table, _project_unitary
+from spinpulse.oracle import (_coupling_turns, _deviation_table, _ordered_product,
+                              _project_unitary)
 from spinpulse.pulses import PulseShape
 from spinpulse.su2 import (IDENTITY_2, PAULI, SIGMA_Z, expm_hermitian,
                            ideal_pulse_quaternion, pauli_dot, quaternion_matrix,
                            spectral_norm)
-from spinpulse.trajectory import FrameTrajectory, _build_grid, _frames_on_grid
+from spinpulse.trajectory import (FrameTrajectory, _build_grid, _frames_on_grid, _rk4_steps,
+                                  _stage_amplitudes)
 
 
 def ideal_pulse(theta: float) -> np.ndarray:
@@ -104,8 +107,25 @@ def f_generator(shape: PulseShape, bath: BathModel, t: float,
         raise ValueError("time outside [0, tau_p]")
     traj = _frames_on_grid(shape, np.union1d(_build_grid(shape, steps), [t]))
     j = int(np.argmin(np.abs(traj.grid - t)))
-    turns = _coupling_turns(bath, traj.grid[j:j + 1] - traj.tau_s)
+    turns = _coupling_turns(bath)(traj.grid[j:j + 1] - traj.tau_s)
     return _deviation_table(turns, traj.unitaries[j:j + 1], shape.amplitude(t)[None])[0]
+
+
+def one_shot_deviation(shape: PulseShape, bath: BathModel, steps: int) -> np.ndarray:
+    """U_F of ``integrate_deviation`` with every stage table and RK4 step matrix
+    of all the steps built at once and reduced in one pairwise product."""
+    coarse = _build_grid(shape, steps)
+    fine = np.empty(2 * len(coarse) - 1)
+    fine[::2] = coarse
+    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    traj = _frames_on_grid(shape, fine)
+    frames = traj.unitaries
+    turns = _coupling_turns(bath)(fine - traj.tau_s)
+    stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
+                 _stage_amplitudes(shape, coarse))
+    f = [_deviation_table(turns[sl], frames[sl], v) for sl, v in stages]
+    mats = _rk4_steps(*f, -1.0j * np.diff(coarse), np.matmul, np.eye(2 * bath.dim_b))
+    return _project_unitary(_ordered_product(mats))
 
 
 def dephasing_identity_defect(coupling: float, tau_p: float) -> float:

@@ -446,6 +446,30 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {where}{message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, text, extra, key", [
+        ("problem", PROBLEM_S, "symetric = false", "symetric"),
+        ("problem", PROBLEM_S, "restart = 2", "restart"),
+        ("pulse", PULSE_PIECEWISE, "segment.5 = 0 1 0", "segment.5"),
+        ("bath", "schema_version = 1\nkind = bath\nlambda = 1.0\ndim_b = 1\na.0.0 = 1 0\n",
+         "h_b.9.9 = 1 0", "h_b.9.9"),
+        ("bath", BATH_DYNAMIC, "dim_b = 2", "dim_b"),
+        ("pulse", PULSE_PIECEWISE, "manifest_sha256 = 0\nsolution.x = 1\nsolution_x = 1",
+         "solution_x"),
+    ], ids=["misspelled-key", "misspelled-count", "stray-segment", "entry-beyond-dim",
+            "dim-beside-preset", "near-metadata"])
+    def test_unknown_key_exits_2_with_its_line(self, workdir, capsys, kind, text, extra, key):
+        """A key the parser does not read is named at its line, not ignored;
+        a pulse file's solution metadata is read as such."""
+        path = workdir / f"bad.{kind}"
+        path.write_text(f"{text}{extra}\n")
+        out = workdir / "bad.out"
+        argv = {"problem": ["solve", str(path)], "pulse": ["corrections", str(path)],
+                "bath": ["verify", str(workdir / "pi.pulse"), str(path)]}[kind]
+        assert main([*argv, "--out", str(out)]) == 2
+        line = len(f"{text}{extra}".splitlines())
+        assert capsys.readouterr().err == f"error: line {line}, column 1: unknown key {key!r}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("dim", ["1000000", "0", "-1"])
     def test_bath_dimension_out_of_range_exits_3_at_once(self, workdir, capsys, dim):
         """The dimension is checked before any dim x dim table is built."""

@@ -1,10 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spinpulse import fileio
-from spinpulse.fileio import (SchemaError, format_bath, format_pulse, make_manifest,
-                              parse_bath, parse_flat, parse_problem, parse_pulse)
+from spinpulse.corrections import evaluate_corrections
+from spinpulse.design import DesignSolution
+from spinpulse.fileio import (SchemaError, format_bath, format_pulse, format_solution,
+                              make_manifest, parse_bath, parse_flat, parse_problem,
+                              parse_pulse)
 from spinpulse.pulses import PulseShape, fourier_pulse
+from spinpulse.trajectory import integrate_axis_angle, n_trajectory
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def test_flat_parser_basics():
@@ -50,6 +58,29 @@ def test_sampled_pulse_round_trip():
     back = parse_pulse(format_pulse(shape))
     assert np.array_equal(back.sample_times, shape.sample_times)
     assert np.array_equal(back.sample_angles, shape.sample_angles)
+
+
+def _written_files() -> dict[str, str]:
+    """A solution file and the benchmark's data files; the round-trip tests
+    above parse what format_pulse and format_bath write."""
+    shape = fourier_pulse(1.0, 0.5, np.pi, {"y": [-np.pi / 2, 0.3]}, {"x": [0.1]})
+    report = evaluate_corrections(n_trajectory(integrate_axis_angle(shape, 256)), shape.tau_s)
+    solution = DesignSolution(shape=shape, report=report, objective=1e-20, converged=True,
+                              restarts_used=4, best_restart=2, rotation_violation=1e-10)
+    files = {"solution": format_solution(solution, "0" * 64)}
+    files.update((path.name, path.read_text()) for path in sorted(BENCH_DATA.glob("*.txt")))
+    return files
+
+
+WRITTEN_FILES = _written_files()
+
+
+@pytest.mark.parametrize("name", list(WRITTEN_FILES))
+def test_written_files_parse(name):
+    """Every key the program writes, solution metadata included, is read."""
+    text = WRITTEN_FILES[name]
+    parse = {"pulse": parse_pulse, "bath": parse_bath, "problem": parse_problem}
+    parse[parse_flat(text)["kind"][0]](text)
 
 
 def test_pulse_schema_errors():

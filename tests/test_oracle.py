@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from spinpulse.su2 import (SIGMA_Z, expm_hermitian, pauli_dot, quaternion_matrix
                            spectral_norm)
 from spinpulse.trajectory import integrate_axis_angle, n_trajectory
 from joint_oracles import (dephasing_identity_defect, f_generator, ideal_pulse,
-                           joint_deviation_table, propagate_joint, reconstruct_uf,
-                           static_hamiltonian)
+                           joint_deviation_table, one_shot_deviation, propagate_joint,
+                           reconstruct_uf, static_hamiltonian)
 from su2_oracles import matrix_log_unitary
 
 
@@ -113,6 +115,47 @@ class TestDeviationOrder:
         assert order >= 3.8
 
 
+def _random_bath(rng, dim: int, coupling: float) -> BathModel:
+    h_b, a = (m + m.conj().T for m in rng.normal(size=(2, dim, dim))
+              + 1.0j * rng.normal(size=(2, dim, dim)))
+    return BathModel(h_b, a / spectral_norm(a), coupling)
+
+
+class TestStepChunks:
+    # the one-shot reference holds every step matrix at once, ~40 kB per step at dim 8
+    @pytest.mark.parametrize("dim, steps", [(dim, steps) for dim in (1, 3, 8)
+                                            for steps in (64, 100, 2000, 5000)
+                                            if dim * steps <= 16000])
+    @pytest.mark.parametrize("kind", ("fourier", "piecewise"))
+    def test_chunked_product_equals_one_shot(self, dim, steps, kind):
+        """Chunks of STEP_CHUNK steps are whole subtrees of the one-shot pairwise
+        product, also below one chunk and with a partial last chunk."""
+        rng = np.random.default_rng(dim * 7919 + steps)
+        if kind == "fourier":
+            shape = random_fourier_shape(rng, order=3, tau_s=0.3337)
+        else:
+            shape = PulseShape(1.0, 0.4321, np.pi, "piecewise_constant",
+                               boundaries=np.array([0.0, 0.1234, 0.377, 0.6181, 1.0]),
+                               values=rng.uniform(-3.0, 3.0, (4, 3)))
+        bath = _random_bath(rng, dim, 0.6)
+        u_f, _ = oracle.integrate_deviation(shape, bath, steps=steps)
+        assert np.array_equal(u_f, one_shot_deviation(shape, bath, steps))
+
+    def test_peak_memory_does_not_grow_with_steps(self, rng):
+        shape = random_fourier_shape(rng, order=3)
+        bath = _random_bath(rng, 8, 0.6)
+        oracle.integrate_deviation(shape, bath, steps=64)     # lazy set-up off the record
+        peaks = []
+        for steps in (1024, 8192):
+            tracemalloc.start()
+            try:
+                oracle.integrate_deviation(shape, bath, steps=steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+
 class TestDeviationGenerator:
     def test_zero_coupling(self, pi_pulse):
         bath = preset_bath("spin-dynamic", coupling=0.0)
@@ -135,15 +178,13 @@ class TestDeviationGenerator:
         """F from the bath's sigma_z blocks equals F formed in the full joint
         space, with v_z in the amplitudes, and is exactly Hermitian."""
         rng = np.random.default_rng(seed)
-        h_b, a = (m + m.conj().T for m in rng.normal(size=(2, dim, dim))
-                  + 1.0j * rng.normal(size=(2, dim, dim)))
-        bath = BathModel(h_b, a / spectral_norm(a), coupling)
+        bath = _random_bath(rng, dim, coupling)
         t = rng.uniform(0.0, 2.0, 24)
         tau_s = rng.uniform(0.0, 2.0)
         q = rng.normal(size=(24, 4))
         w = quaternion_matrix(q / np.linalg.norm(q, axis=1, keepdims=True))
         v = rng.normal(scale=5.0, size=(24, 3))
-        f = oracle._deviation_table(oracle._coupling_turns(bath, t - tau_s), w, v)
+        f = oracle._deviation_table(oracle._coupling_turns(bath)(t - tau_s), w, v)
         ref = joint_deviation_table(bath, t, tau_s, w, v)
         assert np.array_equal(f, f.conj().transpose(0, 2, 1))
         assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
