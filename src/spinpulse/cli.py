@@ -11,10 +11,14 @@ Exit codes
 4   degenerate slope fit in ``verify``
 
 The numeric policy can be overridden per run through the environment
-variable ``SPINPULSE_NUMERIC_POLICY`` (see :mod:`spinpulse.policy`); the
-effective policy and every option that can change the output are part of the
-run manifest, whose digest is embedded in every output so identical manifests
-give byte-identical files.
+variable ``SPINPULSE_NUMERIC_POLICY`` (see :mod:`spinpulse.policy`).
+
+Every run has one skeleton in :func:`main`: read each input file, check each
+count flag against its floor in ``_COUNT_FLOORS``, then build the run manifest
+from the command, the input texts, the effective policy, every option that can
+change the output and, for ``solve`` and ``nogo`` (the commands that draw
+random numbers), the seed.  Its digest is embedded in every output, so
+identical manifests give byte-identical files.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ SLOPE_BANDS = {
 
 NOGO_CHECKS = ("ts-eq-tp", "pi-second-order")
 NOGO_LANE_STEPS = 2048    # lanes x steps of a nogo chunk: memory is bounded at any --samples
+# the least value of each count flag; verify --steps takes half of MIN_STEPS
+# because the oracle integrates the pulse frame on a grid twice as fine
+_COUNT_FLOORS = {"grid": MIN_STEPS, "steps": MIN_STEPS // 2, "restarts": 1, "samples": 1}
 
 
 def _write_output(text: str, out: str | None):
@@ -65,11 +72,6 @@ def _options(args) -> dict:
     """The run manifest's options: every parsed one but the seed, the output and the inputs."""
     return {name: value for name, value in vars(args).items()
             if name not in ("func", "command", "seed", "out") and not name.endswith("_file")}
-
-
-def _check_steps(option: str, steps: int | None, minimum: int):
-    if steps is not None and steps < minimum:
-        raise SchemaError(f"{option} must be at least {minimum}")
 
 
 def _parse_sweep(spec: str) -> np.ndarray:
@@ -97,21 +99,17 @@ def _parse_band(spec: str) -> tuple[float, float]:
 # subcommands
 
 
-def cmd_convert(args) -> int:
-    text = _read(args.pulse_file)
-    shape = parse_pulse(text)
-    _check_steps("--grid", args.grid, MIN_STEPS)
-    manifest = make_manifest("convert", {"pulse": text}, seed=args.seed,
-                             options=_options(args))
+def cmd_convert(args, texts: dict, digest: str) -> int:
+    shape = parse_pulse(texts["pulse"])
     traj = integrate_axis_angle(shape, args.grid)
     amps = amplitude_from_axis_angle(traj)
     if args.to == "trajectory":
         axis, psi = axis_angle(shape, traj)
         rows = np.column_stack([traj.grid, axis, psi, n_trajectory(traj).nhat])
-        doc = csv_document("t,ax,ay,az,psi,nx,ny,nz", rows, manifest.digest())
+        doc = csv_document("t,ax,ay,az,psi,nx,ny,nz", rows, digest)
     else:
         rows = np.column_stack([traj.grid, amps])
-        doc = csv_document("t,vx,vy,vz", rows, manifest.digest())
+        doc = csv_document("t,vx,vy,vz", rows, digest)
     _write_output(doc, args.out)
     direct = shape.amplitude(traj.grid)
     scale = max(float(np.max(np.linalg.norm(direct, axis=1))), 1e-300)
@@ -120,18 +118,14 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def cmd_corrections(args) -> int:
-    text = _read(args.pulse_file)
-    shape = parse_pulse(text)
-    _check_steps("--grid", args.grid, MIN_STEPS)
+def cmd_corrections(args, texts: dict, digest: str) -> int:
+    shape = parse_pulse(texts["pulse"])
     if not (np.isfinite(args.threshold) and args.threshold >= 0.0):
         raise SchemaError("--threshold must be finite and at least 0")
     targets = tuple(args.targets.split(","))
     unknown = [t for t in targets if t not in RESIDUAL_TARGETS]
     if unknown:
         raise SchemaError(f"unknown residual target {unknown[0]!r}")
-    manifest = make_manifest("corrections", {"pulse": text}, seed=args.seed,
-                             options=_options(args))
     tau_s = args.tau_s if args.tau_s is not None else shape.tau_s
     if not 0.0 <= tau_s <= shape.tau_p:
         raise ValueError("tau_s override outside [0, tau_p]")
@@ -139,23 +133,16 @@ def cmd_corrections(args) -> int:
     ntraj = n_trajectory(traj)
     report = evaluate_corrections(ntraj, tau_s)
     diag = nogo_diagnostics(ntraj, tau_s)
-    doc = format_report(report, diag, manifest.digest(), args.threshold, targets)
+    doc = format_report(report, diag, digest, args.threshold, targets)
     _write_output(doc, args.out)
     requested = [report.normalized[RESIDUAL_TARGETS.index(t)] for t in targets]
     return 0 if all(r <= args.threshold for r in requested) else 1
 
 
-def cmd_verify(args) -> int:
-    pulse_text = _read(args.pulse_file)
-    bath_text = _read(args.bath_file)
-    shape = parse_pulse(pulse_text)
-    bath = parse_bath(bath_text)
-    # the oracle integrates the pulse frame on a grid twice as fine
-    _check_steps("--steps", args.steps, MIN_STEPS // 2)
+def cmd_verify(args, texts: dict, digest: str) -> int:
+    shape = parse_pulse(texts["pulse"])
+    bath = parse_bath(texts["bath"])
     lo, hi = _parse_band(args.band) if args.band else SLOPE_BANDS[args.regime]
-    manifest = make_manifest("verify", {"pulse": pulse_text, "bath": bath_text},
-                             seed=args.seed,
-                             options=_options(args))
     taus = _parse_sweep(args.sweep)
     sweep = magnus_consistency(shape, bath, taus, steps=args.steps)
     slope, stderr = sweep.slopes["uf_defect"]
@@ -170,20 +157,15 @@ def cmd_verify(args) -> int:
         f"magnus_slope={fmt(mag_slope)} stderr={fmt(mag_err)}",
         f"defect_slope={fmt(sweep.slopes['defect'][0])}",
     ]
-    doc = csv_document("tau_p,defect,uf_defect,magnus_defect", rows,
-                       manifest.digest(), trailer)
+    doc = csv_document("tau_p,defect,uf_defect,magnus_defect", rows, digest, trailer)
     _write_output(doc, args.out)
     print(f"uf_defect slope = {slope:.4f} +/- {stderr:.4f} (band {lo}..{hi})",
           file=sys.stderr)
     return 0 if lo <= slope <= hi else 1
 
 
-def cmd_solve(args) -> int:
-    text = _read(args.problem_file)
-    problem = parse_problem(text)
-    manifest = make_manifest("solve", {"problem": text}, seed=args.seed,
-                             options=_options(args))
-    _check_steps("--restarts", args.restarts, 1)
+def cmd_solve(args, texts: dict, digest: str) -> int:
+    problem = parse_problem(texts["problem"])
     if args.restarts is not None:
         problem = replace(problem, restarts=args.restarts)
     if args.probe or probe_regime(problem) != "open":
@@ -195,7 +177,7 @@ def cmd_solve(args) -> int:
         sol = solve(problem, seed=args.seed)
         probe = None
         extra_note = ""
-    doc = format_solution(sol, manifest.digest())
+    doc = format_solution(sol, digest)
     if extra_note:
         doc += f"# {extra_note}\n"
     _write_output(doc, args.out)
@@ -208,14 +190,9 @@ def cmd_solve(args) -> int:
     return 0 if sol.converged else 1
 
 
-def cmd_nogo(args) -> int:
+def cmd_nogo(args, texts: dict, digest: str) -> int:
     if args.check not in NOGO_CHECKS:
         raise SchemaError(f"unknown check {args.check!r}; choose from {NOGO_CHECKS}")
-    if args.samples < 1:
-        raise SchemaError("samples must be at least 1")
-    _check_steps("--grid", args.grid, MIN_STEPS)
-    manifest = make_manifest(f"nogo-{args.check}", {}, seed=args.seed,
-                             options=_options(args))
     rng = np.random.default_rng(args.seed)
     chunk = max(1, NOGO_LANE_STEPS // args.grid)
     taus, gaps = [], []
@@ -231,7 +208,7 @@ def cmd_nogo(args) -> int:
     min_gap = float(np.min(gaps))
     trailer = [f"min_gap={fmt(min_gap)}", f"max_gap={fmt(np.max(gaps))}",
                f"mean_gap={fmt(float(np.mean(gaps)))}"]
-    doc = csv_document("sample,tau_s,gap", rows, manifest.digest(), trailer)
+    doc = csv_document("sample,tau_s,gap", rows, digest, trailer)
     _write_output(doc, args.out)
     print(f"min gap over {args.samples} samples = {fmt(min_gap)}", file=sys.stderr)
     return 0 if min_gap >= -active_policy().nogo_tolerance else 1
@@ -246,52 +223,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="design, analyze and verify short coherent control pulses")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
 
-    p = sub.add_parser("convert", help="pulse file -> trajectory or amplitude CSV")
+    p = sub.add_parser("convert", parents=[out],
+                       help="pulse file -> trajectory or amplitude CSV")
     p.add_argument("pulse_file")
     p.add_argument("--to", choices=("trajectory", "amplitude"), default="trajectory")
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("corrections", help="correction residuals and no-go gaps")
+    p = sub.add_parser("corrections", parents=[out],
+                       help="correction residuals and no-go gaps")
     p.add_argument("pulse_file")
     p.add_argument("--tau-s", type=float, default=None)
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--targets", default="r1",
                    help="comma-separated residuals the exit code checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_corrections)
 
-    p = sub.add_parser("verify", help="exact-propagator defect sweep and slope fit")
+    p = sub.add_parser("verify", parents=[out],
+                       help="exact-propagator defect sweep and slope fit")
     p.add_argument("pulse_file")
     p.add_argument("bath_file")
     p.add_argument("--sweep", default="1e-3:1e-1:6", help="tau_p sweep min:max:points")
     p.add_argument("--regime", choices=tuple(SLOPE_BANDS), default="uncorrected")
     p.add_argument("--band", default=None, help="override slope band lo:hi")
     p.add_argument("--steps", type=int, default=SWEEP_STEPS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="solve a design problem file")
+    p = sub.add_parser("solve", parents=[out], help="solve a design problem file")
     p.add_argument("problem_file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--probe", action="store_true",
                    help="run as an infeasibility probe with certificate")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("nogo", help="randomized corroboration of the no-go gaps")
+    p = sub.add_parser("nogo", parents=[out],
+                       help="randomized corroboration of the no-go gaps")
     p.add_argument("check", help="|".join(NOGO_CHECKS))
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_nogo)
     return parser
 
@@ -304,11 +279,17 @@ def _check_policy():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_policy()
-        return args.func(args)
+        texts = {name.removesuffix("_file"): _read(path)
+                 for name, path in vars(args).items() if name.endswith("_file")}
+        for name, floor in _COUNT_FLOORS.items():
+            if (value := getattr(args, name, None)) is not None and value < floor:
+                raise SchemaError(f"--{name} must be at least {floor}")
+        manifest = make_manifest(args.command, texts, seed=getattr(args, "seed", None),
+                                 options=_options(args))
+        return args.func(args, texts, manifest.digest())
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

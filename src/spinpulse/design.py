@@ -140,7 +140,6 @@ class ProbeResult:
     best_objective: float
     gap: float                  # diagnostic gap of the best candidate
     gap_bound: float            # squared normalized gap; objective >= bound in no-go regimes
-    is_pi_pulse: bool
     solution: DesignSolution
 
 
@@ -562,7 +561,7 @@ def feasibility_probe(problem: DesignProblem, seed: int = 0) -> ProbeResult:
         diag = nogo_diagnostics(ntraj, shape.tau_s)
         gap, objective, bound = diag.pi2_gap, sol.objective, float("nan")
     return ProbeResult(regime=regime, best_objective=objective, gap=gap, gap_bound=bound,
-                       is_pi_pulse=diag.is_pi_pulse, solution=sol)
+                       solution=sol)
 
 
 def probe_regime(problem: DesignProblem) -> str:

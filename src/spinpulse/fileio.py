@@ -27,12 +27,12 @@ SCHEMA_VERSION = 1
 
 
 class SchemaError(ValueError):
-    """Malformed input file; carries the offending line and column."""
+    """Malformed input file; carries the offending line.  Every error is about
+    a whole ``key = value`` line, so the message names column 1."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}" if line else message)
+    def __init__(self, message: str, line: int = 0):
+        super().__init__(f"line {line}, column 1: {message}" if line else message)
         self.line = line
-        self.column = column
 
 
 def fmt(x: float) -> str:
@@ -57,14 +57,14 @@ def parse_flat(text: str) -> dict[str, tuple[str, int]]:
         if not line:
             continue
         if "=" not in line:
-            raise SchemaError("expected 'key = value'", lineno, 1)
+            raise SchemaError("expected 'key = value'", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
-            raise SchemaError("empty key", lineno, 1)
+            raise SchemaError("empty key", lineno)
         if key in out:
-            raise SchemaError(f"duplicate key {key!r}", lineno, 1)
+            raise SchemaError(f"duplicate key {key!r}", lineno)
         out[key] = (value, lineno)
     return out
 
@@ -373,7 +373,7 @@ def csv_document(header: str, rows, manifest_digest: str,
 class RunManifest:
     command: str
     input_digests: dict
-    seed: int
+    seed: int | None        # None: the command draws nothing
     policy: NumericPolicy
     options: dict           # every command-line option that can change the output
 
@@ -396,7 +396,7 @@ def digest_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def make_manifest(command: str, input_texts: dict, seed: int = 0,
+def make_manifest(command: str, input_texts: dict, seed: int | None = None,
                   options: dict | None = None) -> RunManifest:
     digests = {name: digest_text(text) for name, text in input_texts.items()}
     return RunManifest(command=command, input_digests=digests, seed=seed,

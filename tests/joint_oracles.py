@@ -18,11 +18,11 @@ from spinpulse.corrections import CorrectionReport
 from spinpulse.oracle import (_coupling_turns, _deviation_table, _ordered_product,
                               _project_unitary)
 from spinpulse.pulses import PulseShape
-from spinpulse.su2 import (IDENTITY_2, PAULI, SIGMA_Z, expm_hermitian,
-                           ideal_pulse_quaternion, pauli_dot, quaternion_matrix,
-                           spectral_norm)
+from spinpulse.su2 import (SIGMA_Z, expm_hermitian, ideal_pulse_quaternion, pauli_dot,
+                           quaternion_matrix, spectral_norm)
 from spinpulse.trajectory import (FrameTrajectory, _build_grid, _frames_on_grid, _rk4_steps,
                                   _stage_amplitudes)
+from su2_oracles import IDENTITY_2, PAULI
 
 
 def ideal_pulse(theta: float) -> np.ndarray:

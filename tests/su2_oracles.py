@@ -11,9 +11,12 @@ import numpy as np
 from scipy.linalg import schur
 
 from spinpulse.policy import active_policy
-from spinpulse.su2 import IDENTITY_2, PAULI, pauli_dot
+from spinpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_dot
 
 BRANCH_MARGIN = 1e-6
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])

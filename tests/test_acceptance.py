@@ -157,7 +157,10 @@ def test_criterion_5_no_go_corroboration():
                           components=("x", "y"), targets=("r1", "r2a", "r2b"),
                           symmetric=False, grid_steps=256, restarts=2),
             seed=3)
-        assert pi_probe.is_pi_pulse
+        shape = pi_probe.solution.shape
+        closed = pi_close_ntrajectory(n_trajectory(integrate_axis_angle(shape, 512)))
+        diag = nogo_diagnostics(closed, shape.tau_s)
+        assert diag.is_pi_pulse and diag.pi2_gap == pi_probe.gap
         assert pi_probe.gap > 0.0
         assert pi_probe.best_objective >= pi_probe.gap_bound * (1.0 - 1e-9)
 

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -358,6 +359,21 @@ class TestUsageErrors:
         assert main(["solve", str(workdir / "s.problem"), "--restarts", restarts]) == 2
         assert "--restarts must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["convert", "{pulse}", "--grid", "63"], "--grid must be at least 64"),
+        (["verify", "{pulse}", "{bath}", "--steps", "31"], "--steps must be at least 32"),
+        (["solve", "{problem}", "--restarts", "0"], "--restarts must be at least 1"),
+        (["nogo", "ts-eq-tp", "--samples", "0"], "--samples must be at least 1"),
+    ], ids=["grid", "verify-steps", "restarts", "samples"])
+    def test_count_flag_below_its_floor_exits_2(self, workdir, capsys, argv, message):
+        """One below each count flag's floor names the flag and the floor."""
+        out = workdir / "out"
+        argv = [a.format(pulse=workdir / "pi.pulse", bath=workdir / "dyn.bath",
+                         problem=workdir / "s.problem") for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_problem_file_without_restarts_exits_3(self, workdir, capsys):
         prob = workdir / "none.problem"
         prob.write_text(PROBLEM_S.replace("restarts = 8", "restarts = 0"))
@@ -531,7 +547,12 @@ class TestDeterminism:
     }
 
     @staticmethod
-    def manifest(workdir, monkeypatch, argv):
+    def argv(workdir, argv):
+        paths = {"pulse": workdir / "pi.pulse", "bath": workdir / "dyn.bath",
+                 "problem": workdir / "s.problem"}
+        return [a.format(**paths) for a in argv]
+
+    def manifest(self, workdir, monkeypatch, argv):
         """The run manifest a command makes, captured before any computation."""
         made = []
         original = cli.make_manifest
@@ -541,10 +562,8 @@ class TestDeterminism:
             raise _ManifestMade
 
         monkeypatch.setattr(cli, "make_manifest", capture)
-        paths = {"pulse": workdir / "pi.pulse", "bath": workdir / "dyn.bath",
-                 "problem": workdir / "s.problem"}
         with pytest.raises(_ManifestMade):
-            main([a.format(**paths) for a in argv])
+            main(self.argv(workdir, argv))
         monkeypatch.setattr(cli, "make_manifest", original)
         return made[0]
 
@@ -559,6 +578,22 @@ class TestDeterminism:
             changed = self.manifest(workdir, monkeypatch, argv)
             assert changed.options[name] != base.options[name]
             assert changed.digest() != base.digest(), name
+
+    @pytest.mark.parametrize("command", ["convert", "corrections", "verify"])
+    def test_commands_that_draw_nothing_take_no_seed(self, workdir, monkeypatch, command):
+        base_argv = self.RECORDED[command][0]
+        assert self.manifest(workdir, monkeypatch, base_argv).seed is None
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(workdir, [*base_argv, "--seed", "1"]))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["solve", "nogo"])
+    def test_seeded_commands_record_their_seed(self, workdir, monkeypatch, command):
+        base_argv = self.RECORDED[command][0]
+        base = self.manifest(workdir, monkeypatch, base_argv)
+        seeded = self.manifest(workdir, monkeypatch, [*base_argv, "--seed", "5"])
+        assert (base.seed, seeded.seed) == (0, 5)
+        assert seeded.digest() != base.digest()
 
     def test_identical_manifest_identical_bytes(self, workdir):
         out1, out2 = workdir / "a.csv", workdir / "b.csv"
@@ -579,6 +614,17 @@ class TestDeterminism:
                   "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_readme_command_lines_parse():
+    """Every spinpulse line of the README's command-line block is a valid invocation."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("spinpulse ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 class TestColdImport:

@@ -17,7 +17,8 @@ from spinpulse.pulses import COMPONENTS
 from spinpulse.policy import active_policy
 from spinpulse.trajectory import NTrajectory, integrate_axis_angle, n_trajectory
 from spinpulse.cli import SLOPE_BANDS
-from spinpulse.corrections import evaluate_corrections
+from spinpulse.corrections import evaluate_corrections, nogo_diagnostics
+from spinpulse.sampling import pi_close_ntrajectory
 
 
 def jacobian_check(problem, point=None, step=1e-5, seed=0):
@@ -289,7 +290,11 @@ class TestProbes:
                                 symmetric=False, grid_steps=256, restarts=2)
         probe = feasibility_probe(problem, seed=3)
         assert probe.regime == "pi-second-order"
-        assert probe.is_pi_pulse
+        # the gap is the pi-closed copy's, on twice the problem's grid
+        shape = probe.solution.shape
+        closed = pi_close_ntrajectory(n_trajectory(integrate_axis_angle(shape, 512)))
+        diag = nogo_diagnostics(closed, shape.tau_s)
+        assert diag.is_pi_pulse and diag.pi2_gap == probe.gap
         assert probe.gap > 0.0
         assert probe.best_objective >= probe.gap_bound * (1.0 - 1e-9)
 

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from spinpulse import su2
 from spinpulse.su2 import pauli_dot
-from su2_oracles import (X_HAT, Y_HAT, Z_HAT, BranchAmbiguityError,
+from su2_oracles import (PAULI, X_HAT, Y_HAT, Z_HAT, BranchAmbiguityError,
                          axis_angle_exponential, matrix_log_unitary, pauli_conjugate,
                          rotation_matrix)
 
@@ -132,7 +132,7 @@ class TestAlgebraInvariants:
             u = axis_angle_exponential(axis, psi)       # e^{-ip}
             d = rotation_matrix(axis, psi)
             for j in range(3):
-                lhs = u.conj().T @ su2.PAULI[j] @ u
+                lhs = u.conj().T @ PAULI[j] @ u
                 rhs = pauli_dot(d[j])                   # row j of D against sigma
                 if np.abs(lhs - rhs).max() >= 1e-10:
                     pytest.fail(f"conjugation mismatch at axis={axis}, psi={psi}")
@@ -143,7 +143,7 @@ class TestAlgebraInvariants:
             n = rng.normal(size=3)
             sn = pauli_dot(n)
             for j in range(3):
-                lhs = su2.PAULI[j] @ sn
+                lhs = PAULI[j] @ sn
                 # (n x sigma)_j carries sigma-coefficients e_j x n
                 rhs = n[j] * np.eye(2) + 1j * pauli_dot(np.cross(np.eye(3)[j], n))
                 assert np.abs(lhs - rhs).max() < 1e-12
@@ -163,7 +163,7 @@ class TestAlgebraInvariants:
             sig_dot_a = pauli_dot(axis)
             for j in range(3):
                 cross_j = np.cross(np.eye(3)[j], axis)  # (a x sigma)_j coefficients
-                explicit = (su2.PAULI[j] * c + axis[j] * sig_dot_a * (1 - c)
+                explicit = (PAULI[j] * c + axis[j] * sig_dot_a * (1 - c)
                             + pauli_dot(cross_j) * s)
-                conj = u.conj().T @ su2.PAULI[j] @ u
+                conj = u.conj().T @ PAULI[j] @ u
                 assert np.abs(explicit - conj).max() < 1e-10

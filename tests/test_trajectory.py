@@ -16,8 +16,8 @@ from spinpulse.trajectory import (_bootstrap_axis, _build_grid, _frame_quaternio
                                   _prefix_products, _rk4_steps, _stage_amplitudes,
                                   _unwrap_frames, amplitude_from_axis_angle, axis_angle,
                                   integrate_axis_angle, n_trajectory)
-from su2_oracles import (axis_angle_exponential, pauli_conjugate, rk4_polynomial,
-                         rk4_step_matrices)
+from su2_oracles import (PAULI, axis_angle_exponential, pauli_conjugate,
+                         rk4_polynomial, rk4_step_matrices)
 
 
 def closed_form_frames(shape, traj):
@@ -27,7 +27,7 @@ def closed_form_frames(shape, traj):
 
 def generator_matrices(*amplitudes):
     """-i sigma . v for each (n, 3) amplitude array."""
-    return tuple(-1.0j * np.tensordot(v, su2.PAULI, axes=(1, 0)) for v in amplitudes)
+    return tuple(-1.0j * np.tensordot(v, PAULI, axes=(1, 0)) for v in amplitudes)
 
 
 def generator_quaternions(*amplitudes):
@@ -314,7 +314,7 @@ class TestNTrajectory:
             shape = random_fourier_shape(np.random.default_rng(seed), order=order, scale=scale)
             traj = integrate_axis_angle(shape, steps)
             w = traj.unitaries
-            image = 0.5 * np.einsum("iab,nbc,cd,nda->ni", su2.PAULI,
+            image = 0.5 * np.einsum("iab,nbc,cd,nda->ni", PAULI,
                                     w.conj().transpose(0, 2, 1), su2.SIGMA_Z, w).real
             assert np.abs(n_trajectory(traj).nhat - image).max() <= 1e-14
 
