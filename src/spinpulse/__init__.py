@@ -21,7 +21,6 @@ from .design import (DesignProblem, DesignSolution, ProbeResult,
                      feasibility_probe, solve)
 from .oracle import (DecompositionError, SweepResult, integrate_deviation,
                      magnus_consistency)
-from .policy import NumericPolicy, active_policy
 from .pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                      fourier_pulse)
 from .trajectory import (FrameTrajectory, NTrajectory, amplitude_from_axis_angle,
@@ -42,9 +41,8 @@ _np.empty(1 << 20, _np.uint8)
 __all__ = [
     "BathModel", "CorrectionReport", "DecompositionError", "DesignProblem",
     "DesignSolution", "FourierCoefficients", "FrameTrajectory", "NTrajectory",
-    "NoGoDiagnostics", "NumericPolicy", "ProbeResult", "PulseShape", "SweepResult",
-    "active_policy", "amplitude_from_axis_angle", "axis_angle",
-    "constant_rotation_pulse", "eta_operators",
+    "NoGoDiagnostics", "ProbeResult", "PulseShape", "SweepResult",
+    "amplitude_from_axis_angle", "axis_angle", "constant_rotation_pulse", "eta_operators",
     "evaluate_corrections", "feasibility_probe", "fourier_pulse",
     "integrate_axis_angle", "integrate_deviation", "magnus_consistency",
     "n_trajectory", "nogo_diagnostics", "preset_bath", "solve",

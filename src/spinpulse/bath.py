@@ -6,10 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import active_policy
 from .su2 import spectral_norm
 
 DIM_CAP = 16
+# h_b and a must be Hermitian to this fraction of their norm, and |a| must be 1
+# to this absolute tolerance
+HERMITIAN_RTOL = 1e-12
+UNITARY_ATOL = 1e-10
 
 PRESET_NAMES = ("spin-dephasing", "spin-ising", "spin-dynamic")
 
@@ -27,7 +30,6 @@ class BathModel:
     coupling: float
 
     def __post_init__(self):
-        policy = active_policy()
         h_b = np.asarray(self.h_b, dtype=complex)
         a = np.asarray(self.a, dtype=complex)
         if h_b.ndim != 2 or h_b.shape[0] != h_b.shape[1] or h_b.shape != a.shape:
@@ -41,9 +43,9 @@ class BathModel:
             raise ValueError(f"bath dimension must be in 1..{DIM_CAP}")
         for name, m in (("h_b", h_b), ("a", a)):
             scale = max(np.linalg.norm(m), 1.0)
-            if np.linalg.norm(m - m.conj().T) > policy.hermitian_rtol * scale:
+            if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
                 raise ValueError(f"{name} must be Hermitian")
-        if abs(spectral_norm(a) - 1.0) > policy.unitary_atol:
+        if abs(spectral_norm(a) - 1.0) > UNITARY_ATOL:
             raise ValueError("coupling operator must be normalized to unit spectral norm")
         object.__setattr__(self, "h_b", h_b)
         object.__setattr__(self, "a", a)

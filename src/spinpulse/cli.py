@@ -10,15 +10,12 @@ Exit codes
     library raises, or a size numpy cannot allocate)
 4   degenerate slope fit in ``verify``
 
-The numeric policy can be overridden per run through the environment
-variable ``SPINPULSE_NUMERIC_POLICY`` (see :mod:`spinpulse.policy`).
-
 Every run has one skeleton in :func:`main`: read each input file, check each
 count flag against its floor in ``_COUNT_FLOORS``, then build the run manifest
-from the command, the input texts, the effective policy, every option that can
-change the output and, for ``solve`` and ``nogo`` (the commands that draw
-random numbers), the seed.  Its digest is embedded in every output, so
-identical manifests give byte-identical files.
+from the command, the input texts, every option that can change the output
+and, for ``solve`` and ``nogo`` (the commands that draw random numbers), the
+seed.  Its digest is embedded in every output, so identical manifests give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -31,12 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corrections import RESIDUAL_TARGETS, evaluate_corrections, nogo_diagnostics
+from .corrections import (NOGO_TOLERANCE, RESIDUAL_TARGETS, evaluate_corrections,
+                          nogo_diagnostics)
 from .design import feasibility_probe, probe_regime, solve
 from .fileio import (SchemaError, csv_document, fmt, format_report, format_solution,
                      make_manifest, parse_bath, parse_problem, parse_pulse)
 from .oracle import SWEEP_STEPS, magnus_consistency
-from .policy import ENV_VAR, active_policy
 from .sampling import pi_close_ntrajectory, random_ntrajectory
 from .trajectory import (MIN_STEPS, amplitude_from_axis_angle, axis_angle,
                          integrate_axis_angle, n_trajectory)
@@ -63,8 +60,8 @@ def _write_output(text: str, out: str | None):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
@@ -211,7 +208,7 @@ def cmd_nogo(args, texts: dict, digest: str) -> int:
     doc = csv_document("sample,tau_s,gap", rows, digest, trailer)
     _write_output(doc, args.out)
     print(f"min gap over {args.samples} samples = {fmt(min_gap)}", file=sys.stderr)
-    return 0 if min_gap >= -active_policy().nogo_tolerance else 1
+    return 0 if min_gap >= -NOGO_TOLERANCE else 1
 
 
 # ----------------------------------------------------------------------
@@ -271,17 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_policy():
-    try:
-        active_policy()
-    except ValueError as exc:
-        raise SchemaError(f"{ENV_VAR}: {exc}") from None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_policy()
         texts = {name.removesuffix("_file"): _read(path)
                  for name, path in vars(args).items() if name.endswith("_file")}
         for name, floor in _COUNT_FLOORS.items():

@@ -32,11 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel
-from .policy import active_policy
 from .su2 import pauli_dot
 from .trajectory import NTrajectory
 
 RESIDUAL_TARGETS = ("r1", "r2a", "r2b")
+# a report is unconverged where the halved-grid error of a residual exceeds
+# both this fraction of its norm and this floor (times tau_p, or tau_p^2 for r2a, r2b)
+QUAD_UNCONVERGED_REL = 1e-3
+QUAD_UNCONVERGED_FLOOR = 1e-9
+# r2b is meaningful only where |r1| is below this fraction of tau_p
+R2B_VALIDITY_REL = 1e-6
+# a pi pulse takes n(0) to within this distance of -n(tau_p)
+PI_CONDITION_ATOL = 1e-6
+# the no-go gaps are >= 0 in exact arithmetic; quadrature may leave them this
+# far below zero
+NOGO_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,11 +175,10 @@ def evaluate_corrections(ntraj: NTrajectory, tau_s: float) -> CorrectionReport:
     halved = correction_residuals(SimpsonRule(ntraj.grid[half]), ntraj.nhat[half], tau_s)
     quad_err = np.array([np.linalg.norm(r - r_h) for r, r_h in zip((r1, r2a, r2b), halved)])
 
-    policy = active_policy()
     norms = np.array([np.linalg.norm(r1), np.linalg.norm(r2a), np.linalg.norm(r2b)])
-    floors = policy.quad_unconverged_floor * np.array([tau_p, tau_p ** 2, tau_p ** 2])
-    unconverged = bool(np.any(quad_err > np.maximum(policy.quad_unconverged_rel * norms, floors)))
-    r2b_valid = bool(np.linalg.norm(r1) <= policy.r2b_validity_rel * tau_p)
+    floors = QUAD_UNCONVERGED_FLOOR * np.array([tau_p, tau_p ** 2, tau_p ** 2])
+    unconverged = bool(np.any(quad_err > np.maximum(QUAD_UNCONVERGED_REL * norms, floors)))
+    r2b_valid = bool(np.linalg.norm(r1) <= R2B_VALIDITY_REL * tau_p)
     return CorrectionReport(tau_p=tau_p, tau_s=tau_s, r1=r1, r2a=r2a, r2b=r2b,
                             quad_err=quad_err, n_start=ntraj.nhat[0].copy(),
                             n_end=ntraj.nhat[-1].copy(), r2b_valid=r2b_valid,
@@ -214,5 +223,5 @@ def nogo_diagnostics(ntraj: NTrajectory, tau_s: float | np.ndarray) -> NoGoDiagn
     tsp_gap = tau_p - (w @ cos_alpha)[..., 0]
     moment = ((w * (grid - tau_s[..., None]))[..., None, :] @ cos_alpha)[..., 0, 0]
     pi2_gap = (tau_p - tau_s) ** 2 + tau_s ** 2 + 2.0 * moment
-    is_pi = np.linalg.norm(n0 + nhat[..., -1, :], axis=-1) < active_policy().pi_condition_atol
+    is_pi = np.linalg.norm(n0 + nhat[..., -1, :], axis=-1) < PI_CONDITION_ATOL
     return NoGoDiagnostics(tsp_gap=tsp_gap, pi2_gap=pi2_gap, is_pi_pulse=is_pi)

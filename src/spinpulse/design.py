@@ -33,7 +33,6 @@ import numpy as np
 from .corrections import (RESIDUAL_TARGETS, CorrectionReport, SimpsonRule,
                           correction_residuals, evaluate_corrections, nogo_diagnostics,
                           normalized_residual_vector)
-from .policy import active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import CONJUGATE_Q, ideal_pulse_quaternion, quaternion_product
@@ -45,6 +44,8 @@ ROTATION_WEIGHT = 100.0
 # a converged design verifies below this on the doubled grid: its rotation
 # violation and every targeted normalized residual
 VERIFIED_BOUND = 1e-7
+# and its objective, the squared residual norm, is at most this
+CONVERGED_OBJECTIVE = 1e-16
 FREE = "free"
 
 
@@ -520,7 +521,7 @@ def solve(problem: DesignProblem, seed: int = 0,
     report = evaluate_corrections(n_trajectory(traj), shape.tau_s)
     rot_violation = float(np.linalg.norm(_rotation_residual(traj.quaternions, problem.theta)))
     verified = report.normalized[[RESIDUAL_TARGETS.index(t) for t in problem.targets]]
-    converged = bool(cost <= active_policy().converged_objective
+    converged = bool(cost <= CONVERGED_OBJECTIVE
                      and rot_violation < VERIFIED_BOUND and np.all(verified < VERIFIED_BOUND))
     return DesignSolution(shape=shape, report=report, objective=cost,
                           converged=converged, restarts_used=problem.restarts,

@@ -20,7 +20,6 @@ from . import __version__
 from .bath import DIM_CAP, BathModel, preset_bath
 from .corrections import CorrectionReport, NoGoDiagnostics
 from .design import FREE, DesignProblem, DesignSolution
-from .policy import NumericPolicy, active_policy
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 
 SCHEMA_VERSION = 1
@@ -374,7 +373,6 @@ class RunManifest:
     command: str
     input_digests: dict
     seed: int | None        # None: the command draws nothing
-    policy: NumericPolicy
     options: dict           # every command-line option that can change the output
 
     def canonical(self) -> str:
@@ -383,7 +381,6 @@ class RunManifest:
             "inputs": dict(sorted(self.input_digests.items())),
             "seed": self.seed,
             "options": self.options,
-            "policy": self.policy.as_dict(),
             "version": __version__,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -400,4 +397,4 @@ def make_manifest(command: str, input_texts: dict, seed: int | None = None,
                   options: dict | None = None) -> RunManifest:
     digests = {name: digest_text(text) for name, text in input_texts.items()}
     return RunManifest(command=command, input_digests=digests, seed=seed,
-                       policy=active_policy(), options=dict(options or {}))
+                       options=dict(options or {}))

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import active_policy
-
 COMPONENTS = ("x", "y", "z")
 
 REPRESENTATIONS = ("fourier", "piecewise_constant", "axis_angle_samples")
@@ -33,6 +31,9 @@ REPRESENTATIONS = ("fourier", "piecewise_constant", "axis_angle_samples")
 # spline order for differentiating sampled frames; quintic keeps the
 # derivative error ~O(h^5), which the round-trip tolerances require
 SPLINE_ORDER = 5
+# largest | |x| - 1 | of a vector that counts as unit: sampled axes, frame
+# quaternions and n(t)
+UNIT_VECTOR_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class PulseShape:
     _splines: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        policy = active_policy()
         if not 0 < self.tau_p < np.inf:
             raise ValueError("tau_p must be finite and positive")
         if not np.isfinite(self.theta):
@@ -106,7 +106,7 @@ class PulseShape:
             if abs(t[0]) > 1e-12 * self.tau_p or abs(t[-1] - self.tau_p) > 1e-12 * self.tau_p:
                 raise ValueError("samples must cover [0, tau_p]")
             norms = np.linalg.norm(ax, axis=1)
-            if np.any(np.abs(norms - 1.0) > policy.unit_vector_atol):
+            if np.any(np.abs(norms - 1.0) > UNIT_VECTOR_ATOL):
                 raise ValueError("axis samples must be unit vectors")
             object.__setattr__(self, "sample_times", t)
             object.__setattr__(self, "sample_axes", ax)

@@ -50,8 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import active_policy
-from .pulses import SPLINE_ORDER, PulseShape, frame_amplitude
+from .pulses import SPLINE_ORDER, UNIT_VECTOR_ATOL, PulseShape, frame_amplitude
 from .su2 import CONJUGATE_Q, IDENTITY_Q, quaternion_matrix, quaternion_product
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -59,6 +58,9 @@ MIN_STEPS = 64
 # largest | |M_k| - 1 | of an RK4 step quaternion that a frame accepts: the
 # drift is ~phi^6 / 144 for a step turning by 2 phi, so phi < 0.95 rad
 STEP_DRIFT = 5e-3
+# |s| = |sin(psi/2)| above which axis_angle takes the axis from the frame
+# itself rather than from v(t)
+AXIS_FLOOR = 1e-7
 
 
 def _check_trajectory(grid: np.ndarray, quaternions=None, nhat=None):
@@ -68,19 +70,19 @@ def _check_trajectory(grid: np.ndarray, quaternions=None, nhat=None):
     unit and turn by less than pi per step (q_k . q_k+1 > 0), and n(t)
     samples (..., n, 3) must be unit vectors.  Each check asks that every
     value pass, so NaN fails it.  Any leading axes are lanes, each checked in
-    full; the policy is read once per call.
+    full.
     """
-    atol = active_policy().unit_vector_atol
     if not np.all(np.diff(grid) > 0):
         raise ValueError("trajectory grid must be strictly increasing")
     if quaternions is not None:
         q = quaternions
-        if not np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= atol):
+        if not np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= UNIT_VECTOR_ATOL):
             raise ValueError("trajectory frames must be unit quaternions")
         # q_k . q_k+1 is the cosine of half the rotation between the two frames
         if not np.all(np.sum(q[..., 1:, :] * q[..., :-1, :], axis=-1) > 0.0):
             raise ValueError("frame steps must turn by less than pi on the resolved grid")
-    if nhat is not None and not np.all(np.abs(np.linalg.norm(nhat, axis=-1) - 1.0) <= atol):
+    if nhat is not None and not np.all(
+            np.abs(np.linalg.norm(nhat, axis=-1) - 1.0) <= UNIT_VECTOR_ATOL):
         raise ValueError("n(t) samples must be unit vectors")
 
 
@@ -329,14 +331,13 @@ def n_trajectory(traj: FrameTrajectory) -> NTrajectory:
 # (axis, angle) decomposition, for output only
 
 
-def _bootstrap_axis(v_s: np.ndarray, v_scale: float, svec: np.ndarray,
-                    i_s: int, floor: float):
+def _bootstrap_axis(v_s: np.ndarray, v_scale: float, svec: np.ndarray, i_s: int):
     """Initial axis gauge: +v(tau_s) direction, else nearest resolvable frame."""
     if np.linalg.norm(v_s) > 1e-12 * max(1.0, v_scale):
         return v_s / np.linalg.norm(v_s)
     mags = np.linalg.norm(svec, axis=1)
     order = np.argsort(np.abs(np.arange(len(mags)) - i_s))
-    hits = order[mags[order] > floor]
+    hits = order[mags[order] > AXIS_FLOOR]
     if len(hits) == 0:
         return Z_AXIS.copy()
     j = hits[0]
@@ -349,12 +350,12 @@ def _unit_rows(x: np.ndarray):
     return x / np.where(norms > 0.0, norms, 1.0)[:, None], norms
 
 
-def _unwrap_sweep(c, svec, v, axis0, floor, v_floor):
+def _unwrap_sweep(c, svec, v, axis0, v_floor):
     """(psi, axis) along one sweep from the node nearest tau_s, away from tau_s.
 
     Before its first node is tau_s itself, with psi = 0 and axis ``axis0``.
     The previous node's axis fixes the sign of s, and with it the 2 pi branch
-    of the angle.  The axis line is s/|s| where |s| exceeds ``floor`` and s
+    of the angle.  The axis line is s/|s| where |s| exceeds ``AXIS_FLOOR`` and s
     stays within ~75 degrees of the previous line; elsewhere (a full turn) it
     continues along v(t), or keeps the previous line where v vanishes, and
     the first node falls back to ``axis0`` itself.  That choice at a node
@@ -368,7 +369,7 @@ def _unwrap_sweep(c, svec, v, axis0, floor, v_floor):
     v_hat[0] = axis0
     fallback = v_norm > v_floor
     index = np.arange(len(c))
-    resolvable = mag > floor
+    resolvable = mag > AXIS_FLOOR
     resolved = resolvable
     while True:
         line = np.where(resolved[:, None], s_hat, v_hat)
@@ -385,14 +386,14 @@ def _unwrap_sweep(c, svec, v, axis0, floor, v_floor):
     return 2.0 * np.unwrap(branch), sign[:, None] * line
 
 
-def _unwrap_frames(v_nodes, c, svec, i_s, axis0, floor):
+def _unwrap_frames(v_nodes, c, svec, i_s, axis0):
     """Continuous angle and axis along both sweeps from node ``i_s``, nearest tau_s."""
     v_floor = 1e-9 * max(float(np.max(np.linalg.norm(v_nodes, axis=1))), 1e-300)
     psi = np.zeros(len(c))
     axis = np.empty((len(c), 3))
     for sweep in (np.arange(i_s, len(c)), np.arange(i_s, -1, -1)):
         psi[sweep], axis[sweep] = _unwrap_sweep(c[sweep], svec[sweep], v_nodes[sweep],
-                                                axis0, floor, v_floor)
+                                                axis0, v_floor)
     return psi, axis
 
 
@@ -403,13 +404,12 @@ def axis_angle(shape: PulseShape, traj: FrameTrajectory):
     full-turn fallbacks.  Raises ValueError if an angle step reaches pi,
     which means the grid does not resolve the frame.
     """
-    floor = active_policy().axis_floor
     c, svec = traj.quaternions[:, 0], traj.quaternions[:, 1:]
     i_s = int(np.argmin(np.abs(traj.grid - traj.tau_s)))
     v_nodes = shape.amplitude(traj.grid)
     v_scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
-    axis0 = _bootstrap_axis(v_nodes[i_s], v_scale, svec, i_s, floor)
-    psi, axis = _unwrap_frames(v_nodes, c, svec, i_s, axis0, floor)
+    axis0 = _bootstrap_axis(v_nodes[i_s], v_scale, svec, i_s)
+    psi, axis = _unwrap_frames(v_nodes, c, svec, i_s, axis0)
     if np.any(np.abs(np.diff(psi)) >= np.pi):
         raise ValueError("angle steps must stay below pi on the resolved grid")
     return axis, psi

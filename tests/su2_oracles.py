@@ -10,7 +10,8 @@ any dimension, and the RK4 step of a linear ODE as its degree-4 polynomial.
 import numpy as np
 from scipy.linalg import schur
 
-from spinpulse.policy import active_policy
+from spinpulse.bath import UNITARY_ATOL
+from spinpulse.pulses import UNIT_VECTOR_ATOL
 from spinpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_dot
 
 BRANCH_MARGIN = 1e-6
@@ -31,7 +32,7 @@ def _check_unit_axis(axis) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise ValueError("axis must be a 3-vector")
-    if abs(np.linalg.norm(axis) - 1.0) > active_policy().unit_vector_atol:
+    if abs(np.linalg.norm(axis) - 1.0) > UNIT_VECTOR_ATOL:
         raise ValueError(f"axis must be unit length, got |axis| = {np.linalg.norm(axis)}")
     return axis
 
@@ -70,7 +71,7 @@ def pauli_conjugate(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if not is_unitary(u, active_policy().unitary_atol):
+    if not is_unitary(u, UNITARY_ATOL):
         raise ValueError("matrix is not unitary within tolerance")
     udag = u.conj().T
     r = np.empty((3, 3))
@@ -88,7 +89,7 @@ def matrix_log_unitary(u: np.ndarray, branch_margin: float = BRANCH_MARGIN) -> n
     ``branch_margin`` radians of the branch cut at -1.
     """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, active_policy().unitary_atol):
+    if not is_unitary(u, UNITARY_ATOL):
         raise ValueError("matrix is not unitary within tolerance")
     # Unitary matrices are normal, so the complex Schur form is diagonal and
     # the Schur vectors give an orthonormal eigenbasis even for degenerate

@@ -514,13 +514,15 @@ class TestUsageErrors:
         assert "invariant violation: input too large" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("override", [
-        "bogus=1", "unitary_atol=nan", "unitary_atol=-1e-10", "unitary_atol=abc",
-    ], ids=["unknown-field", "nan", "negative", "non-number"])
-    def test_bad_numeric_policy_exits_2(self, workdir, monkeypatch, capsys, override):
-        monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", override)
-        assert main(["corrections", str(workdir / "pi.pulse")]) == 2
-        assert "SPINPULSE_NUMERIC_POLICY" in capsys.readouterr().err
+    def test_non_utf8_input_exits_2(self, workdir, capsys):
+        """An input file that is not UTF-8 cannot be parsed: exit 2, nothing written."""
+        bad, out = workdir / "bad.pulse", workdir / "out"
+        bad.write_bytes(b"schema_version = 1\nkind = pulse\n\xff\xfe\n")
+        assert main(["corrections", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 32: invalid start byte\n")
+        assert not out.exists()
 
 
 class _ManifestMade(Exception):
@@ -595,6 +597,26 @@ class TestDeterminism:
         assert (base.seed, seeded.seed) == (0, 5)
         assert seeded.digest() != base.digest()
 
+    @pytest.mark.parametrize("value", ["nogo_tolerance=1e-3", "bogus=1"],
+                             ids=["valid", "malformed"])
+    @pytest.mark.parametrize("argv", [
+        ["corrections", "{pulse}", "--targets", "r1,r2b"],
+        ["nogo", "pi-second-order", "--samples", "10", "--grid", "128"],
+    ], ids=["corrections", "nogo"])
+    def test_environment_changes_no_output(self, workdir, monkeypatch, capsys, argv, value):
+        """The tolerances are constants: the former override variable, well formed
+        or not, leaves the exit code, the output bytes and stderr as they are."""
+        runs = []
+        for env in (None, value):
+            if env is None:
+                monkeypatch.delenv("SPINPULSE_NUMERIC_POLICY", raising=False)
+            else:
+                monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", env)
+            out = workdir / f"out{len(runs)}"
+            code = main([*self.argv(workdir, argv), "--out", str(out)])
+            runs.append((code, out.read_bytes(), capsys.readouterr().err))
+        assert runs[0] == runs[1]
+
     def test_identical_manifest_identical_bytes(self, workdir):
         out1, out2 = workdir / "a.csv", workdir / "b.csv"
         for out in (out1, out2):
@@ -616,15 +638,31 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+def _readme_block(section: str, language: str) -> str:
+    """The first ``language`` code block under README's ``## section`` heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"## {section}\n", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_command_lines_parse():
     """Every spinpulse line of the README's command-line block is a valid invocation."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("Command line", "sh")
     lines = [line for line in block.splitlines() if line.startswith("spinpulse ")]
     assert len(lines) >= 5
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_library_block_runs_as_written(capsys):
+    """README's library example runs unchanged and gives what its comments say."""
+    names = {}
+    exec(_readme_block("Library entry points", "python"), names)
+    assert len(capsys.readouterr().out.splitlines()) >= 3
+    assert abs(names["report"].normalized[0] - 2.0 / np.pi) <= 1e-9
+    lo, hi = cli.SLOPE_BANDS["uncorrected"]
+    assert lo <= names["sweep"].slopes["uf_defect"][0] <= hi
+    assert names["sol"].converged
 
 
 class TestColdImport:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
 from spinpulse.bath import BathModel, preset_bath
-from spinpulse.corrections import (SimpsonRule, correction_residuals, eta_operators,
-                                   evaluate_corrections, nogo_diagnostics,
+from spinpulse.corrections import (NOGO_TOLERANCE, SimpsonRule, correction_residuals,
+                                   eta_operators, evaluate_corrections, nogo_diagnostics,
                                    normalized_residual_vector)
 from spinpulse.pulses import PulseShape
 from spinpulse.sampling import (_slerp, pi_close_ntrajectory, random_fourier_shape,
@@ -413,12 +413,10 @@ class TestGapProperties:
     def test_gaps_nonnegative_on_random_smooth_paths(self, seed, frac):
         """tsp_gap at tau_s = tau_p and pi2_gap on a pi-closed path stay >= 0,
         on direct sphere paths and on the pulse paths that ``nogo`` samples."""
-        from spinpulse.policy import active_policy
         rng = np.random.default_rng(seed)
-        tolerance = active_policy().nogo_tolerance
         sphere = _random_smooth_ntrajectory(rng)
         pulse, pulse_tau_s = random_ntrajectory(rng, 1, 256)
         for ntraj, tau_s in ((sphere, frac * sphere.tau_p), (pulse, pulse_tau_s)):
-            assert np.all(nogo_diagnostics(ntraj, ntraj.tau_p).tsp_gap >= -tolerance)
+            assert np.all(nogo_diagnostics(ntraj, ntraj.tau_p).tsp_gap >= -NOGO_TOLERANCE)
             closed = pi_close_ntrajectory(ntraj)
-            assert np.all(nogo_diagnostics(closed, tau_s).pi2_gap >= -tolerance)
+            assert np.all(nogo_diagnostics(closed, tau_s).pi2_gap >= -NOGO_TOLERANCE)

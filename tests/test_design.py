@@ -9,12 +9,11 @@ from scipy.interpolate import make_interp_spline
 from scipy.linalg import null_space
 
 from spinpulse import design, oracle
-from spinpulse.design import (VERIFIED_BOUND, DesignProblem, IllPosedProblem,
-                              _levenberg_marquardt, _Parameterization,
+from spinpulse.design import (CONVERGED_OBJECTIVE, VERIFIED_BOUND, DesignProblem,
+                              IllPosedProblem, _levenberg_marquardt, _Parameterization,
                               _ResidualFunction, feasibility_probe,
                               finite_difference_jacobian, solve)
 from spinpulse.pulses import COMPONENTS
-from spinpulse.policy import active_policy
 from spinpulse.trajectory import NTrajectory, integrate_axis_angle, n_trajectory
 from spinpulse.cli import SLOPE_BANDS
 from spinpulse.corrections import evaluate_corrections, nogo_diagnostics
@@ -49,7 +48,7 @@ class TestSolve:
     def test_first_order_design_converges(self, s_type_solution):
         problem, sol = s_type_solution
         assert sol.converged
-        assert sol.objective <= active_policy().converged_objective
+        assert sol.objective <= CONVERGED_OBJECTIVE
         assert sol.restarts_used == problem.restarts
 
     def test_double_grid_reverification(self, s_type_solution):

@@ -147,24 +147,6 @@ def test_float_formatting_round_trips():
         assert float(fileio.fmt(v)) == v
 
 
-def test_numeric_policy_env_override(monkeypatch):
-    from spinpulse.policy import active_policy
-    monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", "nogo_tolerance=1e-3,axis_floor=512")
-    policy = active_policy()
-    assert policy.nogo_tolerance == 1e-3
-    assert policy.axis_floor == 512
-    # the manifest digest tracks the effective policy
-    m_default = make_manifest("x", {}, seed=0)
-    monkeypatch.delenv("SPINPULSE_NUMERIC_POLICY")
-    m_clean = make_manifest("x", {}, seed=0)
-    assert m_default.digest() != m_clean.digest()
-    for bad in ("no_such_field=1", "unitary_atol=nan", "unitary_atol=inf",
-                "unitary_atol=0", "unitary_atol=abc"):
-        monkeypatch.setenv("SPINPULSE_NUMERIC_POLICY", bad)
-        with pytest.raises(ValueError):
-            active_policy()
-
-
 def test_bath_dynamics_flag():
     from spinpulse.bath import preset_bath
     assert np.linalg.norm(preset_bath("spin-dynamic", 0.1).commutator) > 1e-12

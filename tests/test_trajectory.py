@@ -12,9 +12,10 @@ from spinpulse.design import _rotation_residual
 from spinpulse.pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                               fourier_pulse)
 from spinpulse.sampling import random_fourier_shape, random_ntrajectory
-from spinpulse.trajectory import (_bootstrap_axis, _build_grid, _frame_quaternions,
-                                  _prefix_products, _rk4_steps, _stage_amplitudes,
-                                  _unwrap_frames, amplitude_from_axis_angle, axis_angle,
+from spinpulse.trajectory import (AXIS_FLOOR, _bootstrap_axis, _build_grid,
+                                  _frame_quaternions, _prefix_products, _rk4_steps,
+                                  _stage_amplitudes, _unwrap_frames,
+                                  amplitude_from_axis_angle, axis_angle,
                                   integrate_axis_angle, n_trajectory)
 from su2_oracles import (PAULI, axis_angle_exponential, pauli_conjugate,
                          rk4_polynomial, rk4_step_matrices)
@@ -156,10 +157,10 @@ class TestIntegrateAxisAngle:
             q = _frame_quaternions(shape, grid)
             v_nodes = shape.amplitude(grid)
             scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
-            axis0 = _bootstrap_axis(v_nodes[i_s], scale, q[:, 1:], i_s, 1e-7)
-            psi, axis = _unwrap_frames(v_nodes, q[:, 0], q[:, 1:], i_s, axis0, 1e-7)
+            axis0 = _bootstrap_axis(v_nodes[i_s], scale, q[:, 1:], i_s)
+            psi, axis = _unwrap_frames(v_nodes, q[:, 0], q[:, 1:], i_s, axis0)
             psi_ref, axis_ref, turned = unwrap_frames_loop(v_nodes, q[:, 0], q[:, 1:],
-                                                           i_s, axis0, 1e-7)
+                                                           i_s, axis0, AXIS_FLOOR)
             assert np.abs(psi - psi_ref).max() <= 1e-12
             assert np.abs(axis - axis_ref).max() <= 1e-12
             any_turned |= bool(turned.any())
