@@ -35,7 +35,9 @@ __version__ = "0.1.0"
 # design Jacobian at P >= 3 (an S and a Q design of 32 restarts each take ~43k
 # minor page faults and ~30% longer without it) and the nogo lane chunks (a
 # 2 x 300-sample batch takes ~8.5k faults against ~15, and ~10% longer, on
-# Linux).  Elsewhere this is one untouched allocation.
+# Linux).  The exact oracle sizes its step tables (``oracle.TABLE_BYTES``) so
+# that a chunk's dozen of them stay below that trim threshold and are reused
+# too.  Elsewhere this is one untouched allocation.
 _np.empty(1 << 20, _np.uint8)
 
 __all__ = [

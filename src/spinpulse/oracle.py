@@ -18,16 +18,24 @@ F is built in the bath's sigma_z blocks.  H commutes with sigma_z (x) I, so
 e^{iH dt} is diag(e^{i H+ dt}, e^{i H- dt}) with H+- = H_b +- lambda A: the
 sigma_z part of H0 = (v . sigma) (x) I drops out, and beta = v_x - i v_y turns
 through one d x d unitary K(dt) = e^{i H+ dt} e^{-i H- dt}, giving the upper
-block beta (K - I).  K - I is computed once per node of the bisected grid,
-from eigendecompositions of H+ and H- taken once per call; every RK4 stage
-slices it.
+block beta (K - I).  The route works in the eigenbasis V+ of H+, where
+K' = V+^dag K V+ = (Phi+ o G o Phi-^*) G^dag with Phi+- = e^{+-i E+- dt} and the
+overlap G = V+^dag V-: K' - I is one (n d, d) @ (d, d) product per batch of
+nodes of the bisected grid, from eigendecompositions of H+ and H- taken once
+per call, and every RK4 stage slices it.  The step product U' is taken back to
+the bath's basis once, U_F = (I (x) V+) U' (I (x) V+)^dag.
 
-The steps are built and reduced ``STEP_CHUNK`` at a time: each chunk's K - I,
-stage tables and step matrices, then their pairwise product, so the (2d) x (2d)
-tables held at once do not grow with the step count.  The chunk size is a
-power of two, so each aligned chunk is a whole subtree of the pairwise product
-of all the steps, and a partial last chunk carries its odd factors the same way:
-U_F is bit for bit the pairwise product of all the steps taken at once.
+The steps are built and reduced a chunk at a time: each chunk's K' - I, stage
+tables and step matrices, then their pairwise product.  A chunk is the largest
+power of two of at most ``STEP_CHUNK`` steps whose (2d) x (2d) complex table
+fits in ``TABLE_BYTES``, so its dozen temporaries stay in cache and below the
+heap's trim threshold at any step count.  The chunk products are folded as the
+loop runs, the last two merged whenever they cover equal step counts and the
+rest folded newest first at the end, so about log2(chunks) of them are held at
+once.  That is the pairwise product of the chunk list, and a power-of-two chunk
+is a whole subtree of the pairwise product of all the steps, with a partial
+last chunk carrying its odd factors the same way: U' is bit for bit the
+pairwise product of all the steps taken at once.
 
 This route keeps full relative accuracy as tau_p -> 0 (the deviation
 generator stays O(lambda) while the pulse amplitude grows as 1/tau_p), so
@@ -57,9 +65,12 @@ from .trajectory import (_build_grid, _frames_on_grid, _rk4_steps, _stage_amplit
 # RK4 steps of an expansion-order sweep: keeps the integration floor below
 # the tau_p^3 defects
 SWEEP_STEPS = 2048
-# RK4 steps the deviation route builds and reduces at a time: bounds its memory
-# at any step count; a power of two, so chunks are whole pairwise subtrees
+# most RK4 steps the deviation route builds and reduces at a time: bounds its
+# memory at any step count; a power of two, so chunks are whole pairwise subtrees
 STEP_CHUNK = 256
+# bytes of one (chunk, 2d, 2d) complex table: a chunk halves until it fits, so
+# 256 steps for d <= 4, 64 at d = 8 and 16 at d = 16
+TABLE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -94,8 +105,12 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _coupling_turns(bath: BathModel):
-    """t -> K(t) - I with K(t) = e^{i H+ t} e^{-i H- t} and H+- = H_b +- lambda A,
-    (n, d, d) for t (n,); the eigendecompositions of H+ and H- are taken here, once."""
+    """(turns, V+): t -> K'(t) - I, (n, d, d) for t (n,), with K' = V+^dag K V+ the
+    turn K(t) = e^{i H+ t} e^{-i H- t}, H+- = H_b +- lambda A, in the eigenbasis V+
+    of H+.  K' = (Phi+ o G o Phi-^*) G^dag with Phi+- = e^{+-i E+- t} and
+    G = V+^dag V-, one (n d, d) @ (d, d) product; the eigendecompositions of H+
+    and H- are taken here, once.  An operator X' built from these turns is
+    X = (I (x) V+) X' (I (x) V+)^dag in the bath's basis."""
     e_plus, v_plus = np.linalg.eigh(bath.h_b + bath.coupling * bath.a)
     e_minus, v_minus = np.linalg.eigh(bath.h_b - bath.coupling * bath.a)
     overlap = v_plus.conj().T @ v_minus
@@ -103,14 +118,15 @@ def _coupling_turns(bath: BathModel):
     def turns(t: np.ndarray) -> np.ndarray:
         phases = (np.exp(1.0j * np.multiply.outer(t, e_plus))[:, :, None]
                   * np.exp(-1.0j * np.multiply.outer(t, e_minus))[:, None, :])
-        k = v_plus @ (phases * overlap) @ v_minus.conj().T
+        k = ((phases * overlap).reshape(-1, bath.dim_b) @ overlap.conj().T).reshape(phases.shape)
         return k - np.eye(bath.dim_b)
-    return turns
+    return turns, v_plus
 
 
 def _deviation_table(turns: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """F = top + top^dag, top[a, b] = beta conj(w[0, a]) w[1, b] (K - I), from K - I
-    (n, d, d), frames w (n, 2, 2) and amplitudes v (n, 3); Hermitian as computed."""
+    (n, d, d) in any basis of the bath, frames w (n, 2, 2) and amplitudes v (n, 3);
+    Hermitian as computed, in the turns' basis."""
     n, d = turns.shape[:2]
     beta = v[:, 0] - 1.0j * v[:, 1]
     coef = beta[:, None, None] * w[:, 0, :, None].conj() * w[:, 1, None, :]
@@ -127,13 +143,19 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     of every coarse step.  The amplitude at those stages follows the frame
     integrator's stage rule (``_stage_amplitudes``), so every step is a true
     RK4 step and no step crosses a breakpoint; it steps the Hermitian F by
-    -i h, which is RK4 on U' = -i F U by h.  Only the final product of the
-    step matrices is needed.  It is taken pairwise, ``STEP_CHUNK`` steps at a
-    time: each chunk's K - I, stage tables and step matrices are built and
-    reduced before the next, so the joint-space tables do not grow with
-    ``steps``.  The chunk products are then reduced the same way and projected
-    once.  A power-of-two chunk is a whole subtree of the pairwise product of
-    all the steps, so U_F does not depend on the chunk size.
+    -i h, which is RK4 on U' = -i F U by h.  F is taken in the eigenbasis V+
+    of H+ (``_coupling_turns``), and only the final product of the step
+    matrices is needed.  It is taken pairwise a chunk at a time: the chunk is
+    the largest power of two of at most ``STEP_CHUNK`` steps whose (2d) x (2d)
+    complex table fits in ``TABLE_BYTES``, and each chunk's K' - I, stage
+    tables and step matrices are built and reduced before the next, so the
+    joint-space tables neither grow with ``steps`` nor leave the cache.  The
+    chunk products are folded as they come: the last two merge whenever they
+    cover equal step counts, and what is left folds newest first.  That is the
+    pairwise product of the chunk list, and a power-of-two chunk is a whole
+    subtree of the pairwise product of all the steps, so U' does not depend on
+    the chunk size.  It goes back to the bath's basis once, (I (x) V+) U'
+    (I (x) V+)^dag, and is projected once.
     """
     coarse = _build_grid(shape, steps)
     fine = np.empty(2 * len(coarse) - 1)
@@ -141,19 +163,30 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
     traj = _frames_on_grid(shape, fine)
     frames = traj.unitaries
-    turns = _coupling_turns(bath)
+    turns, v_plus = _coupling_turns(bath)
     amplitudes = _stage_amplitudes(shape, coarse)
     h = -1.0j * np.diff(coarse)
     one = np.eye(2 * bath.dim_b)
-    products = []
-    for k in range(0, len(h), STEP_CHUNK):
-        steps_k = slice(k, k + STEP_CHUNK)
-        nodes = slice(2 * k, 2 * (k + STEP_CHUNK) + 1)
+    # 16 bytes per complex entry of a (2d) x (2d) step table
+    chunk = min(STEP_CHUNK, 1 << ((TABLE_BYTES // (64 * bath.dim_b ** 2)).bit_length() - 1))
+    folds = []             # (product, steps covered), the step counts falling
+    for k in range(0, len(h), chunk):
+        steps_k = slice(k, k + chunk)
+        nodes = slice(2 * k, 2 * (k + chunk) + 1)
         turns_k, frames_k = turns(fine[nodes] - traj.tau_s), frames[nodes]
         stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)), amplitudes)
         f = [_deviation_table(turns_k[sl], frames_k[sl], v[steps_k]) for sl, v in stages]
-        products.append(_ordered_product(_rk4_steps(*f, h[steps_k], np.matmul, one)))
-    return _project_unitary(_ordered_product(np.stack(products))), traj
+        product = _ordered_product(_rk4_steps(*f, h[steps_k], np.matmul, one))
+        covered = len(f[0])
+        while folds and folds[-1][1] == covered:
+            earlier, count = folds.pop()
+            product, covered = product @ earlier, covered + count
+        folds.append((product, covered))
+    product = folds.pop()[0]
+    while folds:
+        product = product @ folds.pop()[0]
+    basis = np.kron(np.eye(2), v_plus)
+    return _project_unitary(basis @ product @ basis.conj().T), traj
 
 
 # ----------------------------------------------------------------------

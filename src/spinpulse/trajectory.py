@@ -255,6 +255,9 @@ def _frame_quaternions(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
         steps = _rk4_steps(*g, np.tile(np.diff(grid), m), quaternion_product, IDENTITY_Q)
         drift = np.max(np.abs(np.linalg.norm(steps, axis=-1) - 1.0))
     if not drift <= STEP_DRIFT:
+        if not np.isfinite(drift):
+            raise ValueError("trajectory frames must be unit quaternions, but an RK4 step is "
+                             "not finite: the amplitude overflows the step products")
         raise ValueError(f"trajectory frames must be unit quaternions, but an RK4 step "
                          f"drifts {drift:.3g} from unit norm (limit {STEP_DRIFT:g}): "
                          "the grid does not resolve the pulse")

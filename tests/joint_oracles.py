@@ -6,7 +6,8 @@ against: a time-sliced propagator of the full Hamiltonian with the
 decomposition inverted algebraically, the deviation generator formed in the
 full joint space, the deviation generator at a single instant, the
 deviation route with every step built at once, the pure-dephasing identity
-and the first-order norm identity.
+and the first-order norm identity, and the basis change and grid they share
+with the library's route.
 """
 
 from dataclasses import dataclass
@@ -100,6 +101,22 @@ def reconstruct_uf(u_p: np.ndarray, traj: FrameTrajectory, bath: BathModel) -> n
     return _project_unitary(left @ u_p @ right)
 
 
+def to_bath_basis(x: np.ndarray, v_plus: np.ndarray) -> np.ndarray:
+    """(I (x) V+) X' (I (x) V+)^dag: an operator built from ``_coupling_turns``,
+    in the eigenbasis V+ of H+, taken back to the bath's basis."""
+    basis = np.kron(np.eye(2), v_plus)
+    return basis @ x @ basis.conj().T
+
+
+def bisected(coarse: np.ndarray) -> np.ndarray:
+    """The trajectory grid of ``integrate_deviation``: its coarse grid with
+    every interval bisected."""
+    fine = np.empty(2 * len(coarse) - 1)
+    fine[::2] = coarse
+    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    return fine
+
+
 def f_generator(shape: PulseShape, bath: BathModel, t: float,
                 steps: int = 512) -> np.ndarray:
     """The deviation generator F(t) at a single instant."""
@@ -107,25 +124,26 @@ def f_generator(shape: PulseShape, bath: BathModel, t: float,
         raise ValueError("time outside [0, tau_p]")
     traj = _frames_on_grid(shape, np.union1d(_build_grid(shape, steps), [t]))
     j = int(np.argmin(np.abs(traj.grid - t)))
-    turns = _coupling_turns(bath)(traj.grid[j:j + 1] - traj.tau_s)
-    return _deviation_table(turns, traj.unitaries[j:j + 1], shape.amplitude(t)[None])[0]
+    turns, v_plus = _coupling_turns(bath)
+    f = _deviation_table(turns(traj.grid[j:j + 1] - traj.tau_s), traj.unitaries[j:j + 1],
+                         shape.amplitude(t)[None])[0]
+    return to_bath_basis(f, v_plus)
 
 
 def one_shot_deviation(shape: PulseShape, bath: BathModel, steps: int) -> np.ndarray:
     """U_F of ``integrate_deviation`` with every stage table and RK4 step matrix
     of all the steps built at once and reduced in one pairwise product."""
     coarse = _build_grid(shape, steps)
-    fine = np.empty(2 * len(coarse) - 1)
-    fine[::2] = coarse
-    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    fine = bisected(coarse)
     traj = _frames_on_grid(shape, fine)
     frames = traj.unitaries
-    turns = _coupling_turns(bath)(fine - traj.tau_s)
+    turns, v_plus = _coupling_turns(bath)
+    turns = turns(fine - traj.tau_s)
     stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
                  _stage_amplitudes(shape, coarse))
     f = [_deviation_table(turns[sl], frames[sl], v) for sl, v in stages]
     mats = _rk4_steps(*f, -1.0j * np.diff(coarse), np.matmul, np.eye(2 * bath.dim_b))
-    return _project_unitary(_ordered_product(mats))
+    return _project_unitary(to_bath_basis(_ordered_product(mats), v_plus))
 
 
 def dephasing_identity_defect(coupling: float, tau_p: float) -> float:

@@ -14,7 +14,8 @@ from spinpulse import cli
 from spinpulse.cli import main
 from spinpulse.corrections import nogo_diagnostics
 from spinpulse.design import _Parameterization
-from spinpulse.fileio import fmt, parse_problem
+from spinpulse.bath import preset_bath
+from spinpulse.fileio import fmt, format_bath, parse_problem
 from spinpulse.sampling import pi_close_ntrajectory, random_fourier_shape, random_ntrajectory
 from spinpulse.trajectory import integrate_axis_angle, n_trajectory
 
@@ -60,6 +61,10 @@ sample.0 = 0 0 1 0 0
 sample.1 = 0.5 0 1 0 1.5707963267948966
 sample.2 = 1 0 1 0 3.141592653589793
 """
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+OVERFLOW_MESSAGE = ("trajectory frames must be unit quaternions, but an RK4 step is "
+                    "not finite: the amplitude overflows the step products")
 
 PULSE_PIECEWISE = f"""schema_version = 1
 kind = pulse
@@ -179,7 +184,7 @@ class TestLibraryErrors:
         ("coeff.y.a.0 = 1e308\ncoeff.y.a.1 = 1e308\n", [],
          "pulse amplitude is not finite"),
         ("coeff.y.a.0 = -1e100\ncoeff.x.a.1 = 1e100\n", ["--grid", "64"],
-         "trajectory frames must be unit quaternions"),
+         OVERFLOW_MESSAGE),
     ], ids=["under-resolved", "non-finite", "non-finite-frames"])
     @pytest.mark.filterwarnings("error")
     def test_value_error_after_parsing_exits_3(self, tmp_path, capsys, command, coeffs,
@@ -191,6 +196,20 @@ class TestLibraryErrors:
         out = tmp_path / "out.txt"
         assert main([command, str(pulse), *flags, "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_verify_overflowing_amplitude_exits_3(self, tmp_path, capsys):
+        """Rescaled to tau_p ~ 1e-300, the Q pulse's amplitude (~1e301) is finite
+        but its RK4 step products overflow on any grid: exit 3, blaming the
+        amplitude, not the grid."""
+        bath = tmp_path / "ising.bath"
+        bath.write_text(format_bath(preset_bath("spin-ising", coupling=1.0)))
+        out = tmp_path / "out.txt"
+        assert main(["verify", str(BENCH_DATA / "q_reference.txt"), str(bath),
+                     "--sweep", "1e-300:1e-299:4", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert OVERFLOW_MESSAGE in err and "does not resolve" not in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")

@@ -12,10 +12,11 @@ from spinpulse.pulses import PulseShape, constant_rotation_pulse, fourier_pulse
 from spinpulse.sampling import random_fourier_shape
 from spinpulse.su2 import (SIGMA_Z, expm_hermitian, pauli_dot, quaternion_matrix,
                            spectral_norm)
-from spinpulse.trajectory import integrate_axis_angle, n_trajectory
-from joint_oracles import (dephasing_identity_defect, f_generator, ideal_pulse,
+from spinpulse.trajectory import (_build_grid, _frames_on_grid, integrate_axis_angle,
+                                  n_trajectory)
+from joint_oracles import (bisected, dephasing_identity_defect, f_generator, ideal_pulse,
                            joint_deviation_table, one_shot_deviation, propagate_joint,
-                           reconstruct_uf, static_hamiltonian)
+                           reconstruct_uf, static_hamiltonian, to_bath_basis)
 from su2_oracles import matrix_log_unitary
 
 
@@ -123,13 +124,14 @@ def _random_bath(rng, dim: int, coupling: float) -> BathModel:
 
 class TestStepChunks:
     # the one-shot reference holds every step matrix at once, ~40 kB per step at dim 8
-    @pytest.mark.parametrize("dim, steps", [(dim, steps) for dim in (1, 3, 8)
+    @pytest.mark.parametrize("dim, steps", [(dim, steps) for dim in (1, 3, 8, 16)
                                             for steps in (64, 100, 2000, 5000)
                                             if dim * steps <= 16000])
     @pytest.mark.parametrize("kind", ("fourier", "piecewise"))
     def test_chunked_product_equals_one_shot(self, dim, steps, kind):
-        """Chunks of STEP_CHUNK steps are whole subtrees of the one-shot pairwise
-        product, also below one chunk and with a partial last chunk."""
+        """Power-of-two chunks are whole subtrees of the one-shot pairwise product,
+        also below one chunk, with a partial last chunk and, at dim 16's chunks of
+        16 steps, through several levels of the running fold."""
         rng = np.random.default_rng(dim * 7919 + steps)
         if kind == "fourier":
             shape = random_fourier_shape(rng, order=3, tau_s=0.3337)
@@ -142,18 +144,24 @@ class TestStepChunks:
         assert np.array_equal(u_f, one_shot_deviation(shape, bath, steps))
 
     def test_peak_memory_does_not_grow_with_steps(self, rng):
+        """Beyond the frame integrator's own transient on the bisected grid, the
+        oracle holds a few step tables of TABLE_BYTES at any step count."""
         shape = random_fourier_shape(rng, order=3)
-        bath = _random_bath(rng, 8, 0.6)
-        oracle.integrate_deviation(shape, bath, steps=64)     # lazy set-up off the record
-        peaks = []
-        for steps in (1024, 8192):
-            tracemalloc.start()
-            try:
-                oracle.integrate_deviation(shape, bath, steps=steps)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0]
+        for dim in (8, 16):
+            bath = _random_bath(rng, dim, 0.6)
+            oracle.integrate_deviation(shape, bath, steps=64)     # lazy set-up off the record
+            for steps in (1024, 8192):
+                fine = bisected(_build_grid(shape, steps))
+                peaks = []
+                for run in (lambda: _frames_on_grid(shape, fine),
+                            lambda: oracle.integrate_deviation(shape, bath, steps=steps)):
+                    tracemalloc.start()
+                    try:
+                        run()
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+                assert peaks[1] - peaks[0] <= 12 * oracle.TABLE_BYTES, (dim, steps)
 
 
 class TestDeviationGenerator:
@@ -172,11 +180,12 @@ class TestDeviationGenerator:
         assert spectral_norm(f - f.conj().T) < 1e-10
 
     @settings(max_examples=40, deadline=None)
-    @given(dim=st.sampled_from((1, 2, 5, 8)), coupling=st.floats(0.05, 2.0),
+    @given(dim=st.sampled_from((1, 2, 5, 8, 16)), coupling=st.floats(0.05, 2.0),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_block_form_equals_joint_space(self, dim, coupling, seed):
-        """F from the bath's sigma_z blocks equals F formed in the full joint
-        space, with v_z in the amplitudes, and is exactly Hermitian."""
+        """F from the bath's sigma_z blocks, exactly Hermitian as computed in the
+        eigenbasis of H+, equals F formed in the full joint space, with v_z in the
+        amplitudes, once taken back to the bath's basis."""
         rng = np.random.default_rng(seed)
         bath = _random_bath(rng, dim, coupling)
         t = rng.uniform(0.0, 2.0, 24)
@@ -184,10 +193,11 @@ class TestDeviationGenerator:
         q = rng.normal(size=(24, 4))
         w = quaternion_matrix(q / np.linalg.norm(q, axis=1, keepdims=True))
         v = rng.normal(scale=5.0, size=(24, 3))
-        f = oracle._deviation_table(oracle._coupling_turns(bath)(t - tau_s), w, v)
+        turns, v_plus = oracle._coupling_turns(bath)
+        f = oracle._deviation_table(turns(t - tau_s), w, v)
         ref = joint_deviation_table(bath, t, tau_s, w, v)
         assert np.array_equal(f, f.conj().transpose(0, 2, 1))
-        assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(to_bath_basis(f, v_plus) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_leading_series_term(self, dynamic_bath):
         """F(t) = -lambda dt dSz(t) (x) A + O(dt^2) near the splitting instant."""
