@@ -123,13 +123,11 @@ def cmd_corrections(args, texts: dict, digest: str) -> int:
     unknown = [t for t in targets if t not in RESIDUAL_TARGETS]
     if unknown:
         raise SchemaError(f"unknown residual target {unknown[0]!r}")
-    tau_s = args.tau_s if args.tau_s is not None else shape.tau_s
-    if not 0.0 <= tau_s <= shape.tau_p:
-        raise ValueError("tau_s override outside [0, tau_p]")
-    traj = integrate_axis_angle(shape, args.grid)
-    ntraj = n_trajectory(traj)
-    report = evaluate_corrections(ntraj, tau_s)
-    diag = nogo_diagnostics(ntraj, tau_s)
+    if args.tau_s is not None:      # the frame is anchored at the overriding tau_s
+        shape = replace(shape, tau_s=args.tau_s)
+    ntraj = n_trajectory(integrate_axis_angle(shape, args.grid))
+    report = evaluate_corrections(ntraj, shape.tau_s)
+    diag = nogo_diagnostics(ntraj, shape.tau_s)
     doc = format_report(report, diag, digest, args.threshold, targets)
     _write_output(doc, args.out)
     requested = [report.normalized[RESIDUAL_TARGETS.index(t)] for t in targets]

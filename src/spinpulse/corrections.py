@@ -36,6 +36,9 @@ from .su2 import pauli_dot
 from .trajectory import NTrajectory
 
 RESIDUAL_TARGETS = ("r1", "r2a", "r2b")
+# the power of tau_p that makes each residual dimensionless: r1 / tp, r2a / tp^2, r2b / tp^2
+TAU_P_POWERS = (1, 2, 2)
+_TARGET_ROWS = {t: (i, p) for i, (t, p) in enumerate(zip(RESIDUAL_TARGETS, TAU_P_POWERS))}
 # a report is unconverged where the halved-grid error of a residual exceeds
 # both this fraction of its norm and this floor (times tau_p, or tau_p^2 for r2a, r2b)
 QUAD_UNCONVERGED_REL = 1e-3
@@ -70,8 +73,7 @@ class CorrectionReport:
     @property
     def normalized(self) -> np.ndarray:
         """Dimensionless residual norms (|r1|/tp, |r2a|/tp^2, |r2b|/tp^2)."""
-        scales = np.array([self.tau_p, self.tau_p ** 2, self.tau_p ** 2])
-        return self.norms / scales
+        return self.norms / _scales(self.tau_p)
 
     def normalized_vector(self, targets=RESIDUAL_TARGETS) -> np.ndarray:
         """Stacked dimensionless residual components for the requested targets."""
@@ -79,20 +81,20 @@ class CorrectionReport:
                                           self.tau_p, targets)
 
 
+def _scales(tau_p: float) -> np.ndarray:
+    return np.array([tau_p ** power for power in TAU_P_POWERS])
+
+
 def normalized_residual_vector(residuals, tau_p: float,
                                targets=RESIDUAL_TARGETS) -> np.ndarray:
     """Stack (r1/tp, r2a/tp^2, r2b/tp^2) components of the requested targets."""
-    r1, r2a, r2b = residuals
     parts = []
     for t in targets:
-        if t == "r1":
-            parts.append(r1 / tau_p)
-        elif t == "r2a":
-            parts.append(r2a / tau_p ** 2)
-        elif t == "r2b":
-            parts.append(r2b / tau_p ** 2)
-        else:
-            raise ValueError(f"unknown residual target {t!r}")
+        try:
+            i, power = _TARGET_ROWS[t]
+        except KeyError:
+            raise ValueError(f"unknown residual target {t!r}") from None
+        parts.append(residuals[i] / tau_p ** power)
     return np.concatenate(parts, axis=-1)
 
 
@@ -176,7 +178,7 @@ def evaluate_corrections(ntraj: NTrajectory, tau_s: float) -> CorrectionReport:
     quad_err = np.array([np.linalg.norm(r - r_h) for r, r_h in zip((r1, r2a, r2b), halved)])
 
     norms = np.array([np.linalg.norm(r1), np.linalg.norm(r2a), np.linalg.norm(r2b)])
-    floors = QUAD_UNCONVERGED_FLOOR * np.array([tau_p, tau_p ** 2, tau_p ** 2])
+    floors = QUAD_UNCONVERGED_FLOOR * _scales(tau_p)
     unconverged = bool(np.any(quad_err > np.maximum(QUAD_UNCONVERGED_REL * norms, floors)))
     r2b_valid = bool(np.linalg.norm(r1) <= R2B_VALIDITY_REL * tau_p)
     return CorrectionReport(tau_p=tau_p, tau_s=tau_s, r1=r1, r2a=r2a, r2b=r2b,

@@ -46,6 +46,9 @@ ROTATION_WEIGHT = 100.0
 VERIFIED_BOUND = 1e-7
 # and its objective, the squared residual norm, is at most this
 CONVERGED_OBJECTIVE = 1e-16
+# Levenberg-Marquardt stops below this cost, or this largest gradient component
+STOP_COST = 1e-20
+STOP_GRADIENT = 1e-13
 FREE = "free"
 
 
@@ -197,6 +200,9 @@ class _Parameterization:
             lift = np.eye(n_seg)
             offset = np.r_[np.zeros(n_seg - 1), n_seg * mean]
             if problem.fixed_axis:
+                if n_seg == 1:
+                    raise IllPosedProblem("a fixed axis pins the mean amplitude, which "
+                                          "fixes a lone segment: segments must be at least 2")
                 lift = lift[:, :-1]
                 lift[-1] = -1.0
         blocks = np.eye(len(problem.components))
@@ -334,7 +340,9 @@ class _ResidualFunction:
         problem = self.problem
         parts = []
         if problem.amplitude_bound is not None:
-            excess = shape.max_amplitude() - problem.amplitude_bound
+            t = np.linspace(0.0, problem.tau_p, 512)
+            peak = np.max(np.linalg.norm(shape.amplitude(t), axis=-1))
+            excess = peak - problem.amplitude_bound
             parts.append([10.0 * np.maximum(0.0, excess) * problem.tau_p])
         if problem.power_weight > 0.0:
             t = np.linspace(0.0, problem.tau_p, 129)
@@ -459,8 +467,7 @@ def finite_difference_jacobian(fun, x: np.ndarray, step: float = 1e-6) -> np.nda
                      for d, h_i in zip(np.diag(h), h)], axis=1)
 
 
-def _levenberg_marquardt(fun: _ResidualFunction, x0: np.ndarray, max_iter: int = 80,
-                         cost_tol: float = 1e-20, grad_tol: float = 1e-13):
+def _levenberg_marquardt(fun: _ResidualFunction, x0: np.ndarray, max_iter: int = 80):
     """Damped Gauss-Newton with multiplicative damping (x3 up, /2 down).
 
     ``fun`` is a residual function: a call evaluates a point, and its
@@ -472,11 +479,11 @@ def _levenberg_marquardt(fun: _ResidualFunction, x0: np.ndarray, max_iter: int =
     cost = float(point.f @ point.f)
     mu = 1e-3
     for _ in range(max_iter):
-        if cost < cost_tol:
+        if cost < STOP_COST:
             break
         jac = fun.jacobian(point)
         grad = jac.T @ point.f
-        if np.max(np.abs(grad)) < grad_tol:
+        if np.max(np.abs(grad)) < STOP_GRADIENT:
             break
         jtj = jac.T @ jac
         improved = False

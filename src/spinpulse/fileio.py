@@ -82,12 +82,10 @@ class _Record:
     def line(self, key: str) -> int:
         return self.fields[key][1]
 
-    def _read(self, key: str, default, convert, noun: str, fold=str):
-        """``convert(fold(value))`` of ``key``, or ``default`` if it is absent; a
-        value ``convert`` refuses is a SchemaError at its line, quoted as folded."""
+    def _read(self, key: str, convert, noun: str, fold=str):
+        """``convert(fold(value))`` of ``key``; a value ``convert`` refuses is a
+        SchemaError at its line, quoted as folded."""
         if key not in self.fields:
-            if default is not None:
-                return default
             raise SchemaError(f"missing required key {key!r}")
         self.read.add(key)
         value = fold(self.fields[key][0])
@@ -96,21 +94,24 @@ class _Record:
         except (ValueError, KeyError):
             raise SchemaError(f"{key}: not {noun}: {value!r}", self.line(key)) from None
 
-    def string(self, key: str, default: str | None = None) -> str:
-        return self._read(key, default, str, "a string")
+    def string(self, key: str) -> str:
+        return self._read(key, str, "a string")
 
-    def number(self, key: str, default: float | None = None) -> float:
-        return self._read(key, default, float, "a number")
+    def number(self, key: str) -> float:
+        return self._read(key, float, "a number")
 
-    def integer(self, key: str, default: int | None = None) -> int:
-        return self._read(key, default, int, "an integer")
+    def integer(self, key: str) -> int:
+        return self._read(key, int, "an integer")
 
-    def boolean(self, key: str, default: bool | None = None) -> bool:
-        return self._read(key, default, _BOOLEANS.__getitem__, "a boolean", str.lower)
+    def boolean(self, key: str) -> bool:
+        return self._read(key, _BOOLEANS.__getitem__, "a boolean", str.lower)
 
     def numbers(self, key: str) -> list[float]:
-        return self._read(key, None, lambda value: [float(tok) for tok in value.split()],
+        return self._read(key, lambda value: [float(tok) for tok in value.split()],
                           "a number list")
+
+    def words(self, key: str) -> tuple[str, ...]:
+        return tuple(self.string(key).split())
 
     def check_all_read(self, accept=lambda key: False):
         """SchemaError at the first key, in line order, that no getter read and
@@ -236,9 +237,11 @@ def parse_bath(text: str) -> BathModel:
         raise SchemaError(f"expected kind = bath, got {kind!r}", rec.line("kind"))
     coupling = rec.number("lambda")
     if rec.has("preset"):
-        preset, omega_b = rec.string("preset"), rec.number("omega_b", 1.0)
+        # a key the file omits keeps preset_bath's default
+        preset = rec.string("preset")
+        options = {"omega_b": rec.number("omega_b")} if rec.has("omega_b") else {}
         rec.check_all_read()
-        return preset_bath(preset, coupling=coupling, omega_b=omega_b)
+        return preset_bath(preset, coupling=coupling, **options)
     dim = rec.integer("dim_b")
     if not 1 <= dim <= DIM_CAP:     # before the dim x dim tables are built
         raise ValueError(f"bath dimension must be in 1..{DIM_CAP}")
@@ -272,32 +275,39 @@ def format_bath(bath: BathModel) -> str:
 # design problem and solution files
 
 
+def _tau_s_fraction(rec: _Record, key: str) -> float | str:
+    return FREE if rec.string(key) == FREE else rec.number(key)
+
+
+# problem-file key -> (DesignProblem field, reader); a key the file omits
+# keeps the field's default, and theta, which has none, is required
+_PROBLEM_KEYS = {
+    "tau_s": ("tau_s", _tau_s_fraction),
+    "fourier_order": ("fourier_order", _Record.integer),
+    "components": ("components", _Record.words),
+    "targets": ("targets", _Record.words),
+    "symmetric": ("symmetric", _Record.boolean),
+    "endpoint_zero_derivatives": ("endpoint_derivatives", _Record.integer),
+    "amplitude_bound": ("amplitude_bound", _Record.number),
+    "power_weight": ("power_weight", _Record.number),
+    "ansatz": ("ansatz", _Record.string),
+    "segments": ("segments", _Record.integer),
+    "grid": ("grid_steps", _Record.integer),
+    "restarts": ("restarts", _Record.integer),
+}
+
+
 def parse_problem(text: str) -> DesignProblem:
     rec = _Record(parse_flat(text))
     rec.check_version()
     kind = rec.string("kind")
     if kind != "problem":
         raise SchemaError(f"expected kind = problem, got {kind!r}", rec.line("kind"))
-    tau_s_raw = rec.string("tau_s", "0.5")
-    tau_s: float | str = FREE if tau_s_raw == FREE else rec.number("tau_s", 0.5)
-    fields = dict(
-        theta=rec.number("theta"),
-        tau_s=tau_s,
-        fourier_order=rec.integer("fourier_order", 2),
-        components=tuple(rec.string("components", "y").split()),
-        targets=tuple(rec.string("targets", "r1").split()),
-        symmetric=rec.boolean("symmetric", True),
-        endpoint_derivatives=rec.integer("endpoint_zero_derivatives", 0),
-        amplitude_bound=(rec.number("amplitude_bound")
-                         if rec.has("amplitude_bound") else None),
-        power_weight=rec.number("power_weight", 0.0),
-        ansatz=rec.string("ansatz", "fourier"),
-        segments=rec.integer("segments", 8),
-        grid_steps=rec.integer("grid", 512),
-        restarts=rec.integer("restarts", 32),
-    )
+    theta = rec.number("theta")
+    fields = {name: read(rec, key) for key, (name, read) in _PROBLEM_KEYS.items()
+              if rec.has(key)}
     rec.check_all_read()
-    return DesignProblem(**fields)
+    return DesignProblem(theta, **fields)
 
 
 def format_solution(solution: DesignSolution, manifest_digest: str) -> str:

@@ -14,7 +14,7 @@ Three representations are supported:
     A sampled rotation frame (t_j, axis_j, angle_j).  The axis and the angle
     are splined separately, keeping whole turns between samples, and the
     amplitude is :func:`frame_amplitude` of the frame q they give.  The
-    splines are scipy's, imported on a sampled pulse's first amplitude call;
+    splines are scipy's, imported and built when a sampled pulse is built;
     the other representations run on numpy alone.
 """
 
@@ -49,6 +49,8 @@ class FourierCoefficients:
 
     @staticmethod
     def zeros(order: int, lanes: tuple = ()) -> "FourierCoefficients":
+        if order < 0:
+            raise ValueError(f"fourier_order must not be negative, got {order}")
         return FourierCoefficients(np.zeros((*lanes, 3, order + 1)), np.zeros((*lanes, 3, order)))
 
 
@@ -67,7 +69,8 @@ class PulseShape:
     sample_times: np.ndarray | None = None    # shape (M,)
     sample_axes: np.ndarray | None = None     # shape (M, 3)
     sample_angles: np.ndarray | None = None   # shape (M,)
-    _splines: dict = field(default_factory=dict, compare=False, repr=False)
+    # axis_angle_samples: the splines of the axis and the angle and their derivatives
+    _splines: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.tau_p < np.inf:
@@ -111,26 +114,25 @@ class PulseShape:
             object.__setattr__(self, "sample_times", t)
             object.__setattr__(self, "sample_axes", ax)
             object.__setattr__(self, "sample_angles", ps)
+            from scipy.interpolate import make_interp_spline
+            k = min(SPLINE_ORDER, len(t) - 1)
+            ax_spl = make_interp_spline(t, ax, k=k, axis=0)
+            ps_spl = make_interp_spline(t, ps, k=k)
+            object.__setattr__(self, "_splines", (ax_spl, ax_spl.derivative(),
+                                                  ps_spl, ps_spl.derivative()))
 
     # ------------------------------------------------------------------
 
     def _sampled_frame(self, t: np.ndarray):
-        """q = (cos psi/2, sin psi/2 a) and dq/dt at t from cached quintic splines.
+        """q = (cos psi/2, sin psi/2 a) and dq/dt at t from the quintic splines.
 
         The angle is splined itself; a spline of q loses whole turns between samples.
-        The splines are scipy's, imported here on first use.
         """
-        if "frame" not in self._splines:
-            from scipy.interpolate import make_interp_spline
-            k = min(SPLINE_ORDER, len(self.sample_times) - 1)
-            ax_spl = make_interp_spline(self.sample_times, self.sample_axes, k=k, axis=0)
-            ps_spl = make_interp_spline(self.sample_times, self.sample_angles, k=k)
-            self._splines["frame"] = (ax_spl, ps_spl)
-        ax_spl, ps_spl = self._splines["frame"]
+        ax_spl, dax_spl, ps_spl, dps_spl = self._splines
         a = ax_spl(t)
         norms = np.linalg.norm(a, axis=1, keepdims=True)
-        a, da = a / norms, ax_spl.derivative()(t) / norms
-        half, dhalf = 0.5 * ps_spl(t), 0.5 * ps_spl.derivative()(t)
+        a, da = a / norms, dax_spl(t) / norms
+        half, dhalf = 0.5 * ps_spl(t), 0.5 * dps_spl(t)
         c, s = np.cos(half), np.sin(half)
         return (np.column_stack([c, s[:, None] * a]),
                 np.column_stack([-s * dhalf, (c * dhalf)[:, None] * a + s[:, None] * da]))
@@ -169,11 +171,6 @@ class PulseShape:
                        + np.sin(phase) @ np.swapaxes(s, -1, -2))
         return out
 
-    def max_amplitude(self, samples: int = 512) -> float | np.ndarray:
-        """Largest |v| at ``samples`` uniform times: a float, or (m,) for lanes."""
-        t = np.linspace(0.0, self.tau_p, samples)
-        return np.max(np.linalg.norm(self.amplitude(t), axis=-1), axis=-1)
-
     def breakpoints(self) -> np.ndarray:
         """Interior times where the amplitude may be non-smooth."""
         if self.representation == "piecewise_constant":
@@ -208,17 +205,12 @@ def frame_amplitude(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
 
 def fourier_pulse(tau_p: float, tau_s: float, theta: float,
                   cos_coeffs: dict | None = None,
-                  sin_coeffs: dict | None = None,
-                  order: int | None = None) -> PulseShape:
+                  sin_coeffs: dict | None = None) -> PulseShape:
     """Convenience constructor from sparse {component: [c0, c1, ...]} dictionaries."""
     cos_coeffs = cos_coeffs or {}
     sin_coeffs = sin_coeffs or {}
-    if order is None:
-        order = 0
-        for coeffs in cos_coeffs.values():
-            order = max(order, len(coeffs) - 1)
-        for coeffs in sin_coeffs.values():
-            order = max(order, len(coeffs))
+    order = max([0, *(len(c) - 1 for c in cos_coeffs.values()),
+                 *(len(s) for s in sin_coeffs.values())])
     coeff = FourierCoefficients.zeros(order)
     for comp, values in cos_coeffs.items():
         i = COMPONENTS.index(comp)
@@ -229,17 +221,7 @@ def fourier_pulse(tau_p: float, tau_s: float, theta: float,
     return PulseShape(tau_p, tau_s, theta, "fourier", fourier=coeff)
 
 
-def constant_rotation_pulse(tau_p: float, theta: float, axis=(0.0, 1.0, 0.0),
-                            tau_s: float | None = None) -> PulseShape:
-    """Constant-amplitude pulse implementing the target rotation exactly.
-
-    The mean amplitude is pinned so the accumulated frame satisfies the
-    total-rotation requirement (angle swept = -theta about the given axis).
-    """
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    if tau_s is None:
-        tau_s = 0.5 * tau_p
-    coeff = FourierCoefficients.zeros(0)
-    coeff.cos[:, 0] = -theta / (2.0 * tau_p) * axis
-    return PulseShape(tau_p, tau_s, theta, "fourier", fourier=coeff)
+def constant_rotation_pulse(tau_p: float, theta: float) -> PulseShape:
+    """Constant amplitude about y, split at tau_s = tau_p / 2, implementing the
+    target rotation exactly: its frame sweeps the angle -theta."""
+    return fourier_pulse(tau_p, 0.5 * tau_p, theta, {"y": [-theta / (2.0 * tau_p)]})

@@ -14,21 +14,18 @@ from .trajectory import NTrajectory, integrate_axis_angle, n_trajectory
 PI_CLOSE_FRACTION = 0.15      # share of the path, at its end, that pi-closing replaces
 
 
-def random_fourier_shape(rng: np.random.Generator, tau_p: float = 1.0,
-                         order: int = 4, components: str = "xyz",
-                         scale: float = 1.0, theta: float = np.pi,
+def random_fourier_shape(rng: np.random.Generator, order: int = 4, scale: float = 1.0,
                          tau_s: float | None = None) -> PulseShape:
-    """Random smooth pulse with amplitude scale ~ pi/(2 tau_p) and decaying harmonics."""
+    """Random smooth pi pulse on tau_p = 1, amplitude scale ~ pi/2 with decaying harmonics."""
     coeff = FourierCoefficients.zeros(order)
-    amp = scale * np.pi / (2.0 * tau_p)
+    amp = scale * np.pi / 2.0
     decay = (1.0 + np.arange(order + 1)) ** 1.5
-    for comp in components:
-        i = "xyz".index(comp)
+    for i in range(3):
         coeff.cos[i] = rng.uniform(-1.0, 1.0, order + 1) * amp / decay
         coeff.sin[i] = rng.uniform(-1.0, 1.0, order) * amp / decay[1:]
     if tau_s is None:
-        tau_s = rng.uniform(0.2, 0.8) * tau_p
-    return PulseShape(tau_p, tau_s, theta, "fourier", fourier=coeff)
+        tau_s = rng.uniform(0.2, 0.8)
+    return PulseShape(1.0, tau_s, np.pi, "fourier", fourier=coeff)
 
 
 def random_ntrajectory(rng: np.random.Generator, samples: int,

@@ -53,7 +53,7 @@ def quaternion_matrix(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_hermitian(h: np.ndarray, scale: complex = -1.0j) -> np.ndarray:
-    """exp(scale * h) for Hermitian h via eigendecomposition."""
+def expm_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for Hermitian h via eigendecomposition."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return (v * np.exp(-1.0j * w)) @ v.conj().T

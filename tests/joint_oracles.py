@@ -75,7 +75,7 @@ def _slice_propagate(shape: PulseShape, bath: BathModel, steps: int) -> np.ndarr
     u = np.eye(2 * bath.dim_b, dtype=complex)
     for k in range(len(mids)):
         h_tot = h_static + np.kron(pauli_dot(v_mid[k]), eye_b)
-        u = expm_hermitian(h_tot, scale=-1.0j * (grid[k + 1] - grid[k])) @ u
+        u = expm_hermitian((grid[k + 1] - grid[k]) * h_tot) @ u
     return u
 
 
@@ -96,8 +96,8 @@ def reconstruct_uf(u_p: np.ndarray, traj: FrameTrajectory, bath: BathModel) -> n
     tau_p, tau_s = traj.tau_p, traj.tau_s
     w_end = np.kron(traj.unitaries[-1], eye_b)
     w_start = np.kron(traj.unitaries[0], eye_b)
-    left = w_end.conj().T @ expm_hermitian(h, scale=1.0j * (tau_p - tau_s))
-    right = expm_hermitian(h, scale=1.0j * tau_s) @ w_start
+    left = w_end.conj().T @ expm_hermitian((tau_s - tau_p) * h)
+    right = expm_hermitian(-tau_s * h) @ w_start
     return _project_unitary(left @ u_p @ right)
 
 
@@ -155,7 +155,7 @@ def dephasing_identity_defect(coupling: float, tau_p: float) -> float:
     of tau_p.  Returns the operator-norm deviation.
     """
     h = coupling * SIGMA_Z
-    half = expm_hermitian(h, scale=-0.5j * tau_p)
+    half = expm_hermitian(0.5 * tau_p * h)
     p_pi = ideal_pulse(np.pi)
     return spectral_norm(half @ p_pi @ half - p_pi)
 

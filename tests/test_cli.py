@@ -165,6 +165,29 @@ class TestCorrections:
         code = main(["corrections", str(workdir / "pi.pulse"), "--threshold", "10.0"])
         assert code == 0
 
+    def test_tau_s_override_anchors_the_frame_there(self, tmp_path):
+        """--tau-s T reports what the same pulse written with tau_s = T reports."""
+        text = (BENCH_DATA / "q_reference.txt").read_text()
+        assert "tau_s = 0.5\n" in text
+        rewritten = tmp_path / "q_03.txt"
+        rewritten.write_text(text.replace("tau_s = 0.5\n", "tau_s = 0.3\n"))
+        records = []
+        for argv in ([str(BENCH_DATA / "q_reference.txt"), "--tau-s", "0.3"], [str(rewritten)]):
+            out = tmp_path / f"report{len(records)}.txt"
+            main(["corrections", *argv, "--out", str(out)])
+            records.append([line for line in out.read_text().splitlines()
+                            if not line.startswith("manifest_sha256 = ")])
+        assert "tau_s = 0.29999999999999999" in records[0]
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("tau_s", ["-0.1", "1.5", "nan"])
+    def test_tau_s_override_outside_the_pulse_exits_3(self, workdir, capsys, tau_s):
+        out = workdir / "report.txt"
+        assert main(["corrections", str(workdir / "pi.pulse"), "--tau-s", tau_s,
+                     "--out", str(out)]) == 3
+        assert "tau_s must lie in [0, tau_p]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_changes_the_manifest_digest(self, workdir):
         digests = []
         for grid in ("256", "1024"):
@@ -196,6 +219,15 @@ class TestLibraryErrors:
         out = tmp_path / "out.txt"
         assert main([command, str(pulse), *flags, "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_fourier_order_exits_3_naming_it(self, tmp_path, capsys):
+        pulse = tmp_path / "negative.pulse"
+        pulse.write_text("schema_version = 1\nkind = pulse\nrepresentation = fourier\n"
+                         f"tau_p = 1.0\ntau_s = 0.5\ntheta = {PI}\nfourier_order = -1\n")
+        out = tmp_path / "out.txt"
+        assert main(["corrections", str(pulse), "--out", str(out)]) == 3
+        assert "fourier_order must not be negative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -409,7 +441,10 @@ class TestUsageErrors:
         ("theta = 3.14159265358979312\nfourier_order = 1\n"
          "endpoint_zero_derivatives = 2\n", ["--probe"],
          "endpoint-derivative constraints leave no free coefficients"),
-    ], ids=["overdetermined", "no-free-coefficients", "no-free-coefficients-probe"])
+        ("theta = 3.14159265358979312\nansatz = piecewise\nsegments = 1\n", [],
+         "a fixed axis pins the mean amplitude, which fixes a lone segment"),
+    ], ids=["overdetermined", "no-free-coefficients", "no-free-coefficients-probe",
+            "piecewise-lone-segment"])
     def test_ill_posed_problem_exits_3(self, workdir, capsys, body, flags, message):
         prob = workdir / "ill.problem"
         prob.write_text("schema_version = 1\nkind = problem\n" + body)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,15 @@ def test_constant_rotation_pulse_mean():
     shape = constant_rotation_pulse(2.0, np.pi)
     assert np.allclose(shape.amplitude(0.7), [0.0, -np.pi / 4.0, 0.0])
     assert shape.amplitude(0.7)[1] == pytest.approx(-np.pi / 4.0)
+
+
+def test_amplitude_leaves_sampled_shape_unchanged():
+    """A sampled shape builds its splines with itself: evaluating it changes no attribute."""
+    t = np.linspace(0.0, 1.0, 9)
+    axes = np.column_stack([np.sin(t), np.cos(t), np.zeros_like(t)])
+    shape = PulseShape(1.0, 0.5, np.pi, "axis_angle_samples",
+                       sample_times=t, sample_axes=axes, sample_angles=np.pi * t)
+    before = pickle.dumps(shape)
+    shape.amplitude(0.3)
+    shape.amplitude(np.linspace(0.0, 1.0, 17))
+    assert pickle.dumps(shape) == before
