@@ -123,6 +123,8 @@ def cmd_corrections(args, texts: dict, digest: str) -> int:
     unknown = [t for t in targets if t not in RESIDUAL_TARGETS]
     if unknown:
         raise SchemaError(f"unknown residual target {unknown[0]!r}")
+    if len(set(targets)) != len(targets):
+        raise SchemaError("--targets must be distinct: each of r1, r2a, r2b at most once")
     if args.tau_s is not None:      # the frame is anchored at the overriding tau_s
         shape = replace(shape, tau_s=args.tau_s)
     ntraj = n_trajectory(integrate_axis_angle(shape, args.grid))

@@ -152,10 +152,10 @@ def parse_pulse(text: str) -> PulseShape:
                     or parts[2] not in ("a", "b")):
                 raise SchemaError(f"bad coefficient key {key!r}", rec.line(key))
             i = COMPONENTS.index(parts[1])
-            try:
-                k = int(parts[3])
-            except ValueError:
-                raise SchemaError(f"bad harmonic index in {key!r}", rec.line(key)) from None
+            # only the canonical spelling str(k), so no two keys name one harmonic
+            k = int(parts[3]) if parts[3].isdecimal() else -1
+            if str(k) != parts[3]:
+                raise SchemaError(f"bad harmonic index in {key!r}", rec.line(key))
             value = rec.number(key)
             if parts[2] == "a" and 0 <= k <= order:
                 coeff.cos[i, k] = value

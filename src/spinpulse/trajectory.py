@@ -35,8 +35,11 @@ in full.
 For output only, :func:`axis_angle` decomposes the frame as c = cos(psi/2),
 s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
 unit axis a(t), under conventions that the equations do not force:
-  * the axis gauge is chosen so that psi initially grows along +v just after
-    tau_s; it also signs the angle at the node nearest tau_s;
+  * the axis gauge is v just after tau_s (the amplitude is right-continuous
+    at a segment boundary), so psi initially grows along +v there; it also
+    signs the angle at the node nearest tau_s;
+  * one walk per sweep, node by node away from tau_s, lets the previous
+    node's axis sign s and so pick the 2 pi branch of the angle;
   * where sin(psi/2) vanishes, or s turns away from the previous axis, the
     axis is continued from the instantaneous rotation axis v(t)/|v(t)|
     (falling back to the previous node's axis).
@@ -335,7 +338,8 @@ def n_trajectory(traj: FrameTrajectory) -> NTrajectory:
 
 
 def _bootstrap_axis(v_s: np.ndarray, v_scale: float, svec: np.ndarray, i_s: int):
-    """Initial axis gauge: +v(tau_s) direction, else nearest resolvable frame."""
+    """Initial axis gauge: the direction of v_s, v just after tau_s, else the
+    nearest resolvable frame."""
     if np.linalg.norm(v_s) > 1e-12 * max(1.0, v_scale):
         return v_s / np.linalg.norm(v_s)
     mags = np.linalg.norm(svec, axis=1)
@@ -347,56 +351,35 @@ def _bootstrap_axis(v_s: np.ndarray, v_scale: float, svec: np.ndarray, i_s: int)
     return (1.0 if j > i_s else -1.0) * svec[j] / mags[j]
 
 
-def _unit_rows(x: np.ndarray):
-    """Rows scaled to unit length (zero rows stay zero), and their norms."""
-    norms = np.linalg.norm(x, axis=1)
-    return x / np.where(norms > 0.0, norms, 1.0)[:, None], norms
-
-
-def _unwrap_sweep(c, svec, v, axis0, v_floor):
-    """(psi, axis) along one sweep from the node nearest tau_s, away from tau_s.
-
-    Before its first node is tau_s itself, with psi = 0 and axis ``axis0``.
-    The previous node's axis fixes the sign of s, and with it the 2 pi branch
-    of the angle.  The axis line is s/|s| where |s| exceeds ``AXIS_FLOOR`` and s
-    stays within ~75 degrees of the previous line; elsewhere (a full turn) it
-    continues along v(t), or keeps the previous line where v vanishes, and
-    the first node falls back to ``axis0`` itself.  That choice at a node
-    depends on the line before it, so it is iterated to its fixed point; the
-    first pass reaches it unless a resolvable s turns away from the previous
-    line.  Signs are a cumulative product of signs of consecutive dot
-    products.
-    """
-    s_hat, mag = _unit_rows(svec)
-    v_hat, v_norm = _unit_rows(v)
-    v_hat[0] = axis0
-    fallback = v_norm > v_floor
-    index = np.arange(len(c))
-    resolvable = mag > AXIS_FLOOR
-    resolved = resolvable
-    while True:
-        line = np.where(resolved[:, None], s_hat, v_hat)
-        keep = ~resolved & ~fallback
-        line = line[np.maximum.accumulate(np.where(keep, 0, index))]
-        prev = np.vstack([axis0, line[:-1]])
-        w = np.sum(svec * prev, axis=1)
-        regular = resolvable & (np.abs(w) > 0.25 * mag)
-        if np.array_equal(regular, resolved):
-            break
-        resolved = regular
-    sign = np.cumprod(np.where(np.sum(line * prev, axis=1) >= 0.0, 1.0, -1.0))
-    branch = np.arctan2(np.r_[1.0, sign[:-1]] * np.where(w >= 0.0, 1.0, -1.0) * mag, c)
-    return 2.0 * np.unwrap(branch), sign[:, None] * line
-
-
 def _unwrap_frames(v_nodes, c, svec, i_s, axis0):
-    """Continuous angle and axis along both sweeps from node ``i_s``, nearest tau_s."""
-    v_floor = 1e-9 * max(float(np.max(np.linalg.norm(v_nodes, axis=1))), 1e-300)
+    """Continuous angle psi (n,) and unit axis (n, 3), node by node along both
+    sweeps from node ``i_s``, nearest tau_s.
+
+    Each sweep starts from tau_s, with psi = 0 and axis ``axis0``.  At every
+    node the previous axis signs s, and psi/2 is atan2(sign |s|, c) on the
+    2 pi branch nearest the previous node.  The axis is then +-s/|s| where |s|
+    exceeds ``AXIS_FLOOR`` and s stays within ~75 degrees of the previous axis
+    (|s . a| > |s| / 4); elsewhere (a full turn, or s turned away) it is
+    +-v/|v|, signed along the previous axis, where v is resolvable and the
+    node is not ``i_s``, else the previous axis.
+    """
+    v_norm = np.linalg.norm(v_nodes, axis=1)
+    v_floor = 1e-9 * max(float(np.max(v_norm)), 1e-300)
+    mags = np.linalg.norm(svec, axis=1)
     psi = np.zeros(len(c))
     axis = np.empty((len(c), 3))
-    for sweep in (np.arange(i_s, len(c)), np.arange(i_s, -1, -1)):
-        psi[sweep], axis[sweep] = _unwrap_sweep(c[sweep], svec[sweep], v_nodes[sweep],
-                                                axis0, v_floor)
+    for sweep in (range(i_s, len(c)), range(i_s, -1, -1)):
+        a, half = axis0, 0.0
+        for j in sweep:
+            w = svec[j] @ a
+            sign = 1.0 if w >= 0.0 else -1.0
+            raw = np.arctan2(sign * mags[j], c[j])
+            half = raw + 2.0 * np.pi * round((half - raw) / (2.0 * np.pi))
+            if mags[j] > AXIS_FLOOR and abs(w) > 0.25 * mags[j]:
+                a = sign * svec[j] / mags[j]
+            elif j != i_s and v_norm[j] > v_floor:
+                a = (1.0 if v_nodes[j] @ a >= 0.0 else -1.0) * v_nodes[j] / v_norm[j]
+            psi[j], axis[j] = 2.0 * half, a
     return psi, axis
 
 
@@ -411,7 +394,9 @@ def axis_angle(shape: PulseShape, traj: FrameTrajectory):
     i_s = int(np.argmin(np.abs(traj.grid - traj.tau_s)))
     v_nodes = shape.amplitude(traj.grid)
     v_scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
-    axis0 = _bootstrap_axis(v_nodes[i_s], v_scale, svec, i_s)
+    # amplitude is right-continuous, so this is v just after tau_s even where
+    # the node nearest tau_s is a segment boundary
+    axis0 = _bootstrap_axis(shape.amplitude(traj.tau_s), v_scale, svec, i_s)
     psi, axis = _unwrap_frames(v_nodes, c, svec, i_s, axis0)
     if np.any(np.abs(np.diff(psi)) >= np.pi):
         raise ValueError("angle steps must stay below pi on the resolved grid")

@@ -116,6 +116,19 @@ class TestConvert:
         assert main(["convert", str(bad)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index", ["01", "+1", "1_0"])
+    def test_non_canonical_harmonic_index_exits_2(self, workdir, capsys, index):
+        """Only str(k) names harmonic k, so a second spelling of a_1 is no
+        silent overwrite of the first."""
+        bad = workdir / "bad_index.pulse"
+        bad.write_text("schema_version = 1\nkind = pulse\nrepresentation = fourier\n"
+                       "tau_p = 1\ntau_s = 0.5\ntheta = 0\nfourier_order = 10\n"
+                       f"coeff.y.a.1 = 1.0\ncoeff.y.a.{index} = 5.0\n")
+        assert main(["convert", str(bad), "--out", str(workdir / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "line 9" in err and f"bad harmonic index in 'coeff.y.a.{index}'" in err
+        assert not (workdir / "out.csv").exists()
+
     def test_invariant_violation_exits_3(self, workdir):
         bad = workdir / "bad_axis.pulse"
         bad.write_text(
@@ -150,6 +163,15 @@ class TestCorrections:
                      "--out", str(out)])
         assert code == 2
         assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_target_exits_2_before_writing(self, workdir, capsys):
+        """A repeated target is refused, as a problem file's targets are."""
+        out = workdir / "report.txt"
+        code = main(["corrections", str(workdir / "pi.pulse"), "--targets", "r1,r1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "--targets must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])

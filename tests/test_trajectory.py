@@ -36,40 +36,6 @@ def generator_quaternions(*amplitudes):
     return tuple(np.concatenate([np.zeros((len(v), 1)), v], axis=1) for v in amplitudes)
 
 
-def unwrap_frames_loop(v_nodes, c, svec, i_s, axis0, floor):
-    """Node-by-node reference for ``_unwrap_frames``.
-
-    Both sweeps start at tau_s, with psi = 0 and axis ``axis0``, and take
-    node i_s first; there the fallback axis is ``axis0`` itself.  Also
-    returns the nodes where |s| exceeds the floor and the axis still came
-    from a fallback, because s turned away from the previous axis.
-    """
-    n = len(c)
-    phi = np.zeros(n)
-    axis = np.zeros((n, 3))
-    turned = np.zeros(n, dtype=bool)
-    v_floor = 1e-9 * max(float(np.max(np.linalg.norm(v_nodes, axis=1))), 1e-300)
-    mags = np.linalg.norm(svec, axis=1)
-    for direction in (1, -1):
-        ax = np.array(axis0, dtype=float)
-        phi_prev = 0.0
-        for j in (range(i_s, n) if direction > 0 else range(i_s, -1, -1)):
-            w = svec[j] @ ax
-            sign = 1.0 if w >= 0 else -1.0
-            raw = np.arctan2(sign * mags[j], c[j])
-            phi[j] = raw + 2 * np.pi * round((phi_prev - raw) / (2 * np.pi))
-            if mags[j] > floor and abs(w) > 0.25 * mags[j]:
-                ax = sign * svec[j] / mags[j]
-            else:
-                turned[j] = mags[j] > floor
-                v_norm = np.linalg.norm(v_nodes[j])
-                if j != i_s and v_norm > v_floor:
-                    ax = (1.0 if v_nodes[j] @ ax >= 0 else -1.0) * v_nodes[j] / v_norm
-            axis[j] = ax
-            phi_prev = phi[j]
-    return 2.0 * phi, axis, turned
-
-
 class TestIntegrateAxisAngle:
     def test_constant_y_pulse(self):
         tau_p = 2.0
@@ -134,9 +100,13 @@ class TestIntegrateAxisAngle:
             assert np.abs(axis - [0.0, -1.0, 0.0]).max() < 1e-9
             assert psi[-1] == pytest.approx(4 * np.pi, abs=1e-6)
 
-    def test_unwrap_matches_node_by_node_loop(self, rng):
-        """The vectorised unwrap reproduces the loop, fallbacks included, on
-        smooth pulses and on piecewise pulses of whole and near-whole turns."""
+    def test_unwrap_rebuilds_every_resolved_frame(self, rng):
+        """On smooth pulses and on piecewise pulses of whole and near-whole
+        turns, the node walk gives unit axes, and (axis, psi) rebuilds q at
+        every node where |s| exceeds the floor and s did not turn away from
+        the previous axis; the turned-away branch is reached.  Angle steps
+        stay below pi, and axis_angle returns the walk, on every pulse but
+        one whose grid does not resolve the (axis, angle) form."""
         shapes = [random_fourier_shape(rng, order=4, scale=s) for s in (1.0, 4.0)]
         for k in range(24):
             segments = int(rng.integers(2, 6))
@@ -150,21 +120,53 @@ class TestIntegrateAxisAngle:
                 values[rng.integers(segments)] = 0.0
             shapes.append(PulseShape(1.0, float(rng.choice([0.0, 1.0, rng.uniform()])), 0.0,
                                      "piecewise_constant", boundaries=bounds, values=values))
-        any_turned = False
+        any_turned, unresolved = False, 0
         for shape in shapes:
-            grid = _build_grid(shape, int(rng.choice([128, 256])))
-            i_s = int(np.argmin(np.abs(grid - shape.tau_s)))
-            q = _frame_quaternions(shape, grid)
-            v_nodes = shape.amplitude(grid)
+            traj = integrate_axis_angle(shape, int(rng.choice([128, 256])))
+            q, svec = traj.quaternions, traj.quaternions[:, 1:]
+            i_s = int(np.argmin(np.abs(traj.grid - shape.tau_s)))
+            v_nodes = shape.amplitude(traj.grid)
             scale = float(np.max(np.linalg.norm(v_nodes, axis=1)))
-            axis0 = _bootstrap_axis(v_nodes[i_s], scale, q[:, 1:], i_s)
-            psi, axis = _unwrap_frames(v_nodes, q[:, 0], q[:, 1:], i_s, axis0)
-            psi_ref, axis_ref, turned = unwrap_frames_loop(v_nodes, q[:, 0], q[:, 1:],
-                                                           i_s, axis0, AXIS_FLOOR)
-            assert np.abs(psi - psi_ref).max() <= 1e-12
-            assert np.abs(axis - axis_ref).max() <= 1e-12
+            axis0 = _bootstrap_axis(shape.amplitude(shape.tau_s), scale, svec, i_s)
+            psi, axis = _unwrap_frames(v_nodes, q[:, 0], svec, i_s, axis0)
+            assert np.abs(np.linalg.norm(axis, axis=1) - 1.0).max() <= 1e-12
+            # each node's s meets the previous node's axis along its sweep
+            # away from tau_s, the first node the gauge
+            prev = np.empty_like(axis)
+            prev[i_s], prev[i_s + 1:], prev[:i_s] = axis0, axis[i_s:-1], axis[1:i_s + 1]
+            mags = np.linalg.norm(svec, axis=1)
+            resolved = mags > AXIS_FLOOR
+            turned = resolved & (np.abs(np.sum(svec * prev, axis=1)) <= 0.25 * mags)
+            rebuilt = np.column_stack([np.cos(0.5 * psi), np.sin(0.5 * psi)[:, None] * axis])
+            assert np.abs(rebuilt - q)[resolved & ~turned].max() <= 1e-12
             any_turned |= bool(turned.any())
+            if np.abs(np.diff(psi)).max() < np.pi:
+                out = axis_angle(shape, traj)
+                assert np.array_equal(out[0], axis) and np.array_equal(out[1], psi)
+            else:
+                unresolved += 1
+                with pytest.raises(ValueError, match="angle steps must stay below pi"):
+                    axis_angle(shape, traj)
         assert any_turned
+        # a one-turn segment 0.013 long, crossed in four frame steps of 1.57 rad
+        assert unresolved <= 1
+
+    def test_axis_gauge_is_v_just_after_tau_s(self):
+        """With tau_s just before a segment boundary, the gauge is the first
+        segment's v, so the frame at the boundary node and at the node before
+        it, both turned about y, rebuild from (axis, psi)."""
+        shape = PulseShape(1.0, 0.499, 0.0, "piecewise_constant",
+                           boundaries=np.array([0.0, 0.5, 1.0]),
+                           values=np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0]]))
+        traj = integrate_axis_angle(shape, 256)
+        axis, psi = axis_angle(shape, traj)
+        rebuilt = np.column_stack([np.cos(0.5 * psi), np.sin(0.5 * psi)[:, None] * axis])
+        for t in (0.5, 0.4961):
+            i = int(np.argmin(np.abs(traj.grid - t)))
+            assert np.linalg.norm(traj.quaternions[i, 1:]) > 1e-3
+            assert np.abs(rebuilt[i] - traj.quaternions[i]).max() <= 1e-12
+        after = np.searchsorted(traj.grid, 0.5)     # psi grows along +v just after tau_s
+        assert psi[after] > 0.0 and np.abs(axis[after] - [0.0, 1.0, 0.0]).max() <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), tau_s=st.sampled_from((0.0, 0.37, 1.0)),
