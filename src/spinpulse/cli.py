@@ -99,7 +99,7 @@ def _parse_band(spec: str) -> tuple[float, float]:
 def cmd_convert(args, texts: dict, digest: str) -> int:
     shape = parse_pulse(texts["pulse"])
     traj = integrate_axis_angle(shape, args.grid)
-    amps = amplitude_from_axis_angle(traj)
+    amps = amplitude_from_axis_angle(shape, traj)
     if args.to == "trajectory":
         axis, psi = axis_angle(shape, traj)
         rows = np.column_stack([traj.grid, axis, psi, n_trajectory(traj).nhat])

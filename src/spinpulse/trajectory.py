@@ -7,7 +7,9 @@ frame's only state is the unit quaternion q = (c, s) with
 W = c I - i s . sigma.  Everything downstream reads q alone: n(t), the frame's
 image of the z axis, is a quadratic form in q, so the correction residuals
 and no-go gaps depend on nothing else; the recovered amplitude differentiates
-q; and the exact oracle builds its frames from q.
+q by local-polynomial stencils on each uniform span between the cuts, so it
+is right-continuous at a breakpoint like v; and the exact oracle builds its
+frames from q.
 
 Every frame is integrated by one path: classical RK4 on a grid whose cuts,
 the amplitude breakpoints, start uniform spans of a multiple of 4 intervals,
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import SPLINE_ORDER, UNIT_VECTOR_ATOL, PulseShape, frame_amplitude
+from .pulses import UNIT_VECTOR_ATOL, PulseShape, frame_amplitude
 from .su2 import CONJUGATE_Q, IDENTITY_Q, quaternion_matrix, quaternion_product
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -64,6 +66,8 @@ STEP_DRIFT = 5e-3
 # |s| = |sin(psi/2)| above which axis_angle takes the axis from the frame
 # itself rather than from v(t)
 AXIS_FLOOR = 1e-7
+# nodes of the local polynomial that differentiates q in amplitude_from_axis_angle
+STENCIL_NODES = 7
 
 
 def _check_trajectory(grid: np.ndarray, quaternions=None, nhat=None):
@@ -137,21 +141,27 @@ class NTrajectory:
 # grid construction and the frame ODE
 
 
-def _build_grid(shape: PulseShape, steps: int) -> np.ndarray:
-    """Grid whose cuts, 0, the amplitude breakpoints and tau_p, are nodes.
-
-    Cuts closer than 1e-12 tau_p merge.  Between two cuts the grid is uniform,
-    with the least multiple of 4 intervals that covers the span's share of
-    ``steps``.  Node j of a span is j h + (cut - j_cut h), so where the cuts
-    fall on np.linspace(0, tau_p, n + 1), as for any Fourier shape, the grid
-    is that one bit for bit.
-    """
+def _cuts(shape: PulseShape) -> list:
+    """0, the amplitude breakpoints and tau_p, increasing, with cuts closer
+    than 1e-12 tau_p merged into the earlier one."""
     tau_p = shape.tau_p
     cuts = [0.0]
     for t in sorted({*shape.breakpoints(), tau_p}):
         if t - cuts[-1] > 1e-12 * tau_p:
             cuts.append(t)
     cuts[-1] = tau_p
+    return cuts
+
+
+def _build_grid(shape: PulseShape, steps: int) -> np.ndarray:
+    """Grid whose cuts (:func:`_cuts`) are nodes.
+
+    Between two cuts the grid is uniform, with the least multiple of 4
+    intervals that covers the span's share of ``steps``.  Node j of a span is
+    j h + (cut - j_cut h), so where the cuts fall on np.linspace(0, tau_p,
+    n + 1), as for any Fourier shape, the grid is that one bit for bit.
+    """
+    tau_p, cuts = shape.tau_p, _cuts(shape)
     spans, j = [], 0
     for a, b in zip(cuts, cuts[1:]):
         k = 4 * max(1, int(np.ceil(steps * (b - a) / (4.0 * tau_p))))
@@ -300,17 +310,42 @@ def integrate_axis_angle(shape: PulseShape, steps: int) -> FrameTrajectory:
 # conversions
 
 
-def amplitude_from_axis_angle(traj: FrameTrajectory) -> np.ndarray:
-    """Recover v(t) at the trajectory nodes from the sampled frame quaternions.
+def _span_derivative(f: np.ndarray, h: float) -> np.ndarray:
+    """df/dt (k, ...) at the k nodes, spaced h, of one uniform span of samples f (k, ...).
 
-    The quintic spline that differentiates q is scipy's, imported here on first
-    use: this and ``axis_angle_samples`` pulses are the only paths that load scipy.
+    Each node differentiates the polynomial through the ``STENCIL_NODES``
+    span nodes around it (all k where the span is shorter), centred where the
+    span allows and shifted one-sided near its ends.  The weights for every
+    place in the stencil come from one Vandermonde solve at unit spacing.
+    """
+    k = len(f)
+    w = min(STENCIL_NODES, k)
+    x, powers = np.arange(w) - w // 2, np.arange(w)[:, None]
+    # sum_i weights[o, i] x_i^p = p x_o^(p - 1): row o differentiates at stencil node o
+    weights = np.linalg.solve(x ** powers, powers * x ** np.maximum(powers - 1, 0)).T
+    start = np.clip(np.arange(k) - w // 2, 0, k - w)
+    stencils = f[start[:, None] + np.arange(w)]
+    return np.einsum("ki,ki...->k...", weights[np.arange(k) - start], stencils) / h
+
+
+def amplitude_from_axis_angle(shape: PulseShape, traj: FrameTrajectory) -> np.ndarray:
+    """Recover v(t) of ``shape`` at the nodes of its frame ``traj`` from the quaternions.
+
+    dq/dt is taken span by span between the grid's cuts (:func:`_cuts`, as in
+    :func:`_build_grid`) by :func:`_span_derivative`, so no stencil reaches
+    across a breakpoint, where q' jumps.  A breakpoint node takes the span to
+    its right, so v is right-continuous there, like ``shape.amplitude``.
     """
     if traj.n_nodes < 16:
         raise ValueError("trajectory grid too coarse for stable differentiation")
-    from scipy.interpolate import make_interp_spline
-    spline = make_interp_spline(traj.grid, traj.quaternions, k=SPLINE_ORDER, axis=0)
-    return frame_amplitude(spline(traj.grid), spline.derivative()(traj.grid))
+    grid, q, cuts = traj.grid, traj.quaternions, _cuts(shape)
+    edges = np.minimum(np.searchsorted(grid, cuts), len(grid) - 1)
+    if not np.array_equal(grid[edges], cuts):
+        raise ValueError("the frame's grid must have the pulse's breakpoints as nodes")
+    dq = np.empty_like(q)
+    for a, b in zip(edges, edges[1:]):
+        dq[a:b + 1] = _span_derivative(q[a:b + 1], (grid[b] - grid[a]) / (b - a))
+    return frame_amplitude(q, dq)
 
 
 def _frame_rotation(q: np.ndarray) -> np.ndarray:

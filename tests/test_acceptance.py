@@ -97,7 +97,7 @@ def test_criterion_2_round_trip_conversion():
         for _ in range(50):
             shape = random_fourier_shape(rng, order=5)
             traj = integrate_axis_angle(shape, 1024)
-            recovered = amplitude_from_axis_angle(traj)
+            recovered = amplitude_from_axis_angle(shape, traj)
             direct = shape.amplitude(traj.grid)
             scale = max(float(np.max(np.linalg.norm(direct, axis=1))), 1e-300)
             worst = max(worst, float(np.max(np.abs(recovered - direct))) / scale)

@@ -76,11 +76,24 @@ boundaries = 0 1
 segment.0 = 0 {PI} 0
 """
 
+# v = (0, 2, 0) on [0, 0.5), (3, 0, 0) on [0.5, 1]: q' jumps at the breakpoint
+PULSE_TWO_SEGMENTS = f"""schema_version = 1
+kind = pulse
+representation = piecewise_constant
+tau_p = 1
+tau_s = 0.5
+theta = {PI}
+boundaries = 0 0.5 1
+segment.0 = 0 2 0
+segment.1 = 3 0 0
+"""
+
 
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "pi.pulse").write_text(PULSE_CONSTANT_PI)
     (tmp_path / "frame.pulse").write_text(PULSE_SAMPLED_PI)
+    (tmp_path / "two.pulse").write_text(PULSE_TWO_SEGMENTS)
     (tmp_path / "dyn.bath").write_text(BATH_DYNAMIC)
     (tmp_path / "s.problem").write_text(PROBLEM_S)
     return tmp_path
@@ -109,6 +122,35 @@ class TestConvert:
         assert code == 0
         rows = np.loadtxt(out.read_text().splitlines()[3:], delimiter=",")
         assert np.abs(rows[:, 2] + np.pi / 2).max() < 1e-7
+
+    @pytest.mark.parametrize("grid", [256, 1024, 8192])
+    def test_piecewise_round_trip(self, workdir, capsys, grid):
+        """Each span between breakpoints is differentiated on its own, so a
+        piecewise pulse round-trips, and the breakpoint node reads the right
+        segment's v, as the amplitude is right-continuous."""
+        out = workdir / "amp.csv"
+        assert main(["convert", str(workdir / "two.pulse"), "--to", "amplitude",
+                     "--grid", str(grid), "--out", str(out)]) == 0
+        assert float(capsys.readouterr().err.split("round-trip defect = ")[1]) <= 1e-6
+        rows = np.loadtxt(out.read_text().splitlines()[3:], delimiter=",")
+        at_boundary = rows[rows[:, 0] == 0.5, 1:]
+        assert len(at_boundary) == 1
+        assert np.abs(at_boundary[0] - [3.0, 0.0, 0.0]).max() <= 3e-6
+
+    def test_segment_below_the_merge_tolerance_is_no_span(self, workdir, capsys):
+        """A segment shorter than the grid's 1e-12 tau_p merge tolerance is no
+        cut of the grid, so it leaves no one-node span: the merged breakpoint
+        node reads the span to its right and every other node its segment."""
+        src = workdir / "sliver.pulse"
+        src.write_text(PULSE_TWO_SEGMENTS.replace(
+            "boundaries = 0 0.5 1", "boundaries = 0 0.5 0.5000000000001 1").replace(
+            "segment.1 = 3 0 0", "segment.1 = 1 1 1\nsegment.2 = 3 0 0"))
+        out = workdir / "amp.csv"
+        assert main(["convert", str(src), "--to", "amplitude", "--grid", "256",
+                     "--out", str(out)]) == 0
+        rows = np.loadtxt(out.read_text().splitlines()[3:], delimiter=",")
+        expected = np.where(rows[:, :1] < 0.5, [0.0, 2.0, 0.0], [3.0, 0.0, 0.0])
+        assert np.abs(rows[:, 1:] - expected).max() <= 3e-6
 
     def test_malformed_exits_2(self, workdir, capsys):
         bad = workdir / "bad.pulse"
@@ -756,8 +798,9 @@ class TestColdImport:
 
     def test_only_the_spline_paths_load_scipy(self, workdir):
         """Importing spinpulse and running corrections, nogo, a solve through the
-        null space and verify load no scipy module; convert, which splines the frame,
-        does."""
+        null space, verify and convert on a Fourier or a piecewise pulse load no
+        scipy module; convert on an axis_angle_samples pulse, which splines its
+        samples, does."""
         pulse, out = str(workdir / "pi.pulse"), str(workdir / "out")
         # the sine terms keep the endpoint row, so its basis is a proper null space
         problem = PROBLEM_S.replace("symmetric = true", "symmetric = false")
@@ -769,7 +812,9 @@ class TestColdImport:
                 ["solve", str(workdir / "a.problem"), "--restarts", "1", "--out", out],
                 ["verify", pulse, str(workdir / "dyn.bath"), "--sweep", "1e-2:1e-1:4",
                  "--out", out],
-                ["convert", pulse, "--grid", "128", "--out", out]]
+                ["convert", pulse, "--grid", "128", "--out", out],
+                ["convert", str(workdir / "two.pulse"), "--to", "amplitude", "--out", out],
+                ["convert", str(workdir / "frame.pulse"), "--grid", "128", "--out", out]]
         src = str(Path(spinpulse.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -779,9 +824,9 @@ class TestColdImport:
         lines = [line.split() for line in proc.stdout.splitlines()]
         assert lines[0] == ["import", "False"]
         assert [line[0] for line in lines[1:]] == [r[0] for r in runs]
-        for command, code, loaded in lines[1:]:
+        for (command, code, loaded), run in zip(lines[1:], runs):
             assert code in ("0", "1"), (command, proc.stderr)
-            assert loaded == ("True" if command == "convert" else "False"), command
+            assert loaded == ("True" if "frame.pulse" in run[1] else "False"), run
 
 
 class TestAxisAngleInput:

@@ -12,9 +12,9 @@ from spinpulse.design import _rotation_residual
 from spinpulse.pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                               fourier_pulse)
 from spinpulse.sampling import random_fourier_shape, random_ntrajectory
-from spinpulse.trajectory import (AXIS_FLOOR, _bootstrap_axis, _build_grid,
+from spinpulse.trajectory import (AXIS_FLOOR, _bootstrap_axis, _build_grid, _cuts,
                                   _frame_quaternions, _prefix_products, _rk4_steps,
-                                  _stage_amplitudes, _unwrap_frames,
+                                  _span_derivative, _stage_amplitudes, _unwrap_frames,
                                   amplitude_from_axis_angle, axis_angle,
                                   integrate_axis_angle, n_trajectory)
 from su2_oracles import (PAULI, axis_angle_exponential, pauli_conjugate,
@@ -221,7 +221,7 @@ class TestAmplitudeRoundTrip:
                            sample_axes=np.tile([0.0, 1.0, 0.0], (len(t), 1)),
                            sample_angles=np.pi * t / tau_p)
         traj = integrate_axis_angle(shape, 128)
-        v = amplitude_from_axis_angle(traj)
+        v = amplitude_from_axis_angle(shape, traj)
         assert np.abs(v - [0.0, np.pi / (2 * tau_p), 0.0]).max() < 1e-8
 
     def test_zero_angle_any_axis_gives_zero(self):
@@ -242,7 +242,7 @@ class TestAmplitudeRoundTrip:
                            sample_times=t, sample_axes=axes,
                            sample_angles=np.pi * t / tau_p)
         traj = integrate_axis_angle(shape, 1024)
-        v_round = amplitude_from_axis_angle(traj)
+        v_round = amplitude_from_axis_angle(shape, traj)
         v_direct = shape.amplitude(traj.grid)
         scale = np.max(np.linalg.norm(v_direct, axis=1))
         assert np.abs(v_round - v_direct).max() < 1e-6 * scale
@@ -255,20 +255,69 @@ class TestAmplitudeRoundTrip:
         traj = integrate_axis_angle(shape, 1024)
         direct = shape.amplitude(traj.grid)
         scale = max(float(np.max(np.linalg.norm(direct, axis=1))), 1e-300)
-        assert np.abs(amplitude_from_axis_angle(traj) - direct).max() <= 1e-6 * scale
+        assert np.abs(amplitude_from_axis_angle(shape, traj) - direct).max() <= 1e-6 * scale
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), segments=st.integers(2, 5))
+    def test_round_trip_on_random_piecewise_pulses(self, seed, segments):
+        """Each span between breakpoints is differentiated on its own, so a
+        piecewise pulse round-trips at every node, its breakpoints included."""
+        rng = np.random.default_rng(seed)
+        tau_p = rng.uniform(0.5, 2.0)
+        widths = rng.uniform(0.05, 1.0, segments)
+        boundaries = tau_p * np.concatenate([[0.0], np.cumsum(widths) / np.sum(widths)])
+        boundaries[-1] = tau_p
+        shape = PulseShape(tau_p, rng.uniform(0.0, tau_p), np.pi, "piecewise_constant",
+                           boundaries=boundaries,
+                           values=3.0 / tau_p * rng.uniform(-1.0, 1.0, (segments, 3)))
+        traj = integrate_axis_angle(shape, 1024)
+        direct = shape.amplitude(traj.grid)
+        scale = float(np.max(np.linalg.norm(direct, axis=1)))
+        assert np.abs(amplitude_from_axis_angle(shape, traj) - direct).max() <= 1e-6 * scale
+
+    @pytest.mark.parametrize("steps", [64, 256])
+    def test_span_stencil_is_exact_on_polynomials(self, rng, steps):
+        """On every span of a grid with breakpoints, 5-node spans included, the
+        stencil differentiates each polynomial p of degree at most 6 and below
+        the span's node count to 1e-9 of the larger of |p| and |p'|."""
+        shape = PulseShape(1.0, 0.5, np.pi, "piecewise_constant",
+                           boundaries=np.array([0.0, 0.01, 0.5, 0.52, 1.0]),
+                           values=np.ones((4, 3)))
+        grid = _build_grid(shape, steps)
+        edges = np.searchsorted(grid, _cuts(shape))
+        sizes = []
+        for a, b in zip(edges, edges[1:]):
+            t = grid[a:b + 1]
+            sizes.append(len(t))
+            for degree in range(min(6, len(t) - 1) + 1):
+                coeffs = rng.normal(size=(degree + 1, 4))
+                f = np.stack([np.polyval(c, t) for c in coeffs.T], axis=1)
+                exact = np.stack([np.polyval(np.polyder(c), t) for c in coeffs.T], axis=1)
+                err = np.abs(_span_derivative(f, (grid[b] - grid[a]) / (b - a)) - exact).max()
+                assert err <= 1e-9 * max(np.abs(exact).max(), np.abs(f).max()), (a, degree)
+        assert min(sizes) == 5
 
     def test_grid_too_coarse_rejected(self, pi_pulse):
         traj = integrate_axis_angle(pi_pulse, 256)
         from dataclasses import replace
         small = replace(traj, grid=traj.grid[:8], quaternions=traj.quaternions[:8])
         with pytest.raises(ValueError):
-            amplitude_from_axis_angle(small)
+            amplitude_from_axis_angle(pi_pulse, small)
+
+    def test_grid_without_the_breakpoints_rejected(self, pi_pulse):
+        """The spans come from the pulse's cuts, which must be nodes of the frame's grid."""
+        traj = integrate_axis_angle(pi_pulse, 256)
+        shape = PulseShape(pi_pulse.tau_p, pi_pulse.tau_s, np.pi, "piecewise_constant",
+                           boundaries=np.array([0.0, 1.0 / 3.0, 1.0]) * pi_pulse.tau_p,
+                           values=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="breakpoints as nodes"):
+            amplitude_from_axis_angle(shape, traj)
 
     def test_projection_identity_along_axis(self, rng):
         """v . a = psi' / 2 pointwise on integrated trajectories."""
         shape = random_fourier_shape(rng, order=4)
         traj = integrate_axis_angle(shape, 1024)
-        v = amplitude_from_axis_angle(traj)
+        v = amplitude_from_axis_angle(shape, traj)
         axis, psi = axis_angle(shape, traj)
         dpsi = make_interp_spline(traj.grid, psi, k=5).derivative()(traj.grid)
         err = np.abs(np.sum(v * axis, axis=1) - dpsi / 2.0)
