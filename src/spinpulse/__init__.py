@@ -2,12 +2,14 @@
 
 Library layout:
 
-* :mod:`spinpulse.su2` -- SU(2) frames as unit quaternions, their 2x2 form
+* :mod:`spinpulse.su2` -- SU(2) frames as unit quaternions
 * :mod:`spinpulse.pulses` -- pulse shapes and amplitude evaluation
 * :mod:`spinpulse.trajectory` -- frame integration and conversions
-* :mod:`spinpulse.corrections` -- correction residuals and no-go gaps
+* :mod:`spinpulse.corrections` -- correction residuals and no-go gaps, all
+  functionals of n(t)
 * :mod:`spinpulse.bath` / :mod:`spinpulse.oracle` -- exact joint-space check of
-  the expansion order
+  the expansion order; the oracle alone holds the matrix form of qubit
+  operators (Pauli matrices, 2x2 frames, the correction operators)
 * :mod:`spinpulse.design` -- least-squares pulse design and probes
 * :mod:`spinpulse.fileio` / :mod:`spinpulse.cli` -- schemas and command line
 """
@@ -15,11 +17,11 @@ Library layout:
 import numpy as _np
 
 from .bath import BathModel, preset_bath
-from .corrections import (CorrectionReport, NoGoDiagnostics, eta_operators,
-                          evaluate_corrections, nogo_diagnostics)
+from .corrections import (CorrectionReport, NoGoDiagnostics, evaluate_corrections,
+                          nogo_diagnostics)
 from .design import (DesignProblem, DesignSolution, ProbeResult,
                      feasibility_probe, solve)
-from .oracle import (DecompositionError, SweepResult, integrate_deviation,
+from .oracle import (DecompositionError, SweepResult, eta_operators, integrate_deviation,
                      magnus_consistency)
 from .pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                      fourier_pulse)

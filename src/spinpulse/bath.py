@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import spectral_norm
-
 DIM_CAP = 16
 # h_b and a must be Hermitian to this fraction of their norm, and |a| must be 1
 # to this absolute tolerance
@@ -45,7 +43,7 @@ class BathModel:
             scale = max(np.linalg.norm(m), 1.0)
             if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
                 raise ValueError(f"{name} must be Hermitian")
-        if abs(spectral_norm(a) - 1.0) > UNITARY_ATOL:
+        if abs(np.linalg.norm(a, 2) - 1.0) > UNITARY_ATOL:
             raise ValueError("coupling operator must be normalized to unit spectral norm")
         object.__setattr__(self, "h_b", h_b)
         object.__setattr__(self, "a", a)

@@ -10,8 +10,8 @@ condition and the sign is fixed for least-squares use:
     r2b = int int_{t2<t1} n(t1) x n(t2) - ts (tp - ts) n(tp) x n(0)
 
 Normalized forms divide by tau_p (r1) and tau_p^2 (r2a, r2b).  The residuals
-feed both the operator-level correction terms (see :func:`eta_operators`) and
-the two no-go diagnostics.
+feed the two no-go diagnostics here, and the exact oracle's joint-space
+correction operators (:func:`spinpulse.oracle.eta_operators`).
 
 Quadrature is composite Simpson on the (possibly non-uniform) trajectory grid,
 one :class:`SimpsonRule` per grid, built once; on trajectory grids no panel of
@@ -31,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathModel
-from .su2 import pauli_dot
 from .trajectory import NTrajectory
 
 RESIDUAL_TARGETS = ("r1", "r2a", "r2b")
@@ -185,29 +183,6 @@ def evaluate_corrections(ntraj: NTrajectory, tau_s: float) -> CorrectionReport:
                             quad_err=quad_err, n_start=ntraj.nhat[0].copy(),
                             n_end=ntraj.nhat[-1].copy(), r2b_valid=r2b_valid,
                             unconverged=unconverged)
-
-
-def eta_operators(report: CorrectionReport, bath: BathModel):
-    """Joint-space correction operators assembled from the vector residuals.
-
-    Returns (first-order, bath-dynamics second-order, coupling-squared
-    second-order); the full second-order operator is the sum of the last two.
-    The coupling-squared term uses the r1-completed combination
-    h = r2b - [(tp-ts) n(tp) - ts n(0)] x r1, which reduces to r2b when the
-    first-order condition holds.
-    """
-    lam = bath.coupling
-    dim = bath.dim_b
-    n0, n1, tau_p, tau_s = report.n_start, report.n_end, report.tau_p, report.tau_s
-    h_vec = report.r2b - np.cross((tau_p - tau_s) * n1 - tau_s * n0, report.r1)
-    eta1 = lam * np.kron(pauli_dot(report.r1), bath.a)
-    # the 1/2 on the bath-dynamics term is required for the second-order
-    # remainder to scale as tau_p^3 against the exact propagator; see the
-    # expansion-order tests
-    eta2a = 0.5 * lam * np.kron(pauli_dot(report.r2a), 1.0j * bath.commutator)
-    eta2b = lam ** 2 * np.kron(pauli_dot(h_vec), bath.a @ bath.a)
-    assert eta1.shape == (2 * dim, 2 * dim)
-    return eta1, eta2a, eta2b
 
 
 def nogo_diagnostics(ntraj: NTrajectory, tau_s: float | np.ndarray) -> NoGoDiagnostics:

@@ -1,7 +1,8 @@
 """Exact qubit (x) bath ground truth for validating the correction expansion.
 
-This module propagates the joint system without any expansion and measures how
-far a real pulse is from the ideal decomposition
+This module, the only one that knows the matrix form of qubit operators (the
+others read n(t) or q), propagates the joint system without any expansion and
+measures how far a real pulse is from the ideal decomposition
 
     U_p(tau_p, 0)  ~  exp(-i (tau_p - tau_s) H) P_theta exp(-i tau_s H),
 
@@ -20,22 +21,23 @@ sigma_z part of H0 = (v . sigma) (x) I drops out, and beta = v_x - i v_y turns
 through one d x d unitary K(dt) = e^{i H+ dt} e^{-i H- dt}, giving the upper
 block beta (K - I).  The route works in the eigenbasis V+ of H+, where
 K' = V+^dag K V+ = (Phi+ o G o Phi-^*) G^dag with Phi+- = e^{+-i E+- dt} and the
-overlap G = V+^dag V-: K' - I is one (n d, d) @ (d, d) product per batch of
+overlap G = V+^dag V-: K' - I is one batch of (d, d) @ (d, d) products over
 nodes of the bisected grid, from eigendecompositions of H+ and H- taken once
 per call, and every RK4 stage slices it.  The step product U' is taken back to
 the bath's basis once, U_F = (I (x) V+) U' (I (x) V+)^dag.
 
-The steps are built and reduced a chunk at a time: each chunk's K' - I, stage
-tables and step matrices, then their pairwise product.  A chunk is the largest
-power of two of at most ``STEP_CHUNK`` steps whose (2d) x (2d) complex table
-fits in ``TABLE_BYTES``, so its dozen temporaries stay in cache and below the
-heap's trim threshold at any step count.  The chunk products are folded as the
-loop runs, the last two merged whenever they cover equal step counts and the
-rest folded newest first at the end, so about log2(chunks) of them are held at
-once.  That is the pairwise product of the chunk list, and a power-of-two chunk
-is a whole subtree of the pairwise product of all the steps, with a partial
-last chunk carrying its odd factors the same way: U' is bit for bit the
-pairwise product of all the steps taken at once.
+The steps are built and reduced a chunk at a time: each chunk's 2x2 frames,
+K' - I, stage tables and step matrices, then their pairwise product.  A chunk
+is the largest power of two of steps whose (chunk, 2d, 2d) complex table fits
+in ``TABLE_BYTES`` (4096 steps at d = 1, 1024 at 2, 256 at 4, 64 at 8, 16 at
+16), so its dozen temporaries stay in cache and below the heap's trim
+threshold at any step count.  The chunk products are folded as the loop runs,
+the last two merged whenever they cover equal step counts and the rest folded
+newest first at the end, so about log2(chunks) of them are held at once.  That
+is the pairwise product of the chunk list, and a power-of-two chunk is a whole
+subtree of the pairwise product of all the steps, with a partial last chunk
+carrying its odd factors the same way: U' is bit for bit the pairwise product
+of all the steps taken at once.
 
 This route keeps full relative accuracy as tau_p -> 0 (the deviation
 generator stays O(lambda) while the pulse amplitude grows as 1/tau_p), so
@@ -55,21 +57,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel
-from .corrections import eta_operators, evaluate_corrections
+from .corrections import CorrectionReport, evaluate_corrections
 from .pulses import PulseShape
-from .su2 import (CONJUGATE_Q, expm_hermitian, ideal_pulse_quaternion,
-                  quaternion_matrix, quaternion_product, spectral_norm)
+from .su2 import CONJUGATE_Q, ideal_pulse_quaternion, quaternion_product
 from .trajectory import (_build_grid, _frames_on_grid, _rk4_steps, _stage_amplitudes,
                          n_trajectory)
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # RK4 steps of an expansion-order sweep: keeps the integration floor below
 # the tau_p^3 defects
 SWEEP_STEPS = 2048
-# most RK4 steps the deviation route builds and reduces at a time: bounds its
-# memory at any step count; a power of two, so chunks are whole pairwise subtrees
-STEP_CHUNK = 256
-# bytes of one (chunk, 2d, 2d) complex table: a chunk halves until it fits, so
-# 256 steps for d <= 4, 64 at d = 8 and 16 at d = 16
+# bytes of one (chunk, 2d, 2d) complex step table, the one limit on a chunk
 TABLE_BYTES = 1 << 18
 
 
@@ -93,6 +93,56 @@ def _project_unitary(u: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# matrix forms: 2x2 frames and joint-space operators
+
+
+def pauli_dot(vec) -> np.ndarray:
+    """sigma . vec for a real or complex 3-vector."""
+    v = np.asarray(vec)
+    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+
+
+def quaternion_matrix(q: np.ndarray) -> np.ndarray:
+    """2x2 matrices c I - i s . sigma of quaternions q = (c, s) over leading axes."""
+    c, sx, sy, sz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(c.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c - 1.0j * sz
+    out[..., 0, 1] = -sy - 1.0j * sx
+    out[..., 1, 0] = sy - 1.0j * sx
+    out[..., 1, 1] = c + 1.0j * sz
+    return out
+
+
+def expm_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for Hermitian h via eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1.0j * w)) @ v.conj().T
+
+
+def eta_operators(report: CorrectionReport, bath: BathModel):
+    """Joint-space correction operators assembled from the vector residuals.
+
+    Returns (first-order, bath-dynamics second-order, coupling-squared
+    second-order); the full second-order operator is the sum of the last two.
+    The coupling-squared term uses the r1-completed combination
+    h = r2b - [(tp-ts) n(tp) - ts n(0)] x r1, which reduces to r2b when the
+    first-order condition holds.
+    """
+    lam = bath.coupling
+    dim = bath.dim_b
+    n0, n1, tau_p, tau_s = report.n_start, report.n_end, report.tau_p, report.tau_s
+    h_vec = report.r2b - np.cross((tau_p - tau_s) * n1 - tau_s * n0, report.r1)
+    eta1 = lam * np.kron(pauli_dot(report.r1), bath.a)
+    # the 1/2 on the bath-dynamics term is required for the second-order
+    # remainder to scale as tau_p^3 against the exact propagator; see the
+    # expansion-order tests
+    eta2a = 0.5 * lam * np.kron(pauli_dot(report.r2a), 1.0j * bath.commutator)
+    eta2b = lam ** 2 * np.kron(pauli_dot(h_vec), bath.a @ bath.a)
+    assert eta1.shape == (2 * dim, 2 * dim)
+    return eta1, eta2a, eta2b
+
+
+# ----------------------------------------------------------------------
 # deviation-generator route
 
 
@@ -108,9 +158,11 @@ def _coupling_turns(bath: BathModel):
     """(turns, V+): t -> K'(t) - I, (n, d, d) for t (n,), with K' = V+^dag K V+ the
     turn K(t) = e^{i H+ t} e^{-i H- t}, H+- = H_b +- lambda A, in the eigenbasis V+
     of H+.  K' = (Phi+ o G o Phi-^*) G^dag with Phi+- = e^{+-i E+- t} and
-    G = V+^dag V-, one (n d, d) @ (d, d) product; the eigendecompositions of H+
-    and H- are taken here, once.  An operator X' built from these turns is
-    X = (I (x) V+) X' (I (x) V+)^dag in the bath's basis."""
+    G = V+^dag V-, one batched (d, d) @ (d, d) product per node: as one (n d, d)
+    GEMM it would cross BLAS's threading threshold from d = 8 and spend a second
+    core for no wall time.  The eigendecompositions of H+ and H- are taken here,
+    once.  An operator X' built from these turns is X = (I (x) V+) X' (I (x) V+)^dag
+    in the bath's basis."""
     e_plus, v_plus = np.linalg.eigh(bath.h_b + bath.coupling * bath.a)
     e_minus, v_minus = np.linalg.eigh(bath.h_b - bath.coupling * bath.a)
     overlap = v_plus.conj().T @ v_minus
@@ -118,8 +170,7 @@ def _coupling_turns(bath: BathModel):
     def turns(t: np.ndarray) -> np.ndarray:
         phases = (np.exp(1.0j * np.multiply.outer(t, e_plus))[:, :, None]
                   * np.exp(-1.0j * np.multiply.outer(t, e_minus))[:, None, :])
-        k = ((phases * overlap).reshape(-1, bath.dim_b) @ overlap.conj().T).reshape(phases.shape)
-        return k - np.eye(bath.dim_b)
+        return (phases * overlap) @ overlap.conj().T - np.eye(bath.dim_b)
     return turns, v_plus
 
 
@@ -145,16 +196,8 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     RK4 step and no step crosses a breakpoint; it steps the Hermitian F by
     -i h, which is RK4 on U' = -i F U by h.  F is taken in the eigenbasis V+
     of H+ (``_coupling_turns``), and only the final product of the step
-    matrices is needed.  It is taken pairwise a chunk at a time: the chunk is
-    the largest power of two of at most ``STEP_CHUNK`` steps whose (2d) x (2d)
-    complex table fits in ``TABLE_BYTES``, and each chunk's K' - I, stage
-    tables and step matrices are built and reduced before the next, so the
-    joint-space tables neither grow with ``steps`` nor leave the cache.  The
-    chunk products are folded as they come: the last two merge whenever they
-    cover equal step counts, and what is left folds newest first.  That is the
-    pairwise product of the chunk list, and a power-of-two chunk is a whole
-    subtree of the pairwise product of all the steps, so U' does not depend on
-    the chunk size.  It goes back to the bath's basis once, (I (x) V+) U'
+    matrices is needed, taken a chunk at a time as the module docstring
+    describes.  It goes back to the bath's basis once, (I (x) V+) U'
     (I (x) V+)^dag, and is projected once.
     """
     coarse = _build_grid(shape, steps)
@@ -162,18 +205,18 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     fine[::2] = coarse
     fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
     traj = _frames_on_grid(shape, fine)
-    frames = traj.unitaries
     turns, v_plus = _coupling_turns(bath)
     amplitudes = _stage_amplitudes(shape, coarse)
     h = -1.0j * np.diff(coarse)
     one = np.eye(2 * bath.dim_b)
     # 16 bytes per complex entry of a (2d) x (2d) step table
-    chunk = min(STEP_CHUNK, 1 << ((TABLE_BYTES // (64 * bath.dim_b ** 2)).bit_length() - 1))
+    chunk = 1 << ((TABLE_BYTES // (64 * bath.dim_b ** 2)).bit_length() - 1)
     folds = []             # (product, steps covered), the step counts falling
     for k in range(0, len(h), chunk):
         steps_k = slice(k, k + chunk)
         nodes = slice(2 * k, 2 * (k + chunk) + 1)
-        turns_k, frames_k = turns(fine[nodes] - traj.tau_s), frames[nodes]
+        turns_k = turns(fine[nodes] - traj.tau_s)
+        frames_k = quaternion_matrix(traj.quaternions[nodes])
         stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)), amplitudes)
         f = [_deviation_table(turns_k[sl], frames_k[sl], v[steps_k]) for sl, v in stages]
         product = _ordered_product(_rk4_steps(*f, h[steps_k], np.matmul, one))
@@ -198,14 +241,14 @@ def decomposition_defects(shape: PulseShape, bath: BathModel, steps: int):
     u_f, traj = integrate_deviation(shape, bath, steps=steps)
     report = evaluate_corrections(n_trajectory(traj), traj.tau_s)
     eta1, eta2a, eta2b = eta_operators(report, bath)
-    uf_defect = spectral_norm(u_f - np.eye(2 * bath.dim_b))
+    uf_defect = np.linalg.norm(u_f - np.eye(2 * bath.dim_b), 2)
     # each eta is Hermitian, so the Magnus exponential is a unitary one
-    magnus_defect = spectral_norm(u_f - expm_hermitian(eta1 + eta2a + eta2b))
+    magnus_defect = np.linalg.norm(u_f - expm_hermitian(eta1 + eta2a + eta2b), 2)
     # ||(W(tp) (x) I) U_F (W(0) (x) I)^dag - P (x) I|| = ||U_F - (W(tp)^dag P W(0)) (x) I||
     q_start, q_end = traj.quaternions[0], traj.quaternions[-1]
     target = quaternion_product(q_end * CONJUGATE_Q,
                                 quaternion_product(ideal_pulse_quaternion(shape.theta), q_start))
-    defect = spectral_norm(u_f - np.kron(quaternion_matrix(target), np.eye(bath.dim_b)))
+    defect = np.linalg.norm(u_f - np.kron(quaternion_matrix(target), np.eye(bath.dim_b)), 2)
     return DecompositionError(tau_p=shape.tau_p, defect=float(defect),
                               uf_defect=float(uf_defect), magnus_defect=float(magnus_defect))
 

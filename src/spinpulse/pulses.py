@@ -34,6 +34,9 @@ SPLINE_ORDER = 5
 # largest | |x| - 1 | of a vector that counts as unit: sampled axes, frame
 # quaternions and n(t)
 UNIT_VECTOR_ATOL = 1e-9
+# two times closer than this fraction of tau_p are the same time: the ends of
+# the segments or samples and of [0, tau_p], and the cuts of a grid
+SAME_TIME_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,8 @@ class PulseShape:
                 raise ValueError("piecewise shape needs N+1 boundaries and N value rows")
             if np.any(np.diff(b) <= 0):
                 raise ValueError("segment boundaries must be strictly increasing")
-            if abs(b[0]) > 1e-12 * self.tau_p or abs(b[-1] - self.tau_p) > 1e-12 * self.tau_p:
+            tol = SAME_TIME_RTOL * self.tau_p
+            if abs(b[0]) > tol or abs(b[-1] - self.tau_p) > tol:
                 raise ValueError("segments must cover [0, tau_p] exactly")
             object.__setattr__(self, "boundaries", b)
             object.__setattr__(self, "values", v)
@@ -106,7 +110,8 @@ class PulseShape:
                     raise ValueError(f"sample {name} must be finite")
             if len(t) < 2 or np.any(np.diff(t) <= 0):
                 raise ValueError("sample times must be strictly increasing")
-            if abs(t[0]) > 1e-12 * self.tau_p or abs(t[-1] - self.tau_p) > 1e-12 * self.tau_p:
+            tol = SAME_TIME_RTOL * self.tau_p
+            if abs(t[0]) > tol or abs(t[-1] - self.tau_p) > tol:
                 raise ValueError("samples must cover [0, tau_p]")
             norms = np.linalg.norm(ax, axis=1)
             if np.any(np.abs(norms - 1.0) > UNIT_VECTOR_ATOL):
@@ -141,7 +146,8 @@ class PulseShape:
         """v(t) for scalar or array t inside [0, tau_p]: (..., 3), or (m, ..., 3) for m
         lanes (a Fourier or piecewise family), each its lone shape's v bit for bit."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12 * self.tau_p) or np.any(t > self.tau_p * (1 + 1e-12)):
+        tol = SAME_TIME_RTOL * self.tau_p
+        if np.any(t < -tol) or np.any(t > self.tau_p * (1 + SAME_TIME_RTOL)):
             raise ValueError("time outside [0, tau_p]")
         scalar = t.ndim == 0
         t = np.atleast_1d(np.clip(t, 0.0, self.tau_p))

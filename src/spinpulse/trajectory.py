@@ -55,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import UNIT_VECTOR_ATOL, PulseShape, frame_amplitude
-from .su2 import CONJUGATE_Q, IDENTITY_Q, quaternion_matrix, quaternion_product
+from .pulses import SAME_TIME_RTOL, UNIT_VECTOR_ATOL, PulseShape, frame_amplitude
+from .su2 import CONJUGATE_Q, IDENTITY_Q, quaternion_product
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 MIN_STEPS = 64
@@ -112,11 +112,6 @@ class FrameTrajectory:
     def n_nodes(self) -> int:
         return len(self.grid)
 
-    @property
-    def unitaries(self) -> np.ndarray:
-        """(..., n, 2, 2) frames built from the quaternions."""
-        return quaternion_matrix(self.quaternions)
-
 
 @dataclass(frozen=True)
 class NTrajectory:
@@ -143,11 +138,11 @@ class NTrajectory:
 
 def _cuts(shape: PulseShape) -> list:
     """0, the amplitude breakpoints and tau_p, increasing, with cuts closer
-    than 1e-12 tau_p merged into the earlier one."""
+    than ``SAME_TIME_RTOL`` tau_p merged into the earlier one."""
     tau_p = shape.tau_p
     cuts = [0.0]
     for t in sorted({*shape.breakpoints(), tau_p}):
-        if t - cuts[-1] > 1e-12 * tau_p:
+        if t - cuts[-1] > SAME_TIME_RTOL * tau_p:
             cuts.append(t)
     cuts[-1] = tau_p
     return cuts

@@ -16,11 +16,10 @@ import numpy as np
 
 from spinpulse.bath import BathModel
 from spinpulse.corrections import CorrectionReport
-from spinpulse.oracle import (_coupling_turns, _deviation_table, _ordered_product,
-                              _project_unitary)
+from spinpulse.oracle import (SIGMA_Z, _coupling_turns, _deviation_table, _ordered_product,
+                              _project_unitary, expm_hermitian, pauli_dot, quaternion_matrix)
 from spinpulse.pulses import PulseShape
-from spinpulse.su2 import (SIGMA_Z, expm_hermitian, ideal_pulse_quaternion, pauli_dot,
-                           quaternion_matrix, spectral_norm)
+from spinpulse.su2 import ideal_pulse_quaternion
 from spinpulse.trajectory import (FrameTrajectory, _build_grid, _frames_on_grid, _rk4_steps,
                                   _stage_amplitudes)
 from su2_oracles import IDENTITY_2, PAULI
@@ -85,7 +84,7 @@ def propagate_joint(shape: PulseShape, bath: BathModel, steps: int) -> Propagati
         raise ValueError("at least 256 slices are required")
     u_full = _slice_propagate(shape, bath, steps)
     u_half = _slice_propagate(shape, bath, steps // 2)
-    estimate = spectral_norm(u_full - u_half) / 3.0
+    estimate = np.linalg.norm(u_full - u_half, 2) / 3.0
     return PropagationResult(unitary=_project_unitary(u_full), step_error=float(estimate))
 
 
@@ -94,8 +93,8 @@ def reconstruct_uf(u_p: np.ndarray, traj: FrameTrajectory, bath: BathModel) -> n
     eye_b = np.eye(bath.dim_b)
     h = static_hamiltonian(bath)
     tau_p, tau_s = traj.tau_p, traj.tau_s
-    w_end = np.kron(traj.unitaries[-1], eye_b)
-    w_start = np.kron(traj.unitaries[0], eye_b)
+    w_end = np.kron(quaternion_matrix(traj.quaternions[-1]), eye_b)
+    w_start = np.kron(quaternion_matrix(traj.quaternions[0]), eye_b)
     left = w_end.conj().T @ expm_hermitian((tau_s - tau_p) * h)
     right = expm_hermitian(-tau_s * h) @ w_start
     return _project_unitary(left @ u_p @ right)
@@ -125,7 +124,8 @@ def f_generator(shape: PulseShape, bath: BathModel, t: float,
     traj = _frames_on_grid(shape, np.union1d(_build_grid(shape, steps), [t]))
     j = int(np.argmin(np.abs(traj.grid - t)))
     turns, v_plus = _coupling_turns(bath)
-    f = _deviation_table(turns(traj.grid[j:j + 1] - traj.tau_s), traj.unitaries[j:j + 1],
+    f = _deviation_table(turns(traj.grid[j:j + 1] - traj.tau_s),
+                         quaternion_matrix(traj.quaternions[j:j + 1]),
                          shape.amplitude(t)[None])[0]
     return to_bath_basis(f, v_plus)
 
@@ -136,7 +136,7 @@ def one_shot_deviation(shape: PulseShape, bath: BathModel, steps: int) -> np.nda
     coarse = _build_grid(shape, steps)
     fine = bisected(coarse)
     traj = _frames_on_grid(shape, fine)
-    frames = traj.unitaries
+    frames = quaternion_matrix(traj.quaternions)
     turns, v_plus = _coupling_turns(bath)
     turns = turns(fine - traj.tau_s)
     stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
@@ -157,10 +157,11 @@ def dephasing_identity_defect(coupling: float, tau_p: float) -> float:
     h = coupling * SIGMA_Z
     half = expm_hermitian(0.5 * tau_p * h)
     p_pi = ideal_pulse(np.pi)
-    return spectral_norm(half @ p_pi @ half - p_pi)
+    return np.linalg.norm(half @ p_pi @ half - p_pi, 2)
 
 
 def first_order_norm_identity(report: CorrectionReport, bath: BathModel) -> tuple[float, float]:
     """(operator norm of the first-order term, lambda ||A|| |r1|) for equivalence checks."""
     eta1 = bath.coupling * np.kron(pauli_dot(report.r1), bath.a)
-    return spectral_norm(eta1), abs(bath.coupling) * spectral_norm(bath.a) * float(np.linalg.norm(report.r1))
+    return (np.linalg.norm(eta1, 2),
+            abs(bath.coupling) * np.linalg.norm(bath.a, 2) * float(np.linalg.norm(report.r1)))

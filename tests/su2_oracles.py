@@ -12,7 +12,7 @@ from scipy.linalg import schur
 
 from spinpulse.bath import UNITARY_ATOL
 from spinpulse.pulses import UNIT_VECTOR_ATOL
-from spinpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_dot
+from spinpulse.oracle import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_dot
 
 BRANCH_MARGIN = 1e-6
 
