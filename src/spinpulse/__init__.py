@@ -32,14 +32,15 @@ __version__ = "0.1.0"
 
 # Freeing one block above glibc malloc's mmap threshold raises that threshold
 # to the block's size, and the trim threshold to twice it, for the rest of
-# the process.  Two users make temporaries of a few hundred kB, which then
-# reuse heap memory instead of mapping fresh zeroed pages on every call: the
-# design Jacobian at P >= 3 (an S and a Q design of 32 restarts each take ~43k
-# minor page faults and ~30% longer without it) and the nogo lane chunks (a
-# 2 x 300-sample batch takes ~8.5k faults against ~15, and ~10% longer, on
-# Linux).  The exact oracle sizes its step tables (``oracle.TABLE_BYTES``) so
-# that a chunk's dozen of them stay below that trim threshold and are reused
-# too.  Elsewhere this is one untouched allocation.
+# the process.  Temporaries of a few hundred kB then reuse heap memory instead
+# of mapping fresh zeroed pages on every call.  The nogo lane chunks need it:
+# a fresh 300-sample batch takes ~3k minor page faults without it, against
+# ~100, on Linux.  The exact oracle sizes its step tables
+# (``oracle.TABLE_BYTES``) so that a chunk's dozen of them stay below the trim
+# threshold and are reused too: a dim-8 verify takes ~48k faults without it,
+# against ~4k.  The design loop's temporaries stay below glibc's threshold
+# after import (a fixed-axis Jacobian holds ~200 kB at grid 512).  Elsewhere
+# this is one untouched allocation.
 _np.empty(1 << 20, _np.uint8)
 
 __all__ = [

@@ -15,6 +15,15 @@ UNITARY_ATOL = 1e-10
 PRESET_NAMES = ("spin-dephasing", "spin-ising", "spin-dynamic")
 
 
+def _finite_norm(name: str, m) -> float:
+    """The Frobenius norm of m; a ValueError naming ``name`` where it overflows."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(m)
+    if not np.isfinite(norm):
+        raise ValueError(f"{name} is too large: its norm overflows")
+    return float(norm)
+
+
 @dataclass(frozen=True)
 class BathModel:
     """Hermitian bath Hamiltonian and normalized coupling operator.
@@ -39,8 +48,12 @@ class BathModel:
         dim = h_b.shape[0]
         if not 1 <= dim <= DIM_CAP:
             raise ValueError(f"bath dimension must be in 1..{DIM_CAP}")
+        # the second-order correction operator scales as lambda^2
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.square(self.coupling)):
+                raise ValueError("coupling lambda is too large: lambda^2 overflows")
         for name, m in (("h_b", h_b), ("a", a)):
-            scale = max(np.linalg.norm(m), 1.0)
+            scale = max(_finite_norm(name, m), 1.0)
             if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
                 raise ValueError(f"{name} must be Hermitian")
         if abs(np.linalg.norm(a, 2) - 1.0) > UNITARY_ATOL:
@@ -68,6 +81,7 @@ def preset_bath(name: str, coupling: float = 0.1, omega_b: float = 1.0) -> BathM
     tau_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     if not np.isfinite(omega_b):
         raise ValueError("omega_b must be finite")
+    _finite_norm("omega_b", omega_b * tau_z)        # the norm of H_b
     if name == "spin-dephasing":
         return BathModel(np.zeros((1, 1), dtype=complex), np.ones((1, 1), dtype=complex), coupling)
     if name == "spin-ising":

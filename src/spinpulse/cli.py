@@ -184,6 +184,9 @@ def cmd_solve(args, texts: dict, digest: str) -> int:
     _write_output(doc, args.out)
     status = "converged" if sol.converged else "did not converge"
     print(f"solver {status}: objective = {fmt(sol.objective)}", file=sys.stderr)
+    for name, value, bound in sol.failed_checks:
+        where = "" if name == "objective" else " on the doubled grid"
+        print(f"failed check: {name} = {value:.3g}{where}, bound {bound:g}", file=sys.stderr)
     if probe is not None and probe.regime != "open":
         print(f"infeasibility certificate: best objective {fmt(probe.best_objective)}"
               f" >= gap bound {fmt(probe.gap_bound)}", file=sys.stderr)

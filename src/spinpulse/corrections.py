@@ -23,6 +23,14 @@ interval integrals.  The halved-grid error estimate ``quad_err`` exists only in
 the reports of :func:`evaluate_corrections`; the design loop builds its rule
 once per problem and calls :func:`correction_residuals`, which skips it and
 takes n(t) with leading lane axes, all on one grid, each lane with its own tau_s.
+
+The design loop's Jacobian reads the residuals' first variation instead:
+:func:`residual_adjoint` is the transposed Jacobian T (3n, 9) of (r1, r2a, r2b)
+in n(t) at one point, so P variations dn (P, n, 3) move the residuals by one
+product dn.reshape(P, -1) @ T.  r1 and r2a give their node weights; r2b,
+bilinear in n, gives B x dn with B = G - W N, where N is the running integral
+of n and G the running sum's transpose (:meth:`SimpsonRule.running_adjoint`)
+applied to W n.
 """
 
 from __future__ import annotations
@@ -48,6 +56,14 @@ PI_CONDITION_ATOL = 1e-6
 # the no-go gaps are >= 0 in exact arithmetic; quadrature may leave them this
 # far below zero
 NOGO_TOLERANCE = 1e-9
+
+# a node's (3, 9) block of the residuals' linearisation, from its five
+# coefficients (r1 weight, r2a weight, B): the r1 and r2a weights on the
+# diagonal of their residual's columns, and in r2b's columns, row c, B x e_c
+_ADJOINT_BLOCKS = np.zeros((5, 3, 9))
+_ADJOINT_BLOCKS[0, :, 0:3] = _ADJOINT_BLOCKS[1, :, 3:6] = np.eye(3)
+_ADJOINT_BLOCKS[2:, :, 6:] = np.cross(np.eye(3)[:, None], np.eye(3))
+_ADJOINT_BLOCKS = _ADJOINT_BLOCKS.reshape(5, 27)
 
 
 @dataclass(frozen=True)
@@ -133,13 +149,27 @@ class SimpsonRule:
     def intervals(self, f: np.ndarray) -> np.ndarray:
         """Integrals of f (..., n, k) over the n - 1 intervals, (..., n - 1, k)."""
         (i0, i1, i2), (w0, w1, w2) = self.nodes, self.node_weights[..., None]
-        return w0 * f[..., i0, :] + w1 * f[..., i1, :] + w2 * f[..., i2, :]
+        return (w0 * np.take(f, i0, axis=-2) + w1 * np.take(f, i1, axis=-2)
+                + w2 * np.take(f, i2, axis=-2))
 
     def running(self, f: np.ndarray) -> np.ndarray:
         """int_{t_0}^t f dt (..., n, k) at every node of f (..., n, k): 0 at t_0."""
         out = np.zeros(f.shape)
         np.cumsum(self.intervals(f), axis=-2, out=out[..., 1:, :])
         return out
+
+    def running_adjoint(self, g: np.ndarray) -> np.ndarray:
+        """The transpose of :meth:`running` applied to g (n, k): sum_t running(f) . g
+        equals sum_t f . running_adjoint(g) for every f (n, k).
+
+        Interval j reaches every node after it, so its weight is the reverse
+        running sum of g from node j + 1; each interval's three node weights
+        then scatter it onto its nodes.
+        """
+        after = np.cumsum(g[:0:-1], axis=0)[::-1]                  # (n - 1, k)
+        nodes = self.nodes.ravel()
+        return np.stack([np.bincount(nodes, (self.node_weights * a).ravel(), len(g))
+                         for a in after.T], axis=-1)
 
 
 def correction_residuals(quad: SimpsonRule, nhat: np.ndarray, tau_s: float | np.ndarray):
@@ -160,6 +190,32 @@ def correction_residuals(quad: SimpsonRule, nhat: np.ndarray, tau_s: float | np.
     r2a = 2.0 * ((w * grid) @ nhat - tau_s * int_n) - ((tau_p - tau_s) ** 2 * n1 - tau_s ** 2 * n0)
     r2b = w @ np.cross(nhat, quad.running(nhat)) - tau_s * (tau_p - tau_s) * np.cross(n1, n0)
     return r1, r2a, r2b
+
+
+def residual_adjoint(quad: SimpsonRule, nhat: np.ndarray, tau_s: float) -> np.ndarray:
+    """The linearisation of :func:`correction_residuals` at n(t) (n, 3): T (3 n, 9) with
+    d(r1, r2a, r2b) = dn.reshape(-1) @ T for every variation dn (n, 3), exactly.
+
+    r1 and r2a are linear in n, with node weights W and 2 W (t - ts) plus their
+    end-node terms.  r2b is bilinear, int n x N with N = int_0^t n; its first
+    variation is sum_t B x dn, where B = G - W N, G the transpose of the
+    running sum applied to W n, plus the end-node terms of ts (tp - ts) n(tp) x n(0).
+    Columns 3 i .. 3 i + 2 hold residual i, rows 3 k .. 3 k + 2 node k.
+    """
+    grid, w = quad.grid, quad.weights
+    tau_p = grid[-1]
+    if not 0.0 <= tau_s <= tau_p:
+        raise ValueError("tau_s must lie in [0, tau_p]")
+    n0, n1 = nhat[0], nhat[-1]
+    first = w.copy()
+    first[[0, -1]] -= (tau_s, tau_p - tau_s)
+    moment = 2.0 * w * (grid - tau_s)
+    moment[[0, -1]] += (tau_s ** 2, -(tau_p - tau_s) ** 2)
+    b = quad.running_adjoint(w[:, None] * nhat) - w[:, None] * quad.running(nhat)
+    b[0] -= tau_s * (tau_p - tau_s) * n1
+    b[-1] += tau_s * (tau_p - tau_s) * n0
+    coefficients = np.column_stack([first, moment, b])
+    return (coefficients @ _ADJOINT_BLOCKS).reshape(-1, 9)
 
 
 def evaluate_corrections(ntraj: NTrajectory, tau_s: float) -> CorrectionReport:

@@ -10,14 +10,20 @@ block.  A solve is converged only if a re-check on the doubled grid also holds
 every targeted residual and the rotation below ``VERIFIED_BOUND``.
 
 The residual function evaluates one point at a time.  Every point of a
-problem has the same grid, whatever its tau_s, so the grid, its Simpson rule
-and the stage amplitudes of dv/dz are built once per problem.  An evaluation
-returns a record of the point, its frame and its residual vector; the Jacobian
-integrates no frame but differentiates that record by Duhamel's formula, the
-exact gradient of GRAPE (Khaneja et al., J. Magn. Reson. 172, 296 (2005)), so
-a Levenberg-Marquardt iteration integrates only its trial points.  Only the
-rows that read no frame, the amplitude bound and the power, are central
-differences.
+problem has the same grid, whatever its tau_s, and the amplitude is affine in
+z, so what an evaluation reads of z is built once per problem: the grid, its
+Simpson rule, and either the stage amplitudes of dv/dz or, about a fixed axis,
+a table of swept angles, since there n(t) = (-sin psi, 0, cos psi) with psi
+affine in z.  An evaluation returns a record of the point, its frame and its
+residuals.  The Jacobian integrates no frame: it differentiates that record by
+Duhamel's formula, the exact gradient of GRAPE (Khaneja et al., J. Magn.
+Reson. 172, 296 (2005)), in adjoint form.  Each direction's variation dn of
+n(t), from the angle table or from the frame, meets one table, the transposed
+linearisation of the residuals at the point
+(:func:`~spinpulse.corrections.residual_adjoint`), so the residual rows of all
+directions are one product and a Levenberg-Marquardt iteration integrates only
+its trial points.  Only the rows that read no frame, the amplitude bound and
+the power, are central differences.
 
 Problems are posed at tau_p = 1 without loss of generality: the normalized
 residuals are invariant under joint rescaling of duration and amplitude, so a
@@ -32,7 +38,7 @@ import numpy as np
 
 from .corrections import (RESIDUAL_TARGETS, CorrectionReport, SimpsonRule,
                           correction_residuals, evaluate_corrections, nogo_diagnostics,
-                          normalized_residual_vector)
+                          normalized_residual_vector, residual_adjoint)
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import CONJUGATE_Q, ideal_pulse_quaternion, quaternion_product
@@ -134,6 +140,9 @@ class DesignSolution:
     restarts_used: int
     best_restart: int
     rotation_violation: float
+    # (name, value, bound) of each check that failed: the objective, or a
+    # targeted residual or the rotation on the doubled grid
+    failed_checks: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -262,34 +271,27 @@ class _Parameterization:
 
 
 def _swept_angle(shape: PulseShape, t: np.ndarray) -> np.ndarray:
-    """Exact accumulated angle 2 int_{tau_s}^t v_y dt of a Fourier or piecewise
-    shape, (len(t),)."""
+    """Exact accumulated angle 2 int_{tau_s}^t v_y dt (..., len(t)) of a Fourier or
+    piecewise shape, or of a family of them over leading axes (...)."""
+    tau_s = np.asarray(shape.tau_s, dtype=float)[..., None]
     if shape.representation == "piecewise_constant":
         b = shape.boundaries
-        cum = np.concatenate([[0.0], np.cumsum(shape.values[:, 1] * np.diff(b))])
-        return 2.0 * (np.interp(t, b, cum) - np.interp(shape.tau_s, b, cum))
-    c, sn = shape.fourier.cos[1], shape.fourier.sin[1]
-    omega = 2.0 * np.pi / shape.tau_p
+        rate = shape.values[..., 1, None]                       # (..., segments, 1)
 
-    def antiderivative(x):
-        out = c[0] * x
-        for k in range(1, len(c)):
-            out = out + c[k] * np.sin(omega * k * x) / (omega * k)
-            out = out - sn[k - 1] * np.cos(omega * k * x) / (omega * k)
-        return out
+        def antiderivative(x):      # each segment's time elapsed by x, times its v_y
+            return (np.clip(x[..., None] - b[:-1], 0.0, np.diff(b)) @ rate)[..., 0]
+    else:
+        c, sn = shape.fourier.cos[..., 1, :, None], shape.fourier.sin[..., 1, :, None]
+        omega = 2.0 * np.pi / shape.tau_p
 
-    return 2.0 * (antiderivative(t) - antiderivative(shape.tau_s))
+        def antiderivative(x):
+            out = c[..., 0, :] * x
+            for k in range(1, c.shape[-2]):
+                out = out + c[..., k, :] * np.sin(omega * k * x) / (omega * k)
+                out = out - sn[..., k - 1, :] * np.cos(omega * k * x) / (omega * k)
+            return out
 
-
-def _fixed_axis_nhat(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
-    """Closed-form n(t) = (-sin psi, 0, cos psi) (n, 3) of a shape about y alone.
-
-    The frame axis never moves, so psi(t) = 2 int_{tau_s}^t v_y dt (exact for
-    Fourier and piecewise amplitudes) and n(t) is z turned about y; no frame
-    ODE is needed.
-    """
-    psi = _swept_angle(shape, grid)
-    return np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
+    return 2.0 * (antiderivative(t) - antiderivative(tau_s))
 
 
 def _rotation_residual(quaternions: np.ndarray, theta: float) -> np.ndarray:
@@ -311,6 +313,7 @@ class _Point:
     shape: PulseShape
     nhat: np.ndarray                # (n, 3) n(t) on the problem's grid
     frames: np.ndarray | None       # (n, 4) frame quaternions, None about a fixed axis
+    residuals: tuple                # the vector residuals (r1, r2a, r2b), (3,) each
     f: np.ndarray                   # (R,) stacked normalized residual vector
 
 
@@ -318,10 +321,12 @@ class _ResidualFunction:
     """z -> the evaluated point of a design problem, and the Jacobian at a point.
 
     Every point of a problem has the same grid, whatever its tau_s, and the
-    amplitude is affine in z, so the grid, its Simpson rule and the stage
-    amplitudes of dv/dz are built once, here.  A call evaluates one point z
-    (P,) into a :class:`_Point`, whose residual vector is ``f``;
-    :meth:`jacobian` differentiates that record without integrating a frame.
+    amplitude is affine in z, so the grid, its Simpson rule and what reads
+    dv/dz are built once, here: about a fixed axis the swept angles of the
+    offset shape and of every direction, otherwise the stage amplitudes of
+    dv/dz.  A call evaluates one point z (P,) into a :class:`_Point`, whose
+    residual vector is ``f``; :meth:`jacobian` differentiates that record
+    without integrating a frame.
     """
 
     def __init__(self, problem: DesignProblem):
@@ -331,9 +336,24 @@ class _ResidualFunction:
         family = self.param.shape_of(directions.T, np.zeros(directions.shape[1]))
         self.grid = _build_grid(family, problem.grid_steps)
         self.quad = SimpsonRule(self.grid)
-        # steps first, directions last: R dv is then one batched matmul
-        self.directions = [np.ascontiguousarray(np.moveaxis(v, 0, -1))
-                           for v in _stage_amplitudes(family, self.grid)]
+        if problem.fixed_axis:
+            # psi = psi_0 + z @ Psi: rows of the offset shape and of every
+            # direction, taken from t = 0 where tau_s is free
+            tau_s = 0.0 if self.param.free_tau_s else float(problem.tau_s) * problem.tau_p
+            coeffs = np.vstack([self.param.offset, directions.T])
+            self.angle_family = self.param.shape_of(coeffs, np.full(len(coeffs), tau_s))
+            self.angles = _swept_angle(self.angle_family, self.grid)
+        else:
+            # steps first, directions last: R dv is then one batched matmul
+            self.directions = [np.ascontiguousarray(np.moveaxis(v, 0, -1))
+                               for v in _stage_amplitudes(family, self.grid)]
+
+    def _angle_table(self, tau_s: float) -> np.ndarray:
+        """The swept angles (1 + P', n) from ``tau_s`` of the offset shape and of the
+        P' coefficient directions, about a fixed axis."""
+        if not self.param.free_tau_s:
+            return self.angles
+        return self.angles - _swept_angle(self.angle_family, np.array([tau_s]))
 
     def _penalty_rows(self, shape: PulseShape) -> list:
         """The rows that read no frame, amplitude bound and power, of a shape."""
@@ -358,7 +378,10 @@ class _ResidualFunction:
         problem, grid = self.problem, self.grid
         shape = self.param.build_shape(z)
         if problem.fixed_axis:
-            frames, nhat = None, _fixed_axis_nhat(shape, grid)
+            # n(t) is z turned about y by the swept angle: no frame ODE
+            table = self._angle_table(shape.tau_s)
+            psi = table[0] + z[:len(table) - 1] @ table[1:]
+            frames, nhat = None, np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
         else:
             frames = _frame_quaternions(shape, grid)
             nhat = _frame_rotation(frames)[..., 2]
@@ -368,28 +391,39 @@ class _ResidualFunction:
         if frames is not None:
             parts.append(ROTATION_WEIGHT * _rotation_residual(frames, problem.theta))
         f = np.concatenate(parts + self._penalty_rows(shape))
-        return _Point(z=z, shape=shape, nhat=nhat, frames=frames, f=f)
+        return _Point(z=z, shape=shape, nhat=nhat, frames=frames, residuals=residuals, f=f)
 
     def jacobian(self, point: _Point) -> np.ndarray:
         """The (R, P) Jacobian at an evaluated point, C-contiguous, with no new frame.
 
-        The first variation of the point's frame is dW = W X with
-        X = -i sigma . xi (see :meth:`_sweeps`), so n(t) = R z moves by
-        dn = 2 n x xi and the rotation residual by q(tp) (0, xi(tp) - xi(0))
-        q(0)^*.  r1 and r2a are linear in n and r2b is quadratic, so each
-        residual column is exactly [r(n + dn) - r(n - dn)] / 2, on a batch of
-        2P n(t) that need no frame.  A free tau_s adds its explicit terms and
-        the logit's chain rule.  The rows that read no frame (amplitude bound
-        and power) are central differences in z.  The memory order sets the
-        rounding of ``jac.T @ jac`` and with it the damped least-squares path.
+        Each direction j moves n(t) by dn_j (n, 3).  About a fixed axis
+        n = (-sin psi, 0, cos psi) and psi is affine in z, so
+        dn_j = Psi_j (-n_z, 0, n_x) from the angle table, and along a free tau_s
+        Psi is -2 v_y(tau_s) at every node.  Otherwise the first variation of
+        the frame is dW = W X with X = -i sigma . xi (see :meth:`_sweeps`), so
+        dn = 2 n x xi and the rotation residual moves by
+        q(tp) (0, xi(tp) - xi(0)) q(0)^*.  The residuals' rows are then one
+        product with the transposed linearisation of r1, r2a and r2b at n(t)
+        (:func:`residual_adjoint`): Duhamel's gradient in adjoint form.  A free
+        tau_s adds its explicit terms and the logit's chain rule.  The rows that
+        read no frame (amplitude bound and power) are central differences in z.
+        The memory order sets the rounding of ``jac.T @ jac`` and with it the
+        damped least-squares path.
         """
         problem, grid, nhat, frames = self.problem, self.grid, point.nhat, point.frames
         tau_p, tau_s = float(grid[-1]), float(point.shape.tau_s)
-        xi = self._sweeps(point.shape, frames)
-        dn = 2.0 * np.cross(nhat, xi)
-        residuals = correction_residuals(self.quad, np.concatenate([nhat + dn, nhat - dn]), tau_s)
-        vectors = normalized_residual_vector(residuals, tau_p, problem.targets)
-        parts = [0.5 * (vectors[:len(xi)] - vectors[len(xi):])]
+        if frames is None:
+            table = self._angle_table(tau_s)[1:]
+            if self.param.free_tau_s:
+                rate = -2.0 * point.shape.amplitude(tau_s)[1]
+                table = np.vstack([table, np.full((1, len(grid)), rate)])
+            tangent = np.stack([-nhat[:, 2], np.zeros(len(grid)), nhat[:, 0]], axis=-1)
+            dn = table[:, :, None] * tangent                # dn/dpsi = (-n_z, 0, n_x)
+        else:
+            xi = self._sweeps(point.shape, frames)
+            dn = 2.0 * np.cross(nhat, xi)
+        rows = dn.reshape(len(dn), -1) @ residual_adjoint(self.quad, nhat, tau_s)
+        parts = [normalized_residual_vector(np.split(rows, 3, axis=1), tau_p, problem.targets)]
         if frames is not None:
             # xi(tp) - xi(0) vanishes along a free tau_s: it moves only the anchor
             turn = np.zeros((len(xi), 4))
@@ -400,32 +434,30 @@ class _ResidualFunction:
             parts.append(ROTATION_WEIGHT * np.concatenate([dq[:, 1:], -dq[:, :1]], axis=1))
         jac = np.concatenate(parts, axis=1).T
         if self.param.free_tau_s:
-            # r1, r2a and r2b read tau_s also outside n(t): d r2a / d tau_s = -2 r1,
-            # and r1 is linear in n, so any +/- pair gives it
+            # r1, r2a and r2b read tau_s also outside n(t): d r2a / d tau_s = -2 r1
             n0, n1 = nhat[0], nhat[-1]
-            r1 = 0.5 * (residuals[0][0] + residuals[0][len(xi)])
-            explicit = (n1 - n0, -2.0 * r1, (2.0 * tau_s - tau_p) * np.cross(n1, n0))
-            jac[:len(vectors[0]), -1] += normalized_residual_vector(explicit, tau_p,
-                                                                    problem.targets)
+            explicit = (n1 - n0, -2.0 * point.residuals[0],
+                        (2.0 * tau_s - tau_p) * np.cross(n1, n0))
+            jac[:parts[0].shape[1], -1] += normalized_residual_vector(explicit, tau_p,
+                                                                      problem.targets)
             jac[:, -1] *= tau_s * (1.0 - tau_s / tau_p)     # d tau_s / d logit
         if problem.amplitude_bound is not None or problem.power_weight > 0.0:
             jac = np.concatenate([jac, finite_difference_jacobian(self._penalties, point.z)])
         return np.ascontiguousarray(jac)
 
-    def _sweeps(self, shape: PulseShape, frames) -> np.ndarray:
+    def _sweeps(self, shape: PulseShape, frames: np.ndarray) -> np.ndarray:
         """xi_j(t) = int_{tau_s}^t R dv_j dt at the nodes for every direction j, (P, n, 3).
 
-        R is the frame's rotation (n = R z), the identity about a fixed axis,
-        and dv_j = dv/dz_j is constant: the amplitude is affine in z.  The
-        integral is one cumulative Simpson sum; its value at tau_s is the cubic
-        Hermite interpolant of its nodes, as the frame's anchor is.  Along a
-        free tau_s, xi is constant: minus the anchor's rate, -v(tau_s) about a
-        fixed axis, whose n(t) is exact in tau_s.
+        R is the frame's rotation (n = R z), and dv_j = dv/dz_j is constant:
+        the amplitude is affine in z.  The integral is one cumulative Simpson
+        sum; its value at tau_s is the cubic Hermite interpolant of its nodes,
+        as the frame's anchor is.  Along a free tau_s, xi is constant: minus
+        the anchor's rate.
         """
         grid, quad, tau_s = self.grid, self.quad, shape.tau_s
         n = len(grid)
         v1, v2, v3 = self.directions                # (n - 1, 3, P) each
-        rot = np.broadcast_to(np.eye(3), (n, 3, 3)) if frames is None else _frame_rotation(frames)
+        rot = _frame_rotation(frames)
         if self.problem.ansatz == "piecewise":      # dv_j is constant on every step
             steps = quad.intervals(rot.reshape(n, 9)).reshape(n - 1, 3, 3) @ v2
             sweep = np.cumsum(np.vstack([np.zeros_like(steps[:1]), steps]), axis=0).reshape(n, -1)
@@ -437,16 +469,13 @@ class _ResidualFunction:
         xi = np.moveaxis(xi, -1, 0)
         if not self.param.free_tau_s:
             return xi
-        if frames is None:
-            xi_tau = -shape.amplitude(tau_s)
-        else:
-            # U at the two nodes, up to a common norm, from W = U U(tau_s, 0)^dag
-            ends = quaternion_product(frames[j:j + 2], CONJUGATE_Q * frames[0])
-            v_start, _, v_end = _stage_amplitudes(shape, grid[j:j + 2])
-            anchor, rate = _anchor(ends[None], v_start, v_end, h[None], x[None])
-            # W = U b with b = anchor^* / |anchor|: xi = vec(b^* db)
-            xi_tau = (quaternion_product(anchor, CONJUGATE_Q * rate)[0, 1:]
-                      / (h * (anchor @ anchor.T)[0]))
+        # U at the two nodes, up to a common norm, from W = U U(tau_s, 0)^dag
+        ends = quaternion_product(frames[j:j + 2], CONJUGATE_Q * frames[0])
+        v_start, _, v_end = _stage_amplitudes(shape, grid[j:j + 2])
+        anchor, rate = _anchor(ends[None], v_start, v_end, h[None], x[None])
+        # W = U b with b = anchor^* / |anchor|: xi = vec(b^* db)
+        xi_tau = (quaternion_product(anchor, CONJUGATE_Q * rate)[0, 1:]
+                  / (h * (anchor @ anchor.T)[0]))
         return np.concatenate([xi, np.broadcast_to(xi_tau, (1, n, 3))])
 
 
@@ -527,12 +556,15 @@ def solve(problem: DesignProblem, seed: int = 0,
     traj = integrate_axis_angle(shape, 2 * problem.grid_steps)
     report = evaluate_corrections(n_trajectory(traj), shape.tau_s)
     rot_violation = float(np.linalg.norm(_rotation_residual(traj.quaternions, problem.theta)))
-    verified = report.normalized[[RESIDUAL_TARGETS.index(t) for t in problem.targets]]
-    converged = bool(cost <= CONVERGED_OBJECTIVE
-                     and rot_violation < VERIFIED_BOUND and np.all(verified < VERIFIED_BOUND))
+    failed = [] if cost <= CONVERGED_OBJECTIVE else [("objective", cost, CONVERGED_OBJECTIVE)]
+    verified = [(f"{t}_normalized", float(report.normalized[RESIDUAL_TARGETS.index(t)]))
+                for t in problem.targets] + [("rotation_violation", rot_violation)]
+    failed += [(name, value, VERIFIED_BOUND) for name, value in verified
+               if not value < VERIFIED_BOUND]
     return DesignSolution(shape=shape, report=report, objective=cost,
-                          converged=converged, restarts_used=problem.restarts,
-                          best_restart=idx, rotation_violation=rot_violation)
+                          converged=not failed, restarts_used=problem.restarts,
+                          best_restart=idx, rotation_violation=rot_violation,
+                          failed_checks=tuple(failed))
 
 
 def feasibility_probe(problem: DesignProblem, seed: int = 0) -> ProbeResult:

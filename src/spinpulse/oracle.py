@@ -21,10 +21,11 @@ sigma_z part of H0 = (v . sigma) (x) I drops out, and beta = v_x - i v_y turns
 through one d x d unitary K(dt) = e^{i H+ dt} e^{-i H- dt}, giving the upper
 block beta (K - I).  The route works in the eigenbasis V+ of H+, where
 K' = V+^dag K V+ = (Phi+ o G o Phi-^*) G^dag with Phi+- = e^{+-i E+- dt} and the
-overlap G = V+^dag V-: K' - I is one batch of (d, d) @ (d, d) products over
-nodes of the bisected grid, from eigendecompositions of H+ and H- taken once
-per call, and every RK4 stage slices it.  The step product U' is taken back to
-the bath's basis once, U_F = (I (x) V+) U' (I (x) V+)^dag.
+overlap G = V+^dag V-: K' - I on the nodes of the bisected grid is one GEMM
+up to d = ``ONE_GEMM_DIM`` and a batch of (d, d) @ (d, d) products above,
+from eigendecompositions of H+ and H- taken once per call, and every RK4
+stage slices it.  The step product U' is taken back to the bath's basis once,
+U_F = (I (x) V+) U' (I (x) V+)^dag.
 
 The steps are built and reduced a chunk at a time: each chunk's 2x2 frames,
 K' - I, stage tables and step matrices, then their pairwise product.  A chunk
@@ -71,6 +72,8 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SWEEP_STEPS = 2048
 # bytes of one (chunk, 2d, 2d) complex step table, the one limit on a chunk
 TABLE_BYTES = 1 << 18
+# the largest bath dimension whose turns K' - I are one GEMM over all nodes
+ONE_GEMM_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -158,9 +161,11 @@ def _coupling_turns(bath: BathModel):
     """(turns, V+): t -> K'(t) - I, (n, d, d) for t (n,), with K' = V+^dag K V+ the
     turn K(t) = e^{i H+ t} e^{-i H- t}, H+- = H_b +- lambda A, in the eigenbasis V+
     of H+.  K' = (Phi+ o G o Phi-^*) G^dag with Phi+- = e^{+-i E+- t} and
-    G = V+^dag V-, one batched (d, d) @ (d, d) product per node: as one (n d, d)
-    GEMM it would cross BLAS's threading threshold from d = 8 and spend a second
-    core for no wall time.  The eigendecompositions of H+ and H- are taken here,
+    G = V+^dag V-.  Up to ``ONE_GEMM_DIM`` the product is one (n d, d) @ (d, d)
+    GEMM, which saves numpy's per-matrix dispatch; above it, one batched
+    (d, d) @ (d, d) product per node, since one GEMM would cross BLAS's
+    threading threshold from d = 8 and spend a second core for no wall time.
+    Both round alike.  The eigendecompositions of H+ and H- are taken here,
     once.  An operator X' built from these turns is X = (I (x) V+) X' (I (x) V+)^dag
     in the bath's basis."""
     e_plus, v_plus = np.linalg.eigh(bath.h_b + bath.coupling * bath.a)
@@ -170,7 +175,10 @@ def _coupling_turns(bath: BathModel):
     def turns(t: np.ndarray) -> np.ndarray:
         phases = (np.exp(1.0j * np.multiply.outer(t, e_plus))[:, :, None]
                   * np.exp(-1.0j * np.multiply.outer(t, e_minus))[:, None, :])
-        return (phases * overlap) @ overlap.conj().T - np.eye(bath.dim_b)
+        tilted, back, one = phases * overlap, overlap.conj().T, np.eye(bath.dim_b)
+        if bath.dim_b <= ONE_GEMM_DIM:
+            return (tilted.reshape(-1, bath.dim_b) @ back).reshape(tilted.shape) - one
+        return tilted @ back - one
     return turns, v_plus
 
 

@@ -362,6 +362,22 @@ class TestLibraryErrors:
         assert not out.exists()
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("old, new, field", [
+        ("lambda = 1.0", "lambda = 1e200", "lambda"),
+        ("omega_b = 1.0", "omega_b = 1e200", "omega_b"),
+    ], ids=["lambda-squared", "omega_b-norm"])
+    def test_overflowing_bath_scale_exits_3(self, workdir, capsys, old, new, field):
+        """A finite bath field whose square or norm overflows is an invariant
+        violation that names the field, with no traceback and no numpy warning."""
+        bath = workdir / "dyn.bath"
+        bath.write_text(bath.read_text().replace(old, new))
+        out = workdir / "out.txt"
+        assert main(["verify", str(workdir / "pi.pulse"), str(bath), "--out", str(out)]) == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSolveAndVerify:
     def test_solve_writes_reverifiable_solution(self, workdir):
         out = workdir / "solution.pulse"
@@ -372,6 +388,18 @@ class TestSolveAndVerify:
         assert "manifest_sha256 = " in text
         # the solution file is itself a valid pulse file passing the r1 gate
         assert main(["corrections", str(out)]) == 0
+
+    def test_unverified_solve_names_the_failed_checks(self, workdir, capsys):
+        """At grid 64 LM converges, but the doubled-grid re-check fails: stderr
+        names each check that failed, and only those."""
+        problem = workdir / "s.problem"
+        problem.write_text(PROBLEM_S + "grid = 64\n")
+        assert main(["solve", str(problem), "--seed", "0", "--out", str(workdir / "s.out")]) == 1
+        err = capsys.readouterr().err
+        failed = [line.split(" = ")[0] for line in err.splitlines()
+                  if line.startswith("failed check: ")]
+        assert failed == ["failed check: r1_normalized", "failed check: rotation_violation"]
+        assert "on the doubled grid, bound 1e-07" in err
 
     def test_verify_first_order_band(self, workdir):
         sol = workdir / "solution.pulse"

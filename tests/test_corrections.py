@@ -3,20 +3,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
 from spinpulse.bath import BathModel, preset_bath
 from spinpulse.corrections import (NOGO_TOLERANCE, SimpsonRule, correction_residuals,
                                    evaluate_corrections, nogo_diagnostics,
-                                   normalized_residual_vector)
+                                   normalized_residual_vector, residual_adjoint)
 from spinpulse.oracle import eta_operators
 from spinpulse.pulses import FourierCoefficients, PulseShape
 from spinpulse.sampling import (_slerp, pi_close_ntrajectory, random_fourier_shape,
                                 random_ntrajectory)
 from spinpulse.trajectory import NTrajectory, axis_angle, integrate_axis_angle, n_trajectory
 from joint_oracles import first_order_norm_identity
+from residual_oracles import lane_rows
 
 
 def constant_axis_ntrajectory(tau_p=1.0, nodes=2049, turns=1.0):
@@ -138,6 +139,46 @@ class TestResiduals:
         assert np.abs(r1 - b1).max() < 1e-6 * tau_p
         assert np.abs(r2a + b2a).max() < 1e-6 * tau_p ** 2
         assert np.abs(r2b + b2b).max() < 1e-6 * tau_p ** 2
+
+
+class TestResidualAdjoint:
+    """The transposed linearisation against the 2P-lane difference of residuals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           spans=st.lists(st.integers(2, 9), min_size=1, max_size=4),
+           tau_p=st.floats(1e-2, 1e2), where=st.sampled_from(["start", "end", "node", "off"]),
+           lanes=st.integers(1, 4))
+    def test_equals_the_lane_difference(self, seed, spans, tau_p, where, lanes):
+        """Odd and even interval counts, uniform spans of unequal widths between
+        cuts, and tau_s at either end, on a node or between nodes."""
+        rng = np.random.default_rng(seed)
+        cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, len(spans) - 1)), [1.0]])
+        grid = tau_p * np.concatenate([np.linspace(a, b, m + 1)[:-1]
+                                       for a, b, m in zip(cuts[:-1], cuts[1:], spans)] + [[1.0]])
+        assume(np.all(np.diff(grid) > 1e-3 * tau_p))
+        nhat = rng.normal(size=(len(grid), 3))
+        nhat /= np.linalg.norm(nhat, axis=1, keepdims=True)
+        dn = rng.normal(size=(lanes, len(grid), 3))
+        k = rng.integers(1, len(grid) - 1)
+        tau_s = {"start": 0.0, "end": grid[-1], "node": grid[k],
+                 "off": grid[k] + rng.uniform(0.1, 0.9) * (grid[k + 1] - grid[k])}[where]
+        quad = SimpsonRule(grid)
+        rows = dn.reshape(lanes, -1) @ residual_adjoint(quad, nhat, tau_s)
+        expected = lane_rows(quad, nhat, dn, tau_s)
+        assert np.max(np.abs(rows - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_running_adjoint_is_the_transpose(self, rng):
+        grid = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 20)]))
+        quad = SimpsonRule(grid)
+        f, g = rng.normal(size=(2, len(grid), 3))
+        assert np.sum(quad.running(f) * g) == pytest.approx(
+            np.sum(f * quad.running_adjoint(g)), rel=1e-13)
+
+    def test_tau_s_outside_the_pulse_rejected(self):
+        quad = SimpsonRule(np.linspace(0.0, 1.0, 17))
+        with pytest.raises(ValueError):
+            residual_adjoint(quad, np.tile([0.0, 0.0, 1.0], (17, 1)), 1.5)
 
 
 class TestEtaOperators:

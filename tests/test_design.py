@@ -16,8 +16,10 @@ from spinpulse.design import (CONVERGED_OBJECTIVE, VERIFIED_BOUND, DesignProblem
 from spinpulse.pulses import COMPONENTS
 from spinpulse.trajectory import NTrajectory, integrate_axis_angle, n_trajectory
 from spinpulse.cli import SLOPE_BANDS
-from spinpulse.corrections import evaluate_corrections, nogo_diagnostics
+from spinpulse.corrections import (evaluate_corrections, nogo_diagnostics,
+                                   normalized_residual_vector)
 from spinpulse.sampling import pi_close_ntrajectory
+from residual_oracles import lane_rows
 
 
 def jacobian_check(problem, point=None, step=1e-5, seed=0):
@@ -231,6 +233,57 @@ class TestJacobian:
         deviation, flagged = jacobian_check(problem, point=point, step=2e-2)
         assert flagged
         assert deviation > 1e-4
+
+
+class TestAngleTable:
+    """About a fixed axis n(t) comes from the angle table psi_0 + z @ Psi, and the
+    Jacobian's residual rows from the adjoint; both against their references."""
+
+    @pytest.mark.parametrize("tau_s", [0.0, 0.35, 1.0, "free"])
+    @pytest.mark.parametrize("ansatz", ["fourier", "piecewise"])
+    def test_reproduces_the_swept_angle(self, ansatz, tau_s):
+        problem = DesignProblem(theta=2.0, tau_s=tau_s, fourier_order=3, symmetric=False,
+                                ansatz=ansatz, segments=5, grid_steps=256)
+        residual = _ResidualFunction(problem)
+        for seed in range(3):
+            point = residual(residual.param.random_start(np.random.default_rng(seed)))
+            psi = design._swept_angle(point.shape, residual.grid)
+            closed = np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
+            assert np.max(np.abs(point.nhat - closed)) <= 1e-13
+
+    @pytest.mark.parametrize("ansatz", ["fourier", "piecewise"])
+    def test_family_matches_lone_shapes(self, ansatz):
+        """One call on a family gives each member's lone swept angle."""
+        problem = DesignProblem(theta=2.0, tau_s=0.35, fourier_order=3, symmetric=False,
+                                ansatz=ansatz, segments=5)
+        param = _Parameterization(problem)
+        rng = np.random.default_rng(8)
+        coeffs, tau_s = rng.normal(size=(4, param.lift.shape[0])), rng.uniform(0.0, 1.0, 4)
+        t = np.linspace(0.0, 1.0, 33)
+        family = design._swept_angle(param.shape_of(coeffs, tau_s), t)
+        lone = [design._swept_angle(param.shape_of(c, ts), t) for c, ts in zip(coeffs, tau_s)]
+        np.testing.assert_allclose(family, lone, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("components, ansatz", [
+        (("y",), "fourier"), (("y",), "piecewise"), (("x", "y"), "fourier"),
+        (("z", "x", "y"), "piecewise")])
+    def test_rows_equal_the_lane_difference(self, components, ansatz):
+        """The Jacobian's residual rows are the 2P-lane difference along its own dn."""
+        problem = DesignProblem(theta=2.0, tau_s=0.35, fourier_order=2, components=components,
+                                targets=("r1", "r2a", "r2b"), symmetric=False, ansatz=ansatz,
+                                segments=5, grid_steps=256)
+        residual = _ResidualFunction(problem)
+        point = residual(residual.param.random_start(np.random.default_rng(2)))
+        nhat, tau_s = point.nhat, point.shape.tau_s
+        if problem.fixed_axis:
+            turn = np.stack([-nhat[:, 2], np.zeros(len(nhat)), nhat[:, 0]], axis=-1)
+            dn = residual.angles[1:, :, None] * turn
+        else:
+            dn = 2.0 * np.cross(nhat, residual._sweeps(point.shape, point.frames))
+        lanes = lane_rows(residual.quad, nhat, dn, tau_s)
+        expected = normalized_residual_vector(np.split(lanes, 3, axis=1), 1.0, problem.targets)
+        rows = residual.jacobian(point)[:expected.shape[1]].T
+        assert np.max(np.abs(rows - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestDuhamelJacobian:
