@@ -35,8 +35,9 @@ from .fileio import (SchemaError, csv_document, fmt, format_report, format_solut
                      make_manifest, parse_bath, parse_problem, parse_pulse)
 from .oracle import SWEEP_STEPS, magnus_consistency
 from .sampling import pi_close_ntrajectory, random_ntrajectory
-from .trajectory import (MIN_STEPS, _stage_amplitudes, amplitude_from_axis_angle,
-                         axis_angle, integrate_axis_angle, n_trajectory)
+from .trajectory import (LANE_STEPS, MIN_STEPS, _stage_amplitudes,
+                         amplitude_from_axis_angle, axis_angle, integrate_axis_angle,
+                         n_trajectory)
 
 SLOPE_BANDS = {
     "uncorrected": (0.85, 1.15),
@@ -47,7 +48,6 @@ DEGENERATE_DEFECT_FLOOR = 1e-13   # verify exits 4 where every uf_defect is belo
 CERTIFICATE_RTOL = 1e-9           # relative slack of a probe's objective on its gap bound
 
 NOGO_CHECKS = ("ts-eq-tp", "pi-second-order")
-NOGO_LANE_STEPS = 2048    # lanes x steps of a nogo chunk: memory is bounded at any --samples
 # the least value of each count flag; verify --steps takes half of MIN_STEPS
 # because the oracle integrates the pulse frame on a grid twice as fine
 _COUNT_FLOORS = {"grid": MIN_STEPS, "steps": MIN_STEPS // 2, "restarts": 1, "samples": 1}
@@ -198,7 +198,7 @@ def cmd_nogo(args, texts: dict, digest: str) -> int:
     if args.check not in NOGO_CHECKS:
         raise SchemaError(f"unknown check {args.check!r}; choose from {NOGO_CHECKS}")
     rng = np.random.default_rng(args.seed)
-    chunk = max(1, NOGO_LANE_STEPS // args.grid)
+    chunk = max(1, LANE_STEPS // args.grid)
     taus, gaps = [], []
     for start in range(0, args.samples, chunk):
         ntraj, tau_s = random_ntrajectory(rng, min(chunk, args.samples - start), args.grid)

@@ -25,12 +25,15 @@ once per problem and calls :func:`correction_residuals`, which skips it and
 takes n(t) with leading lane axes, all on one grid, each lane with its own tau_s.
 
 The design loop's Jacobian reads the residuals' first variation instead:
-:func:`residual_adjoint` is the transposed Jacobian T (3n, 9) of (r1, r2a, r2b)
-in n(t) at one point, so P variations dn (P, n, 3) move the residuals by one
-product dn.reshape(P, -1) @ T.  r1 and r2a give their node weights; r2b,
-bilinear in n, gives B x dn with B = G - W N, where N is the running integral
-of n and G the running sum's transpose (:meth:`SimpsonRule.running_adjoint`)
-applied to W n.
+:func:`residual_adjoint` gives the transposed Jacobian T (3n, 9) of
+(r1, r2a, r2b) in n(t) at one point, as five coefficients per node that
+:func:`adjoint_table` expands, so P variations dn (P, n, 3) move the residuals
+by one product dn.reshape(P, -1) @ T.  r1 and r2a give their node weights;
+r2b, bilinear in n, gives B x dn with B = G - W N, where N is the running
+integral of n, which the evaluation already took, and G the running sum's
+transpose (:meth:`SimpsonRule.running_adjoint`) applied to W n.  The
+coefficients take lanes like the residuals; the table is expanded one lane at
+a time.  Cross products are :func:`cross`, component by component.
 """
 
 from __future__ import annotations
@@ -57,12 +60,22 @@ PI_CONDITION_ATOL = 1e-6
 # far below zero
 NOGO_TOLERANCE = 1e-9
 
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis (..., 3), broadcasting: ``np.cross`` bit for bit
+    (the same two products and one difference per component), without its
+    axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 # a node's (3, 9) block of the residuals' linearisation, from its five
 # coefficients (r1 weight, r2a weight, B): the r1 and r2a weights on the
 # diagonal of their residual's columns, and in r2b's columns, row c, B x e_c
 _ADJOINT_BLOCKS = np.zeros((5, 3, 9))
 _ADJOINT_BLOCKS[0, :, 0:3] = _ADJOINT_BLOCKS[1, :, 3:6] = np.eye(3)
-_ADJOINT_BLOCKS[2:, :, 6:] = np.cross(np.eye(3)[:, None], np.eye(3))
+_ADJOINT_BLOCKS[2:, :, 6:] = cross(np.eye(3)[:, None], np.eye(3))
 _ADJOINT_BLOCKS = _ADJOINT_BLOCKS.reshape(5, 27)
 
 
@@ -159,25 +172,29 @@ class SimpsonRule:
         return out
 
     def running_adjoint(self, g: np.ndarray) -> np.ndarray:
-        """The transpose of :meth:`running` applied to g (n, k): sum_t running(f) . g
-        equals sum_t f . running_adjoint(g) for every f (n, k).
+        """The transpose of :meth:`running` applied to g (..., n, k): sum_t running(f) . g
+        equals sum_t f . running_adjoint(g) for every f (n, k), lane by lane.
 
         Interval j reaches every node after it, so its weight is the reverse
         running sum of g from node j + 1; each interval's three node weights
-        then scatter it onto its nodes.
+        then scatter it onto its nodes, one column of one lane at a time.
         """
-        after = np.cumsum(g[:0:-1], axis=0)[::-1]                  # (n - 1, k)
+        after = np.cumsum(g[..., :0:-1, :], axis=-2)[..., ::-1, :]     # (..., n - 1, k)
+        columns = np.swapaxes(after, -1, -2)
         nodes = self.nodes.ravel()
-        return np.stack([np.bincount(nodes, (self.node_weights * a).ravel(), len(g))
-                         for a in after.T], axis=-1)
+        out = [np.bincount(nodes, (self.node_weights * a).ravel(), g.shape[-2])
+               for a in columns.reshape(-1, columns.shape[-1])]
+        return np.swapaxes(np.reshape(out, columns.shape[:-1] + (-1,)), -1, -2)
 
 
-def correction_residuals(quad: SimpsonRule, nhat: np.ndarray, tau_s: float | np.ndarray):
+def correction_residuals(quad: SimpsonRule, nhat: np.ndarray, tau_s: float | np.ndarray,
+                         running: np.ndarray | None = None):
     """The vector residuals (r1, r2a, r2b) of n(t) sampled on the grid of ``quad``.
 
     ``nhat`` is (..., n, 3); any leading axes are lanes that share the grid,
     and ``tau_s`` is one value or one per lane (...,).  Each residual is then
     (..., 3), every lane equal bit for bit to its own unbatched call.
+    ``running`` is ``quad.running(nhat)`` where the caller holds it already.
     """
     grid, w = quad.grid, quad.weights
     tau_p = grid[-1]
@@ -188,33 +205,49 @@ def correction_residuals(quad: SimpsonRule, nhat: np.ndarray, tau_s: float | np.
     int_n = w @ nhat
     r1 = int_n - ((tau_p - tau_s) * n1 + tau_s * n0)
     r2a = 2.0 * ((w * grid) @ nhat - tau_s * int_n) - ((tau_p - tau_s) ** 2 * n1 - tau_s ** 2 * n0)
-    r2b = w @ np.cross(nhat, quad.running(nhat)) - tau_s * (tau_p - tau_s) * np.cross(n1, n0)
+    if running is None:
+        running = quad.running(nhat)
+    r2b = w @ cross(nhat, running) - tau_s * (tau_p - tau_s) * cross(n1, n0)
     return r1, r2a, r2b
 
 
-def residual_adjoint(quad: SimpsonRule, nhat: np.ndarray, tau_s: float) -> np.ndarray:
-    """The linearisation of :func:`correction_residuals` at n(t) (n, 3): T (3 n, 9) with
+def residual_adjoint(quad: SimpsonRule, nhat: np.ndarray, tau_s: float | np.ndarray,
+                     running: np.ndarray) -> np.ndarray:
+    """The linearisation of :func:`correction_residuals` at n(t) (n, 3), as node
+    coefficients C (n, 5): T = :func:`adjoint_table` (C), (3 n, 9), gives
     d(r1, r2a, r2b) = dn.reshape(-1) @ T for every variation dn (n, 3), exactly.
+    ``running`` is N = ``quad.running(nhat)``, which the evaluation of the
+    residuals took.  Lanes of n(t) (..., n, 3), each with its tau_s (...,) and
+    N, give C (..., n, 5), every lane its lone call's bit for bit.
 
     r1 and r2a are linear in n, with node weights W and 2 W (t - ts) plus their
     end-node terms.  r2b is bilinear, int n x N with N = int_0^t n; its first
     variation is sum_t B x dn, where B = G - W N, G the transpose of the
     running sum applied to W n, plus the end-node terms of ts (tp - ts) n(tp) x n(0).
-    Columns 3 i .. 3 i + 2 hold residual i, rows 3 k .. 3 k + 2 node k.
+    A node's coefficients are (W, 2 W (t - ts), B) with those end terms.
     """
     grid, w = quad.grid, quad.weights
     tau_p = grid[-1]
-    if not 0.0 <= tau_s <= tau_p:
+    tau_s = np.asarray(tau_s, dtype=float)[..., None]
+    if not np.all((0.0 <= tau_s) & (tau_s <= tau_p)):
         raise ValueError("tau_s must lie in [0, tau_p]")
-    n0, n1 = nhat[0], nhat[-1]
-    first = w.copy()
-    first[[0, -1]] -= (tau_s, tau_p - tau_s)
+    first = np.broadcast_to(w, tau_s.shape[:-1] + w.shape).copy()
+    first[..., 0] -= tau_s[..., 0]
+    first[..., -1] -= tau_p - tau_s[..., 0]
     moment = 2.0 * w * (grid - tau_s)
-    moment[[0, -1]] += (tau_s ** 2, -(tau_p - tau_s) ** 2)
-    b = quad.running_adjoint(w[:, None] * nhat) - w[:, None] * quad.running(nhat)
-    b[0] -= tau_s * (tau_p - tau_s) * n1
-    b[-1] += tau_s * (tau_p - tau_s) * n0
-    coefficients = np.column_stack([first, moment, b])
+    # products, not ** 2, as in the lanes of correction_residuals
+    moment[..., 0] += tau_s[..., 0] * tau_s[..., 0]
+    moment[..., -1] += -((tau_p - tau_s[..., 0]) * (tau_p - tau_s[..., 0]))
+    b = quad.running_adjoint(w[:, None] * nhat) - w[:, None] * running
+    ends = tau_s * (tau_p - tau_s)
+    b[..., 0, :] -= ends * nhat[..., -1, :]
+    b[..., -1, :] += ends * nhat[..., 0, :]
+    return np.concatenate([first[..., None], moment[..., None], b], axis=-1)
+
+
+def adjoint_table(coefficients: np.ndarray) -> np.ndarray:
+    """T (3 n, 9) of one lane's node coefficients (n, 5) from :func:`residual_adjoint`:
+    columns 3 i .. 3 i + 2 hold residual i, rows 3 k .. 3 k + 2 node k."""
     return (coefficients @ _ADJOINT_BLOCKS).reshape(-1, 9)
 
 
@@ -255,6 +288,8 @@ def nogo_diagnostics(ntraj: NTrajectory, tau_s: float | np.ndarray) -> NoGoDiagn
     cos_alpha = nhat @ n0[..., None]                               # (..., n, 1)
     tsp_gap = tau_p - (w @ cos_alpha)[..., 0]
     moment = ((w * (grid - tau_s[..., None]))[..., None, :] @ cos_alpha)[..., 0, 0]
-    pi2_gap = (tau_p - tau_s) ** 2 + tau_s ** 2 + 2.0 * moment
+    # products, not ** 2: a scalar's power is libm's pow, which can round
+    # otherwise than a lane's square
+    pi2_gap = (tau_p - tau_s) * (tau_p - tau_s) + tau_s * tau_s + 2.0 * moment
     is_pi = np.linalg.norm(n0 + nhat[..., -1, :], axis=-1) < PI_CONDITION_ATOL
     return NoGoDiagnostics(tsp_gap=tsp_gap, pi2_gap=pi2_gap, is_pi_pulse=is_pi)

@@ -9,21 +9,31 @@ ansaetze carry the total-rotation requirement as an extra weighted residual
 block.  A solve is converged only if a re-check on the doubled grid also holds
 every targeted residual and the rotation below ``VERIFIED_BOUND``.
 
-The residual function evaluates one point at a time.  Every point of a
+The residual function evaluates points as lanes: m points z (m, P) in one
+call, each lane equal bit for bit to its one-lane call.  Every point of a
 problem has the same grid, whatever its tau_s, and the amplitude is affine in
 z, so what an evaluation reads of z is built once per problem: the grid, its
 Simpson rule, and either the stage amplitudes of dv/dz or, about a fixed axis,
 a table of swept angles, since there n(t) = (-sin psi, 0, cos psi) with psi
-affine in z.  An evaluation returns a record of the point, its frame and its
-residuals.  The Jacobian integrates no frame: it differentiates that record by
-Duhamel's formula, the exact gradient of GRAPE (Khaneja et al., J. Magn.
-Reson. 172, 296 (2005)), in adjoint form.  Each direction's variation dn of
-n(t), from the angle table or from the frame, meets one table, the transposed
-linearisation of the residuals at the point
+affine in z.  An evaluation returns a record of the lanes, their frames, the
+running integrals of n(t) and their residuals.  The Jacobian integrates no
+frame: it differentiates that record by Duhamel's formula, the exact gradient
+of GRAPE (Khaneja et al., J. Magn. Reson. 172, 296 (2005)), in adjoint form.
+Each direction's variation dn of n(t), from the angle table or from the frame,
+meets one table, the transposed linearisation of the residuals at the point
 (:func:`~spinpulse.corrections.residual_adjoint`), so the residual rows of all
-directions are one product and a Levenberg-Marquardt iteration integrates only
-its trial points.  Only the rows that read no frame, the amplitude bound and
-the power, are central differences.
+directions are one product per lane and a Levenberg-Marquardt iteration
+integrates only its trial points.  Only the rows that read no frame, the
+amplitude bound and the power, are central differences.
+
+A solve runs its restarts as lanes of one Levenberg-Marquardt pool: each
+round evaluates the trial of every restart in flight in one call,
+differentiates the accepted ones in one Jacobian call and solves their damped
+systems in one stacked solve.  Each restart keeps its own damping and stops
+by its own rule, recorded in a :class:`RestartRecord`, and hands its lane to
+the next start.  As every lane is its one-lane call, each restart takes the
+path it would take alone, and the result does not depend on how many run at
+once (``LANE_STEPS`` // grid steps, the budget of nogo's lane chunks).
 
 Problems are posed at tau_p = 1 without loss of generality: the normalized
 residuals are invariant under joint rescaling of duration and amplitude, so a
@@ -32,18 +42,18 @@ solution rescales to any duration via ``PulseShape.rescaled``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .corrections import (RESIDUAL_TARGETS, CorrectionReport, SimpsonRule,
-                          correction_residuals, evaluate_corrections, nogo_diagnostics,
-                          normalized_residual_vector, residual_adjoint)
+from .corrections import (RESIDUAL_TARGETS, CorrectionReport, SimpsonRule, adjoint_table,
+                          correction_residuals, cross, evaluate_corrections,
+                          nogo_diagnostics, normalized_residual_vector, residual_adjoint)
 from .pulses import COMPONENTS, FourierCoefficients, PulseShape
 from .sampling import pi_close_ntrajectory
 from .su2 import CONJUGATE_Q, ideal_pulse_quaternion, quaternion_product
-from .trajectory import (MIN_STEPS, _anchor, _bracket, _build_grid, _check_trajectory,
-                         _frame_quaternions, _frame_rotation, _hermite,
+from .trajectory import (LANE_STEPS, MIN_STEPS, _anchor, _bracket, _build_grid,
+                         _check_trajectory, _frame_quaternions, _frame_rotation, _hermite,
                          _stage_amplitudes, integrate_axis_angle, n_trajectory)
 
 ROTATION_WEIGHT = 100.0
@@ -143,6 +153,8 @@ class DesignSolution:
     # (name, value, bound) of each check that failed: the objective, or a
     # targeted residual or the rotation on the doubled grid
     failed_checks: tuple = ()
+    # one RestartRecord per restart, in restart order
+    restart_records: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -235,13 +247,17 @@ class _Parameterization:
         return z
 
     def split(self, z: np.ndarray):
-        """(coefficient vector c, tau_s) of the free parameters z."""
+        """(coefficient vector c, tau_s) of the free parameters z (P,), or (c (m, C),
+        tau_s (m,)) of m lanes z (m, P), each lane its lone point's bit for bit."""
         problem = self.problem
         if self.free_tau_s:
-            z, tau_s = z[:-1], problem.tau_p / (1.0 + np.exp(-z[-1]))
+            z, tau_s = z[..., :-1], problem.tau_p / (1.0 + np.exp(-z[..., -1]))
         else:
             tau_s = float(problem.tau_s) * problem.tau_p
-        return self.offset + self.lift @ (self.basis @ z), tau_s
+            if z.ndim == 2:
+                tau_s = np.full(len(z), tau_s)
+        # stacked matrix-vector products: a lane's is its lone product
+        return self.offset + (self.lift @ (self.basis @ z[..., None]))[..., 0], tau_s
 
     def build_shape(self, z: np.ndarray) -> PulseShape:
         """The shape of the point z (P,)."""
@@ -306,27 +322,44 @@ def _rotation_residual(quaternions: np.ndarray, theta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Point:
-    """One evaluated design point: what its Jacobian reads."""
+class _Lanes:
+    """m evaluated design points, the lane axis first: what their Jacobians read."""
 
-    z: np.ndarray                   # (P,) free parameters
-    shape: PulseShape
-    nhat: np.ndarray                # (n, 3) n(t) on the problem's grid
-    frames: np.ndarray | None       # (n, 4) frame quaternions, None about a fixed axis
-    residuals: tuple                # the vector residuals (r1, r2a, r2b), (3,) each
-    f: np.ndarray                   # (R,) stacked normalized residual vector
+    z: np.ndarray                   # (m, P) free parameters
+    coeffs: np.ndarray              # (m, C) coefficient vectors
+    tau_s: np.ndarray               # (m,)
+    nhat: np.ndarray                # (m, n, 3) n(t) on the problem's grid
+    running: np.ndarray             # (m, n, 3) its running integral int_0^t n dt
+    frames: np.ndarray | None       # (m, n, 4) frame quaternions, None about a fixed axis
+    r1: np.ndarray                  # (m, 3) the first-order vector residual
+    f: np.ndarray                   # (m, R) stacked normalized residual vectors
+
+    def take(self, lanes) -> _Lanes:
+        """The record of the lanes ``lanes``, in that order."""
+        return _Lanes(*(None if v is None else v[lanes]
+                        for v in (getattr(self, f.name) for f in fields(self))))
+
+    @staticmethod
+    def concatenate(records) -> _Lanes:
+        """One record of the lanes of ``records``, in order."""
+        columns = zip(*([getattr(r, f.name) for f in fields(_Lanes)] for r in records))
+        return _Lanes(*(None if c[0] is None else np.concatenate(c) for c in columns))
 
 
 class _ResidualFunction:
-    """z -> the evaluated point of a design problem, and the Jacobian at a point.
+    """z -> the evaluated lanes of a design problem, and their Jacobians.
 
     Every point of a problem has the same grid, whatever its tau_s, and the
     amplitude is affine in z, so the grid, its Simpson rule and what reads
     dv/dz are built once, here: about a fixed axis the swept angles of the
     offset shape and of every direction, otherwise the stage amplitudes of
-    dv/dz.  A call evaluates one point z (P,) into a :class:`_Point`, whose
-    residual vector is ``f``; :meth:`jacobian` differentiates that record
-    without integrating a frame.
+    dv/dz.  A call evaluates m points z (m, P) as lanes into a
+    :class:`_Lanes` record, whose residual vectors are ``f`` (m, R), and
+    :meth:`jacobian` differentiates such a record without integrating a
+    frame.  Every lane equals its one-lane call bit for bit: about a fixed
+    axis psi = psi_0 + z Psi is a stacked product, one (1, P) @ (P, n) per
+    lane; otherwise the lanes are one lane shape through the frame
+    integrator.  A lane that raises raises the whole call.
     """
 
     def __init__(self, problem: DesignProblem):
@@ -348,53 +381,64 @@ class _ResidualFunction:
             self.directions = [np.ascontiguousarray(np.moveaxis(v, 0, -1))
                                for v in _stage_amplitudes(family, self.grid)]
 
-    def _angle_table(self, tau_s: float) -> np.ndarray:
-        """The swept angles (1 + P', n) from ``tau_s`` of the offset shape and of the
-        P' coefficient directions, about a fixed axis."""
+    def _angle_table(self, tau_s: np.ndarray) -> np.ndarray:
+        """The swept angles from each lane's ``tau_s`` (m,) of the offset shape and
+        of the P' coefficient directions, about a fixed axis: (1 + P', n), every
+        lane's where tau_s is fixed, else (m, 1 + P', n)."""
         if not self.param.free_tau_s:
             return self.angles
-        return self.angles - _swept_angle(self.angle_family, np.array([tau_s]))
+        return np.stack([self.angles - _swept_angle(self.angle_family, tau_s[i:i + 1])
+                         for i in range(len(tau_s))])
+
+    def _lone_shape(self, lanes: _Lanes, i: int) -> PulseShape:
+        return self.param.shape_of(lanes.coeffs[i], lanes.tau_s[i])
 
     def _penalty_rows(self, shape: PulseShape) -> list:
-        """The rows that read no frame, amplitude bound and power, of a shape."""
+        """The rows that read no frame, amplitude bound and power, of a shape:
+        (k,) each, or (m, k) for a lane shape."""
         problem = self.problem
         parts = []
         if problem.amplitude_bound is not None:
             t = np.linspace(0.0, problem.tau_p, 512)
-            peak = np.max(np.linalg.norm(shape.amplitude(t), axis=-1))
+            peak = np.max(np.linalg.norm(shape.amplitude(t), axis=-1), axis=-1)
             excess = peak - problem.amplitude_bound
-            parts.append([10.0 * np.maximum(0.0, excess) * problem.tau_p])
+            parts.append((10.0 * np.maximum(0.0, excess) * problem.tau_p)[..., None])
         if problem.power_weight > 0.0:
             t = np.linspace(0.0, problem.tau_p, 129)
             power = np.trapezoid(np.sum(shape.amplitude(t) ** 2, axis=-1), t)
-            parts.append([problem.power_weight * np.sqrt(power * problem.tau_p) / np.pi])
+            power_row = problem.power_weight * np.sqrt(power * problem.tau_p) / np.pi
+            parts.append(power_row[..., None])
         return parts
 
     def _penalties(self, z: np.ndarray) -> np.ndarray:
         """The rows that read no frame at the point z (P,)."""
         return np.concatenate(self._penalty_rows(self.param.build_shape(z)))
 
-    def __call__(self, z: np.ndarray) -> _Point:
+    def __call__(self, z: np.ndarray) -> _Lanes:
         problem, grid = self.problem, self.grid
-        shape = self.param.build_shape(z)
+        coeffs, tau_s = self.param.split(z)
+        shape = self.param.shape_of(coeffs, tau_s)
         if problem.fixed_axis:
             # n(t) is z turned about y by the swept angle: no frame ODE
-            table = self._angle_table(shape.tau_s)
-            psi = table[0] + z[:len(table) - 1] @ table[1:]
+            table = self._angle_table(tau_s)
+            rows = table.shape[-2] - 1
+            psi = table[..., 0, :] + (z[:, None, :rows] @ table[..., 1:, :])[:, 0]
             frames, nhat = None, np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
         else:
             frames = _frame_quaternions(shape, grid)
             nhat = _frame_rotation(frames)[..., 2]
         _check_trajectory(grid, quaternions=frames, nhat=nhat)
-        residuals = correction_residuals(self.quad, nhat, shape.tau_s)
+        running = self.quad.running(nhat)
+        residuals = correction_residuals(self.quad, nhat, tau_s, running)
         parts = [normalized_residual_vector(residuals, float(grid[-1]), problem.targets)]
         if frames is not None:
             parts.append(ROTATION_WEIGHT * _rotation_residual(frames, problem.theta))
-        f = np.concatenate(parts + self._penalty_rows(shape))
-        return _Point(z=z, shape=shape, nhat=nhat, frames=frames, residuals=residuals, f=f)
+        f = np.concatenate(parts + self._penalty_rows(shape), axis=-1)
+        return _Lanes(z=z, coeffs=coeffs, tau_s=tau_s, nhat=nhat, running=running,
+                      frames=frames, r1=residuals[0], f=f)
 
-    def jacobian(self, point: _Point) -> np.ndarray:
-        """The (R, P) Jacobian at an evaluated point, C-contiguous, with no new frame.
+    def jacobian(self, lanes: _Lanes) -> np.ndarray:
+        """The (m, R, P) Jacobians of evaluated lanes, each C-contiguous, with no new frame.
 
         Each direction j moves n(t) by dn_j (n, 3).  About a fixed axis
         n = (-sin psi, 0, cos psi) and psi is affine in z, so
@@ -404,49 +448,61 @@ class _ResidualFunction:
         dn = 2 n x xi and the rotation residual moves by
         q(tp) (0, xi(tp) - xi(0)) q(0)^*.  The residuals' rows are then one
         product with the transposed linearisation of r1, r2a and r2b at n(t)
-        (:func:`residual_adjoint`): Duhamel's gradient in adjoint form.  A free
-        tau_s adds its explicit terms and the logit's chain rule.  The rows that
-        read no frame (amplitude bound and power) are central differences in z.
-        The memory order sets the rounding of ``jac.T @ jac`` and with it the
-        damped least-squares path.
+        (:func:`residual_adjoint`), lane by lane: Duhamel's gradient in
+        adjoint form.  A free tau_s adds its explicit terms and the logit's
+        chain rule.  The rows that read no frame (amplitude bound and power)
+        are central differences in z.  The memory order sets the rounding of
+        ``jac.T @ jac`` and with it the damped least-squares path.
         """
-        problem, grid, nhat, frames = self.problem, self.grid, point.nhat, point.frames
-        tau_p, tau_s = float(grid[-1]), float(point.shape.tau_s)
+        problem, grid, nhat, frames = self.problem, self.grid, lanes.nhat, lanes.frames
+        tau_p, tau_s, m = float(grid[-1]), lanes.tau_s, len(lanes.z)
         if frames is None:
-            table = self._angle_table(tau_s)[1:]
+            table = self._angle_table(tau_s)[..., 1:, :]
+            tangent = np.stack([-nhat[..., 2], np.zeros_like(nhat[..., 0]), nhat[..., 0]],
+                               axis=-1)                          # dn/dpsi = (-n_z, 0, n_x)
             if self.param.free_tau_s:
-                rate = -2.0 * point.shape.amplitude(tau_s)[1]
-                table = np.vstack([table, np.full((1, len(grid)), rate)])
-            tangent = np.stack([-nhat[:, 2], np.zeros(len(grid)), nhat[:, 0]], axis=-1)
-            dn = table[:, :, None] * tangent                # dn/dpsi = (-n_z, 0, n_x)
-        else:
-            xi = self._sweeps(point.shape, frames)
-            dn = 2.0 * np.cross(nhat, xi)
-        rows = dn.reshape(len(dn), -1) @ residual_adjoint(self.quad, nhat, tau_s)
-        parts = [normalized_residual_vector(np.split(rows, 3, axis=1), tau_p, problem.targets)]
+                rate = [-2.0 * self._lone_shape(lanes, i).amplitude(tau_s[i])[1]
+                        for i in range(m)]
+                table = np.concatenate([table, np.broadcast_to(
+                    np.array(rate)[:, None, None], (m, 1, len(grid)))], axis=1)
+            else:
+                table = np.broadcast_to(table, (m, *table.shape))
+        adjoint = residual_adjoint(self.quad, nhat, tau_s, lanes.running)
+        rows, turns = [], []
+        for i in range(m):                  # one (P, 3 n) @ (3 n, 9) product per lane
+            if frames is None:
+                dn = table[i][:, :, None] * tangent[i]
+            else:
+                xi = self._sweeps(lanes, i)
+                turns.append(xi[:, -1] - xi[:, 0])
+                dn = 2.0 * cross(nhat[i], xi)
+            rows.append(dn.reshape(len(dn), -1) @ adjoint_table(adjoint[i]))
+        rows = np.stack(rows)
+        parts = [normalized_residual_vector(np.split(rows, 3, axis=-1), tau_p, problem.targets)]
         if frames is not None:
             # xi(tp) - xi(0) vanishes along a free tau_s: it moves only the anchor
-            turn = np.zeros((len(xi), 4))
-            turn[:, 1:] = xi[:, -1] - xi[:, 0]
-            inner = quaternion_product(turn, CONJUGATE_Q * frames[0])
+            turn = np.zeros(rows.shape[:2] + (4,))
+            turn[..., 1:] = turns
+            inner = quaternion_product(turn, CONJUGATE_Q * frames[:, None, 0])
             dq = quaternion_product(CONJUGATE_Q * ideal_pulse_quaternion(problem.theta),
-                                    quaternion_product(frames[-1], inner))
-            parts.append(ROTATION_WEIGHT * np.concatenate([dq[:, 1:], -dq[:, :1]], axis=1))
-        jac = np.concatenate(parts, axis=1).T
+                                    quaternion_product(frames[:, None, -1], inner))
+            parts.append(ROTATION_WEIGHT * np.concatenate([dq[..., 1:], -dq[..., :1]], axis=-1))
+        jac = np.swapaxes(np.concatenate(parts, axis=-1), -1, -2)
         if self.param.free_tau_s:
             # r1, r2a and r2b read tau_s also outside n(t): d r2a / d tau_s = -2 r1
-            n0, n1 = nhat[0], nhat[-1]
-            explicit = (n1 - n0, -2.0 * point.residuals[0],
-                        (2.0 * tau_s - tau_p) * np.cross(n1, n0))
-            jac[:parts[0].shape[1], -1] += normalized_residual_vector(explicit, tau_p,
-                                                                      problem.targets)
-            jac[:, -1] *= tau_s * (1.0 - tau_s / tau_p)     # d tau_s / d logit
+            n0, n1, ts = nhat[:, 0], nhat[:, -1], tau_s[:, None]
+            explicit = (n1 - n0, -2.0 * lanes.r1, (2.0 * ts - tau_p) * cross(n1, n0))
+            jac[:, :parts[0].shape[-1], -1] += normalized_residual_vector(explicit, tau_p,
+                                                                         problem.targets)
+            jac[:, :, -1] *= ts * (1.0 - ts / tau_p)        # d tau_s / d logit
         if problem.amplitude_bound is not None or problem.power_weight > 0.0:
-            jac = np.concatenate([jac, finite_difference_jacobian(self._penalties, point.z)])
+            jac = np.concatenate([jac, np.stack([finite_difference_jacobian(self._penalties, z)
+                                                 for z in lanes.z])], axis=1)
         return np.ascontiguousarray(jac)
 
-    def _sweeps(self, shape: PulseShape, frames: np.ndarray) -> np.ndarray:
-        """xi_j(t) = int_{tau_s}^t R dv_j dt at the nodes for every direction j, (P, n, 3).
+    def _sweeps(self, lanes: _Lanes, i: int) -> np.ndarray:
+        """xi_j(t) = int_{tau_s}^t R dv_j dt at the nodes for every direction j of
+        lane i, (P, n, 3).
 
         R is the frame's rotation (n = R z), and dv_j = dv/dz_j is constant:
         the amplitude is affine in z.  The integral is one cumulative Simpson
@@ -454,7 +510,7 @@ class _ResidualFunction:
         as the frame's anchor is.  Along a free tau_s, xi is constant: minus
         the anchor's rate.
         """
-        grid, quad, tau_s = self.grid, self.quad, shape.tau_s
+        grid, quad, frames = self.grid, self.quad, lanes.frames[i]
         n = len(grid)
         v1, v2, v3 = self.directions                # (n - 1, 3, P) each
         rot = _frame_rotation(frames)
@@ -463,7 +519,7 @@ class _ResidualFunction:
             sweep = np.cumsum(np.vstack([np.zeros_like(steps[:1]), steps]), axis=0).reshape(n, -1)
         else:
             sweep = quad.running((rot @ np.concatenate([v1, v3[-1:]])).reshape(n, -1))
-        j, h, x = (part[0] for part in _bracket(grid, np.array([tau_s])))
+        j, h, x = (part[0] for part in _bracket(grid, lanes.tau_s[i:i + 1]))
         slopes = h * (rot[j:j + 2] @ np.stack([v1[j], v3[j]])).reshape(2, -1)
         xi = (sweep - _hermite(sweep[j:j + 2], slopes, x)[0]).reshape(n, 3, -1)
         xi = np.moveaxis(xi, -1, 0)
@@ -471,7 +527,7 @@ class _ResidualFunction:
             return xi
         # U at the two nodes, up to a common norm, from W = U U(tau_s, 0)^dag
         ends = quaternion_product(frames[j:j + 2], CONJUGATE_Q * frames[0])
-        v_start, _, v_end = _stage_amplitudes(shape, grid[j:j + 2])
+        v_start, _, v_end = _stage_amplitudes(self._lone_shape(lanes, i), grid[j:j + 2])
         anchor, rate = _anchor(ends[None], v_start, v_end, h[None], x[None])
         # W = U b with b = anchor^* / |anchor|: xi = vec(b^* db)
         xi_tau = (quaternion_product(anchor, CONJUGATE_Q * rate)[0, 1:]
@@ -496,47 +552,140 @@ def finite_difference_jacobian(fun, x: np.ndarray, step: float = 1e-6) -> np.nda
                      for d, h_i in zip(np.diag(h), h)], axis=1)
 
 
-def _levenberg_marquardt(fun: _ResidualFunction, x0: np.ndarray, max_iter: int = 80):
-    """Damped Gauss-Newton with multiplicative damping (x3 up, /2 down).
+@dataclass(frozen=True)
+class RestartRecord:
+    """How one restart's Levenberg-Marquardt run ended."""
 
-    ``fun`` is a residual function: a call evaluates a point, and its
-    ``jacobian`` differentiates the evaluated point.  The loop carries the
-    record of its current point, so each iteration evaluates only its trial
-    points and the Jacobian reads the frame of the trial accepted there.
-    """
-    point = fun(np.asarray(x0, dtype=float))
-    cost = float(point.f @ point.f)
-    mu = 1e-3
-    for _ in range(max_iter):
-        if cost < STOP_COST:
-            break
-        jac = fun.jacobian(point)
-        grad = jac.T @ point.f
-        if np.max(np.abs(grad)) < STOP_GRADIENT:
-            break
-        jtj = jac.T @ jac
-        improved = False
-        while mu < 1e12:
+    reason: str         # "cost", "gradient", "damping" or "iterations"
+    iterations: int     # accepted steps
+    mu: float           # the damping when it stopped
+    cost: float         # the objective of its last point
+    gradient: float     # infinity norm of the last gradient taken, nan if none was
+
+
+class _Restart:
+    """One restart in flight: its point, damping and damped system."""
+
+    def __init__(self, index: int, z0: np.ndarray):
+        self.index, self.trial = index, z0
+        self.z, self.cost, self.mu, self.iterations = None, np.inf, 1e-3, 0
+        self.gradient, self.jtj, self.grad = float("nan"), None, None
+
+
+def _evaluate(fun: _ResidualFunction, z: np.ndarray):
+    """(record of the lanes of z (m, P) that evaluate, {lane: ValueError} of those
+    that raise): the batch, or where it raises each lane alone, its one-lane call."""
+    try:
+        return fun(z), {}
+    except ValueError as error:
+        if len(z) == 1:
+            return None, {0: error}
+    records, errors = [], {}
+    for i in range(len(z)):
+        try:
+            records.append(fun(z[i:i + 1]))
+        except ValueError as error:
+            errors[i] = error
+    return (_Lanes.concatenate(records) if records else None), errors
+
+
+def _damped_steps(runs: list) -> list:
+    """The damped Gauss-Newton step of each run, None where the damping reached
+    its cap: one stacked solve, or each run alone if a system is singular."""
+    eye = np.eye(len(runs[0].grad))
+    try:
+        return list(np.linalg.solve(np.stack([r.jtj + r.mu * eye for r in runs]),
+                                    -np.stack([r.grad for r in runs])[..., None])[..., 0])
+    except ValueError:      # LinAlgError: a singular system
+        pass
+    steps = []
+    for run in runs:
+        step = None
+        while step is None and run.mu < 1e12:
             try:
-                trial = fun(point.z + np.linalg.solve(jtj + mu * np.eye(len(point.z)), -grad))
-            except ValueError:      # a singular system, or a trial frame the guard rejects
-                mu *= 3.0
-                continue
-            cost_new = float(trial.f @ trial.f)
-            if np.isfinite(cost_new) and cost_new < cost:
-                point, cost = trial, cost_new
-                mu = max(mu / 2.0, 1e-14)
-                improved = True
-                break
-            mu *= 3.0
-        if not improved:
-            break
-    return point.z, cost
+                step = np.linalg.solve(run.jtj + run.mu * eye, -run.grad)
+            except ValueError:
+                run.mu *= 3.0
+        steps.append(step)
+    return steps
+
+
+def _levenberg_marquardt_pool(fun: _ResidualFunction, starts: list, lanes: int,
+                              max_iter: int = 80) -> list:
+    """Damped Gauss-Newton with multiplicative damping (x3 up, /2 down) from every
+    start, at most ``lanes`` runs in flight: [(z, cost, RestartRecord)] in start order.
+
+    Each round evaluates the trial point of every run in flight as one lane
+    call, a run that stops handing its lane to the next start; one Jacobian
+    call differentiates the runs whose trial was accepted, and one stacked
+    solve gives the next trials.  A run takes the steps, and ends where, its
+    lone loop would: each lane is its one-lane call bit for bit, a batch that
+    raises is redone lane by lane, and a lane whose trial raises (the frame
+    guard) is a rejected step.  A run stops below ``STOP_COST`` or
+    ``STOP_GRADIENT``, when the damping reaches 1e12, or after ``max_iter``
+    accepted steps.
+    """
+    results, queue, runs = [None] * len(starts), list(enumerate(starts))[::-1], []
+
+    def stop(run, reason):
+        results[run.index] = (run.z, run.cost, RestartRecord(reason, run.iterations, run.mu,
+                                                             run.cost, run.gradient))
+        runs.remove(run)
+
+    while queue or runs:
+        while queue and len(runs) < lanes:
+            runs.append(_Restart(*queue.pop()))
+        # every run in flight holds a trial: a start holds its first point
+        record, errors = _evaluate(fun, np.array([run.trial for run in runs]))
+        for i, error in errors.items():
+            if runs[i].z is None:       # a start that raises ends the solve, as alone
+                raise error
+            runs[i].mu *= 3.0
+        kept, ready = [run for i, run in enumerate(runs) if i not in errors], []
+        for lane, run in enumerate(kept):
+            cost = float(record.f[lane] @ record.f[lane])
+            if run.z is not None:
+                if not (np.isfinite(cost) and cost < run.cost):
+                    run.mu *= 3.0
+                    continue
+                run.mu, run.iterations = max(run.mu / 2.0, 1e-14), run.iterations + 1
+            run.z, run.cost = run.trial, cost
+            if run.iterations == max_iter:
+                stop(run, "iterations")
+            elif cost < STOP_COST:
+                stop(run, "cost")
+            else:
+                ready.append(lane)
+        if ready:
+            jac = fun.jacobian(record if len(ready) == len(kept) else record.take(ready))
+            for lane, j in zip(ready, jac):
+                run = kept[lane]
+                run.grad = j.T @ record.f[lane]
+                run.gradient = float(np.max(np.abs(run.grad)))
+                if run.gradient < STOP_GRADIENT:
+                    stop(run, "gradient")
+                else:
+                    run.jtj = j.T @ j
+        for run in [run for run in runs if run.mu >= 1e12]:
+            stop(run, "damping")
+        if runs:
+            for run, step in zip(list(runs), _damped_steps(runs)):
+                if step is None:
+                    stop(run, "damping")
+                else:
+                    run.trial = run.z + step
+    return results
 
 
 def solve(problem: DesignProblem, seed: int = 0,
           allow_underdetermined: bool = False) -> DesignSolution:
-    """Multi-start damped least squares; deterministic reduction by (objective, index)."""
+    """Multi-start damped least squares; deterministic reduction by (objective, index).
+
+    The restarts run as lanes of one Levenberg-Marquardt pool
+    (:func:`_levenberg_marquardt_pool`), max(1, ``LANE_STEPS`` // grid steps)
+    in flight; each follows its lone path, so the result does not depend on
+    how many are in flight.
+    """
     residual = _ResidualFunction(problem)
     if not allow_underdetermined and residual.param.n_free < problem.target_equation_count():
         raise IllPosedProblem(
@@ -544,12 +693,12 @@ def solve(problem: DesignProblem, seed: int = 0,
             f"{problem.target_equation_count()} target equations")
     rng = np.random.default_rng(seed)
     starts = [residual.param.random_start(rng) for _ in range(problem.restarts)]
-    best = None
-    for idx, z0 in enumerate(starts):
-        z, cost = _levenberg_marquardt(residual, z0)
-        if best is None or cost < best[0]:
-            best = (cost, idx, z)
-    cost, idx, z = best
+    runs = _levenberg_marquardt_pool(residual, starts, max(1, LANE_STEPS // problem.grid_steps))
+    idx = 0
+    for i, (_, cost, _) in enumerate(runs):
+        if cost < runs[idx][1]:
+            idx = i
+    z, cost, _ = runs[idx]
 
     # verification pass on a doubled grid through the full frame machinery
     shape = residual.param.build_shape(z)
@@ -564,7 +713,8 @@ def solve(problem: DesignProblem, seed: int = 0,
     return DesignSolution(shape=shape, report=report, objective=cost,
                           converged=not failed, restarts_used=problem.restarts,
                           best_restart=idx, rotation_violation=rot_violation,
-                          failed_checks=tuple(failed))
+                          failed_checks=tuple(failed),
+                          restart_records=tuple(record for _, _, record in runs))
 
 
 def feasibility_probe(problem: DesignProblem, seed: int = 0) -> ProbeResult:

@@ -27,9 +27,10 @@ with m lanes, each with its own tau_s, on one set of breakpoints and so one
 grid) gives frames (m, n, 4) and n(t) (m, n, 3) by the same elementwise
 arithmetic, so each lane equals its lone-shape frame bit for bit; a lone
 shape gives (n, 4).  ``nogo`` integrates its random samples as one lane shape
-per chunk.  The design loop evaluates one point, a lone shape, at a time and
-reads lanes only for its table of dv/dz (one lane per free direction); its
-Jacobian integrates no frame, but differentiates the point's frame through
+per chunk, and the design loop the trial points of its restarts in flight as
+one lane shape per round, both at most ``LANE_STEPS`` lanes x steps; it also
+reads lanes for its table of dv/dz (one lane per free direction).  Its
+Jacobian integrates no frame, but differentiates each lane's frame through
 its rotation (:func:`_frame_rotation`) and Hermite anchor (:func:`_anchor`).
 One check, :func:`_check_trajectory`, validates frames and n(t), every lane
 in full.
@@ -60,6 +61,10 @@ from .su2 import CONJUGATE_Q, IDENTITY_Q, quaternion_product
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 MIN_STEPS = 64
+# lanes x steps of one batched integration, nogo's chunks and the design loop's
+# restarts in flight: max(1, LANE_STEPS // steps) lanes, so memory is bounded
+# at any sample or restart count
+LANE_STEPS = 2048
 # largest | |M_k| - 1 | of an RK4 step quaternion that a frame accepts: the
 # drift is ~phi^6 / 144 for a step turning by 2 phi, so phi < 0.95 rad
 STEP_DRIFT = 5e-3

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
 from spinpulse.bath import BathModel, preset_bath
-from spinpulse.corrections import (NOGO_TOLERANCE, SimpsonRule, correction_residuals,
+from spinpulse.corrections import (NOGO_TOLERANCE, SimpsonRule, adjoint_table,
+                                   correction_residuals, cross,
                                    evaluate_corrections, nogo_diagnostics,
                                    normalized_residual_vector, residual_adjoint)
 from spinpulse.oracle import eta_operators
@@ -164,7 +165,8 @@ class TestResidualAdjoint:
         tau_s = {"start": 0.0, "end": grid[-1], "node": grid[k],
                  "off": grid[k] + rng.uniform(0.1, 0.9) * (grid[k + 1] - grid[k])}[where]
         quad = SimpsonRule(grid)
-        rows = dn.reshape(lanes, -1) @ residual_adjoint(quad, nhat, tau_s)
+        rows = dn.reshape(lanes, -1) @ adjoint_table(
+            residual_adjoint(quad, nhat, tau_s, quad.running(nhat)))
         expected = lane_rows(quad, nhat, dn, tau_s)
         assert np.max(np.abs(rows - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -178,7 +180,8 @@ class TestResidualAdjoint:
     def test_tau_s_outside_the_pulse_rejected(self):
         quad = SimpsonRule(np.linspace(0.0, 1.0, 17))
         with pytest.raises(ValueError):
-            residual_adjoint(quad, np.tile([0.0, 0.0, 1.0], (17, 1)), 1.5)
+            nhat = np.tile([0.0, 0.0, 1.0], (17, 1))
+            residual_adjoint(quad, nhat, 1.5, quad.running(nhat))
 
 
 class TestEtaOperators:
@@ -377,6 +380,28 @@ class TestResidualLanes:
                 assert lane.shape == lanes + (3,)
                 assert np.array_equal(lane[idx], row)
 
+    def test_running_integral_passed_in_is_the_one_taken(self, rng):
+        """Residuals from a held running integral equal those that take it."""
+        grid = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 31)]))
+        nhat = rng.normal(size=(3, len(grid), 3))
+        quad = SimpsonRule(grid)
+        for held, taken in zip(correction_residuals(quad, nhat, 0.3, quad.running(nhat)),
+                               correction_residuals(quad, nhat, 0.3)):
+            assert np.array_equal(held, taken)
+
+
+class TestCross:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_seeds, shapes=st.sampled_from((((3,), (3,)), ((5, 3), (5, 3)),
+                                               ((4, 7, 3), (4, 7, 3)), ((4, 7, 3), (7, 3)),
+                                               ((2, 1, 3), (5, 3)), ((3, 1, 3), (3, 3)))))
+    def test_equals_numpy_cross(self, seed, shapes):
+        """The component-wise cross product is np.cross bit for bit on lanes."""
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+                for shape in shapes)
+        assert np.array_equal(cross(a, b), np.cross(a, b))
+
 
 class TestNoGoLanes:
     """The lane path of ``nogo``: each lane equals its lone call bit for bit."""
@@ -396,6 +421,8 @@ class TestNoGoLanes:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=_seeds, frac=_fractions, lanes=st.sampled_from(((1,), (4,), (2, 3))))
+    # lane (1, 2)'s (tau_p - tau_s) ** 2 rounded otherwise as a scalar (libm's pow)
+    @example(seed=129, frac=0.0, lanes=(2, 3))
     def test_pi_close_and_gaps_on_lanes_equal_lone_calls(self, seed, frac, lanes):
         rng = np.random.default_rng(seed)
         drawn, drawn_tau_s = random_ntrajectory(rng, int(np.prod(lanes)), 128)

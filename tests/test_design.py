@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from scipy.linalg import null_space
 
 from spinpulse import design, oracle
 from spinpulse.design import (CONVERGED_OBJECTIVE, VERIFIED_BOUND, DesignProblem,
-                              IllPosedProblem, _levenberg_marquardt, _Parameterization,
+                              IllPosedProblem, _Parameterization,
                               _ResidualFunction, feasibility_probe,
                               finite_difference_jacobian, solve)
 from spinpulse.pulses import COMPONENTS
@@ -19,6 +20,7 @@ from spinpulse.cli import SLOPE_BANDS
 from spinpulse.corrections import (evaluate_corrections, nogo_diagnostics,
                                    normalized_residual_vector)
 from spinpulse.sampling import pi_close_ntrajectory
+from design_oracles import levenberg_marquardt, lone
 from residual_oracles import lane_rows
 
 
@@ -31,8 +33,8 @@ def jacobian_check(problem, point=None, step=1e-5, seed=0):
     if point is None:
         point = residual.param.random_start(np.random.default_rng(seed))
     point = np.asarray(point, dtype=float)
-    j1 = finite_difference_jacobian(lambda z: residual(z).f, point, step)
-    j2 = finite_difference_jacobian(lambda z: residual(z).f, point, step / 2.0)
+    j1 = finite_difference_jacobian(lambda z: lone(residual, z).f[0], point, step)
+    j2 = finite_difference_jacobian(lambda z: lone(residual, z).f[0], point, step / 2.0)
     scale = max(1.0, float(np.max(np.abs(j2))))
     deviation = float(np.max(np.abs(j1 - j2)) / scale)
     return deviation, deviation > 1e-4
@@ -66,8 +68,8 @@ class TestSolve:
         # rebuild the free coordinates of the found pulse
         coeffs = sol.shape.fourier.cos[1, 1:]
         z0 = residual.param.basis.T @ coeffs
-        z, cost = _levenberg_marquardt(residual, z0)
-        f0 = residual(z0).f
+        z, cost, _ = levenberg_marquardt(residual, z0)
+        f0 = lone(residual, z0).f[0]
         assert float(f0 @ f0) - cost < 1e-18
 
     def test_endpoint_derivative_constraint(self, s_type_solution):
@@ -114,15 +116,16 @@ class TestResidualFunction:
     ], ids=["fixed-axis", "general-axis-free-tau-s"])
     def test_matches_evaluate_corrections(self, problem):
         residual = _ResidualFunction(problem)
-        point = residual(residual.param.random_start(np.random.default_rng(4)))
-        ntraj = NTrajectory(grid=residual.grid, nhat=point.nhat)
-        expected = evaluate_corrections(ntraj, point.shape.tau_s).normalized_vector(problem.targets)
-        assert np.array_equal(point.f[:len(expected)], expected)
+        z = residual.param.random_start(np.random.default_rng(4))
+        point = lone(residual, z)
+        ntraj = NTrajectory(grid=residual.grid, nhat=point.nhat[0])
+        expected = evaluate_corrections(ntraj, point.tau_s[0]).normalized_vector(problem.targets)
+        assert np.array_equal(point.f[0, :len(expected)], expected)
         if problem.fixed_axis:
-            assert len(point.f) == len(expected)
+            assert point.f.shape == (1, len(expected))
         else:
-            traj = integrate_axis_angle(point.shape, problem.grid_steps)
-            assert np.array_equal(point.nhat, n_trajectory(traj).nhat)
+            traj = integrate_axis_angle(residual.param.build_shape(z), problem.grid_steps)
+            assert np.array_equal(point.nhat[0], n_trajectory(traj).nhat)
 
     def test_grid_below_the_integrator_minimum_rejected(self):
         with pytest.raises(ValueError):
@@ -147,8 +150,8 @@ def test_unresolved_trial_point_is_a_rejected_step():
 
     residual = Recording(problem)
     z0 = residual.param.random_start(np.random.default_rng(6394))
-    f0 = residual(z0).f
-    _, cost = _levenberg_marquardt(residual, z0)
+    f0 = lone(residual, z0).f[0]
+    _, cost, _ = levenberg_marquardt(residual, z0)
     assert rejected
     assert np.isfinite(cost) and cost <= float(f0 @ f0)
 
@@ -171,14 +174,15 @@ def test_jacobian_integrates_no_frame(monkeypatch):
             counts["evaluations"] += 1
             return super().__call__(z)
 
-        def jacobian(self, point):
+        def jacobian(self, lanes):
             counts["jacobians"] += 1
-            return super().jacobian(point)
+            return super().jacobian(lanes)
 
     monkeypatch.setattr(design, "_frame_quaternions", counted_frames)
     residual = Counting(problem)
-    _levenberg_marquardt(residual, residual.param.random_start(np.random.default_rng(3)),
-                         max_iter=10)
+    rng = np.random.default_rng(3)
+    design._levenberg_marquardt_pool(residual, [residual.param.random_start(rng)
+                                                for _ in range(3)], lanes=2, max_iter=10)
     assert counts["jacobians"] > 0
     assert counts["frames"] == counts["evaluations"]
 
@@ -246,10 +250,10 @@ class TestAngleTable:
                                 ansatz=ansatz, segments=5, grid_steps=256)
         residual = _ResidualFunction(problem)
         for seed in range(3):
-            point = residual(residual.param.random_start(np.random.default_rng(seed)))
-            psi = design._swept_angle(point.shape, residual.grid)
+            z = residual.param.random_start(np.random.default_rng(seed))
+            psi = design._swept_angle(residual.param.build_shape(z), residual.grid)
             closed = np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
-            assert np.max(np.abs(point.nhat - closed)) <= 1e-13
+            assert np.max(np.abs(lone(residual, z).nhat[0] - closed)) <= 1e-13
 
     @pytest.mark.parametrize("ansatz", ["fourier", "piecewise"])
     def test_family_matches_lone_shapes(self, ansatz):
@@ -273,16 +277,16 @@ class TestAngleTable:
                                 targets=("r1", "r2a", "r2b"), symmetric=False, ansatz=ansatz,
                                 segments=5, grid_steps=256)
         residual = _ResidualFunction(problem)
-        point = residual(residual.param.random_start(np.random.default_rng(2)))
-        nhat, tau_s = point.nhat, point.shape.tau_s
+        point = lone(residual, residual.param.random_start(np.random.default_rng(2)))
+        nhat, tau_s = point.nhat[0], point.tau_s[0]
         if problem.fixed_axis:
             turn = np.stack([-nhat[:, 2], np.zeros(len(nhat)), nhat[:, 0]], axis=-1)
             dn = residual.angles[1:, :, None] * turn
         else:
-            dn = 2.0 * np.cross(nhat, residual._sweeps(point.shape, point.frames))
+            dn = 2.0 * np.cross(nhat, residual._sweeps(point, 0))
         lanes = lane_rows(residual.quad, nhat, dn, tau_s)
         expected = normalized_residual_vector(np.split(lanes, 3, axis=1), 1.0, problem.targets)
-        rows = residual.jacobian(point)[:expected.shape[1]].T
+        rows = residual.jacobian(point)[0, :expected.shape[1]].T
         assert np.max(np.abs(rows - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -298,9 +302,9 @@ class TestDuhamelJacobian:
     @staticmethod
     def difference(problem, seed=0):
         residual = _ResidualFunction(problem)
-        point = residual(residual.param.random_start(np.random.default_rng(seed)))
-        jac = residual.jacobian(point)
-        oracle_jac = finite_difference_jacobian(lambda z: residual(z).f, point.z)
+        point = lone(residual, residual.param.random_start(np.random.default_rng(seed)))
+        jac = residual.jacobian(point)[0]
+        oracle_jac = finite_difference_jacobian(lambda z: lone(residual, z).f[0], point.z[0])
         assert jac.shape == oracle_jac.shape and jac.flags.c_contiguous
         return float(np.max(np.abs(jac - oracle_jac)) / max(1.0, np.max(np.abs(oracle_jac))))
 
@@ -325,6 +329,118 @@ class TestDuhamelJacobian:
             # within a decade of the oracle's rounding, too close for a rate.
             fine = self.difference(replace(problem, grid_steps=512))
             assert coarse >= 8.0 * fine
+
+
+def same_run(pool_run, reference):
+    """Equal (z, cost, RestartRecord) bit for bit; a gradient never taken is nan."""
+    (z, cost, record), (z_ref, cost_ref, record_ref) = pool_run, reference
+    assert np.array_equal(z, z_ref) and cost == cost_ref
+    assert (record.reason, record.iterations) == (record_ref.reason, record_ref.iterations)
+    assert np.array_equal([record.mu, record.cost, record.gradient],
+                          [record_ref.mu, record_ref.cost, record_ref.gradient], equal_nan=True)
+
+
+_problems = st.builds(
+    lambda ansatz, components, tau_s, penalty: DesignProblem(
+        theta=2.0, tau_s=tau_s, fourier_order=2, components=components,
+        targets=("r1", "r2a", "r2b"), symmetric=False, ansatz=ansatz, segments=5,
+        amplitude_bound=1.5 if penalty == "bound" else None,
+        power_weight=0.2 if penalty == "power" else 0.0, grid_steps=64),
+    st.sampled_from(["fourier", "piecewise"]), st.sampled_from([("y",), ("x", "y")]),
+    st.sampled_from([0.0, 0.35, 1.0, "free"]), st.sampled_from([None, "bound", "power"]))
+
+
+class TestPool:
+    """The restarts run as lanes of one pool, each on its lone sequential path."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(problem=_problems, restarts=st.integers(1, 6),
+           lanes=st.sampled_from(["one", "two", "all"]), max_iter=st.sampled_from([4, 20]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_lane_follows_the_sequential_reference(self, problem, restarts, lanes,
+                                                        max_iter, seed):
+        residual = _ResidualFunction(problem)
+        rng = np.random.default_rng(seed)
+        starts = [residual.param.random_start(rng) for _ in range(restarts)]
+        in_flight = {"one": 1, "two": 2, "all": restarts}[lanes]
+        runs = design._levenberg_marquardt_pool(residual, starts, in_flight, max_iter)
+        assert len(runs) == restarts
+        for z0, run in zip(starts, runs):
+            same_run(run, levenberg_marquardt(residual, z0, max_iter))
+
+    @settings(max_examples=20, deadline=None)
+    @given(problem=_problems, lanes=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_lane_calls_equal_one_lane_calls(self, problem, lanes, seed):
+        """Lane i of an m-lane call and of its Jacobian is its one-lane call's."""
+        residual = _ResidualFunction(problem)
+        rng = np.random.default_rng(seed)
+        z = np.array([residual.param.random_start(rng) for _ in range(lanes)])
+        try:
+            batch = residual(z)
+        except ValueError:          # a frame the guard rejects: no lane to compare
+            return
+        jac = residual.jacobian(batch)
+        rebuilt = design._Lanes.concatenate([batch.take([i]) for i in reversed(range(lanes))])
+        for field in dataclasses.fields(batch):
+            value = getattr(batch, field.name)
+            assert value is None or np.array_equal(getattr(rebuilt, field.name), value[::-1])
+        for i in range(lanes):
+            alone = residual(z[i:i + 1])
+            for field in dataclasses.fields(alone):
+                value, lone_value = getattr(batch, field.name), getattr(alone, field.name)
+                assert (value is None) == (lone_value is None)
+                if value is not None:
+                    assert np.array_equal(value[i], lone_value[0])
+            assert np.array_equal(jac[i], residual.jacobian(alone)[0])
+            assert jac[i].flags.c_contiguous
+
+    def test_raising_trial_rejects_only_its_lane(self):
+        """The trial the frame guard rejects at this start ends no solve and
+        rejects only its own lane; the lanes beside it keep their lone paths."""
+        problem = DesignProblem(theta=2.0, tau_s=0.0, fourier_order=2, components=("x", "y"),
+                                targets=("r1", "r2a", "r2b"), symmetric=False,
+                                power_weight=0.2, grid_steps=64)
+
+        class Recording(_ResidualFunction):
+            def __init__(self, problem):
+                super().__init__(problem)
+                self.rejected = []
+
+            def __call__(self, z):
+                try:
+                    return super().__call__(z)
+                except ValueError:
+                    if len(z) == 1:
+                        self.rejected.append(z[0])
+                    raise
+
+        residual = Recording(problem)
+        rng = np.random.default_rng(1)
+        starts = [residual.param.random_start(rng),
+                  residual.param.random_start(np.random.default_rng(6394)),
+                  residual.param.random_start(rng)]
+        references = []
+        for z0 in starts:
+            alone = Recording(problem)
+            references.append((levenberg_marquardt(alone, z0), alone.rejected))
+        runs = design._levenberg_marquardt_pool(residual, starts, 3)
+        assert [len(rejected) > 0 for _, rejected in references] == [False, True, False]
+        assert np.array_equal(residual.rejected, references[1][1])
+        for run, (reference, _) in zip(runs, references):
+            same_run(run, reference)
+
+    def test_records_name_the_stop(self, s_type_solution):
+        problem, sol = s_type_solution
+        assert len(sol.restart_records) == problem.restarts
+        assert not any(r.reason == "iterations" for r in sol.restart_records)
+        assert {r.reason for r in sol.restart_records} <= {"cost", "gradient", "damping"}
+        assert sol.restart_records[sol.best_restart].cost == sol.objective
+        residual = _ResidualFunction(problem)
+        rng = np.random.default_rng(1)
+        starts = [residual.param.random_start(rng) for _ in range(problem.restarts)]
+        capped = design._levenberg_marquardt_pool(residual, starts, 4, max_iter=3)
+        assert any(record.reason == "iterations" and record.iterations == 3
+                   for _, _, record in capped)
 
 
 class TestProbes:
