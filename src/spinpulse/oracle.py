@@ -28,10 +28,14 @@ stage slices it.  The step product U' is taken back to the bath's basis once,
 U_F = (I (x) V+) U' (I (x) V+)^dag.
 
 The steps are built and reduced a chunk at a time: each chunk's 2x2 frames,
-K' - I, stage tables and step matrices, then their pairwise product.  A chunk
-is the largest power of two of steps whose (chunk, 2d, 2d) complex table fits
-in ``TABLE_BYTES`` (4096 steps at d = 1, 1024 at 2, 256 at 4, 64 at 8, 16 at
-16), so its dozen temporaries stay in cache and below the heap's trim
+K' - I, stage tables and step matrices, then their pairwise product.  The
+stage tables are one per node: a coarse node is the start of one step and
+the end of the one before, with the same frame and turn, and the same
+amplitude except at a cut of a piecewise shape, so only such a cut adds an
+end-stage table; the steps are bit for bit those of three tables per step.
+A chunk is the largest power of two of steps whose (chunk, 2d, 2d) complex
+table fits in ``TABLE_BYTES`` (4096 steps at d = 1, 1024 at 2, 256 at 4, 64
+at 8, 16 at 16), so its temporaries stay in cache and below the heap's trim
 threshold at any step count.  The chunk products are folded as the loop runs,
 the last two merged whenever they cover equal step counts and the rest folded
 newest first at the end, so about log2(chunks) of them are held at once.  That
@@ -48,7 +52,10 @@ with the decomposition inverted algebraically) and against F formed in the
 full joint space; both live beside the tests because nothing else uses them.
 Sweeps report the decomposition defect through the algebraic identity
 defect = ||U_F - (W(tp)^dag P_theta W(0)) (x) I||, which holds by unitary
-invariance of the spectral norm.
+invariance of the spectral norm.  A sweep rescales one dimensionless profile,
+whose frame is a function of t / tau_p alone, so it integrates the frame once,
+at its smallest tau_p, and every point on the same rescaled grid reuses it
+(:func:`magnus_consistency`).
 """
 
 from __future__ import annotations
@@ -59,10 +66,10 @@ import numpy as np
 
 from .bath import BathModel
 from .corrections import CorrectionReport, evaluate_corrections
-from .pulses import PulseShape
+from .pulses import SAME_TIME_RTOL, PulseShape
 from .su2 import CONJUGATE_Q, ideal_pulse_quaternion, quaternion_product
-from .trajectory import (_build_grid, _frames_on_grid, _rk4_steps, _stage_amplitudes,
-                         n_trajectory)
+from .trajectory import (FrameTrajectory, _build_grid, _frames_on_grid, _rk4_steps,
+                         _stage_amplitudes, n_trajectory)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -193,13 +200,42 @@ def _deviation_table(turns: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndar
     return top + top.conj().transpose(0, 2, 1)
 
 
-def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
+def _trajectory_grid(shape: PulseShape, steps: int):
+    """(coarse, fine): the RK4 grid of ``shape`` (``_build_grid``) and the
+    trajectory grid, the coarse one with every interval bisected."""
+    coarse = _build_grid(shape, steps)
+    fine = np.empty(2 * len(coarse) - 1)
+    fine[::2] = coarse
+    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    return coarse, fine
+
+
+def _sweep_frames(shape: PulseShape, fine: np.ndarray, frames) -> FrameTrajectory:
+    """The frame of ``shape`` on its trajectory grid ``fine``.
+
+    ``frames`` is None or the frame of the same dimensionless profile at
+    another tau_p.  h v does not depend on tau_p, so that frame is this one
+    wherever its grid, rescaled, is ``fine``: same node count and cut nodes,
+    every node within ``SAME_TIME_RTOL`` tau_p.  Its quaternions then serve
+    here, on this grid and tau_s, and the frame is integrated only otherwise.
+    """
+    if frames is not None and len(frames.grid) == len(fine):
+        scale = shape.tau_p / frames.tau_p
+        if np.all(np.abs(frames.grid * scale - fine) <= SAME_TIME_RTOL * shape.tau_p):
+            return FrameTrajectory(grid=fine, tau_s=shape.tau_s,
+                                   quaternions=frames.quaternions)
+    return _frames_on_grid(shape, fine)
+
+
+def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int, _frames=None):
     """(U_F, trajectory) by RK4 integration of i U' = F(t) U over [0, tau_p].
 
     The coarse grid is cut at the segment boundaries into uniform spans
     (``_build_grid``); bisecting it gives the trajectory grid, whose frames,
     the identity at the exact tau_s, supply F at the start, midpoint and end
-    of every coarse step.  The amplitude at those stages follows the frame
+    of every coarse step.  A sweep passes the frame of its smallest tau_p as
+    ``_frames``, which every point on the same rescaled grid reuses
+    (``_sweep_frames``).  The amplitude at those stages follows the frame
     integrator's stage rule (``_stage_amplitudes``), so every step is a true
     RK4 step and no step crosses a breakpoint; it steps the Hermitian F by
     -i h, which is RK4 on U' = -i F U by h.  F is taken in the eigenbasis V+
@@ -208,11 +244,8 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
     describes.  It goes back to the bath's basis once, (I (x) V+) U'
     (I (x) V+)^dag, and is projected once.
     """
-    coarse = _build_grid(shape, steps)
-    fine = np.empty(2 * len(coarse) - 1)
-    fine[::2] = coarse
-    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
-    traj = _frames_on_grid(shape, fine)
+    coarse, fine = _trajectory_grid(shape, steps)
+    traj = _sweep_frames(shape, fine, _frames)
     turns, v_plus = _coupling_turns(bath)
     amplitudes = _stage_amplitudes(shape, coarse)
     h = -1.0j * np.diff(coarse)
@@ -225,10 +258,20 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
         nodes = slice(2 * k, 2 * (k + chunk) + 1)
         turns_k = turns(fine[nodes] - traj.tau_s)
         frames_k = quaternion_matrix(traj.quaternions[nodes])
-        stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)), amplitudes)
-        f = [_deviation_table(turns_k[sl], frames_k[sl], v[steps_k]) for sl, v in stages]
-        product = _ordered_product(_rk4_steps(*f, h[steps_k], np.matmul, one))
-        covered = len(f[0])
+        start, mid, end = (v[steps_k] for v in amplitudes)
+        # one table per node: an even node is the start of its step and the
+        # end of the one before, which differ in amplitude only at a cut
+        v_even = np.concatenate([start, end[-1:]])
+        f_even = _deviation_table(turns_k[::2], frames_k[::2], v_even)
+        f_end = f_even[1:]
+        cut = np.flatnonzero(np.any(end != v_even[1:], axis=-1))
+        if len(cut):
+            f_end = f_end.copy()
+            f_end[cut] = _deviation_table(turns_k[2 * cut + 2], frames_k[2 * cut + 2], end[cut])
+        f_mid = _deviation_table(turns_k[1::2], frames_k[1::2], mid)
+        product = _ordered_product(_rk4_steps(f_even[:-1], f_mid, f_end, h[steps_k],
+                                              np.matmul, one))
+        covered = len(f_mid)
         while folds and folds[-1][1] == covered:
             earlier, count = folds.pop()
             product, covered = product @ earlier, covered + count
@@ -244,9 +287,10 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int):
 # decomposition defects and expansion-order sweeps
 
 
-def decomposition_defects(shape: PulseShape, bath: BathModel, steps: int):
-    """The DecompositionError of one pulse at its native tau_p."""
-    u_f, traj = integrate_deviation(shape, bath, steps=steps)
+def decomposition_defects(shape: PulseShape, bath: BathModel, steps: int, _frames=None):
+    """The DecompositionError of one pulse at its native tau_p; ``_frames`` as in
+    :func:`integrate_deviation`."""
+    u_f, traj = integrate_deviation(shape, bath, steps=steps, _frames=_frames)
     report = evaluate_corrections(n_trajectory(traj), traj.tau_s)
     eta1, eta2a, eta2b = eta_operators(report, bath)
     uf_defect = np.linalg.norm(u_f - np.eye(2 * bath.dim_b), 2)
@@ -274,13 +318,21 @@ def magnus_consistency(shape: PulseShape, bath: BathModel, tau_list,
     """Defects across a tau_p sweep of the same dimensionless pulse profile.
 
     Amplitudes scale as 1/tau_p so the accumulated rotation is fixed while the
-    expansion parameters tau_p * lambda and tau_p * omega_b shrink.
+    expansion parameters tau_p * lambda and tau_p * omega_b shrink.  The
+    frame is then a function of t / tau_p alone.  It is integrated once, at
+    the smallest tau_p, where the step products overflow first, and every
+    point whose grid is that grid rescaled reuses its quaternions, with its
+    own amplitudes and turns.  The smallest-tau_p entry is the one a lone
+    ``decomposition_defects`` gives, bit for bit; the others differ from
+    theirs at the rounding floor, because the rounding of h v depends on
+    tau_p.
     """
     tau_list = sorted(float(t) for t in tau_list)
     if len(tau_list) < 4:
         raise ValueError("need at least 4 sweep points for a slope fit")
-    entries = [decomposition_defects(shape.rescaled(tau_p), bath, steps=steps)
-               for tau_p in tau_list]
+    shapes = [shape.rescaled(tau_p) for tau_p in tau_list]
+    frames = _frames_on_grid(shapes[0], _trajectory_grid(shapes[0], steps)[1])
+    entries = [decomposition_defects(s, bath, steps=steps, _frames=frames) for s in shapes]
     taus = [e.tau_p for e in entries]
     slopes = {}
     for field in ("defect", "uf_defect", "magnus_defect"):

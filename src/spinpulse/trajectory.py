@@ -191,12 +191,24 @@ def _rk4_steps(g1, g2, g3, h, mul, one):
     at each step's start, midpoint and end, by the classical stage recurrence
     k2 = g2 + (h/2) g2 g1, k3 = g2 + (h/2) g2 k2, k4 = g3 + h g3 k3,
     M = 1 + (h/6) (g1 + 2 (k2 + k3) + k4): three products ``mul`` per step in
-    an algebra with unit ``one``.  h = -i dt steps G = -i F by dt."""
+    an algebra with unit ``one``.  h = -i dt steps G = -i F by dt.
+
+    Each k is the fresh array ``mul`` returns, finished in place with the
+    operands of every sum and product in the order written above, so the steps
+    round as that expression does and hold three step tables, not a
+    temporary per operation."""
     h = np.reshape(h, (-1,) + (1,) * (np.ndim(g1) - 1))
-    k2 = g2 + (0.5 * h) * mul(g2, g1)
-    k3 = g2 + (0.5 * h) * mul(g2, k2)
-    k4 = g3 + h * mul(g3, k3)
-    return one + (h / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
+    half = 0.5 * h
+    k2 = mul(g2, g1)
+    np.add(g2, np.multiply(half, k2, out=k2), out=k2)
+    k3 = mul(g2, k2)
+    np.add(g2, np.multiply(half, k3, out=k3), out=k3)
+    k4 = mul(g3, k3)
+    np.add(g3, np.multiply(h, k4, out=k4), out=k4)
+    m = np.add(k2, k3, out=k2)
+    np.add(g1, np.multiply(2.0, m, out=m), out=m)
+    np.multiply(h / 6.0, np.add(m, k4, out=m), out=m)
+    return np.add(one, m, out=m)
 
 
 def _prefix_products(steps: np.ndarray) -> np.ndarray:

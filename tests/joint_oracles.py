@@ -20,9 +20,9 @@ from spinpulse.oracle import (SIGMA_Z, _coupling_turns, _deviation_table, _order
                               _project_unitary, expm_hermitian, pauli_dot, quaternion_matrix)
 from spinpulse.pulses import PulseShape
 from spinpulse.su2 import ideal_pulse_quaternion
-from spinpulse.trajectory import (FrameTrajectory, _build_grid, _frames_on_grid, _rk4_steps,
+from spinpulse.trajectory import (FrameTrajectory, _build_grid, _frames_on_grid,
                                   _stage_amplitudes)
-from su2_oracles import IDENTITY_2, PAULI
+from su2_oracles import IDENTITY_2, PAULI, rk4_stage_recurrence
 
 
 def ideal_pulse(theta: float) -> np.ndarray:
@@ -131,8 +131,9 @@ def f_generator(shape: PulseShape, bath: BathModel, t: float,
 
 
 def one_shot_deviation(shape: PulseShape, bath: BathModel, steps: int) -> np.ndarray:
-    """U_F of ``integrate_deviation`` with every stage table and RK4 step matrix
-    of all the steps built at once and reduced in one pairwise product."""
+    """U_F of ``integrate_deviation`` with three stage tables per step, every
+    table and RK4 step matrix of all the steps built at once, by the stage
+    recurrence written out, and reduced in one pairwise product."""
     coarse = _build_grid(shape, steps)
     fine = bisected(coarse)
     traj = _frames_on_grid(shape, fine)
@@ -142,7 +143,8 @@ def one_shot_deviation(shape: PulseShape, bath: BathModel, steps: int) -> np.nda
     stages = zip((slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)),
                  _stage_amplitudes(shape, coarse))
     f = [_deviation_table(turns[sl], frames[sl], v) for sl, v in stages]
-    mats = _rk4_steps(*f, -1.0j * np.diff(coarse), np.matmul, np.eye(2 * bath.dim_b))
+    mats = rk4_stage_recurrence(*f, -1.0j * np.diff(coarse), np.matmul,
+                                np.eye(2 * bath.dim_b))
     return _project_unitary(to_bath_basis(_ordered_product(mats), v_plus))
 
 

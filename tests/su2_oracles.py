@@ -4,7 +4,8 @@ logarithms and the expanded RK4 step.
 These are independent oracles for the library's quaternion frames: the
 closed-form 2x2 exponential about an axis, the Rodrigues matrix, the adjoint
 representation of a 2x2 unitary, the principal logarithm of a unitary of
-any dimension, and the RK4 step of a linear ODE as its degree-4 polynomial.
+any dimension, and the RK4 step of a linear ODE as its degree-4 polynomial
+and as its stage recurrence.
 """
 
 import numpy as np
@@ -125,6 +126,18 @@ def rk4_polynomial(g1, g2, g3, h, mul, one):
             + (h ** 2 / 6.0) * (g2g1 + g2sq + g3g2)
             + (h ** 3 / 12.0) * (g2sq_g1 + mul(g3, g2sq))
             + (h ** 4 / 24.0) * mul(g3, g2sq_g1))
+
+
+def rk4_stage_recurrence(g1, g2, g3, h, mul, one):
+    """RK4 transfer elements by the classical stage recurrence written as one
+    expression per stage, a fresh array per operation:
+    k2 = g2 + (h/2) g2 g1, k3 = g2 + (h/2) g2 k2, k4 = g3 + h g3 k3,
+    M = 1 + (h/6) (g1 + 2 (k2 + k3) + k4)."""
+    h = np.reshape(h, (-1,) + (1,) * (np.ndim(g1) - 1))
+    k2 = g2 + (0.5 * h) * mul(g2, g1)
+    k3 = g2 + (0.5 * h) * mul(g2, k2)
+    k4 = g3 + h * mul(g3, k3)
+    return one + (h / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
 
 
 def rk4_step_matrices(g1, g2, g3, h) -> np.ndarray:

@@ -63,6 +63,7 @@ sample.2 = 1 0 1 0 3.141592653589793
 """
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+TEST_DATA = Path(__file__).resolve().parent / "data"
 OVERFLOW_MESSAGE = ("trajectory frames must be unit quaternions, but an RK4 step is "
                     "not finite: the amplitude overflows the step products")
 
@@ -929,3 +930,37 @@ class TestVerifyDegenerate:
         code = main(["verify", str(workdir / "pi.pulse"), str(free_bath),
                      "--sweep", "1e-2:1e-1:4"])
         assert code == 4
+
+
+class TestCorpseReference:
+    """CORPSE for theta = pi (Cummins, Llewellyn & Jones, PRA 67, 042308 (2003)),
+    built from its closed-form angles and not by the design loop, cancels a
+    static sigma_z error to first order: the paper's first-order condition at
+    tau_s = tau_p / 2, checked by the residuals and by the exact oracle."""
+
+    PULSE = TEST_DATA / "corpse_pi.txt"
+
+    def test_first_order_residual_vanishes_at_half_tau_p(self, tmp_path):
+        out = tmp_path / "corpse.rep"
+        assert main(["corrections", str(self.PULSE), "--targets", "r1",
+                     "--threshold", "1e-10", "--out", str(out)]) == 0
+        fields = dict(line.split(" = ") for line in out.read_text().splitlines())
+        assert float(fields["tau_s"]) == 0.5 * float(fields["tau_p"])
+        assert float(fields["r1_normalized"]) <= 1e-10
+
+    def test_dephasing_verify_slope_is_first_order(self, workdir):
+        """Its two cuts fall inside a chunk, so the oracle's end-stage tables are
+        patched there; a rectangular pi pulse split at the same instant is not
+        first order."""
+        bath = workdir / "dephasing.bath"
+        bath.write_text("schema_version = 1\nkind = bath\npreset = spin-dephasing\n"
+                        "lambda = 1.0\n")
+        out = workdir / "corpse.csv"
+        assert main(["verify", str(self.PULSE), str(bath), "--regime", "first-order",
+                     "--out", str(out)]) == 0
+        trailer = next(line for line in out.read_text().splitlines() if "uf_slope=" in line)
+        slope = float(trailer.split()[1].split("=")[1])
+        lo, hi = cli.SLOPE_BANDS["first-order"]
+        assert lo <= slope <= hi
+        assert main(["verify", str(workdir / "pi.pulse"), str(bath), "--regime", "first-order",
+                     "--out", str(workdir / "pi.csv")]) == 1

@@ -128,18 +128,33 @@ class TestStepChunks:
     @pytest.mark.parametrize("dim, steps", [(dim, steps) for dim in (1, 3, 8, 16)
                                             for steps in (64, 100, 2000, 5000)
                                             if dim * steps <= 16000])
-    @pytest.mark.parametrize("kind", ("fourier", "piecewise"))
+    @pytest.mark.parametrize("kind", ("fourier", "piecewise", "cuts-at-chunk-edges"))
     def test_chunked_product_equals_one_shot(self, dim, steps, kind):
         """Power-of-two chunks are whole subtrees of the one-shot pairwise product,
         also below one chunk, with a partial last chunk and, at dim 16's chunks of
-        16 steps, through several levels of the running fold."""
+        16 steps, through several levels of the running fold.  One table per node
+        is the three tables per step of the one-shot product: at a cut the end
+        table is patched, also 4 steps inside a chunk's first and last nodes, and a
+        cut on a chunk's first or last node needs no patch."""
         rng = np.random.default_rng(dim * 7919 + steps)
         if kind == "fourier":
             shape = random_fourier_shape(rng, order=3, tau_s=0.3337)
-        else:
+        elif kind == "piecewise":
             shape = PulseShape(1.0, 0.4321, np.pi, "piecewise_constant",
                                boundaries=np.array([0.0, 0.1234, 0.377, 0.6181, 1.0]),
                                values=rng.uniform(-3.0, 3.0, (4, 3)))
+        else:
+            chunk = 1 << ((oracle.TABLE_BYTES // (64 * dim ** 2)).bit_length() - 1)
+            # spans are multiples of 4 steps: cuts 4 steps inside a chunk's ends
+            # and on them, each a little before its step so no span count rounds up
+            at = np.array([m for m in (4, chunk - 4, chunk, 2 * chunk, 2 * chunk + 4)
+                           if 0 < m < steps - 4])
+            boundaries = np.concatenate([[0.0], (at - 0.5 - 0.01 * np.arange(len(at))) / steps,
+                                         [1.0]])
+            shape = PulseShape(1.0, 0.4321, np.pi, "piecewise_constant", boundaries=boundaries,
+                               values=rng.uniform(-3.0, 3.0, (len(at) + 1, 3)))
+            grid = _build_grid(shape, steps)
+            assert np.array_equal(np.searchsorted(grid, boundaries[1:-1]), at)
         bath = _random_bath(rng, dim, 0.6)
         u_f, _ = oracle.integrate_deviation(shape, bath, steps=steps)
         assert np.array_equal(u_f, one_shot_deviation(shape, bath, steps))
@@ -216,6 +231,15 @@ class TestDeviationGenerator:
         assert np.linalg.norm(f - leading, 2) < 0.02 * scale
 
 
+def _record_frame_integrations(monkeypatch) -> list:
+    """The tau_p of every frame the oracle integrates from here on, in order."""
+    integrated, frames_on_grid = [], oracle._frames_on_grid
+    monkeypatch.setattr(oracle, "_frames_on_grid",
+                        lambda shape, grid: integrated.append(shape.tau_p)
+                        or frames_on_grid(shape, grid))
+    return integrated
+
+
 class TestMagnusConsistency:
     def test_needs_four_points(self, pi_pulse, dynamic_bath):
         with pytest.raises(ValueError):
@@ -236,6 +260,56 @@ class TestMagnusConsistency:
             defects.append(np.linalg.norm(gen + 1.0j * (e1 + e2a + e2b), 2))
         slope, _ = oracle.fit_loglog_slope(taus, defects)
         assert slope == pytest.approx(3.0, abs=0.2)
+
+    @pytest.mark.parametrize("dim", (1, 2, 8))
+    @pytest.mark.parametrize("kind", ("fourier", "piecewise"))
+    def test_shared_frame_matches_per_point_frames(self, monkeypatch, dim, kind):
+        """A sweep integrates one frame, at its smallest tau_p, and every point
+        reuses it: that point's entry is the lone ``decomposition_defects``' bit
+        for bit, and every other defect is within 1e-14 of the lone one, which
+        integrates its own frame.  The Fourier tau_s is off the grid; the
+        piecewise cut at tau_p / 2 is on a chunk edge at d = 2 and 8."""
+        rng = np.random.default_rng(dim)
+        if kind == "fourier":
+            shape = random_fourier_shape(rng, order=3, tau_s=0.3337)
+        else:
+            shape = PulseShape(1.0, 0.4321, np.pi, "piecewise_constant",
+                               boundaries=np.array([0.0, 0.5, 1.0]),
+                               values=rng.uniform(-3.0, 3.0, (2, 3)))
+        bath = _random_bath(rng, dim, 0.6)
+        taus = np.geomspace(1e-3, 1e-1, 6)
+        integrated = _record_frame_integrations(monkeypatch)
+        sweep = oracle.magnus_consistency(shape, bath, taus)
+        monkeypatch.undo()
+        assert integrated == [taus[0]]
+        lone = [oracle.decomposition_defects(shape.rescaled(t), bath, steps=oracle.SWEEP_STEPS)
+                for t in taus]
+        assert sweep.entries[0] == lone[0]
+        for shared, own in zip(sweep.entries[1:], lone[1:]):
+            assert shared.tau_p == own.tau_p
+            for field in ("defect", "uf_defect", "magnus_defect"):
+                assert abs(getattr(shared, field) - getattr(own, field)) <= 1e-14
+
+    def test_point_on_another_span_structure_integrates_its_own_frame(
+            self, monkeypatch, dynamic_bath):
+        """A span's share of steps at a multiple of 4 rounds up to 4 more steps at
+        some tau_p: such a point's grid is not the first point's rescaled, and it
+        integrates its own frame, so its entry is the lone one bit for bit."""
+        shape = PulseShape(1.0, 0.4321, np.pi, "piecewise_constant",
+                           boundaries=np.array([0.0, 0.25, 0.75, 1.0]),
+                           values=np.random.default_rng(3).uniform(-3.0, 3.0, (3, 3)))
+        taus = np.geomspace(1e-3, 1e-1, 6)
+        nodes = [len(_build_grid(shape.rescaled(t), 1024)) for t in taus]
+        assert len(set(nodes)) == 2
+        integrated = _record_frame_integrations(monkeypatch)
+        sweep = oracle.magnus_consistency(shape, dynamic_bath, taus, steps=1024)
+        monkeypatch.undo()
+        own = [t for t, n in zip(taus, nodes) if n != nodes[0]]
+        assert integrated == [taus[0], *own]
+        for entry, tau_p in zip(sweep.entries, taus):
+            if tau_p in own:
+                assert entry == oracle.decomposition_defects(shape.rescaled(tau_p),
+                                                             dynamic_bath, steps=1024)
 
     def test_dephasing_identity_regression(self):
         for tau_p in np.geomspace(1e-3, 1.0, 7):

@@ -19,7 +19,7 @@ from spinpulse.trajectory import (AXIS_FLOOR, _bootstrap_axis, _build_grid, _cut
                                   amplitude_from_axis_angle, axis_angle,
                                   integrate_axis_angle, n_trajectory)
 from su2_oracles import (PAULI, axis_angle_exponential, pauli_conjugate,
-                         rk4_polynomial, rk4_step_matrices)
+                         rk4_polynomial, rk4_stage_recurrence, rk4_step_matrices)
 
 
 def closed_form_frames(shape, traj):
@@ -433,6 +433,22 @@ class TestFrameProperties:
         expected = rk4_step_matrices(*(-1.0j * f), h)
         steps = _rk4_steps(*f, -1.0j * h, np.matmul, np.eye(16))
         assert np.abs(steps - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_in_place_recurrence_rounds_as_the_expression(self, rng):
+        """The stage recurrence finished in place rounds as the expression with a
+        fresh array per operation, bit for bit: in the quaternion algebra for
+        either sign of h, and on complex 16 x 16 tables with the step -i h."""
+        h = np.diff(np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 255)])))
+        g = generator_quaternions(*(rng.normal(scale=5.0, size=(len(h), 3)) for _ in range(3)))
+        for step in (h, -h):
+            expected = rk4_stage_recurrence(*g, step, su2.quaternion_product, su2.IDENTITY_Q)
+            steps = _rk4_steps(*g, step, su2.quaternion_product, su2.IDENTITY_Q)
+            assert np.array_equal(steps, expected)
+        a = rng.normal(size=(3, 64, 16, 16)) + 1.0j * rng.normal(size=(3, 64, 16, 16))
+        f = 0.5 * (a + a.conj().transpose(0, 1, 3, 2))
+        h = -1.0j * rng.uniform(0.0, 0.1, 64)
+        expected = rk4_stage_recurrence(*f, h, np.matmul, np.eye(16))
+        assert np.array_equal(_rk4_steps(*f, h, np.matmul, np.eye(16)), expected)
 
     def test_prefix_products_match_sequential_products(self, rng):
         steps = rng.normal(size=(300, 4))
