@@ -31,9 +31,13 @@ round evaluates the trial of every restart in flight in one call,
 differentiates the accepted ones in one Jacobian call and solves their damped
 systems in one stacked solve.  Each restart keeps its own damping and stops
 by its own rule, recorded in a :class:`RestartRecord`, and hands its lane to
-the next start.  As every lane is its one-lane call, each restart takes the
-path it would take alone, and the result does not depend on how many run at
-once (``LANE_STEPS`` // grid steps, the budget of nogo's lane chunks).
+the next start.  Where the restarts left fill at most half the lanes, as for
+a lone restart or the tail of a solve, each also carries in a spare lane the
+trial it takes next if this one is rejected, at thrice the damping, so a
+rejection costs no round of its own.  As every lane is its one-lane call,
+each restart takes the path it would take alone, and the result does not
+depend on how many run at once (``LANE_STEPS`` // grid steps, the budget of
+nogo's lane chunks).
 
 Problems are posed at tau_p = 1 without loss of generality: the normalized
 residuals are invariant under joint rescaling of duration and amplitude, so a
@@ -331,6 +335,7 @@ class _Lanes:
     nhat: np.ndarray                # (m, n, 3) n(t) on the problem's grid
     running: np.ndarray             # (m, n, 3) its running integral int_0^t n dt
     frames: np.ndarray | None       # (m, n, 4) frame quaternions, None about a fixed axis
+    rotation: np.ndarray | None     # (m, n, 3, 3) their rotations R, n(t) = R z
     r1: np.ndarray                  # (m, 3) the first-order vector residual
     f: np.ndarray                   # (m, R) stacked normalized residual vectors
 
@@ -423,10 +428,12 @@ class _ResidualFunction:
             table = self._angle_table(tau_s)
             rows = table.shape[-2] - 1
             psi = table[..., 0, :] + (z[:, None, :rows] @ table[..., 1:, :])[:, 0]
-            frames, nhat = None, np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
+            frames = rotation = None
+            nhat = np.stack([-np.sin(psi), np.zeros_like(psi), np.cos(psi)], axis=-1)
         else:
             frames = _frame_quaternions(shape, grid)
-            nhat = _frame_rotation(frames)[..., 2]
+            rotation = _frame_rotation(frames)
+            nhat = rotation[..., 2]
         _check_trajectory(grid, quaternions=frames, nhat=nhat)
         running = self.quad.running(nhat)
         residuals = correction_residuals(self.quad, nhat, tau_s, running)
@@ -435,7 +442,7 @@ class _ResidualFunction:
             parts.append(ROTATION_WEIGHT * _rotation_residual(frames, problem.theta))
         f = np.concatenate(parts + self._penalty_rows(shape), axis=-1)
         return _Lanes(z=z, coeffs=coeffs, tau_s=tau_s, nhat=nhat, running=running,
-                      frames=frames, r1=residuals[0], f=f)
+                      frames=frames, rotation=rotation, r1=residuals[0], f=f)
 
     def jacobian(self, lanes: _Lanes) -> np.ndarray:
         """The (m, R, P) Jacobians of evaluated lanes, each C-contiguous, with no new frame.
@@ -510,10 +517,9 @@ class _ResidualFunction:
         as the frame's anchor is.  Along a free tau_s, xi is constant: minus
         the anchor's rate.
         """
-        grid, quad, frames = self.grid, self.quad, lanes.frames[i]
+        grid, quad, frames, rot = self.grid, self.quad, lanes.frames[i], lanes.rotation[i]
         n = len(grid)
         v1, v2, v3 = self.directions                # (n - 1, 3, P) each
-        rot = _frame_rotation(frames)
         if self.problem.ansatz == "piecewise":      # dv_j is constant on every step
             steps = quad.intervals(rot.reshape(n, 9)).reshape(n - 1, 3, 3) @ v2
             sweep = np.cumsum(np.vstack([np.zeros_like(steps[:1]), steps]), axis=0).reshape(n, -1)
@@ -564,10 +570,10 @@ class RestartRecord:
 
 
 class _Restart:
-    """One restart in flight: its point, damping and damped system."""
+    """One restart in flight: its point, damping, damped system and trials."""
 
     def __init__(self, index: int, z0: np.ndarray):
-        self.index, self.trial = index, z0
+        self.index, self.trials = index, [z0]
         self.z, self.cost, self.mu, self.iterations = None, np.inf, 1e-3, 0
         self.gradient, self.jtj, self.grad = float("nan"), None, None
 
@@ -589,25 +595,48 @@ def _evaluate(fun: _ResidualFunction, z: np.ndarray):
     return (_Lanes.concatenate(records) if records else None), errors
 
 
-def _damped_steps(runs: list) -> list:
-    """The damped Gauss-Newton step of each run, None where the damping reached
-    its cap: one stacked solve, or each run alone if a system is singular."""
+def _set_trials(runs: list, spare: bool) -> list:
+    """Give each run its trials, and return the runs whose damping reached its cap.
+
+    A run's first trial is its damped Gauss-Newton step; with ``spare`` lanes
+    a second is the step at thrice the damping, the one its lone loop takes
+    if the first is rejected, unless that damping reaches the cap.  One
+    stacked solve gives them all; if a system is singular, each run solves
+    alone, raising its damping past a singular system as its lone loop does,
+    and drops a second trial whose system is singular.
+    """
     eye = np.eye(len(runs[0].grad))
+    systems = [(run, run.mu) for run in runs]
+    if spare:
+        systems += [(run, run.mu * 3.0) for run in runs if run.mu * 3.0 < 1e12]
     try:
-        return list(np.linalg.solve(np.stack([r.jtj + r.mu * eye for r in runs]),
-                                    -np.stack([r.grad for r in runs])[..., None])[..., 0])
+        steps = np.linalg.solve(np.stack([run.jtj + mu * eye for run, mu in systems]),
+                                -np.stack([run.grad for run, _ in systems])[..., None])[..., 0]
     except ValueError:      # LinAlgError: a singular system
         pass
-    steps = []
+    else:
+        for run in runs:
+            run.trials = []
+        for (run, _), step in zip(systems, steps):
+            run.trials.append(run.z + step)
+        return []
+    capped = []
     for run in runs:
-        step = None
-        while step is None and run.mu < 1e12:
+        run.trials = []
+        while not run.trials and run.mu < 1e12:
             try:
-                step = np.linalg.solve(run.jtj + run.mu * eye, -run.grad)
+                run.trials.append(run.z + np.linalg.solve(run.jtj + run.mu * eye, -run.grad))
             except ValueError:
                 run.mu *= 3.0
-        steps.append(step)
-    return steps
+        if not run.trials:
+            capped.append(run)
+        elif spare and run.mu * 3.0 < 1e12:
+            try:
+                run.trials.append(run.z + np.linalg.solve(run.jtj + run.mu * 3.0 * eye,
+                                                          -run.grad))
+            except ValueError:
+                pass
+    return capped
 
 
 def _levenberg_marquardt_pool(fun: _ResidualFunction, starts: list, lanes: int,
@@ -615,13 +644,18 @@ def _levenberg_marquardt_pool(fun: _ResidualFunction, starts: list, lanes: int,
     """Damped Gauss-Newton with multiplicative damping (x3 up, /2 down) from every
     start, at most ``lanes`` runs in flight: [(z, cost, RestartRecord)] in start order.
 
-    Each round evaluates the trial point of every run in flight as one lane
-    call, a run that stops handing its lane to the next start; one Jacobian
-    call differentiates the runs whose trial was accepted, and one stacked
-    solve gives the next trials.  A run takes the steps, and ends where, its
-    lone loop would: each lane is its one-lane call bit for bit, a batch that
-    raises is redone lane by lane, and a lane whose trial raises (the frame
-    guard) is a rejected step.  A run stops below ``STOP_COST`` or
+    Each round evaluates the trials of every run in flight as one lane call,
+    a run that stops handing its lane to the next start; one Jacobian call
+    differentiates the runs whose trial was accepted, and one stacked solve
+    gives the next trials (:func:`_set_trials`).  While the runs in flight
+    and the starts left fill at most half the lanes, each run also carries
+    the trial its lone loop takes next if its first is rejected, so a
+    rejection costs no round of its own.  A round walks each run's trials in
+    order, as its lone loop would: a rejected trial, or one that raises (the
+    frame guard), triples the damping, and the first that lowers the cost is
+    accepted.  A run thus takes the steps, and ends where, its lone loop
+    would: each lane is its one-lane call bit for bit, and a batch that
+    raises is redone lane by lane.  A run stops below ``STOP_COST`` or
     ``STOP_GRADIENT``, when the damping reaches 1e12, or after ``max_iter``
     accepted steps.
     """
@@ -635,32 +669,39 @@ def _levenberg_marquardt_pool(fun: _ResidualFunction, starts: list, lanes: int,
     while queue or runs:
         while queue and len(runs) < lanes:
             runs.append(_Restart(*queue.pop()))
-        # every run in flight holds a trial: a start holds its first point
-        record, errors = _evaluate(fun, np.array([run.trial for run in runs]))
-        for i, error in errors.items():
-            if runs[i].z is None:       # a start that raises ends the solve, as alone
-                raise error
-            runs[i].mu *= 3.0
-        kept, ready = [run for i, run in enumerate(runs) if i not in errors], []
-        for lane, run in enumerate(kept):
-            cost = float(record.f[lane] @ record.f[lane])
+        # every run in flight holds its trials: a start holds its first point
+        trials = [(run, z) for run in runs for z in run.trials]
+        record, errors = _evaluate(fun, np.array([z for _, z in trials]))
+        rows, accepted = iter(range(len(trials) - len(errors))), {}
+        for lane, (run, z) in enumerate(trials):
+            row = None if lane in errors else next(rows)
+            if run in accepted:             # a second trial its first made moot
+                continue
+            if row is None:
+                if run.z is None:           # a start that raises ends the solve, as alone
+                    raise errors[lane]
+                run.mu *= 3.0
+                continue
+            cost = float(record.f[row] @ record.f[row])
             if run.z is not None:
                 if not (np.isfinite(cost) and cost < run.cost):
                     run.mu *= 3.0
                     continue
                 run.mu, run.iterations = max(run.mu / 2.0, 1e-14), run.iterations + 1
-            run.z, run.cost = run.trial, cost
+            run.z, run.cost, accepted[run] = z, cost, row
+        ready = []
+        for run, row in accepted.items():
             if run.iterations == max_iter:
                 stop(run, "iterations")
-            elif cost < STOP_COST:
+            elif run.cost < STOP_COST:
                 stop(run, "cost")
             else:
-                ready.append(lane)
+                ready.append((run, row))
         if ready:
-            jac = fun.jacobian(record if len(ready) == len(kept) else record.take(ready))
-            for lane, j in zip(ready, jac):
-                run = kept[lane]
-                run.grad = j.T @ record.f[lane]
+            rows = [row for _, row in ready]
+            jac = fun.jacobian(record if len(rows) == len(record.z) else record.take(rows))
+            for (run, row), j in zip(ready, jac):
+                run.grad = j.T @ record.f[row]
                 run.gradient = float(np.max(np.abs(run.grad)))
                 if run.gradient < STOP_GRADIENT:
                     stop(run, "gradient")
@@ -669,11 +710,8 @@ def _levenberg_marquardt_pool(fun: _ResidualFunction, starts: list, lanes: int,
         for run in [run for run in runs if run.mu >= 1e12]:
             stop(run, "damping")
         if runs:
-            for run, step in zip(list(runs), _damped_steps(runs)):
-                if step is None:
-                    stop(run, "damping")
-                else:
-                    run.trial = run.z + step
+            for run in _set_trials(runs, 2 * (len(runs) + len(queue)) <= lanes):
+                stop(run, "damping")
     return results
 
 

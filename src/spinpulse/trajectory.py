@@ -157,14 +157,18 @@ def _build_grid(shape: PulseShape, steps: int) -> np.ndarray:
     """Grid whose cuts (:func:`_cuts`) are nodes.
 
     Between two cuts the grid is uniform, with the least multiple of 4
-    intervals that covers the span's share of ``steps``.  Node j of a span is
-    j h + (cut - j_cut h), so where the cuts fall on np.linspace(0, tau_p,
-    n + 1), as for any Fourier shape, the grid is that one bit for bit.
+    intervals that covers the span's share of ``steps``, its length over
+    tau_p less ``SAME_TIME_RTOL``: a share one rounding past a multiple of 4
+    takes no 4 more, so a shape rescaled keeps its step counts at every
+    tau_p.  Node j of a span is j h + (cut - j_cut h), so where the cuts fall
+    on np.linspace(0, tau_p, n + 1), as for any Fourier shape, the grid is
+    that one bit for bit.
     """
     tau_p, cuts = shape.tau_p, _cuts(shape)
     spans, j = [], 0
     for a, b in zip(cuts, cuts[1:]):
-        k = 4 * max(1, int(np.ceil(steps * (b - a) / (4.0 * tau_p))))
+        share = steps * ((b - a) / tau_p - SAME_TIME_RTOL) / 4.0
+        k = 4 * max(1, int(np.ceil(share)))
         h = (b - a) / k
         spans.append(np.arange(j, j + k) * h + (a - j * h))
         spans[-1][0] = a

@@ -15,7 +15,7 @@ from spinpulse.design import (CONVERGED_OBJECTIVE, VERIFIED_BOUND, DesignProblem
                               _ResidualFunction, feasibility_probe,
                               finite_difference_jacobian, solve)
 from spinpulse.pulses import COMPONENTS
-from spinpulse.trajectory import NTrajectory, integrate_axis_angle, n_trajectory
+from spinpulse.trajectory import LANE_STEPS, NTrajectory, integrate_axis_angle, n_trajectory
 from spinpulse.cli import SLOPE_BANDS
 from spinpulse.corrections import (evaluate_corrections, nogo_diagnostics,
                                    normalized_residual_vector)
@@ -350,19 +350,27 @@ _problems = st.builds(
     st.sampled_from([0.0, 0.35, 1.0, "free"]), st.sampled_from([None, "bound", "power"]))
 
 
+# a start of this problem can draw a trial whose frame the guard rejects
+_GUARDED_PROBLEM = DesignProblem(theta=2.0, tau_s=0.0, fourier_order=2, components=("x", "y"),
+                                 targets=("r1", "r2a", "r2b"), symmetric=False,
+                                 power_weight=0.2, grid_steps=64)
+
+
 class TestPool:
     """The restarts run as lanes of one pool, each on its lone sequential path."""
 
     @settings(max_examples=20, deadline=None)
     @given(problem=_problems, restarts=st.integers(1, 6),
-           lanes=st.sampled_from(["one", "two", "all"]), max_iter=st.sampled_from([4, 20]),
-           seed=st.integers(0, 2 ** 32 - 1))
+           lanes=st.sampled_from(["one", "two", "all", "spare"]),
+           max_iter=st.sampled_from([4, 20]), seed=st.integers(0, 2 ** 32 - 1))
     def test_each_lane_follows_the_sequential_reference(self, problem, restarts, lanes,
                                                         max_iter, seed):
+        """Whatever the lanes, every run is its lone loop's; with 2 x restarts + 1
+        lanes the runs carry second trials from their first step on."""
         residual = _ResidualFunction(problem)
         rng = np.random.default_rng(seed)
         starts = [residual.param.random_start(rng) for _ in range(restarts)]
-        in_flight = {"one": 1, "two": 2, "all": restarts}[lanes]
+        in_flight = {"one": 1, "two": 2, "all": restarts, "spare": 2 * restarts + 1}[lanes]
         runs = design._levenberg_marquardt_pool(residual, starts, in_flight, max_iter)
         assert len(runs) == restarts
         for z0, run in zip(starts, runs):
@@ -397,9 +405,7 @@ class TestPool:
     def test_raising_trial_rejects_only_its_lane(self):
         """The trial the frame guard rejects at this start ends no solve and
         rejects only its own lane; the lanes beside it keep their lone paths."""
-        problem = DesignProblem(theta=2.0, tau_s=0.0, fourier_order=2, components=("x", "y"),
-                                targets=("r1", "r2a", "r2b"), symmetric=False,
-                                power_weight=0.2, grid_steps=64)
+        problem = _GUARDED_PROBLEM
 
         class Recording(_ResidualFunction):
             def __init__(self, problem):
@@ -428,6 +434,82 @@ class TestPool:
         assert np.array_equal(residual.rejected, references[1][1])
         for run, (reference, _) in zip(runs, references):
             same_run(run, reference)
+
+    def test_raising_second_trial_is_a_rejected_step(self):
+        """With spare lanes a run's second trial, at thrice the damping, can be
+        the one the frame guard rejects: its batch is redone lane by lane, the
+        first trial evaluates alone and the second raises alone.  The trials
+        that raise are the lone loop's, each evaluated once, and the run is its
+        lone loop's."""
+        problem = _GUARDED_PROBLEM
+
+        class Recording(_ResidualFunction):
+            def __init__(self, problem):
+                super().__init__(problem)
+                self.calls, self.rejected = [], []
+
+            def __call__(self, z):
+                try:
+                    record = super().__call__(z)
+                except ValueError:
+                    self.calls.append((len(z), False))
+                    if len(z) == 1:
+                        self.rejected.append(z[0])
+                    raise
+                self.calls.append((len(z), True))
+                return record
+
+        z0 = _ResidualFunction(problem).param.random_start(np.random.default_rng(215))
+        alone = Recording(problem)
+        reference = levenberg_marquardt(alone, z0)
+        residual = Recording(problem)
+        run, = design._levenberg_marquardt_pool(residual, [z0], 3)
+        same_run(run, reference)
+        redone = [(2, False), (1, True), (1, False)]
+        assert any(residual.calls[k:k + 3] == redone for k in range(len(residual.calls)))
+        assert len(alone.rejected) > 0
+        assert np.array_equal(residual.rejected, alone.rejected)
+
+    def test_damping_stop_with_spare_lanes(self):
+        """A run that carries second trials stops on the damping cap where, and
+        with the record that, its lone loop does."""
+        problem = _GUARDED_PROBLEM
+        residual = _ResidualFunction(problem)
+        z0 = residual.param.random_start(np.random.default_rng(1378))
+        reference = levenberg_marquardt(residual, z0)
+        assert reference[2].reason == "damping"
+        for lanes in (2, 3, 8):
+            same_run(design._levenberg_marquardt_pool(residual, [z0], lanes)[0], reference)
+
+    def test_pi_probe_takes_fewer_batched_evaluations(self):
+        """The one-restart pi probe on the 256-step grid (8 lanes) at seed 3: its
+        lone loop takes 135 evaluations for 80 accepted steps; with its second
+        trials in spare lanes the pool takes at most 90 batched evaluations and
+        80 lane Jacobians, and its run is the lone loop's."""
+        problem = DesignProblem(theta=np.pi, tau_s="free", fourier_order=1,
+                                components=("x", "y"), targets=("r1", "r2a", "r2b"),
+                                symmetric=False, grid_steps=256, restarts=1)
+
+        class Counting(_ResidualFunction):
+            calls = lanes = jacobians = 0
+
+            def __call__(self, z):
+                self.calls, self.lanes = self.calls + 1, self.lanes + len(z)
+                return super().__call__(z)
+
+            def jacobian(self, lanes):
+                self.jacobians += len(lanes.z)
+                return super().jacobian(lanes)
+
+        residual = Counting(problem)
+        z0 = residual.param.random_start(np.random.default_rng(3))
+        run, = design._levenberg_marquardt_pool(residual, [z0], LANE_STEPS // 256)
+        assert run[2].reason == "iterations" and run[2].iterations == 80
+        assert residual.calls <= 90 and residual.jacobians == 80
+        assert residual.lanes > residual.calls
+        alone = Counting(problem)
+        same_run(run, levenberg_marquardt(alone, z0))
+        assert alone.calls == alone.lanes == 135 and alone.jacobians == 80
 
     def test_records_name_the_stop(self, s_type_solution):
         problem, sol = s_type_solution

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,6 +241,12 @@ def _record_frame_integrations(monkeypatch) -> list:
     return integrated
 
 
+# a piecewise profile whose cut at 0.3 tau_p falls on no uniform node
+_CUT_AT_03 = PulseShape(1.0, 0.4321, np.pi, "piecewise_constant",
+                        boundaries=np.array([0.0, 0.3, 1.0]),
+                        values=np.random.default_rng(3).uniform(-3.0, 3.0, (2, 3)))
+
+
 class TestMagnusConsistency:
     def test_needs_four_points(self, pi_pulse, dynamic_bath):
         with pytest.raises(ValueError):
@@ -290,26 +297,48 @@ class TestMagnusConsistency:
             for field in ("defect", "uf_defect", "magnus_defect"):
                 assert abs(getattr(shared, field) - getattr(own, field)) <= 1e-14
 
-    def test_point_on_another_span_structure_integrates_its_own_frame(
-            self, monkeypatch, dynamic_bath):
-        """A span's share of steps at a multiple of 4 rounds up to 4 more steps at
-        some tau_p: such a point's grid is not the first point's rescaled, and it
-        integrates its own frame, so its entry is the lone one bit for bit."""
+    def test_rescaled_piecewise_sweep_integrates_one_frame(self, monkeypatch, dynamic_bath):
+        """Spans at multiples of 4 of the steps (boundaries 0, 1/4, 3/4, 1) keep
+        their step counts at every tau_p, so the sweep integrates one frame and
+        its first entry is the lone one bit for bit."""
         shape = PulseShape(1.0, 0.4321, np.pi, "piecewise_constant",
                            boundaries=np.array([0.0, 0.25, 0.75, 1.0]),
                            values=np.random.default_rng(3).uniform(-3.0, 3.0, (3, 3)))
         taus = np.geomspace(1e-3, 1e-1, 6)
-        nodes = [len(_build_grid(shape.rescaled(t), 1024)) for t in taus]
-        assert len(set(nodes)) == 2
         integrated = _record_frame_integrations(monkeypatch)
-        sweep = oracle.magnus_consistency(shape, dynamic_bath, taus, steps=1024)
+        sweep = oracle.magnus_consistency(shape, dynamic_bath, taus)
         monkeypatch.undo()
-        own = [t for t, n in zip(taus, nodes) if n != nodes[0]]
-        assert integrated == [taus[0], *own]
-        for entry, tau_p in zip(sweep.entries, taus):
-            if tau_p in own:
-                assert entry == oracle.decomposition_defects(shape.rescaled(tau_p),
-                                                             dynamic_bath, steps=1024)
+        assert integrated == [taus[0]]
+        assert sweep.entries[0] == oracle.decomposition_defects(
+            shape.rescaled(taus[0]), dynamic_bath, steps=oracle.SWEEP_STEPS)
+
+    @staticmethod
+    def _own_frame_despite(monkeypatch, bath, source, source_steps):
+        """The point (the 0, 0.3, 1 profile at tau_p = 1e-2, 1024 steps) given the
+        frame of ``source`` at tau_p = 1e-3 and ``source_steps`` integrates its
+        own frame, and its U_F is the lone one bit for bit."""
+        point, steps = _CUT_AT_03.rescaled(1e-2), 1024
+        _, frames = oracle.integrate_deviation(source.rescaled(1e-3), bath, steps=source_steps)
+        integrated = _record_frame_integrations(monkeypatch)
+        u_f, traj = oracle.integrate_deviation(point, bath, steps=steps, _frames=frames)
+        monkeypatch.undo()
+        assert integrated == [point.tau_p]
+        lone_u, lone_traj = oracle.integrate_deviation(point, bath, steps=steps)
+        assert np.array_equal(u_f, lone_u)
+        assert np.array_equal(traj.quaternions, lone_traj.quaternions)
+        return frames, point
+
+    def test_point_on_another_span_structure_integrates_its_own_frame(
+            self, monkeypatch, dynamic_bath):
+        """A frame of the same profile at another step count is not reused."""
+        frames, point = self._own_frame_despite(monkeypatch, dynamic_bath, _CUT_AT_03, 1028)
+        assert len(frames.grid) != len(oracle._trajectory_grid(point, 1024)[1])
+
+    def test_frame_with_another_cut_is_not_reused(self, monkeypatch, dynamic_bath):
+        """A frame with as many nodes but its cut elsewhere is not reused."""
+        other = replace(_CUT_AT_03, boundaries=np.array([0.0, 0.2, 1.0]))
+        frames, point = self._own_frame_despite(monkeypatch, dynamic_bath, other, 1024)
+        assert len(frames.grid) == len(oracle._trajectory_grid(point, 1024)[1])
 
     def test_dephasing_identity_regression(self):
         for tau_p in np.geomspace(1e-3, 1.0, 7):

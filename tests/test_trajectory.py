@@ -619,6 +619,20 @@ class TestGridRule:
             assert j0 % 4 == 0 and j1 % 4 == 0
             assert np.ptp(np.diff(grid[j0:j1 + 1])) <= 1e-14
 
+    @pytest.mark.parametrize("steps", [1024, 2048])
+    def test_rescaled_spans_keep_their_step_counts(self, steps):
+        """A span whose share of the steps is a multiple of 4 gets that share at
+        every tau_p: the span counts read only the dimensionless spans."""
+        shape = PulseShape(1.0, 0.4321, np.pi, "piecewise_constant",
+                           boundaries=np.array([0.0, 0.25, 0.75, 1.0]),
+                           values=np.ones((3, 3)))
+        for tau_p in np.geomspace(1e-3, 1e-1, 6):
+            rescaled = shape.rescaled(tau_p)
+            grid = _build_grid(rescaled, steps)
+            assert len(grid) - 1 == steps
+            assert np.array_equal(np.searchsorted(grid, _cuts(rescaled)),
+                                  [0, steps // 4, 3 * steps // 4, steps])
+
     @pytest.mark.parametrize("steps", [64, 200, 512, 2048])
     def test_cuts_on_uniform_nodes_keep_the_uniform_grid(self, steps):
         """A split at tau_p / 2 gives np.linspace bit for bit, at any duration."""
