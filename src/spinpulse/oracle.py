@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel
-from .corrections import CorrectionReport, evaluate_corrections
+from .corrections import CorrectionReport, SimpsonRule, correction_residuals
 from .pulses import SAME_TIME_RTOL, PulseShape
 from .su2 import CONJUGATE_Q, ideal_pulse_quaternion, quaternion_product
 from .trajectory import (FrameTrajectory, _build_grid, _frames_on_grid, _rk4_steps,
@@ -138,15 +138,22 @@ def eta_operators(report: CorrectionReport, bath: BathModel):
     h = r2b - [(tp-ts) n(tp) - ts n(0)] x r1, which reduces to r2b when the
     first-order condition holds.
     """
+    return _etas((report.r1, report.r2a, report.r2b), report.n_start, report.n_end,
+                 report.tau_p, report.tau_s, bath)
+
+
+def _etas(residuals, n0: np.ndarray, n1: np.ndarray, tau_p: float, tau_s: float,
+          bath: BathModel):
+    """:func:`eta_operators` of the residuals (r1, r2a, r2b) and n(0), n(tau_p)."""
+    r1, r2a, r2b = residuals
     lam = bath.coupling
     dim = bath.dim_b
-    n0, n1, tau_p, tau_s = report.n_start, report.n_end, report.tau_p, report.tau_s
-    h_vec = report.r2b - np.cross((tau_p - tau_s) * n1 - tau_s * n0, report.r1)
-    eta1 = lam * np.kron(pauli_dot(report.r1), bath.a)
+    h_vec = r2b - np.cross((tau_p - tau_s) * n1 - tau_s * n0, r1)
+    eta1 = lam * np.kron(pauli_dot(r1), bath.a)
     # the 1/2 on the bath-dynamics term is required for the second-order
     # remainder to scale as tau_p^3 against the exact propagator; see the
     # expansion-order tests
-    eta2a = 0.5 * lam * np.kron(pauli_dot(report.r2a), 1.0j * bath.commutator)
+    eta2a = 0.5 * lam * np.kron(pauli_dot(r2a), 1.0j * bath.commutator)
     eta2b = lam ** 2 * np.kron(pauli_dot(h_vec), bath.a @ bath.a)
     assert eta1.shape == (2 * dim, 2 * dim)
     return eta1, eta2a, eta2b
@@ -289,10 +296,13 @@ def integrate_deviation(shape: PulseShape, bath: BathModel, steps: int, _frames=
 
 def decomposition_defects(shape: PulseShape, bath: BathModel, steps: int, _frames=None):
     """The DecompositionError of one pulse at its native tau_p; ``_frames`` as in
-    :func:`integrate_deviation`."""
+    :func:`integrate_deviation`.  The correction operators take the residuals
+    on the trajectory grid alone: the halved-grid estimate of
+    :func:`evaluate_corrections` has no part in a defect."""
     u_f, traj = integrate_deviation(shape, bath, steps=steps, _frames=_frames)
-    report = evaluate_corrections(n_trajectory(traj), traj.tau_s)
-    eta1, eta2a, eta2b = eta_operators(report, bath)
+    nhat = n_trajectory(traj).nhat
+    residuals = correction_residuals(SimpsonRule(traj.grid), nhat, traj.tau_s)
+    eta1, eta2a, eta2b = _etas(residuals, nhat[0], nhat[-1], traj.tau_p, traj.tau_s, bath)
     uf_defect = np.linalg.norm(u_f - np.eye(2 * bath.dim_b), 2)
     # each eta is Hermitian, so the Magnus exponential is a unitary one
     magnus_defect = np.linalg.norm(u_f - expm_hermitian(eta1 + eta2a + eta2b), 2)

@@ -1,7 +1,9 @@
 """Seeded random pulses and constraint-manifold trajectory sampling.
 
 ``nogo`` runs its samples as lanes: one lane shape of consecutive draws (the
-lone draws' random stream), one frame integration, one pi-closing per chunk.
+lone draws' random stream, taken by one ``rng.random`` call), one frame
+integration, one pi-closing per chunk.  A lone random pulse is the one-lane
+case of the same draw.
 """
 
 from __future__ import annotations
@@ -14,28 +16,45 @@ from .trajectory import NTrajectory, integrate_axis_angle, n_trajectory
 PI_CLOSE_FRACTION = 0.15      # share of the path, at its end, that pi-closing replaces
 
 
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Uniform draws on [low, high) from uniforms u on [0, 1), as ``rng.uniform`` makes
+    them: high - low is rounded as written (0.8 - 0.2 is 0.6000000000000001, not 0.6)."""
+    return low + (high - low) * u
+
+
+def _random_fourier_draws(rng: np.random.Generator, lanes: int, order: int, scale: float,
+                          draw_tau_s: bool):
+    """(cos (lanes, 3, order + 1), sin (lanes, 3, order), tau_s (lanes,) or None):
+    ``lanes`` random smooth pi pulses on tau_p = 1 from one draw.
+
+    Each lane takes its uniforms in the order of the lone draws: per component
+    the order + 1 cosine and then the order sine coefficients, then tau_s on
+    [0.2, 0.8) if ``draw_tau_s``.  One ``rng.random`` call takes them all, so
+    consecutive lanes are consecutive lone draws bit for bit.
+    """
+    width = 2 * order + 1
+    u = rng.random((lanes, 3 * width + draw_tau_s))
+    amp = scale * np.pi / 2.0
+    decay = (1.0 + np.arange(order + 1)) ** 1.5
+    coeff = _uniform(u[:, :3 * width], -1.0, 1.0).reshape(lanes, 3, width) * amp
+    tau_s = _uniform(u[:, -1], 0.2, 0.8) if draw_tau_s else None
+    return coeff[..., :order + 1] / decay, coeff[..., order + 1:] / decay[1:], tau_s
+
+
 def random_fourier_shape(rng: np.random.Generator, order: int = 4, scale: float = 1.0,
                          tau_s: float | None = None) -> PulseShape:
     """Random smooth pi pulse on tau_p = 1, amplitude scale ~ pi/2 with decaying harmonics."""
-    coeff = FourierCoefficients.zeros(order)
-    amp = scale * np.pi / 2.0
-    decay = (1.0 + np.arange(order + 1)) ** 1.5
-    for i in range(3):
-        coeff.cos[i] = rng.uniform(-1.0, 1.0, order + 1) * amp / decay
-        coeff.sin[i] = rng.uniform(-1.0, 1.0, order) * amp / decay[1:]
-    if tau_s is None:
-        tau_s = rng.uniform(0.2, 0.8)
-    return PulseShape(1.0, tau_s, np.pi, "fourier", fourier=coeff)
+    cos, sin, drawn = _random_fourier_draws(rng, 1, order, scale, tau_s is None)
+    return PulseShape(1.0, float(drawn[0]) if tau_s is None else tau_s, np.pi, "fourier",
+                      fourier=FourierCoefficients(cos[0], sin[0]))
 
 
 def random_ntrajectory(rng: np.random.Generator, samples: int,
                        steps: int) -> tuple[NTrajectory, np.ndarray]:
-    """(n(t) of ``samples`` random pulses as lanes (samples, n, 3), their tau_s (samples,))."""
-    shapes = [random_fourier_shape(rng) for _ in range(samples)]
-    tau_s = np.array([shape.tau_s for shape in shapes])
-    coeff = FourierCoefficients(np.stack([shape.fourier.cos for shape in shapes]),
-                                np.stack([shape.fourier.sin for shape in shapes]))
-    lanes = PulseShape(1.0, tau_s, np.pi, "fourier", fourier=coeff)
+    """(n(t) of ``samples`` random pulses as lanes (samples, n, 3), their tau_s (samples,)),
+    the pulses those of ``samples`` consecutive :func:`random_fourier_shape` calls."""
+    cos, sin, tau_s = _random_fourier_draws(rng, samples, 4, 1.0, True)
+    lanes = PulseShape(1.0, tau_s, np.pi, "fourier", fourier=FourierCoefficients(cos, sin))
     return n_trajectory(integrate_axis_angle(lanes, steps)), tau_s
 
 

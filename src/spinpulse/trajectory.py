@@ -22,18 +22,23 @@ product of the steps from t = 0, in log2(n) levels.  tau_s is no cut:
 U(tau_s, 0) is interpolated between the nodes around it and enters W(t) only
 as the constant right factor U(tau_s, 0)^dag, so n(t) has no kink there.
 
-The integrator runs on a leading lane axis: a lane shape (``PulseShape``
-with m lanes, each with its own tau_s, on one set of breakpoints and so one
-grid) gives frames (m, n, 4) and n(t) (m, n, 3) by the same elementwise
-arithmetic, so each lane equals its lone-shape frame bit for bit; a lone
-shape gives (n, 4).  ``nogo`` integrates its random samples as one lane shape
-per chunk, and the design loop the trial points of its restarts in flight as
-one lane shape per round, both at most ``LANE_STEPS`` lanes x steps; it also
-reads lanes for its table of dv/dz (one lane per free direction).  Its
-Jacobian integrates no frame, but differentiates each lane's frame through
-its rotation (:func:`_frame_rotation`) and Hermite anchor (:func:`_anchor`).
-One check, :func:`_check_trajectory`, validates frames and n(t), every lane
-in full.
+The integrator runs on lanes: a lane shape (``PulseShape`` with m lanes,
+each with its own tau_s, on one set of breakpoints and so one grid) gives
+frames (m, n, 4) and n(t) (m, n, 3) by the same elementwise arithmetic, so
+each lane equals its lone-shape frame bit for bit; a lone shape gives (n, 4).
+Inside, it runs component-major: the generators, the RK4 steps and the
+prefix scan are (4, n, m) planes (component, node, lane), so every numpy
+call reads and writes contiguous planes, through the Hamilton formula of
+:func:`spinpulse.su2.hamilton` that the trailing-axis layout also uses, and
+one transpose returns the C-contiguous (m, n, 4) frames.  n(t) is the last
+column of the frame rotation alone (:func:`_rotation_column`).  ``nogo``
+integrates its random samples as one lane shape per chunk, and the design
+loop the trial points of its restarts in flight as one lane shape per round,
+both at most ``LANE_STEPS`` lanes x steps; it also reads lanes for its table
+of dv/dz (one lane per free direction).  Its Jacobian integrates no frame,
+but differentiates each lane's frame through its rotation
+(:func:`_frame_rotation`) and Hermite anchor (:func:`_anchor`).  One check,
+:func:`_check_trajectory`, validates frames and n(t), every lane in full.
 
 For output only, :func:`axis_angle` decomposes the frame as c = cos(psi/2),
 s = sin(psi/2) a with a continuous, unwrapped angle psi (psi(tau_s) = 0) and a
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import SAME_TIME_RTOL, UNIT_VECTOR_ATOL, PulseShape, frame_amplitude
-from .su2 import CONJUGATE_Q, IDENTITY_Q, quaternion_product
+from .su2 import CONJUGATE_Q, IDENTITY_Q, hamilton, quaternion_product
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 MIN_STEPS = 64
@@ -190,18 +195,20 @@ def _stage_amplitudes(shape: PulseShape, grid: np.ndarray):
     return v_node[..., :-1, :], v2, v_node[..., 1:, :]
 
 
-def _rk4_steps(g1, g2, g3, h, mul, one):
+def _rk4_steps(g1, g2, g3, h, mul, one, out=None):
     """RK4 steps W -> M W of W' = G(t) W from the stage generators (g1, g2, g3)
     at each step's start, midpoint and end, by the classical stage recurrence
     k2 = g2 + (h/2) g2 g1, k3 = g2 + (h/2) g2 k2, k4 = g3 + h g3 k3,
     M = 1 + (h/6) (g1 + 2 (k2 + k3) + k4): three products ``mul`` per step in
-    an algebra with unit ``one``.  h = -i dt steps G = -i F by dt.
+    an algebra with unit ``one``.  h = -i dt steps G = -i F by dt.  A 1-d h
+    runs along the tables' leading axis; any other h broadcasts as it is.
 
     Each k is the fresh array ``mul`` returns, finished in place with the
     operands of every sum and product in the order written above, so the steps
     round as that expression does and hold three step tables, not a
-    temporary per operation."""
-    h = np.reshape(h, (-1,) + (1,) * (np.ndim(g1) - 1))
+    temporary per operation.  The steps land in ``out`` if given, else in k2's."""
+    if np.ndim(h) == 1:
+        h = np.reshape(h, (-1,) + (1,) * (np.ndim(g1) - 1))
     half = 0.5 * h
     k2 = mul(g2, g1)
     np.add(g2, np.multiply(half, k2, out=k2), out=k2)
@@ -212,20 +219,20 @@ def _rk4_steps(g1, g2, g3, h, mul, one):
     m = np.add(k2, k3, out=k2)
     np.add(g1, np.multiply(2.0, m, out=m), out=m)
     np.multiply(h / 6.0, np.add(m, k4, out=m), out=m)
-    return np.add(one, m, out=m)
+    return np.add(one, m, out=m if out is None else out)
 
 
-def _prefix_products(steps: np.ndarray) -> np.ndarray:
-    """Inclusive products q_k ... q_1 along axis -2 (later steps on the left).
+def _prefix_products(u: np.ndarray) -> np.ndarray:
+    """Inclusive products q_k ... q_1 along axis 1 of component planes u (4, n, ...),
+    later steps on the left, in place.
 
-    A scan of log2(n) levels, each one batched Hamilton product.
+    A scan of log2(n) levels, each one batched Hamilton product of contiguous planes.
     """
-    out = steps.copy()
     d = 1
-    while d < out.shape[-2]:
-        out[..., d:, :] = quaternion_product(out[..., d:, :], out[..., :-d, :])
+    while d < u.shape[1]:
+        np.stack(hamilton(u[:, d:], u[:, :-d]), out=u[:, d:])
         d *= 2
-    return out
+    return u
 
 
 def _bracket(grid: np.ndarray, tau_s: np.ndarray):
@@ -264,6 +271,19 @@ def _anchor(ends: np.ndarray, v_start: np.ndarray, v_end: np.ndarray, h, x):
     return _hermite(ends, h[:, :, None] * quaternion_product(generators, ends), x)
 
 
+def _generator_planes(shape: PulseShape, grid: np.ndarray, j: np.ndarray):
+    """(g, v_start, v_end): the stage generators of ``shape`` as component planes
+    g (3, 4, n - 1, m), the pure quaternions (0, v) of -i sigma . v, and the
+    first and last stage amplitudes (m, 3) of each lane's step j (m,)."""
+    m, n = np.size(shape.tau_s), len(grid)
+    stages = [v.reshape(m, n - 1, 3) for v in _stage_amplitudes(shape, grid)]
+    g = np.zeros((3, 4, n - 1, m))
+    for planes, v in zip(g, stages):
+        planes[1:] = v.T
+    lane = np.arange(m)
+    return g, stages[0][lane, j], stages[2][lane, j]
+
+
 def _frame_quaternions(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
     """Unit frames W(t) = U(t, 0) U(tau_s, 0)^dag of ``shape``: (n, 4), or (m, n, 4) for lanes.
 
@@ -271,18 +291,23 @@ def _frame_quaternions(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
     is the cubic Hermite interpolant of U and U' = (0, v) U at the nodes
     around each lane's tau_s, O(h^4) like the steps, with v the step's first
     and last stage amplitudes, so it evaluates no amplitude; on a node it is
-    U there exactly.  The RK4 steps take the lanes end to end on the
-    step axis: each further axis of a strided operand adds to every numpy call.
+    U there exactly.  The generators, the steps and the scan are component
+    planes (4, n, m), lanes last, so every numpy call reads and writes
+    contiguous planes; the steps are written into the scan's buffer, and one
+    transpose gives the frames (m, n, 4).
     """
     m, n = np.size(shape.tau_s), len(grid)
-    v1, v2, v3 = (v.reshape(m, n - 1, 3) for v in _stage_amplitudes(shape, grid))
-    # the generator -i sigma . v is the pure quaternion (0, v)
-    g = np.zeros((3, m * (n - 1), 4))
-    g[0, :, 1:], g[1, :, 1:], g[2, :, 1:] = (v.reshape(-1, 3) for v in (v1, v2, v3))
+    tau_s = np.atleast_1d(shape.tau_s)
+    j, h, x = _bracket(grid, tau_s)
+    g, v_start, v_end = _generator_planes(shape, grid, j)
+    u = np.empty((4, n, m))
+    u[:, 0] = IDENTITY_Q[:, None]
     # an overflow leaves inf or NaN steps, which the drift guard rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _rk4_steps(*g, np.tile(np.diff(grid), m), quaternion_product, IDENTITY_Q)
-        drift = np.max(np.abs(np.linalg.norm(steps, axis=-1) - 1.0))
+        steps = _rk4_steps(*g, np.diff(grid)[:, None], lambda p, q: np.array(hamilton(p, q)),
+                           IDENTITY_Q[:, None, None], out=u[:, 1:])
+        del g                              # freed before the scan
+        drift = np.max(np.abs(np.linalg.norm(steps, axis=0) - 1.0))
     if not drift <= STEP_DRIFT:
         if not np.isfinite(drift):
             raise ValueError("trajectory frames must be unit quaternions, but an RK4 step is "
@@ -290,13 +315,12 @@ def _frame_quaternions(shape: PulseShape, grid: np.ndarray) -> np.ndarray:
         raise ValueError(f"trajectory frames must be unit quaternions, but an RK4 step "
                          f"drifts {drift:.3g} from unit norm (limit {STEP_DRIFT:g}): "
                          "the grid does not resolve the pulse")
-    u = _prefix_products(np.concatenate([np.tile(IDENTITY_Q, (m, 1, 1)),
-                                         steps.reshape(m, -1, 4)], axis=1))
-    lane, tau_s = np.arange(m), np.atleast_1d(shape.tau_s)
-    j, h, x = _bracket(grid, tau_s)
-    ends = u[lane[:, None], j[:, None] + [0, 1]]            # U at the two nodes, (m, 2, 4)
-    anchor, _ = _anchor(ends, v1[lane, j], v3[lane, j], h, x)
-    q = quaternion_product(u, anchor[:, None, :] * CONJUGATE_Q)
+    _prefix_products(u)
+    # U at the two nodes around each tau_s, (m, 2, 4)
+    ends = np.moveaxis(u[:, j[:, None] + [0, 1], np.arange(m)[:, None]], 0, -1)
+    anchor, _ = _anchor(ends, v_start, v_end, h, x)
+    np.stack(hamilton(u, (anchor * CONJUGATE_Q).T[:, None]), out=u)
+    q = u.transpose(2, 1, 0).copy()
     # u_s u_s^dag can leave rounding of order 1e-17 in s; a node at tau_s is set exactly
     q[grid == tau_s[:, None]] = IDENTITY_Q
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
@@ -364,24 +388,31 @@ def amplitude_from_axis_angle(shape: PulseShape, traj: FrameTrajectory) -> np.nd
     return frame_amplitude(q, dq)
 
 
+# column k of the rotation R of a frame quaternion (c, sx, sy, sz): R e_k
+_ROTATION_COLUMNS = (
+    lambda c, sx, sy, sz: (1.0 - 2.0 * (sy * sy + sz * sz), 2.0 * (sx * sy - c * sz),
+                           2.0 * (sx * sz + c * sy)),
+    lambda c, sx, sy, sz: (2.0 * (sx * sy + c * sz), 1.0 - 2.0 * (sx * sx + sz * sz),
+                           2.0 * (sy * sz - c * sx)),
+    lambda c, sx, sy, sz: (2.0 * (sx * sz - c * sy), 2.0 * (sy * sz + c * sx),
+                           1.0 - 2.0 * (sx * sx + sy * sy)))
+
+
+def _rotation_column(q: np.ndarray, k: int) -> np.ndarray:
+    """Column k (..., 3) of the rotations of frame quaternions q, R e_k."""
+    return np.stack(_ROTATION_COLUMNS[k](*(q[..., i] for i in range(4))), axis=-1)
+
+
 def _frame_rotation(q: np.ndarray) -> np.ndarray:
     """Rotations R (..., 3, 3) of frame quaternions, W^dag (sigma . a) W = sigma . (R a):
     n(t) = R z is the last column."""
-    c, sx, sy, sz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack([
-        np.stack([1.0 - 2.0 * (sy * sy + sz * sz), 2.0 * (sx * sy + c * sz),
-                  2.0 * (sx * sz - c * sy)], axis=-1),
-        np.stack([2.0 * (sx * sy - c * sz), 1.0 - 2.0 * (sx * sx + sz * sz),
-                  2.0 * (sy * sz + c * sx)], axis=-1),
-        np.stack([2.0 * (sx * sz + c * sy), 2.0 * (sy * sz - c * sx),
-                  1.0 - 2.0 * (sx * sx + sy * sy)], axis=-1)], axis=-2)
+    return np.stack([_rotation_column(q, k) for k in range(3)], axis=-1)
 
 
 def n_trajectory(traj: FrameTrajectory) -> NTrajectory:
-    """n(t) = 1/2 tr(sigma W^dag sigma_z W), the frame's image of the z axis."""
-    # a copy: the view would keep all nine entries of every rotation alive
-    nhat = _frame_rotation(traj.quaternions)[..., 2].copy()
-    return NTrajectory(grid=traj.grid.copy(), nhat=nhat)
+    """n(t) = 1/2 tr(sigma W^dag sigma_z W), the frame's image of the z axis: the
+    last column of :func:`_frame_rotation`, and only that column is computed."""
+    return NTrajectory(grid=traj.grid.copy(), nhat=_rotation_column(traj.quaternions, 2))
 
 
 # ----------------------------------------------------------------------

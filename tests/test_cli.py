@@ -487,6 +487,19 @@ class TestNogo:
         rows = [line for line in out.read_text().splitlines()[3:] if not line.startswith("#")]
         assert rows == expected
 
+    @pytest.mark.parametrize("check", ["pi-second-order", "ts-eq-tp"])
+    def test_csv_does_not_depend_on_the_lane_budget(self, workdir, monkeypatch, check):
+        """With 1, 8 and 32 lanes per chunk, 37 samples (a multiple of no chunk
+        but the first) give the same CSV bytes."""
+        documents = []
+        for lane_steps in (256, 2048, 8192):
+            monkeypatch.setattr(cli, "LANE_STEPS", lane_steps)
+            out = workdir / f"{check}-{lane_steps}.csv"
+            assert main(["nogo", check, "--samples", "37", "--grid", "256", "--seed", "5",
+                         "--out", str(out)]) == 0
+            documents.append(out.read_bytes())
+        assert documents[0] == documents[1] == documents[2]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [

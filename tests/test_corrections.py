@@ -420,6 +420,24 @@ class TestNoGoLanes:
             assert np.array_equal(ntraj.nhat[i], lone.nhat)
 
     @settings(max_examples=15, deadline=None)
+    @given(seed=_seeds, order=st.integers(0, 6), scale=st.sampled_from((1.0, 3.0)),
+           tau_s=st.one_of(st.none(), st.sampled_from((0.0, 0.3337, 1.0)), st.floats(0.0, 1.0)))
+    def test_random_fourier_shape_is_the_reference_draw(self, seed, order, scale, tau_s):
+        """One draw of all the uniforms gives the coefficients and tau_s of one
+        rng.uniform call per block, bit for bit, and leaves the stream where those do."""
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        shape = random_fourier_shape(rng, order=order, scale=scale, tau_s=tau_s)
+        amp, decay = scale * np.pi / 2.0, (1.0 + np.arange(order + 1)) ** 1.5
+        for i in range(3):
+            cos = reference.uniform(-1.0, 1.0, order + 1) * amp / decay
+            sin = reference.uniform(-1.0, 1.0, order) * amp / decay[1:]
+            assert np.array_equal(shape.fourier.cos[i], cos)
+            assert np.array_equal(shape.fourier.sin[i], sin)
+        expected_tau_s = reference.uniform(0.2, 0.8) if tau_s is None else tau_s
+        assert shape.tau_s == expected_tau_s and type(shape.tau_s) is type(expected_tau_s)
+        assert rng.random() == reference.random()
+
+    @settings(max_examples=15, deadline=None)
     @given(seed=_seeds, frac=_fractions, lanes=st.sampled_from(((1,), (4,), (2, 3))))
     # lane (1, 2)'s (tau_p - tau_s) ** 2 rounded otherwise as a scalar (libm's pow)
     @example(seed=129, frac=0.0, lanes=(2, 3))

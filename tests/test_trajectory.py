@@ -1,4 +1,6 @@
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +11,18 @@ from scipy.interpolate import make_interp_spline
 from spinpulse import su2
 from spinpulse.corrections import SimpsonRule, correction_residuals, nogo_diagnostics
 from spinpulse.design import _rotation_residual
-from spinpulse.oracle import SIGMA_Z, quaternion_matrix
+from spinpulse.fileio import parse_pulse
+from spinpulse.oracle import SIGMA_Z, _trajectory_grid, quaternion_matrix
 from spinpulse.pulses import (FourierCoefficients, PulseShape, constant_rotation_pulse,
                               fourier_pulse)
 from spinpulse.sampling import random_fourier_shape, random_ntrajectory
 from spinpulse.trajectory import (AXIS_FLOOR, _bootstrap_axis, _build_grid, _cuts,
-                                  _frame_quaternions, _prefix_products, _rk4_steps,
+                                  _frame_quaternions, _frames_on_grid, _prefix_products,
+                                  _rk4_steps,
                                   _span_derivative, _stage_amplitudes, _unwrap_frames,
                                   amplitude_from_axis_angle, axis_angle,
                                   integrate_axis_angle, n_trajectory)
+from frame_oracles import trailing_frame_quaternions
 from su2_oracles import (PAULI, axis_angle_exponential, pauli_conjugate,
                          rk4_polynomial, rk4_stage_recurrence, rk4_step_matrices)
 
@@ -456,7 +461,8 @@ class TestFrameProperties:
         expected = [steps[0]]
         for q in steps[1:]:
             expected.append(su2.quaternion_product(q, expected[-1]))
-        assert np.abs(_prefix_products(steps) - np.array(expected)).max() <= 1e-13
+        scanned = _prefix_products(steps.T.copy()).T
+        assert np.abs(scanned - np.array(expected)).max() <= 1e-13
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -640,3 +646,78 @@ class TestGridRule:
             shape = fourier_pulse(tau_p, 0.5 * tau_p, np.pi, {"y": [1.0]}, {})
             assert np.array_equal(_build_grid(shape, steps),
                                   np.linspace(0.0, tau_p, steps + 1))
+
+
+def _lane_shape(rng, lanes, piecewise):
+    """A lane shape of random Fourier pulses, or of piecewise ones with cuts."""
+    tau_s = rng.uniform(0.0, 1.0, lanes)
+    if piecewise:
+        bounds = np.r_[0.0, np.sort(rng.uniform(0.05, 0.95, 3)), 1.0]
+        return PulseShape(1.0, tau_s, np.pi, "piecewise_constant", boundaries=bounds,
+                          values=rng.normal(scale=4.0, size=(lanes, len(bounds) - 1, 3)))
+    coeff = FourierCoefficients(rng.normal(scale=2.0, size=(lanes, 3, 4)),
+                                rng.normal(scale=2.0, size=(lanes, 3, 3)))
+    return PulseShape(1.0, tau_s, np.pi, "fourier", fourier=coeff)
+
+
+class TestComponentMajorFrames:
+    """The component-major integrator against the trailing-axis reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), lanes=st.sampled_from((1, 2, 3, 8, 9)),
+           piecewise=st.booleans(), on_node=st.booleans(),
+           steps=st.sampled_from((64, 100, 256, 2048)))
+    def test_frames_equal_the_trailing_axis_reference(self, seed, lanes, piecewise, on_node,
+                                                      steps):
+        """Bit for bit, zero signs included, for every lane count, shape kind and
+        tau_s on a node or off it; the first lane is also its lone shape's frame."""
+        rng = np.random.default_rng(seed)
+        shape = _lane_shape(rng, lanes, piecewise)
+        grid = _build_grid(shape, steps)
+        if on_node:
+            shape = replace(shape, tau_s=grid[rng.integers(len(grid), size=lanes)])
+        frames = _frame_quaternions(shape, grid)
+        reference = trailing_frame_quaternions(shape, grid)
+        assert frames.flags.c_contiguous and frames.shape == (lanes, len(grid), 4)
+        assert np.array_equal(frames, reference)
+        assert np.array_equal(np.signbit(frames), np.signbit(reference))
+        first = ({"values": shape.values[0]} if piecewise else
+                 {"fourier": FourierCoefficients(shape.fourier.cos[0], shape.fourier.sin[0])})
+        lone = replace(shape, tau_s=float(shape.tau_s[0]), **first)
+        assert np.array_equal(_frame_quaternions(lone, grid), frames[0])
+
+    @pytest.mark.parametrize("cos_coeffs, message", [
+        ({"y": [-300.0]}, "the grid does not resolve the pulse"),
+        ({"y": [-1e100], "x": [0.0, 1e100]}, "the amplitude overflows the step products"),
+    ], ids=["drift", "non-finite"])
+    @pytest.mark.filterwarnings("error")
+    def test_step_guard_messages(self, cos_coeffs, message):
+        """Both STEP_DRIFT messages at 64 steps, word for word the reference's."""
+        shape = fourier_pulse(1.0, 0.5, np.pi, cos_coeffs)
+        grid = _build_grid(shape, 64)
+        errors = []
+        for frames in (_frame_quaternions, trailing_frame_quaternions):
+            with pytest.raises(ValueError, match=message) as caught:
+                frames(shape, grid)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+    def test_peak_memory_at_most_the_reference(self):
+        """On the 16,385-node bisected grid of the Q pulse, the frames peak no
+        higher in tracemalloc than the trailing-axis reference's."""
+        text = (Path(__file__).resolve().parents[1] / "bench" / "data"
+                / "q_reference.txt").read_text()
+        shape = parse_pulse(text)
+        fine = _trajectory_grid(shape, 8192)[1]
+        assert len(fine) == 16385
+        peaks = []
+        for run in (lambda: _frames_on_grid(shape, fine),
+                    lambda: trailing_frame_quaternions(shape, fine)):
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
